@@ -34,7 +34,13 @@
      statements on the evaluation workloads) must hold absolute floors on
      the loop-nest apps — AdPredictor >= 0.9, K-Means >= 0.9, N-Body >=
      0.99 — and no app may drop more than 0.02 below its baseline
-     coverage.
+     coverage;
+   - flow-level VM coverage ("flow_vm_coverage": planned statements /
+     interpreted statements over the "runs" section's five uninformed
+     flows, profiled analysis runs included) must hold an absolute floor
+     and may drop at most 0.02 below the baseline's, when the baseline
+     recorded it.  Skipped when the current file has no such key (a warm
+     cache interpreted nothing).
 
    Exit status 1 on any violation, 0 otherwise.  The JSON reader below is
    a minimal recursive-descent parser for the subset bench emits (objects,
@@ -194,6 +200,10 @@ let coverage_floors =
 (* coverage is deterministic, so any drop is a real planning regression;
    the small slack only absorbs workload-mix changes between revisions *)
 let coverage_slack = 0.02
+
+(* flow-level coverage floor: 0.9448 measured (at any --jobs) when profiled
+   runs moved onto the VM, minus [coverage_slack] *)
+let flow_coverage_floor = 0.924
 
 let failures = ref 0
 
@@ -452,7 +462,23 @@ let run_regressions current_path baseline_path =
           else if not (List.mem_assoc name coverage_floors) then
             Printf.printf "ok    vm coverage %-26s %.3f -> %.3f\n" name base_c cur_c)
       base_cov
-  end
+  end;
+  (* flow-level VM coverage: what the flows' own (profiled) runs execute
+     planned, gated absolutely and against the baseline when it has one *)
+  let top j name = match member name j with Some (Num f) -> Some f | _ -> None in
+  match top current "flow_vm_coverage" with
+  | None ->
+    print_endline "skip  flow vm coverage not recorded (no statements interpreted)"
+  | Some c ->
+    if c < flow_coverage_floor then
+      report "flow vm coverage %.3f (needs >= %.3f)" c flow_coverage_floor
+    else Printf.printf "ok    flow vm coverage %.3f (>= %.3f)\n" c flow_coverage_floor;
+    (match top baseline "flow_vm_coverage" with
+     | None -> print_endline "skip  baseline has no flow vm coverage"
+     | Some b ->
+       if c < b -. coverage_slack then
+         report "flow vm coverage %.3f -> %.3f (limit -%.2f)" b c coverage_slack
+       else Printf.printf "ok    flow vm coverage %.3f -> %.3f\n" b c)
 
 let () =
   (match Sys.argv with

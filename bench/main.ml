@@ -116,6 +116,12 @@ let throughput : (string * float) list ref = ref []
    by the "interp" section and reported under "vm_coverage" in the JSON *)
 let vm_coverage : (string * float) list ref = ref []
 
+(* VM step coverage of the "runs" section's five uninformed flows: the
+   profiled analysis runs real flows perform, unlike the unprofiled
+   evaluation workloads behind [vm_coverage].  None when the flows
+   interpreted nothing (every run replayed from a warm cache). *)
+let flow_vm_coverage : float option ref = ref None
+
 let write_json path ~total =
   let b = Buffer.create 4096 in
   let entries = List.rev !timings @ [ ("total", total) ] in
@@ -159,6 +165,9 @@ let write_json path ~total =
         (if i < List.length cov - 1 then "," else ""))
     cov;
   Buffer.add_string b "  },\n";
+  Option.iter
+    (Printf.bprintf b "  \"flow_vm_coverage\": %.4f,\n")
+    !flow_vm_coverage;
   let s = Cache.stats () in
   Printf.bprintf b
     "  \"cache\": {\n\
@@ -205,7 +214,13 @@ let write_json path ~total =
 let reports = lazy (Runs.ok_reports (Runs.collect ~quick ()))
 
 let run_experiments () =
+  let steps0 = (Machine.exec_stats ()).Machine.exec_steps in
+  let planned0 = Machine.planned_steps () in
   let reports = timed "runs" (fun () -> Lazy.force reports) in
+  let steps = (Machine.exec_stats ()).Machine.exec_steps - steps0 in
+  if steps > 0 then
+    flow_vm_coverage :=
+      Some (float_of_int (Machine.planned_steps () - planned0) /. float_of_int steps);
   if wants "fig5" then
     timed "fig5" (fun () ->
         print_newline ();

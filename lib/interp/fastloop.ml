@@ -6,6 +6,12 @@
    every level — or returns [false] without any observable effect, in which
    case the caller falls back to the reference closure loop.
 
+   Profiled runs stay on this path too.  Under [profile_loops] the inner
+   levels' [loop_stats] are derived at commit from per-level entry counts,
+   the per-entry trip counts and the per-site taken counters, exactly as
+   the totals are; under active observation regions every access marks the
+   frames' read-before-write/written footprints in program order.
+
    Soundness discipline: everything before "commit" below is read-only on
    interpreter state (it only scribbles on [prepared] scratch), so bailing
    out at any point — including via the [Failure] raised by dangling
@@ -23,6 +29,8 @@ open Interp_rt
 
 (* Where an external name lives in the enclosing compiled function. *)
 type source = Slot of int | Global of Value.t ref
+
+type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type prepared = {
   fl : Ir.fast_loop;
@@ -67,6 +75,25 @@ type prepared = {
   enter_d : int array array;
   step_d : int array array;
   exit_d : int array array;
+  (* loop profiling: per level, the sites inside it (static), the
+     else-baseline cost of its iterations per entry and its largest entry
+     count (per nest entry, from the cost walk), then the entries this run
+     made and the order levels were first entered in *)
+  lsites : int array array;
+  lvec : int array array;
+  lmult : int array;
+  lent : int array;
+  lord : int array;
+  mutable nord : int;
+  mutable prof : bool;
+  (* region footprints: per array, the active frames' written and
+     read-before-write bitsets, resolved at the array's first access in
+     the entry ([no_fp] until then) *)
+  carr : int array;  (* per cursor: its array *)
+  mutable marking : bool;
+  fpw : Bytes.t array array;
+  fpr : Bytes.t array array;
+  f32 : f32;  (* scratch cell for single-precision demotion *)
 }
 
 exception Bail of string
@@ -103,6 +130,12 @@ let m_planned = Obs.Metrics.counter "vm.steps.planned"
 
 let planned_steps () = Obs.Metrics.Counter.value m_planned
 
+(* the same count per domain: a run executes on one domain, so the
+   difference across a run is that run's planned steps *)
+let domain_planned = Domain.DLS.new_key (fun () -> ref 0)
+
+let domain_planned_steps () = !(Domain.DLS.get domain_planned)
+
 (* Magnitude caps under which the affine endpoint algebra below is exact
    (no wrap-around): |index|,|bound|,|base|,|offset| <= 2^40 and
    |coef| <= 2^20 keep every cursor position intermediate below 2^61 <
@@ -128,6 +161,20 @@ let cmul x y =
 
 let no_f : float array = [||]
 let no_i : int array = [||]
+let no_fp : Bytes.t array = [||]
+
+(* every site in the subtree of block [b], nested levels included: the
+   taken counters a level's profile draws on *)
+let rec block_sites (fl : Ir.fast_loop) (b : Ir.block) acc =
+  Array.fold_left
+    (fun acc (it : Ir.bitem) ->
+      match it with
+      | Ir.Bops _ -> acc
+      | Ir.Bsite sid ->
+        let s = fl.Ir.fl_sites.(sid) in
+        block_sites fl s.Ir.s_else (block_sites fl s.Ir.s_then (sid :: acc))
+      | Ir.Bloop lid -> block_sites fl fl.Ir.fl_levels.(lid).Ir.l_body acc)
+    acc b.Ir.b_items
 
 let prepare (fl : Ir.fast_loop) ~(index_slot : int)
     ~(lookup : string -> (source * Ast.ty) option) : prepared option =
@@ -220,6 +267,21 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         enter_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
         step_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
         exit_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
+        lsites =
+          Array.map
+            (fun (l : Ir.level) -> Array.of_list (block_sites fl l.Ir.l_body []))
+            fl.Ir.fl_levels;
+        lvec = Array.make nl no_i;
+        lmult = Array.make nl 0;
+        lent = Array.make nl 0;
+        lord = Array.make nl 0;
+        nord = 0;
+        prof = false;
+        carr = Array.map (fun (c : Ir.cursor) -> c.Ir.c_arr) fl.Ir.fl_cursors;
+        marking = false;
+        fpw = Array.make na no_fp;
+        fpr = Array.make na no_fp;
+        f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
       }
   end
 
@@ -233,6 +295,8 @@ let rec ieval p (e : Ir.iexpr) : int =
   | Ir.Isub (a, b) -> ieval p a - ieval p b
   | Ir.Imul (a, b) -> ieval p a * ieval p b
   | Ir.Ineg a -> -ieval p a
+  | Ir.Imin (a, b) -> Int.min (ieval p a) (ieval p b)
+  | Ir.Imax (a, b) -> Int.max (ieval p a) (ieval p b)
 
 let m1 (m : Ir.m1) (x : float) : float =
   match m with
@@ -292,11 +356,16 @@ let vadd_into a b = Array.iteri (fun i x -> a.(i) <- cadd a.(i) x) b
 
 let vscale k v = Array.map (fun x -> cmul k x) v
 
+(* the failing test that ends every entry of a level *)
+let final_test (lv : Ir.level) = ivec ~ints:(1 + lv.Ir.l_hi_ops) ~brs:1
+
 (* Cost of running [b] once, assuming each site takes its else arm; the
    per-site deltas (then cost minus else cost) and maximum execution
-   counts land in [p.dsite]/[p.cntmax].  [mult] is the statically largest
-   number of times [b] can run per nest entry.  Loop trip counts are the
-   per-entry constants already computed in [p.trip]. *)
+   counts land in [p.dsite]/[p.cntmax], and each inner level's iteration
+   cost per entry and maximum entry count in [p.lvec]/[p.lmult].  [mult]
+   is the statically largest number of times [b] can run per nest entry.
+   Loop trip counts are the per-entry constants already computed in
+   [p.trip]. *)
 let rec eval_block p (b : Ir.block) (mult : int) : int array =
   let v = vec_of_block b in
   Array.iter
@@ -322,8 +391,11 @@ let rec eval_block p (b : Ir.block) (mult : int) : int array =
         vadd_into v (ivec ~ints:lv.Ir.l_lo_ops ~brs:0);
         vadd_into inner
           (ivec ~ints:(2 + lv.Ir.l_hi_ops + lv.Ir.l_step_ops) ~brs:1);
-        vadd_into v (vscale trip inner);
-        vadd_into v (ivec ~ints:(1 + lv.Ir.l_hi_ops) ~brs:1))
+        let iters = vscale trip inner in
+        p.lvec.(lid) <- iters;
+        p.lmult.(lid) <- mult;
+        vadd_into v iters;
+        vadd_into v (final_test lv))
     b.Ir.b_items;
   v
 
@@ -350,12 +422,54 @@ let oob p (a : int) (idx : int) (loc : Loc.t) =
   runtime_error loc "array %s: index %d out of bounds [0,%d)" p.aname.(a) idx
     p.alen.(a)
 
+(* ---- region footprints ----
+
+   The walker marks every access into each active frame's bitsets for the
+   accessed base ([Interp_rt.mark_read]/[mark_write]).  Here the bitsets
+   are resolved once per array per nest entry, at its first access, so
+   frames gain footprint entries in the walker's first-touch order and
+   arrays the entry never touches get none. *)
+
+let resolve_fp p st a =
+  let fps = List.map (fun fr -> get_footprint st fr p.abase.(a)) st.active_regions in
+  p.fpw.(a) <- Array.of_list (List.map (fun fp -> fp.fp_written) fps);
+  p.fpr.(a) <- Array.of_list (List.map (fun fp -> fp.fp_read_first) fps)
+
+let mark_rd p st a idx =
+  if p.fpw.(a) == no_fp then resolve_fp p st a;
+  let ws = p.fpw.(a) and rs = p.fpr.(a) in
+  for j = 0 to Array.length ws - 1 do
+    if Bytes.get ws.(j) idx = '\000' then Bytes.set rs.(j) idx '\001'
+  done
+
+let mark_wr p st a idx =
+  if p.fpw.(a) == no_fp then resolve_fp p st a;
+  let ws = p.fpw.(a) in
+  for j = 0 to Array.length ws - 1 do
+    Bytes.set ws.(j) idx '\001'
+  done
+
+let mark_cur_rd p st c = mark_rd p st p.carr.(c) p.cpos.(c)
+
+let mark_cur_wr p st c = mark_wr p st p.carr.(c) p.cpos.(c)
+
+(* [Value.demote] inline: a store to a float32 cell and a load back are
+   the same two conversions (cvtsd2ss/cvtss2sd, round-to-nearest) as its
+   [Int32] bit round trip, without the two C calls.  The cell belongs to
+   the prepared nest, so domains never share it. *)
+let[@inline] demote (s : f32) x =
+  Bigarray.Array1.unsafe_set s 0 x;
+  Bigarray.Array1.unsafe_get s 0
+
 (* Flat-array dispatch loop.  Registers and cursor positions are validated
    by construction (lowering) and by the guard (bounds), so the only
    runtime checks left are the ones the source semantics demand: checked
-   accesses and integer division by zero. *)
+   accesses and integer division by zero.  Memory ops mark footprints
+   after the access, in the walker's order, only while regions are
+   active. *)
 let exec p st (ops : Ir.fop array) =
-  let f = p.f and n = p.n in
+  let f = p.f and n = p.n and s32 = p.f32 in
+  let mk = p.marking in
   let len = Array.length ops in
   for k = 0 to len - 1 do
     match Array.unsafe_get ops k with
@@ -367,16 +481,16 @@ let exec p st (ops : Ir.fop array) =
     | Ir.FtoI (d, a) -> n.(d) <- int_of_float f.(a)
     | Ir.FtoB (d, a) -> n.(d) <- (if f.(a) <> 0.0 then 1 else 0)
     | Ir.ItoB (d, a) -> n.(d) <- (if n.(a) <> 0 then 1 else 0)
-    | Ir.FDem (d, a) -> f.(d) <- Value.demote f.(a)
+    | Ir.FDem (d, a) -> f.(d) <- demote s32 f.(a)
     | Ir.FAdd (d, a, b) -> f.(d) <- f.(a) +. f.(b)
     | Ir.FSub (d, a, b) -> f.(d) <- f.(a) -. f.(b)
     | Ir.FMul (d, a, b) -> f.(d) <- f.(a) *. f.(b)
     | Ir.FDiv (d, a, b) -> f.(d) <- f.(a) /. f.(b)
     | Ir.FNeg (d, a) -> f.(d) <- -.f.(a)
-    | Ir.FAddS (d, a, b) -> f.(d) <- Value.demote (f.(a) +. f.(b))
-    | Ir.FSubS (d, a, b) -> f.(d) <- Value.demote (f.(a) -. f.(b))
-    | Ir.FMulS (d, a, b) -> f.(d) <- Value.demote (f.(a) *. f.(b))
-    | Ir.FDivS (d, a, b) -> f.(d) <- Value.demote (f.(a) /. f.(b))
+    | Ir.FAddS (d, a, b) -> f.(d) <- demote s32 (f.(a) +. f.(b))
+    | Ir.FSubS (d, a, b) -> f.(d) <- demote s32 (f.(a) -. f.(b))
+    | Ir.FMulS (d, a, b) -> f.(d) <- demote s32 (f.(a) *. f.(b))
+    | Ir.FDivS (d, a, b) -> f.(d) <- demote s32 (f.(a) /. f.(b))
     | Ir.IAdd (d, a, b) -> n.(d) <- n.(a) + n.(b)
     | Ir.ISub (d, a, b) -> n.(d) <- n.(a) - n.(b)
     | Ir.IMul (d, a, b) -> n.(d) <- n.(a) * n.(b)
@@ -422,38 +536,64 @@ let exec p st (ops : Ir.fop array) =
       n.(d) <- (if r then 1 else 0)
     | Ir.INot (d, a) -> n.(d) <- (if n.(a) <> 0 then 0 else 1)
     | Ir.FMath1 (m, d, a) -> f.(d) <- m1 m f.(a)
-    | Ir.FMath1S (m, d, a) -> f.(d) <- Value.demote (m1 m f.(a))
+    | Ir.FMath1S (m, d, a) -> f.(d) <- demote s32 (m1 m f.(a))
     | Ir.FMath2 (m, d, a, b) -> f.(d) <- m2 m f.(a) f.(b)
-    | Ir.FMath2S (m, d, a, b) -> f.(d) <- Value.demote (m2 m f.(a) f.(b))
+    | Ir.FMath2S (m, d, a, b) -> f.(d) <- demote s32 (m2 m f.(a) f.(b))
     | Ir.Rand d -> f.(d) <- Util.Prng.uniform st.prng
-    | Ir.FLd (d, c) -> f.(d) <- p.cfdata.(c).(p.cpos.(c))
-    | Ir.FSt (c, s) -> p.cfdata.(c).(p.cpos.(c)) <- f.(s)
-    | Ir.FStDem (c, s) -> p.cfdata.(c).(p.cpos.(c)) <- Value.demote f.(s)
-    | Ir.ILd (d, c) -> n.(d) <- p.cidata.(c).(p.cpos.(c))
-    | Ir.ISt (c, s) -> p.cidata.(c).(p.cpos.(c)) <- n.(s)
-    | Ir.IStB (c, s) -> p.cidata.(c).(p.cpos.(c)) <- (if n.(s) <> 0 then 1 else 0)
+    | Ir.FLd (d, c) ->
+      f.(d) <- p.cfdata.(c).(p.cpos.(c));
+      if mk then mark_cur_rd p st c
+    | Ir.FSt (c, s) ->
+      p.cfdata.(c).(p.cpos.(c)) <- f.(s);
+      if mk then mark_cur_wr p st c
+    | Ir.FStDem (c, s) ->
+      p.cfdata.(c).(p.cpos.(c)) <- demote s32 f.(s);
+      if mk then mark_cur_wr p st c
+    | Ir.ILd (d, c) ->
+      n.(d) <- p.cidata.(c).(p.cpos.(c));
+      if mk then mark_cur_rd p st c
+    | Ir.ISt (c, s) ->
+      p.cidata.(c).(p.cpos.(c)) <- n.(s);
+      if mk then mark_cur_wr p st c
+    | Ir.IStB (c, s) ->
+      p.cidata.(c).(p.cpos.(c)) <- (if n.(s) <> 0 then 1 else 0);
+      if mk then mark_cur_wr p st c
     | Ir.FLdCk (d, a, i, loc) ->
       let idx = p.aoff.(a) + n.(i) in
       if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      f.(d) <- p.afdata.(a).(idx)
+      f.(d) <- p.afdata.(a).(idx);
+      if mk then mark_rd p st a idx
     | Ir.FStCk (a, i, s, loc) ->
       let idx = p.aoff.(a) + n.(i) in
       if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      p.afdata.(a).(idx) <- (if p.adem.(a) then Value.demote f.(s) else f.(s))
+      p.afdata.(a).(idx) <- (if p.adem.(a) then demote s32 f.(s) else f.(s));
+      if mk then mark_wr p st a idx
     | Ir.ILdCk (d, a, i, loc) ->
       let idx = p.aoff.(a) + n.(i) in
       if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      n.(d) <- p.aidata.(a).(idx)
+      n.(d) <- p.aidata.(a).(idx);
+      if mk then mark_rd p st a idx
     | Ir.IStCk (a, i, s, loc) ->
       let idx = p.aoff.(a) + n.(i) in
       if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
       p.aidata.(a).(idx) <-
-        (if p.abool.(a) then (if n.(s) <> 0 then 1 else 0) else n.(s))
-    | Ir.FLdSub (d, c, b) -> f.(d) <- p.cfdata.(c).(p.cpos.(c)) -. f.(b)
+        (if p.abool.(a) then (if n.(s) <> 0 then 1 else 0) else n.(s));
+      if mk then mark_wr p st a idx
+    | Ir.FLdSub (d, c, b) ->
+      f.(d) <- p.cfdata.(c).(p.cpos.(c)) -. f.(b);
+      if mk then mark_cur_rd p st c
     | Ir.FLdSub2 (d, c1, c2) ->
-      f.(d) <- p.cfdata.(c1).(p.cpos.(c1)) -. p.cfdata.(c2).(p.cpos.(c2))
-    | Ir.FLdMul (d, c, b) -> f.(d) <- p.cfdata.(c).(p.cpos.(c)) *. f.(b)
-    | Ir.FLdAdd (d, c, b) -> f.(d) <- p.cfdata.(c).(p.cpos.(c)) +. f.(b)
+      f.(d) <- p.cfdata.(c1).(p.cpos.(c1)) -. p.cfdata.(c2).(p.cpos.(c2));
+      if mk then begin
+        mark_cur_rd p st c1;
+        mark_cur_rd p st c2
+      end
+    | Ir.FLdMul (d, c, b) ->
+      f.(d) <- p.cfdata.(c).(p.cpos.(c)) *. f.(b);
+      if mk then mark_cur_rd p st c
+    | Ir.FLdAdd (d, c, b) ->
+      f.(d) <- p.cfdata.(c).(p.cpos.(c)) +. f.(b);
+      if mk then mark_cur_rd p st c
     | Ir.FMulAdd (d, a, b, c) -> f.(d) <- (f.(a) *. f.(b)) +. f.(c)
     | Ir.FAddMul (d, c, a, b) -> f.(d) <- f.(c) +. (f.(a) *. f.(b))
     | Ir.FSubMul (d, c, a, b) -> f.(d) <- f.(c) -. (f.(a) *. f.(b))
@@ -461,10 +601,18 @@ let exec p st (ops : Ir.fop array) =
     | Ir.FRsqrt (d, a) -> f.(d) <- 1.0 /. sqrt f.(a)
     | Ir.FAccSt (c, s) ->
       let q = p.cfdata.(c) and i = p.cpos.(c) in
-      q.(i) <- q.(i) +. f.(s)
+      q.(i) <- q.(i) +. f.(s);
+      if mk then begin
+        mark_cur_rd p st c;
+        mark_cur_wr p st c
+      end
     | Ir.FMulAccSt (c, a, b) ->
       let q = p.cfdata.(c) and i = p.cpos.(c) in
-      q.(i) <- q.(i) +. (f.(a) *. f.(b))
+      q.(i) <- q.(i) +. (f.(a) *. f.(b));
+      if mk then begin
+        mark_cur_rd p st c;
+        mark_cur_wr p st c
+      end
   done
 
 (* ---- tree executor ---- *)
@@ -486,6 +634,14 @@ let rec run_block p st (b : Ir.block) =
 
 and run_level p st lid =
   let lv = Array.unsafe_get p.fl.Ir.fl_levels lid in
+  if p.prof then begin
+    let e = p.lent.(lid) in
+    if e = 0 then begin
+      p.lord.(p.nord) <- lid;
+      p.nord <- p.nord + 1
+    end;
+    p.lent.(lid) <- e + 1
+  end;
   let cs = p.lev_cur.(lid) in
   let en = p.enter_d.(lid) and sd = p.step_d.(lid) and ex = p.exit_d.(lid) in
   let ncs = Array.length cs in
@@ -513,6 +669,42 @@ and run_level p st lid =
     p.cpos.(c) <- p.cpos.(c) - Array.unsafe_get ex j
   done
 
+(* Inner levels' loop_stats, as the walker's per-[For] snapshots would
+   have recorded them: every entry of level [l] costs its else-baseline
+   iterations plus the final test, and every taken then-arm inside it adds
+   its site delta (all of a site's executions lie inside each enclosing
+   level).  Accumulators are created in first-entry order, the order the
+   walker touches them.  The lo bound is evaluated before the walker's
+   snapshot, so it stays out, as does the [For] statement's own step. *)
+let account_levels p st =
+  let levels = p.fl.Ir.fl_levels in
+  for k = 0 to p.nord - 1 do
+    let l = p.lord.(k) in
+    if l > 0 then begin
+      let lv = levels.(l) in
+      let e = p.lent.(l) in
+      let a = loop_acc_of st lv.Ir.l_sid in
+      a.la_entries <- a.la_entries + e;
+      a.la_iterations <- a.la_iterations + (e * p.trip.(l));
+      let tot = Array.map (fun x -> e * x) p.lvec.(l) in
+      tot.(1) <- tot.(1) + (e * (1 + lv.Ir.l_hi_ops));
+      tot.(14) <- tot.(14) + e;
+      Array.iter
+        (fun s ->
+          let tks = p.tk.(s) in
+          if tks > 0 then begin
+            let d = p.dsite.(s) in
+            for i = 0 to 14 do
+              tot.(i) <- tot.(i) + (tks * d.(i))
+            done
+          end)
+        p.lsites.(l);
+      let c = a.la_counters in
+      c.Counters.steps <- c.Counters.steps + tot.(0);
+      apply_totals c tot
+    end
+  done
+
 let read_src (fr : Value.t array) = function
   | Slot i -> fr.(i)
   | Global r -> !r
@@ -522,10 +714,16 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   let levels = fl.Ir.fl_levels in
   let nl = Array.length levels in
   let nsites = Array.length fl.Ir.fl_sites in
-  (* 0. per-loop profiling wants loop_stats for every level, but the fast
-     path only accounts the root: run nests on the slow path when loop
-     profiling is on (single-level plans profile exactly via [acc]) *)
-  if st.cfg.profile_loops && nl > 1 then raise (Bail "profiled");
+  (* 0. profiling: the caller accounts the root level through [acc]; inner
+     levels' loop_stats are derived at commit.  Footprints are marked only
+     where the walker accesses memory, so a nest whose loads or cells the
+     lowering moved out of the body cannot run under a region (plans for
+     region-profiled runs are built without code motion). *)
+  let prof = st.cfg.profile_loops && nl > 1 in
+  let marking = st.active_regions <> [] in
+  if marking
+     && (Array.length fl.Ir.fl_hoisted > 0 || Array.length fl.Ir.fl_promoted > 0)
+  then raise (Bail "code motion");
   (* 1. load external scalars, strictly typed (mismatch -> slow path) *)
   let vars = fl.Ir.fl_vars in
   for k = 0 to Array.length vars - 1 do
@@ -587,6 +785,18 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
       acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i)))
     done
   done;
+  (* ... and likewise every inner level's loop_stats total *)
+  if prof then
+    for l = 1 to nl - 1 do
+      let per_entry = Array.copy p.lvec.(l) in
+      vadd_into per_entry (final_test levels.(l));
+      for i = 0 to 14 do
+        let acc = ref (abs (cmul p.lmult.(l) per_entry.(i))) in
+        Array.iter
+          (fun s -> acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i))))
+          p.lsites.(l)
+      done
+    done;
   (* 4. resolve arrays: exact element type, raw storage, name for errors.
      [Memory] bases are append-only — an entry's storage is written
      exactly once, at allocation — so a resolution stays valid for as
@@ -711,6 +921,16 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   done;
   (* ---- commit: from here on the fast path runs the nest to the end ---- *)
   Array.fill p.tk 0 (Array.length p.tk) 0;
+  p.prof <- prof;
+  if prof then begin
+    Array.fill p.lent 0 nl 0;
+    p.nord <- 0
+  end;
+  p.marking <- marking;
+  if marking then begin
+    Array.fill p.fpw 0 (Array.length p.fpw) no_fp;
+    Array.fill p.fpr 0 (Array.length p.fpr) no_fp
+  end;
   exec p st fl.Ir.fl_prologue;
   (match p.simple with
    | Some ops ->
@@ -752,7 +972,10 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   if tot.(0) > 0 then consume_steps st tot.(0);
   apply_totals st.counters tot;
   Obs.Metrics.Counter.add m_planned tot.(0);
+  let dp = Domain.DLS.get domain_planned in
+  dp := !dp + tot.(0);
   acc.la_iterations <- acc.la_iterations + p.trip.(0);
+  if prof then account_levels p st;
   (* write back mutated scalars with the representation [Set] maintains *)
   for k = 0 to Array.length vars - 1 do
     let v = vars.(k) in
@@ -771,19 +994,13 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   fr.(p.index_slot) <- Value.Vint (root_lo + (p.trip.(0) * p.lstep.(0)))
 
 let try_run p st (fr : Value.t array) (acc : loop_acc) : bool =
-  (* observation regions want per-access footprints: defer to the slow path *)
-  if st.active_regions <> [] then begin
-    record_bail p.fl.Ir.fl_loc "region";
+  try
+    attempt p st fr acc;
+    true
+  with
+  | Bail r ->
+    record_bail p.fl.Ir.fl_loc r;
     false
-  end
-  else
-    try
-      attempt p st fr acc;
-      true
-    with
-    | Bail r ->
-      record_bail p.fl.Ir.fl_loc r;
-      false
-    | Failure _ ->
-      record_bail p.fl.Ir.fl_loc "memory";
-      false
+  | Failure _ ->
+    record_bail p.fl.Ir.fl_loc "memory";
+    false

@@ -145,10 +145,13 @@ let run ?(config = default_config) ?backend (program : Ast.program) : result =
     ~name:"interp-run" ~kind:Obs.Trace.Interp_run
     (fun sp ->
       let t0 = Obs.Monotonic.now_s () in
+      let planned0 = Fastloop.domain_planned_steps () in
       let finish (r : result) =
         let steps = r.counters.Counters.steps in
         record_run steps (Obs.Monotonic.now_s () -. t0);
         Obs.Trace.add_attr sp "steps" (Obs.Trace.Int steps);
+        Obs.Trace.add_attr sp "planned"
+          (Obs.Trace.Int (Fastloop.domain_planned_steps () - planned0));
         r
       in
       match backend with

@@ -105,9 +105,11 @@ val planned_steps : unit -> int
 val plan_bail_sites : unit -> (Loc.t * string) list
 (** Planned loops that fell back to the closure path at runtime, as a
     sorted (root location, reason) set — reasons like ["budget"],
-    ["bounds"], ["alias"], ["trip-count"], ["profiled"], ["region"].
-    Deterministic at any [--jobs]: memoization makes the set of executed
-    runs, and therefore the set of bail sites, schedule-independent. *)
+    ["bounds"], ["alias"], ["trip-count"], ["overflow"], ["binding"].
+    Profiled runs ([profile_loops], observation regions) stay on the
+    planned path.  Deterministic at any [--jobs]: memoization makes the
+    set of executed runs, and therefore the set of bail sites,
+    schedule-independent. *)
 
 val set_step_cap : int option -> unit
 (** Arm ([Some n]) or clear ([None]) a process-wide cap on [max_steps]:

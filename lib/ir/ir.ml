@@ -1,4 +1,4 @@
-let version = 2
+let version = 3
 
 type prec = Psingle | Pdouble
 
@@ -17,6 +17,8 @@ type iexpr =
   | Isub of iexpr * iexpr
   | Imul of iexpr * iexpr
   | Ineg of iexpr
+  | Imin of iexpr * iexpr
+  | Imax of iexpr * iexpr
 
 type cursor = { c_arr : int; c_coefs : iexpr array; c_base : iexpr }
 

@@ -55,7 +55,9 @@ type arr = {
 (** Nest-invariant integer expression, evaluated once by the runtime guard
     (trip counts, affine coefficients).  [Ivar] indexes the {!var} table
     and must reference an int-kinded, unwritten variable; evaluation is
-    total (no division, no effects). *)
+    total (no division, no effects).  [Imin]/[Imax] are the [imin]/[imax]
+    intrinsics (tile clamps such as [imin(jj + 256, N)]); they appear in
+    loop bounds only, never in affine access paths. *)
 type iexpr =
   | Iconst of int
   | Ivar of int
@@ -63,6 +65,8 @@ type iexpr =
   | Isub of iexpr * iexpr
   | Imul of iexpr * iexpr
   | Ineg of iexpr
+  | Imin of iexpr * iexpr
+  | Imax of iexpr * iexpr
 
 (** Affine access path across the whole nest: element index =
     [sum_l coefs.(l) * i_l + base] over the levels' loop variables (the

@@ -345,7 +345,7 @@ let rec affine c (e : expr) : ((int * Ir.iexpr) list * Ir.iexpr * int) option =
 
 (* bound conversion: like [affine] but with no loop-variable leaf — every
    level's lo/hi/step must be invariant across the whole nest so trip
-   counts are constants per entry *)
+   counts are constants per entry — and with [imin]/[imax] clamps *)
 let rec invariant c (e : expr) : Ir.iexpr * int =
   match e.edesc with
   | Int_lit k -> (Ir.Iconst k, 0)
@@ -373,6 +373,13 @@ let rec invariant c (e : expr) : Ir.iexpr * int =
     let x, na = invariant c a in
     let y, nb = invariant c b in
     (imul x y, na + nb + 1)
+  | Call (("imin" | "imax") as name, [ a; b ])
+    when not (Hashtbl.mem c.user_funcs name) ->
+    (* the intrinsic counts one int op after its arguments, like the
+       walker's [eval_intrinsic] *)
+    let x, na = invariant c a in
+    let y, nb = invariant c b in
+    ((if name = "imin" then Ir.Imin (x, y) else Ir.Imax (x, y)), na + nb + 1)
   | _ -> reject "non-invariant bound"
 
 (* ---- expression lowering ---- *)
@@ -1267,7 +1274,7 @@ let collect_info body =
   List.iter stmt body;
   (assigned, all_locals)
 
-let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
+let plan_loop ~env ~user_funcs ~region_set ~motion (s : stmt) (h : for_header)
     (body : block) : Ir.fast_loop =
   let assigned, all_locals = collect_info body in
   let c =
@@ -1374,25 +1381,31 @@ let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
   in
   let pro = ref (List.rev c.pro) in
   let epi = ref [] in
-  (* hoist: loads through invariant (all-zero-coefficient) cursors of
+  (* Code motion (skipped when [motion] is off): values cannot tell a moved
+     access from one at its original site, but region footprints can — a
+     hoisted load or promoted cell is touched once per entry even when its
+     site sits under a zero-trip level or in an untaken arm.
+
+     hoist: loads through invariant (all-zero-coefficient) cursors of
      arrays never stored move to the prologue (guard re-checks no aliasing
      store can clobber them); their counter costs stay at the original
      site, so accounting is unchanged *)
   let hoisted = Hashtbl.create 4 in
-  rewrite_tree (fun ops ->
-      let kept =
-        List.filter_map
-          (fun (op : Ir.fop) ->
-            match op with
-            | (FLd (_, cu) | ILd (_, cu))
-              when zero_coef cu && not arrs.(arr_of cu).ma_stored ->
-              pro := !pro @ [ op ];
-              Hashtbl.replace hoisted (arr_of cu) ();
-              None
-            | _ -> Some op)
-          (Array.to_list ops)
-      in
-      Array.of_list kept);
+  if motion then
+    rewrite_tree (fun ops ->
+        let kept =
+          List.filter_map
+            (fun (op : Ir.fop) ->
+              match op with
+              | (FLd (_, cu) | ILd (_, cu))
+                when zero_coef cu && not arrs.(arr_of cu).ma_stored ->
+                pro := !pro @ [ op ];
+                Hashtbl.replace hoisted (arr_of cu) ();
+                None
+              | _ -> Some op)
+            (Array.to_list ops)
+        in
+        Array.of_list kept);
   (* promote: an array cell addressed only through one invariant cursor
      becomes a register, loaded on entry and stored back on exit (guard
      re-checks its base is distinct from every other accessed base).  The
@@ -1414,7 +1427,7 @@ let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
   let promoted_regs = ref [] in
   Array.iteri
     (fun aid (ma : marr) ->
-      if ma.ma_stored && not (Hashtbl.mem ck_arrs aid) then begin
+      if motion && ma.ma_stored && not (Hashtbl.mem ck_arrs aid) then begin
         let cus = ref [] in
         Array.iteri
           (fun cu (a, _, _) ->
@@ -1530,8 +1543,8 @@ type outcome = Planned of { levels : int; sites : int } | Unplannable of string
 let decl_binding_ty (d : decl) =
   match d.darray with Some _ -> Tptr d.dty | None -> d.dty
 
-let plan_with ?(region_sids = []) ~(note : stmt -> outcome -> unit)
-    (p : program) : Ir.plan =
+let plan_with ?(region_sids = []) ?(motion = true)
+    ~(note : stmt -> outcome -> unit) (p : program) : Ir.plan =
   let tbl : Ir.plan = Hashtbl.create 16 in
   (match Typecheck.check_program p with
    | Error _ ->
@@ -1575,7 +1588,7 @@ let plan_with ?(region_sids = []) ~(note : stmt -> outcome -> unit)
                 walk_block env b;
                 env
               | For (h, body) ->
-                (match plan_loop ~env ~user_funcs ~region_set s h body with
+                (match plan_loop ~env ~user_funcs ~region_set ~motion s h body with
                  | fl ->
                    Hashtbl.replace tbl s.sid fl;
                    note s
@@ -1598,8 +1611,8 @@ let plan_with ?(region_sids = []) ~(note : stmt -> outcome -> unit)
        (funcs p));
   tbl
 
-let plan ?region_sids (p : program) : Ir.plan =
-  plan_with ?region_sids ~note:(fun _ _ -> ()) p
+let plan ?region_sids ?motion (p : program) : Ir.plan =
+  plan_with ?region_sids ?motion ~note:(fun _ _ -> ()) p
 
 let plan_report ?region_sids (p : program) : (Loc.t * outcome) list =
   let acc = ref [] in

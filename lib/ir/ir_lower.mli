@@ -3,7 +3,7 @@
 
     A loop nest is plannable when every level's bounds are nest-invariant
     integer expressions (literals, unassigned outer int scalars, and
-    [+]/[-]/[*]/negation over those), its body contains only statically
+    [+]/[-]/[*]/negation/[imin]/[imax] over those), its body contains only statically
     typed statements the flat IR can express — declarations, assignments,
     expression statements, [if] statements, inner [for] loops, scopes —
     and all array accesses go through plain outer pointer variables.
@@ -11,12 +11,16 @@
     per-site taken counters, so the executing backend's batched step and
     hardware-counter accounting stays exact even when arms cost
     differently.  Loops containing [while], [return], [break], [continue],
-    user function calls, or statements inside observation regions are
-    rejected, as is anything whose counter or rounding behaviour the flat
-    IR cannot replicate bit-for-bit; rejected loops simply run on the
-    closure backend, so lowering is a pure, sound optimisation with no
-    effect on observable semantics (values, step budgets, counters, error
-    messages, PRNG draws, or printed output).
+    user function calls, or statements that are themselves [Rstmt]
+    observation regions are rejected, as is anything whose counter or
+    rounding behaviour the flat IR cannot replicate bit-for-bit; rejected
+    loops simply run on the closure backend, so lowering is a pure, sound
+    optimisation with no effect on observable semantics (values, step
+    budgets, counters, loop and region statistics, error messages, PRNG
+    draws, or printed output).  Only [Rstmt] regions make a nest
+    unplannable: a nest running inside an active region (an [Rfunc]
+    body, or an [Rstmt] around the whole nest) and a nest under
+    [profile_loops] both stay planned.
 
     Lowering is purely syntactic + type-directed: it never looks at
     runtime values.  All value-dependent safety conditions (trip counts,
@@ -30,17 +34,21 @@ type outcome =
   | Planned of { levels : int; sites : int }
   | Unplannable of string
 
-val plan : ?region_sids:int list -> Ast.program -> Ir.plan
-(** [plan ~region_sids p] typechecks [p] and builds fast-loop plans for
-    every plannable [for] nest, keyed by the root [For] statement id.
-    Loops whose body contains a statement in [region_sids] (observation
-    regions / [trace_aliases] footprints) are not planned, since region
-    tracking needs per-statement granularity; the guard additionally
-    refuses to run while any region is active.  Inner loops of a planned
-    nest also get independent entries of their own, so the compiled
-    fallback still fast-paths them when the outer guard declines.
-    Programs that fail {!Typecheck.check_program} produce an empty plan
-    (the backends reproduce the walker's dynamic behaviour instead). *)
+val plan : ?region_sids:int list -> ?motion:bool -> Ast.program -> Ir.plan
+(** [plan ~region_sids ~motion p] typechecks [p] and builds fast-loop
+    plans for every plannable [for] nest, keyed by the root [For]
+    statement id.  Loops whose body contains a statement in [region_sids]
+    ([Rstmt] observation regions) are not planned, since a region that
+    starts and ends inside a nest needs per-statement granularity.
+    [motion] (default [true]) enables hoisting nest-invariant loads into
+    the prologue and promoting invariant cells to registers; runs with
+    observation regions plan with [~motion:false], so every access marks
+    footprints exactly where and when the walker performs it.  Inner loops
+    of a planned nest also get independent entries of their own, so the
+    compiled fallback still fast-paths them when the outer guard
+    declines.  Programs that fail {!Typecheck.check_program} produce an
+    empty plan (the backends reproduce the walker's dynamic behaviour
+    instead). *)
 
 val plan_report :
   ?region_sids:int list -> Ast.program -> (Loc.t * outcome) list

@@ -10,10 +10,10 @@ let check = Alcotest.(check bool)
 let parse = Parser.parse_program
 
 (* Observable projection of a result.  Hashtbl-fold-built assoc lists are
-   sorted by key so ordering differences (there are none today, since both
-   backends populate the tables in the same first-touch order, but the
-   comparison should not depend on that) cannot cause false alarms.
-   Memory is projected to (name, elem_ty, contents) per base: both
+   compared sorted by key, and separately in list order ([o_order]): every
+   backend populates the tables in the walker's first-touch order, and
+   cache keys hash [rs_traffic] in list order, so the order is observable
+   too.  Memory is projected to (name, elem_ty, contents) per base: both
    backends allocate in the same program order, so bases line up. *)
 type observation = {
   o_ret : Value.t option;
@@ -25,6 +25,7 @@ type observation = {
     list;
   o_aliases : (string * bool) list;
   o_memory : (string * Ast.ty * float array) list;
+  o_order : int list * (Machine.region * string list) list;
 }
 
 let observe (r : Machine.result) : observation =
@@ -65,6 +66,12 @@ let observe (r : Machine.result) : observation =
            r.Machine.region_stats);
     o_aliases = List.sort compare r.Machine.aliased_funcs;
     o_memory = !arrays;
+    o_order =
+      ( List.map fst r.Machine.loop_stats,
+        List.map
+          (fun (rg, (rs : Machine.region_stats)) ->
+            (rg, List.map (fun (t : Machine.array_traffic) -> t.Machine.at_name) rs.Machine.rs_traffic))
+          r.Machine.region_stats );
   }
 
 (* run one backend, capturing normal results and exceptions uniformly *)
@@ -106,6 +113,27 @@ let full_config (p : Ast.program) =
       @ List.map (fun s -> Machine.Rstmt s) sids;
   }
 
+(* The config real flows interpret kernels with (hotspot, trip-count,
+   data in/out and alias analyses, [Kprofile.collect]): loop profiling,
+   alias tracing and an [Rfunc] region on the kernel function.  Unlike
+   [full_config] it puts no [Rstmt] region on any loop, so nests stay
+   planned and the VM's profiled path is what gets compared. *)
+let flow_config ?(kernel = "knl") () =
+  {
+    Machine.default_config with
+    profile_loops = true;
+    trace_aliases = true;
+    regions = [ Machine.Rfunc kernel ];
+  }
+
+(* [agree], plus the VM must have executed statements on its planned path
+   — a triangle that only ever compares closures proves nothing about the
+   lowering *)
+let agree_planned ?config p =
+  let before = Machine.planned_steps () in
+  let ok = agree ?config p in
+  ok && Machine.planned_steps () > before
+
 (* ---- the five suite applications ---- *)
 
 let test_suite_apps () =
@@ -122,6 +150,62 @@ let test_suite_apps () =
         (Printf.sprintf "backends agree on %s (fully profiled)" app.App.app_slug)
         true
         (agree ~config p))
+    Suite.all
+
+(* each app's hotspot outlined into [knl] exactly as the flows do, then
+   interpreted under the flow-shaped config; the whole program under an
+   [Rfunc main] region as well, so every nest runs with footprints on *)
+let test_suite_apps_flow () =
+  List.iter
+    (fun (app : App.t) ->
+      let p = App.program app in
+      let overrides = App.machine_overrides app.App.app_test_overrides in
+      let whole = { (flow_config ~kernel:"main" ()) with overrides } in
+      check
+        (Printf.sprintf "backends agree on %s (main region, planned)" app.App.app_slug)
+        true (agree_planned ~config:whole p);
+      match Hotspot.detect p with
+      | [] -> Alcotest.failf "%s: no hotspot" app.App.app_slug
+      | h :: _ ->
+        (match Hotspot.extract p ~sid:h.Hotspot.hs_sid ~kernel_name:"knl" with
+         | Error e -> Alcotest.failf "%s: extraction failed: %s" app.App.app_slug e
+         | Ok ex ->
+           let config = { (flow_config ()) with overrides } in
+           check
+             (Printf.sprintf "backends agree on %s (kernel region, planned)"
+                app.App.app_slug)
+             true
+             (agree_planned ~config ex.Hotspot.ex_program)))
+    Suite.all
+
+(* every design the quick uninformed flows emit — single-precision HIP
+   bodies with tile clamps, oneAPI kernels, OpenMP loops — through the
+   triangle, unprofiled and with every function an observation region
+   (so accesses in the body mark up to four nested frames at once) *)
+let test_design_programs () =
+  List.iter
+    (fun (app : App.t) ->
+      match
+        Engine.run ~workload:app.App.app_test_overrides ~mode:Pipeline.Uninformed app
+      with
+      | Error e -> Alcotest.failf "%s: %s" app.App.app_slug e
+      | Ok rep ->
+        let overrides = App.machine_overrides app.App.app_test_overrides in
+        List.iter
+          (fun (d : Design.t) ->
+            let p = d.Design.d_program in
+            let name = app.App.app_slug ^ " " ^ Target.short d.Design.d_target in
+            let plain = { Machine.default_config with overrides } in
+            let profiled =
+              {
+                (flow_config ()) with
+                overrides;
+                regions = List.map (fun f -> Machine.Rfunc f.Ast.fname) (Ast.funcs p);
+              }
+            in
+            check (name ^ " design (unprofiled)") true (agree_planned ~config:plain p);
+            check (name ^ " design (profiled)") true (agree_planned ~config:profiled p))
+          rep.Engine.rep_designs)
     Suite.all
 
 let test_suite_apps_plain () =
@@ -524,7 +608,8 @@ let test_nest_budget_bail_parity () =
     (List.concat_map
        (fun d -> [ (total / 4) + d; (total / 2) + d; total + d ])
        [ -2; -1; 0; 1 ]);
-  (* profiled, the nest bails to the closure path pre-effect: same sweep *)
+  (* profiled (with an [Rstmt] region on every loop, so the nest is
+     unplannable and runs on the closures): same sweep *)
   List.iter
     (fun max_steps ->
       let config = { (full_config p) with max_steps } in
@@ -532,6 +617,274 @@ let test_nest_budget_bail_parity () =
         (Printf.sprintf "nest budget %d (profiled)" max_steps)
         true (agree ~config p))
     [ 10; 50; (total / 2) + 1; total - 1; total + 50 ]
+
+(* ---- profiled nests on the planned path ----
+
+   Each case runs a kernel function under [flow_config] (footprints on,
+   loop profiling on), so the nest's inner levels' loop_stats and the
+   region's traffic come from the VM's derivation and marking; the
+   triangle compares them with the walker's per-statement accounting,
+   including the lists' order. *)
+
+let profiled_case name src =
+  let p = parse src in
+  check name true (agree_planned ~config:(flow_config ()) p)
+
+let test_profiled_zero_trip () =
+  (* [m] = 0: level j is entered every i iteration with no iterations, and
+     level k below it is never entered; the walker records j with 0
+     iterations and has no entry for k *)
+  profiled_case "zero-trip inner level"
+    {|
+const int N = 6;
+void knl(double* a, double* b, int m) {
+  for (int i = 0; i < N; i++) {
+    a[i] = (double)i;
+    for (int j = 0; j < m; j++) {
+      for (int k = 0; k < 3; k++) { b[k] += a[i]; }
+    }
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { b[i] = 0.0; }
+  knl(a, b, 0);
+  knl(a, b, 2);
+  print_float(b[0] + b[1] + b[2] + a[5]);
+  return 0;
+}|};
+  let p = parse {|
+void knl(double* a, int m) {
+  for (int i = 0; i < 4; i++) {
+    for (int j = 0; j < m; j++) {
+      for (int k = 0; k < 3; k++) { a[k] += 1.0; }
+    }
+  }
+}
+int main() { double a[4]; knl(a, 0); return 0; }|} in
+  let r = Machine.run ~config:(flow_config ()) ~backend:`Vm p in
+  let sids = List.map (fun (lm : Query.loop_match) -> lm.Query.lm_stmt.Ast.sid) (Query.loops p) in
+  (match sids with
+   | [ si; sj; sk ] ->
+     check "root profiled" true (Machine.find_loop_stats r si <> None);
+     check "zero-trip level present with 0 iterations" true
+       (match Machine.find_loop_stats r sj with
+        | Some ls -> ls.Machine.ls_entries = 4 && ls.Machine.ls_iterations = 0
+        | None -> false);
+     check "level under a zero-trip level absent" true
+       (Machine.find_loop_stats r sk = None)
+   | _ -> Alcotest.fail "expected three loops")
+
+let test_profiled_arms () =
+  (* a level in an arm taken on some iterations, one always taken and one
+     never taken; the per-level entry counts cannot be read off the trip
+     counts alone.  Sites inside inner levels have arms of different cost,
+     so each level's counters depend on its own taken counts. *)
+  profiled_case "levels inside if arms"
+    {|
+const int N = 8;
+void knl(double* a, double* b, double* c) {
+  for (int i = 0; i < N; i++) {
+    if (a[i] > 2.5) {
+      for (int j = 0; j < 3; j++) { b[i] += a[j] * 0.5; }
+    } else {
+      b[i] -= 1.0;
+    }
+    if (i >= 0) {
+      for (int j = 0; j < 2; j++) { c[j] += (j == 1) ? a[i] : b[i] * 2.0 + 1.0; }
+    }
+    for (int j = 0; j < 4; j++) {
+      if (a[j] > 1.0) { b[i] += a[j] * 0.5; } else { b[i] -= 1.0; }
+    }
+    if (i > 100) {
+      for (int j = 0; j < 4; j++) { c[j] = 0.0; }
+    }
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  double c[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i * 0.75; b[i] = 0.0; c[i] = 1.0; }
+  knl(a, b, c);
+  double s = 0.0;
+  for (int i = 0; i < N; i++) { s += b[i] + c[i]; }
+  print_float(s);
+  return 0;
+}|}
+
+let motion_src =
+  {|
+const int N = 6;
+void knl(double* a, double* b, double* c, double* d, double* e, int m) {
+  for (int i = 0; i < N; i++) {
+    a[i] = (double)i;
+    for (int j = 0; j < m; j++) {
+      a[i] += b[0];
+      c[0] += 1.0;
+    }
+    if (i > 100) {
+      a[i] -= d[1];
+      e[2] += 2.0;
+    }
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  double c[N];
+  double d[N];
+  double e[N];
+  for (int i = 0; i < N; i++) { b[i] = 1.0; c[i] = 0.0; d[i] = 2.0; e[i] = 0.0; }
+  knl(a, b, c, d, e, 0);
+  print_float(a[3] + c[0] + e[2]);
+  return 0;
+}|}
+
+let test_profiled_code_motion () =
+  (* unprofiled, the lowering hoists the invariant loads of [b] and [d]
+     and promotes the cells of [c] and [e]; their only accesses sit under
+     a zero-trip level or in a never-taken arm, so the walker's region
+     traffic has no entry for any of them *)
+  let p = parse motion_src in
+  let moved =
+    Hashtbl.fold
+      (fun _ (fl : Ir.fast_loop) acc ->
+        acc + Array.length fl.Ir.fl_hoisted + Array.length fl.Ir.fl_promoted)
+      (Ir_lower.plan p) 0
+  in
+  check "lowering moves accesses when unprofiled" true (moved >= 4);
+  check "no code motion when planned for regions" true
+    (Hashtbl.fold
+       (fun _ (fl : Ir.fast_loop) ok ->
+         ok && fl.Ir.fl_hoisted = [||] && fl.Ir.fl_promoted = [||])
+       (Ir_lower.plan ~motion:false p) true);
+  profiled_case "hoisted and promoted accesses never performed" motion_src;
+  let r = Machine.run ~config:(flow_config ()) ~backend:`Vm p in
+  match Machine.find_region_stats r (Machine.Rfunc "knl") with
+  | None -> Alcotest.fail "kernel region missing"
+  | Some rs ->
+    Alcotest.(check (list string))
+      "only the written array is traffic" [ "a" ]
+      (List.map (fun (t : Machine.array_traffic) -> t.Machine.at_name) rs.Machine.rs_traffic)
+
+let test_profiled_reentered_region () =
+  (* the region function runs several times on overlapping and disjoint
+     arrays: footprints reset per invocation, traffic accumulates, and
+     re-entries reuse the nest's cached array resolution *)
+  profiled_case "region function entered several times"
+    {|
+const int N = 8;
+void knl(double* x, double* y, int lo, int n) {
+  for (int i = lo; i < n; i++) {
+    double acc = 0.0;
+    for (int k = 0; k < 2; k++) { acc += x[i] * (double)k; }
+    y[i] = y[i] + acc;
+    x[i] = acc;
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  double z[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; y[i] = 1.0; z[i] = 0.5; }
+  knl(x, y, 0, N);
+  knl(x, y, 2, 6);
+  knl(z, y, 0, 4);
+  knl(x, x, 1, 3);
+  print_float(x[1] + y[2] + z[3]);
+  return 0;
+}|}
+
+let test_profiled_budget_sweep () =
+  (* the budget guard is unchanged under profiling: every budget aborts
+     at the walker's statement or completes with identical stats *)
+  let src_kernel =
+    {|
+const int N = 8;
+void knl(double* a, double* b) {
+  for (int it = 0; it < 3; it++) {
+    for (int i = 0; i < N; i++) {
+      double best = 1.0e9;
+      for (int k = 0; k < 4; k++) {
+        double d = a[i] - (double)k;
+        if (d * d < best) { best = d * d; }
+      }
+      b[i] += (i < 4) ? best : 0.5 * best;
+    }
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i * 0.25; b[i] = 0.0; }
+  knl(a, b);
+  print_float(b[0] + b[7]);
+  return 0;
+}|}
+  in
+  let pk = parse src_kernel in
+  let total = (Machine.run ~backend:`Ast pk).Machine.counters.Counters.steps in
+  List.iter
+    (fun max_steps ->
+      let config = { (flow_config ()) with max_steps } in
+      check (Printf.sprintf "profiled budget %d" max_steps) true (agree ~config pk))
+    (List.init 40 (fun k -> k + 1)
+    @ List.concat_map
+        (fun d -> [ (total / 3) + d; (total / 2) + d; total + d ])
+        [ -2; -1; 0; 1 ]);
+  check "profiled kernel completes planned" true
+    (agree_planned ~config:(flow_config ()) pk)
+
+(* ---- imin/imax loop bounds ---- *)
+
+let test_clamped_bounds () =
+  (* tiled loop with an imin clamp: N = 10 makes the last tile short *)
+  let tiled n =
+    Printf.sprintf
+      {|
+const int N = %d;
+void knl(double* a, double* s) {
+  for (int jj = 0; jj < N; jj += 4) {
+    for (int j = jj; j < imin(jj + 4, N); j++) { s[0] += a[j]; }
+  }
+  for (int i = 0; i < 2; i++) {
+    for (int j = imax(0, N - 3); j < imin(N, 12); j++) { s[1] += a[j] * (double)i; }
+  }
+}
+int main() {
+  double a[16];
+  double s[2];
+  for (int i = 0; i < 16; i++) { a[i] = (double)i + 0.5; }
+  s[0] = 0.0;
+  s[1] = 0.0;
+  knl(a, s);
+  print_float(s[0]);
+  print_float(s[1]);
+  return 0;
+}|}
+      n
+  in
+  let p = parse (tiled 10) in
+  (* the tile loop itself stays unplannable (its inner level starts at the
+     enclosing index jj); the clamped loops are planned: the tile body as
+     its own root, and the imax/imin nest as a whole (plus main's loop) *)
+  Alcotest.(check (list string))
+    "clamped bounds planned"
+    [ "non-invariant bound"; "planned"; "planned"; "planned"; "planned" ]
+    (List.map
+       (function
+         | _, Ir_lower.Planned _ -> "planned" | _, Ir_lower.Unplannable r -> r)
+       (Ir_lower.plan_report p));
+  check "short last tile" true (agree_planned p);
+  check "short last tile (profiled)" true (agree_planned ~config:(flow_config ()) p);
+  (* N = 14: imin(N, 12) < imax(0, N - 3), so the clamped level is
+     zero-trip on every entry *)
+  let p = parse (tiled 14) in
+  check "clamp makes a level zero-trip" true (agree_planned p);
+  check "clamp makes a level zero-trip (profiled)" true
+    (agree_planned ~config:(flow_config ()) p)
 
 (* ---- random-program differential property ---- *)
 
@@ -549,9 +902,19 @@ let prop_backends_agree_plain =
     ~name:"backends agree on random kernels (unprofiled, planned nests)"
     ~count:150 Test_props.arbitrary_program (fun src -> agree (parse src))
 
+(* the same random kernels outlined into a function that main calls twice,
+   under the flow-shaped config: the VM must run them planned *)
+let prop_backends_agree_flow =
+  QCheck.Test.make
+    ~name:"backends agree on random kernels (flow-profiled, planned nests)"
+    ~count:150 Test_props.arbitrary_kernel (fun src ->
+      agree_planned ~config:(flow_config ()) (parse src))
+
 let suite =
   [
     Alcotest.test_case "suite apps fully profiled" `Quick test_suite_apps;
+    Alcotest.test_case "suite apps flow-profiled" `Quick test_suite_apps_flow;
+    Alcotest.test_case "flow design programs" `Quick test_design_programs;
     Alcotest.test_case "suite apps unprofiled" `Quick test_suite_apps_plain;
     Alcotest.test_case "scope shadowing" `Quick test_shadowing;
     Alcotest.test_case "use before declaration" `Quick test_use_before_decl;
@@ -570,6 +933,13 @@ let suite =
       test_fault_report_backend_invariant;
     Alcotest.test_case "nest planned coverage" `Quick test_nest_planned_coverage;
     Alcotest.test_case "nest budget-bail parity" `Quick test_nest_budget_bail_parity;
+    Alcotest.test_case "profiled zero-trip level" `Quick test_profiled_zero_trip;
+    Alcotest.test_case "profiled levels in arms" `Quick test_profiled_arms;
+    Alcotest.test_case "profiled code motion" `Quick test_profiled_code_motion;
+    Alcotest.test_case "profiled region re-entry" `Quick test_profiled_reentered_region;
+    Alcotest.test_case "profiled budget sweep" `Quick test_profiled_budget_sweep;
+    Alcotest.test_case "clamped loop bounds" `Quick test_clamped_bounds;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_plain;
+    QCheck_alcotest.to_alcotest prop_backends_agree_flow;
   ]

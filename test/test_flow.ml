@@ -216,6 +216,31 @@ let test_engine_designs_valid () =
         r.Engine.rep_designs)
     Suite.all
 
+(* every emitted design must be a well-typed program — a design the
+   typechecker rejects would not compile with the target toolchain, and
+   the VM would run it entirely on the closure fallback *)
+let test_engine_designs_typecheck () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (app : App.t) ->
+          let r = report ~mode app in
+          List.iter
+            (fun (d : Design.t) ->
+              match Typecheck.check_program d.Design.d_program with
+              | Ok () -> ()
+              | Error errs ->
+                Alcotest.failf "%s %s design is ill-typed: %s" app.app_slug
+                  (Target.short d.Design.d_target)
+                  (String.concat "; "
+                     (List.map
+                        (fun (e : Typecheck.error) ->
+                          Loc.to_string e.Typecheck.loc ^ ": " ^ e.Typecheck.msg)
+                        errs)))
+            r.Engine.rep_designs)
+        Suite.all)
+    [ Pipeline.Uninformed; Pipeline.Informed ]
+
 let test_engine_rush_larsen_fpga_infeasible () =
   let r = report Rush_larsen.app in
   List.iter
@@ -683,6 +708,7 @@ let suite =
     Alcotest.test_case "psa missing facts" `Quick test_psa_missing_facts;
     Alcotest.test_case "engine uninformed counts" `Slow test_engine_uninformed_counts;
     Alcotest.test_case "engine designs valid" `Slow test_engine_designs_valid;
+    Alcotest.test_case "engine designs typecheck" `Slow test_engine_designs_typecheck;
     Alcotest.test_case "engine rush larsen fpga n/a" `Slow test_engine_rush_larsen_fpga_infeasible;
     Alcotest.test_case "engine rush larsen keeps DP" `Slow test_engine_rush_larsen_keeps_dp;
     Alcotest.test_case "engine informed single branch" `Slow test_engine_informed_single_branch;

@@ -133,6 +133,30 @@ end
 
 let arbitrary_program = QCheck.make Gen.program ~print:Fun.id
 
+(* the same kernels with the compute loop in a function [knl] that main
+   calls twice, the shape hotspot extraction gives flows *)
+let arbitrary_kernel =
+  QCheck.make ~print:Fun.id
+    (QCheck.Gen.map
+       (fun lines ->
+         Printf.sprintf
+           "const int N = 16;\n\
+            void knl(double* x, double* y) {\n\
+            for (int i = 0; i < N; i++) {\n%s\n}\n\
+            }\n\
+            int main() {\n\
+            double x[N];\n\
+            double y[N];\n\
+            for (int i = 0; i < N; i++) { x[i] = rand01() + 0.5; y[i] = 0.0; }\n\
+            knl(x, y);\n\
+            knl(x, y);\n\
+            double checksum = 0.0;\n\
+            for (int i = 0; i < N; i++) { checksum += y[i]; }\n\
+            print_float(checksum);\n\
+            return 0; }"
+           (String.concat "\n" lines))
+       Gen.body)
+
 let parse = Parser.parse_program
 
 let prop_roundtrip_stable =
