@@ -76,9 +76,9 @@ type prepared = {
   step_d : int array array;
   exit_d : int array array;
   (* loop profiling: per level, the sites inside it (static), the
-     else-baseline cost of its iterations per entry and its largest entry
-     count (per nest entry, from the cost walk), then the entries this run
-     made and the order levels were first entered in *)
+     else-baseline cost of one entry (iterations and final test) and its
+     largest entry count (per nest entry, from the cost walk), then the
+     entries this run made and the order levels were first entered in *)
   lsites : int array array;
   lvec : int array array;
   lmult : int array;
@@ -356,13 +356,10 @@ let vadd_into a b = Array.iteri (fun i x -> a.(i) <- cadd a.(i) x) b
 
 let vscale k v = Array.map (fun x -> cmul k x) v
 
-(* the failing test that ends every entry of a level *)
-let final_test (lv : Ir.level) = ivec ~ints:(1 + lv.Ir.l_hi_ops) ~brs:1
-
 (* Cost of running [b] once, assuming each site takes its else arm; the
    per-site deltas (then cost minus else cost) and maximum execution
-   counts land in [p.dsite]/[p.cntmax], and each inner level's iteration
-   cost per entry and maximum entry count in [p.lvec]/[p.lmult].  [mult]
+   counts land in [p.dsite]/[p.cntmax], and each inner level's cost per
+   entry and maximum entry count in [p.lvec]/[p.lmult].  [mult]
    is the statically largest number of times [b] can run per nest entry.
    Loop trip counts are the per-entry constants already computed in
    [p.trip]. *)
@@ -391,11 +388,11 @@ let rec eval_block p (b : Ir.block) (mult : int) : int array =
         vadd_into v (ivec ~ints:lv.Ir.l_lo_ops ~brs:0);
         vadd_into inner
           (ivec ~ints:(2 + lv.Ir.l_hi_ops + lv.Ir.l_step_ops) ~brs:1);
-        let iters = vscale trip inner in
-        p.lvec.(lid) <- iters;
+        let entry = vscale trip inner in
+        vadd_into entry (ivec ~ints:(1 + lv.Ir.l_hi_ops) ~brs:1);
+        p.lvec.(lid) <- entry;
         p.lmult.(lid) <- mult;
-        vadd_into v iters;
-        vadd_into v (final_test lv))
+        vadd_into v entry)
     b.Ir.b_items;
   v
 
@@ -671,8 +668,8 @@ and run_level p st lid =
 
 (* Inner levels' loop_stats, as the walker's per-[For] snapshots would
    have recorded them: every entry of level [l] costs its else-baseline
-   iterations plus the final test, and every taken then-arm inside it adds
-   its site delta (all of a site's executions lie inside each enclosing
+   iterations and final test ([p.lvec]), and every taken then-arm inside
+   it adds its site delta (all of a site's executions lie inside each enclosing
    level).  Accumulators are created in first-entry order, the order the
    walker touches them.  The lo bound is evaluated before the walker's
    snapshot, so it stays out, as does the [For] statement's own step. *)
@@ -687,8 +684,6 @@ let account_levels p st =
       a.la_entries <- a.la_entries + e;
       a.la_iterations <- a.la_iterations + (e * p.trip.(l));
       let tot = Array.map (fun x -> e * x) p.lvec.(l) in
-      tot.(1) <- tot.(1) + (e * (1 + lv.Ir.l_hi_ops));
-      tot.(14) <- tot.(14) + e;
       Array.iter
         (fun s ->
           let tks = p.tk.(s) in
@@ -788,10 +783,8 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   (* ... and likewise every inner level's loop_stats total *)
   if prof then
     for l = 1 to nl - 1 do
-      let per_entry = Array.copy p.lvec.(l) in
-      vadd_into per_entry (final_test levels.(l));
       for i = 0 to 14 do
-        let acc = ref (abs (cmul p.lmult.(l) per_entry.(i))) in
+        let acc = ref (abs (cmul p.lmult.(l) p.lvec.(l).(i))) in
         Array.iter
           (fun s -> acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i))))
           p.lsites.(l)
