@@ -425,7 +425,8 @@ let oob p (a : int) (idx : int) (loc : Loc.t) =
    accessed base ([Interp_rt.mark_read]/[mark_write]).  Here the bitsets
    are resolved once per array per nest entry, at its first access, so
    frames gain footprint entries in the walker's first-touch order and
-   arrays the entry never touches get none. *)
+   arrays the entry never touches get none.  Marking only happens with a
+   region active, so a resolved array is never the empty [no_fp]. *)
 
 let resolve_fp p st a =
   let fps = List.map (fun fr -> get_footprint st fr p.abase.(a)) st.active_regions in
