@@ -70,7 +70,10 @@ let observe (r : Machine.result) : observation =
       ( List.map fst r.Machine.loop_stats,
         List.map
           (fun (rg, (rs : Machine.region_stats)) ->
-            (rg, List.map (fun (t : Machine.array_traffic) -> t.Machine.at_name) rs.Machine.rs_traffic))
+            ( rg,
+              List.map
+                (fun (t : Machine.array_traffic) -> t.Machine.at_name)
+                rs.Machine.rs_traffic ))
           r.Machine.region_stats );
   }
 
@@ -761,6 +764,21 @@ let test_profiled_code_motion () =
          ok && fl.Ir.fl_hoisted = [||] && fl.Ir.fl_promoted = [||])
        (Ir_lower.plan ~motion:false p) true);
   profiled_case "hoisted and promoted accesses never performed" motion_src;
+  (* a plan with moved accesses handed to a region run anyway: the guard
+     refuses it, so the closures keep the footprints exact *)
+  let rt =
+    Compile.run ~plan:(Ir_lower.plan p)
+      { Interp_rt.default_config with regions = [ Interp_rt.Rfunc "knl" ] }
+      p
+  in
+  Alcotest.(check (list string))
+    "guard refuses code motion under a region" [ "a" ]
+    (match List.assoc_opt (Interp_rt.Rfunc "knl") rt.Interp_rt.region_stats with
+     | Some rs ->
+       List.map
+         (fun (t : Interp_rt.array_traffic) -> t.Interp_rt.at_name)
+         rs.Interp_rt.rs_traffic
+     | None -> []);
   let r = Machine.run ~config:(flow_config ()) ~backend:`Vm p in
   match Machine.find_region_stats r (Machine.Rfunc "knl") with
   | None -> Alcotest.fail "kernel region missing"
