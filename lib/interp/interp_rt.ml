@@ -6,7 +6,11 @@
    tables.  Keeping every observable accumulator and its update helpers
    here is what makes the backends bit-identical: a loop snapshot, a
    region footprint or an alias cell is maintained by exactly one piece
-   of code, whichever backend drives it. *)
+   of code, whichever backend drives it.  The VM's planned nests
+   (Fastloop) are the one exception: they batch a nest's inner-level
+   loop statistics and mark footprints through their own code, into the
+   accumulators obtained here ([loop_acc_of], [get_footprint]), and the
+   differential tests hold them to the walker's results. *)
 
 open Ast
 
@@ -459,7 +463,7 @@ let decl_scalar_ty (d : decl) : ty =
 
 (* ---- result assembly ----
 
-   Both backends fill the same tables in the same first-touch order, so
+   Every backend fills the same tables in the same first-touch order, so
    folding them here yields identical association lists either way. *)
 
 let assemble_result st ret : result =
