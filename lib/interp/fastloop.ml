@@ -75,7 +75,7 @@ type prepared = {
   enter_d : int array array;
   step_d : int array array;
   exit_d : int array array;
-  (* loop profiling: per level, the sites inside it (static), the
+  (* per level, the sites inside it (static); for loop profiling, the
      else-baseline cost of one entry (iterations and final test) and its
      largest entry count (per nest entry, from the cost walk), then the
      entries this run made and the order levels were first entered in *)
@@ -164,7 +164,7 @@ let no_i : int array = [||]
 let no_fp : Bytes.t array = [||]
 
 (* every site in the subtree of block [b], nested levels included: the
-   taken counters a level's profile draws on *)
+   taken counters a level's total draws on (all of them for the root) *)
 let rec block_sites (fl : Ir.fast_loop) (b : Ir.block) acc =
   Array.fold_left
     (fun acc (it : Ir.bitem) ->
@@ -414,6 +414,31 @@ let apply_totals (t : Counters.t) (tot : int array) =
   t.Counters.bytes_loaded <- t.Counters.bytes_loaded + tot.(12);
   t.Counters.bytes_stored <- t.Counters.bytes_stored + tot.(13);
   t.Counters.branches <- t.Counters.branches + tot.(14)
+
+(* The exact total over one stretch of the nest: a baseline plus, for
+   every site in [sites], its taken count times its delta.  [bound_total]
+   is the overflow pre-verification of the same sum — the baseline and
+   the sites' maximum counts, in absolute value, all checked — so the
+   unchecked arithmetic of [add_taken] after commit cannot wrap. *)
+let bound_total p (base : int array) (sites : int array) =
+  for i = 0 to 14 do
+    let acc = ref (abs base.(i)) in
+    Array.iter
+      (fun s -> acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i))))
+      sites
+  done
+
+let add_taken p (tot : int array) (sites : int array) =
+  Array.iter
+    (fun s ->
+      let tks = p.tk.(s) in
+      if tks > 0 then begin
+        let d = p.dsite.(s) in
+        for i = 0 to 14 do
+          tot.(i) <- tot.(i) + (tks * d.(i))
+        done
+      end)
+    sites
 
 let oob p (a : int) (idx : int) (loc : Loc.t) =
   runtime_error loc "array %s: index %d out of bounds [0,%d)" p.aname.(a) idx
@@ -685,16 +710,7 @@ let account_levels p st =
       a.la_entries <- a.la_entries + e;
       a.la_iterations <- a.la_iterations + (e * p.trip.(l));
       let tot = Array.map (fun x -> e * x) p.lvec.(l) in
-      Array.iter
-        (fun s ->
-          let tks = p.tk.(s) in
-          if tks > 0 then begin
-            let d = p.dsite.(s) in
-            for i = 0 to 14 do
-              tot.(i) <- tot.(i) + (tks * d.(i))
-            done
-          end)
-        p.lsites.(l);
+      add_taken p tot p.lsites.(l);
       let c = a.la_counters in
       c.Counters.steps <- c.Counters.steps + tot.(0);
       apply_totals c tot
@@ -773,23 +789,14 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   done;
   if st.steps_left <= !max_steps then raise (Bail "budget");
   (* 3b. overflow pre-verification: bound the absolute value of every
-     per-field total the commit phase will compute, so the unchecked
-     arithmetic there is provably exact *)
-  for i = 0 to 14 do
-    let acc = ref (abs base_v.(i)) in
-    for s = 0 to nsites - 1 do
-      acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i)))
-    done
-  done;
-  (* ... and likewise every inner level's loop_stats total *)
+     per-field total the commit phase will compute — the nest's, and
+     under profiling every inner level's loop_stats total — so the
+     unchecked arithmetic there is provably exact.  The root's subtree
+     holds every site. *)
+  bound_total p base_v p.lsites.(0);
   if prof then
     for l = 1 to nl - 1 do
-      for i = 0 to 14 do
-        let acc = ref (abs (cmul p.lmult.(l) p.lvec.(l).(i))) in
-        Array.iter
-          (fun s -> acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i))))
-          p.lsites.(l)
-      done
+      bound_total p (vscale p.lmult.(l) p.lvec.(l)) p.lsites.(l)
     done;
   (* 4. resolve arrays: exact element type, raw storage, name for errors.
      [Memory] bases are append-only — an entry's storage is written
@@ -954,15 +961,7 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
      pre-verification above guarantees none of this unchecked arithmetic
      can wrap, and the budget pre-check that consume_steps cannot raise *)
   let tot = Array.copy base_v in
-  for s = 0 to nsites - 1 do
-    let tks = p.tk.(s) in
-    if tks > 0 then begin
-      let d = p.dsite.(s) in
-      for i = 0 to 14 do
-        tot.(i) <- tot.(i) + (tks * d.(i))
-      done
-    end
-  done;
+  add_taken p tot p.lsites.(0);
   if tot.(0) > 0 then consume_steps st tot.(0);
   apply_totals st.counters tot;
   Obs.Metrics.Counter.add m_planned tot.(0);
