@@ -173,6 +173,9 @@ let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
+(* a top-level number field, if present *)
+let top j name = match member name j with Some (Num f) -> Some f | _ -> None
+
 let num_members j =
   match j with
   | Obj fields ->
@@ -312,7 +315,6 @@ let jobs_min_cores = 4.0
 let run_jobs_speedup seq_path par_path =
   let seq = parse seq_path in
   let par = parse par_path in
-  let top j name = member name j |> Option.map (function Num f -> f | _ -> nan) in
   (match top seq "jobs" with
    | Some j when j > 1.0 ->
      report "%s was recorded at --jobs %.0f (expected 1)" seq_path j
@@ -465,7 +467,6 @@ let run_regressions current_path baseline_path =
   end;
   (* flow-level VM coverage: what the flows' own (profiled) runs execute
      planned, gated absolutely and against the baseline when it has one *)
-  let top j name = match member name j with Some (Num f) -> Some f | _ -> None in
   match top current "flow_vm_coverage" with
   | None ->
     print_endline "skip  flow vm coverage not recorded (no statements interpreted)"
