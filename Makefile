@@ -1,4 +1,4 @@
-.PHONY: all check test bench bench-quick bench-compare bench-warm-cold bench-jobs trace-check fault-check report-check serve-check doc clean
+.PHONY: all check test bench bench-quick bench-compare bench-warm-cold bench-jobs golden-check trace-check fault-check report-check serve-check doc clean
 
 all:
 	dune build @all
@@ -45,6 +45,29 @@ bench-jobs:
 	dune exec bench/main.exe -- runs ablation --quick --jobs 1 --cache off --json bench-jobs1.json
 	dune exec bench/main.exe -- runs ablation --quick --jobs 4 --cache off --json bench-jobs4.json
 	dune exec bench/compare.exe -- --jobs-speedup bench-jobs1.json bench-jobs4.json
+
+# golden gate: each of the 20 builtin specs (5 apps x uninformed/informed
+# x eval/quick) run on the default backend, cache and ledger off, must
+# print byte for byte the report the reference tree-walker produced
+# (perfbench/golden, written by perfbench/golden/regen.sh).  The only gate
+# that compares evaluation-size flows with the walker.
+golden-check:
+	dune build bin/psaflow.exe
+	@fail=0; for app in nbody kmeans adpredictor rush_larsen bezier; do \
+	  for mode in uninformed informed; do \
+	    for workload in eval quick; do \
+	      flag=; [ "$$workload" = quick ] && flag=--quick; \
+	      golden=perfbench/golden/$$app.$$mode.$$workload.txt; \
+	      if dune exec --no-build bin/psaflow.exe -- run $$app $$flag --mode $$mode \
+	           --cache off --ledger off | cmp -s - $$golden; then \
+	        echo "golden-check: $$app $$mode $$workload ok"; \
+	      else \
+	        echo "golden-check: $$app $$mode $$workload differs from $$golden"; fail=1; \
+	      fi; \
+	    done; \
+	  done; \
+	done; \
+	exit $$fail
 
 # trace gate: record a span trace of an nbody flow run and validate it
 # (balanced per-domain tracks, all flow-level span kinds, >= 2 domains)

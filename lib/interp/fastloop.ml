@@ -1,10 +1,12 @@
 (* Guarded executor for {!Ir.fast_loop}: the superinstruction VM's hot
    path.  [Compile] intercepts a planned [For] right after initialising the
    root index slot; [try_run] either executes the whole nest here — unboxed
-   register files, flat op arrays, batched step/counter accounting with
-   per-site taken counters, bounds checks verified once at the endpoints of
-   every level — or returns [false] without any observable effect, in which
-   case the caller falls back to the reference closure loop.
+   register files, the nest's ops compiled once per run into threaded
+   closures, batched step/counter accounting with per-site taken counters,
+   a cost walk reused while the trip counts stay the same, bounds checks
+   verified once at the endpoints of every level — or returns [false]
+   without any observable effect, in which case the caller falls back to
+   the reference closure loop.
 
    Profiled runs stay on this path too.  Under [profile_loops] the inner
    levels' [loop_stats] are derived at commit from per-level entry counts,
@@ -32,6 +34,9 @@ type source = Slot of int | Global of Value.t ref
 
 type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* A prepared nest lives for one run: [Compile] binds it while compiling
+   the run's program, so the run's state and config are fixed for its
+   lifetime. *)
 type prepared = {
   fl : Ir.fast_loop;
   index_slot : int;
@@ -42,8 +47,6 @@ type prepared = {
   n : int array;
   (* nest shape caches *)
   iregs : int array;  (* per level: index register or -1 *)
-  simple : Ir.fop array option;
-      (* single-level, site-free, one-run body: tight-loop special case *)
   (* per-entry level scratch: trip count, lo, step *)
   trip : int array;
   llo : int array;
@@ -52,6 +55,16 @@ type prepared = {
   tk : int array;
   cntmax : int array;
   dsite : int array array;
+  (* the cost walk (guard phases 3 and 3b: [cntmax] and [dsite] above,
+     [lvec] and [lmult] below) was computed for trip counts [wtrip]:
+     re-entries with the same trip counts reuse it.  [wbase] is the nest's
+     else-baseline total, [wmax] its largest possible step count; [tot] is
+     commit scratch. *)
+  mutable wvalid : bool;
+  wtrip : int array;
+  mutable wbase : int array;
+  mutable wmax : int;
+  tot : int array;
   (* the array resolution below matches the pointers currently in the
      frame, so re-entries with unchanged pointers can skip phases 4/4b *)
   mutable avalid : bool;
@@ -85,15 +98,15 @@ type prepared = {
   lent : int array;
   lord : int array;
   mutable nord : int;
-  mutable prof : bool;
   (* region footprints: per array, the active frames' written and
      read-before-write bitsets, resolved at the array's first access in
      the entry ([no_fp] until then) *)
   carr : int array;  (* per cursor: its array *)
-  mutable marking : bool;
   fpw : Bytes.t array array;
   fpr : Bytes.t array array;
   f32 : f32;  (* scratch cell for single-precision demotion *)
+  (* the nest compiled to closures, per footprint-marking mode (off, on) *)
+  code : (unit -> unit) option array;
 }
 
 exception Bail of string
@@ -125,13 +138,10 @@ let reset_bail_sites () =
   Hashtbl.reset bail_tbl;
   Mutex.unlock bail_mu
 
-(* steps executed on the fast path, for the vm.coverage metric *)
-let m_planned = Obs.Metrics.counter "vm.steps.planned"
-
-let planned_steps () = Obs.Metrics.Counter.value m_planned
-
-(* the same count per domain: a run executes on one domain, so the
-   difference across a run is that run's planned steps *)
+(* steps executed on the fast path, per domain: a run executes on one
+   domain, so the difference across a run is that run's planned steps
+   ([Machine.run] adds it to the vm.coverage metric when the run
+   succeeds) *)
 let domain_planned = Domain.DLS.new_key (fun () -> ref 0)
 
 let domain_planned_steps () = !(Domain.DLS.get domain_planned)
@@ -222,14 +232,6 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
             fl.Ir.fl_cursors;
           Array.of_list (List.rev !ids))
     in
-    let simple =
-      if nl = 1 && Array.length fl.Ir.fl_sites = 0 then
-        match (fl.Ir.fl_levels.(0)).Ir.l_body.Ir.b_items with
-        | [| Ir.Bops ops |] -> Some ops
-        | [||] -> Some [||]
-        | _ -> None
-      else None
-    in
     Some
       {
         fl;
@@ -243,13 +245,17 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
             (fun (l : Ir.level) ->
               match l.Ir.l_index_reg with Some r -> r | None -> -1)
             fl.Ir.fl_levels;
-        simple;
         trip = Array.make nl 0;
         llo = Array.make nl 0;
         lstep = Array.make nl 1;
         tk = Array.make ns 0;
         cntmax = Array.make ns 0;
         dsite = Array.init ns (fun _ -> Array.make 15 0);
+        wvalid = false;
+        wtrip = Array.make nl 0;
+        wbase = no_i;
+        wmax = 0;
+        tot = Array.make 15 0;
         avalid = false;
         abase = Array.make na (-1);
         aoff = Array.make na 0;
@@ -276,12 +282,11 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         lent = Array.make nl 0;
         lord = Array.make nl 0;
         nord = 0;
-        prof = false;
         carr = Array.map (fun (c : Ir.cursor) -> c.Ir.c_arr) fl.Ir.fl_cursors;
-        marking = false;
         fpw = Array.make na no_fp;
         fpr = Array.make na no_fp;
         f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
+        code = [| None; None |];
       }
   end
 
@@ -484,213 +489,455 @@ let[@inline] demote (s : f32) x =
   Bigarray.Array1.unsafe_set s 0 x;
   Bigarray.Array1.unsafe_get s 0
 
-(* Flat-array dispatch loop.  Registers and cursor positions are validated
-   by construction (lowering) and by the guard (bounds), so the only
-   runtime checks left are the ones the source semantics demand: checked
-   accesses and integer division by zero.  Memory ops mark footprints
-   after the access, in the walker's order, only while regions are
-   active. *)
-let exec p st (ops : Ir.fop array) =
+(* ---- closure-threaded execution ----
+
+   On a nest's first commit in a run, its prologue, levels, sites, ops and
+   epilogue are compiled into closures, one per op, each ending in a tail
+   call of its successor; every later entry of the run runs the same
+   closures.  Everything that does not change between entries is resolved
+   while compiling — register, cursor, array and site ids, the comparison
+   operator, the math function, element precision and the footprint-marking
+   mode — so an op costs its own work plus one indirect jump, with no
+   dispatch on the opcode.  Ids are validated against the prepared tables
+   while compiling (an invalid one bails before commit), which licenses
+   unchecked register access; element accesses keep OCaml's bounds check
+   behind the guard's proof.  The only runtime checks the source semantics
+   demand are checked accesses and integer division by zero.  Memory ops
+   mark footprints after the access, in the walker's order, in the
+   marking variant only. *)
+
+type code = unit -> unit
+
+let ret : code = fun () -> ()
+
+external ( .%() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+
+external ( .%()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+let valid len x = if x < 0 || x >= len then raise (Bail "registers") else x
+
+(* element index of a checked access to array [a] at index register [i]:
+   the walker's out-of-bounds error when outside the array *)
+let[@inline] checked_index p (n : int array) a i loc =
+  let idx = p.aoff.%(a) + n.%(i) in
+  if idx < 0 || idx >= p.alen.%(a) then oob p a idx loc;
+  idx
+
+let math1 s32 (m : Ir.m1) ~single (f : float array) d a (k : code) : code =
+  match m, single with
+  | Ir.Msqrt, false -> fun () -> f.%(d) <- sqrt f.%(a); k ()
+  | Ir.Msqrt, true -> fun () -> f.%(d) <- demote s32 (sqrt f.%(a)); k ()
+  | Ir.Mrsqrt, false -> fun () -> f.%(d) <- 1.0 /. sqrt f.%(a); k ()
+  | Ir.Mrsqrt, true -> fun () -> f.%(d) <- demote s32 (1.0 /. sqrt f.%(a)); k ()
+  | Ir.Mexp, false -> fun () -> f.%(d) <- exp f.%(a); k ()
+  | Ir.Mexp, true -> fun () -> f.%(d) <- demote s32 (exp f.%(a)); k ()
+  | Ir.Mlog, false -> fun () -> f.%(d) <- log f.%(a); k ()
+  | Ir.Mlog, true -> fun () -> f.%(d) <- demote s32 (log f.%(a)); k ()
+  | Ir.Mfabs, false -> fun () -> f.%(d) <- Float.abs f.%(a); k ()
+  | Ir.Mfabs, true -> fun () -> f.%(d) <- demote s32 (Float.abs f.%(a)); k ()
+  | _, false -> fun () -> f.%(d) <- m1 m f.%(a); k ()
+  | _, true -> fun () -> f.%(d) <- demote s32 (m1 m f.%(a)); k ()
+
+let math2 s32 (m : Ir.m2) ~single (f : float array) d a b (k : code) : code =
+  match m, single with
+  | Ir.Mpow, false -> fun () -> f.%(d) <- Float.pow f.%(a) f.%(b); k ()
+  | Ir.Mpow, true -> fun () -> f.%(d) <- demote s32 (Float.pow f.%(a) f.%(b)); k ()
+  | _, false -> fun () -> f.%(d) <- m2 m f.%(a) f.%(b); k ()
+  | _, true -> fun () -> f.%(d) <- demote s32 (m2 m f.%(a) f.%(b)); k ()
+
+let fcmp (op : Ir.cmpop) (f : float array) (n : int array) d a b (k : code) : code =
+  match op with
+  | Ir.Clt -> fun () -> n.%(d) <- (if f.%(a) < f.%(b) then 1 else 0); k ()
+  | Ir.Cle -> fun () -> n.%(d) <- (if f.%(a) <= f.%(b) then 1 else 0); k ()
+  | Ir.Cgt -> fun () -> n.%(d) <- (if f.%(a) > f.%(b) then 1 else 0); k ()
+  | Ir.Cge -> fun () -> n.%(d) <- (if f.%(a) >= f.%(b) then 1 else 0); k ()
+  | Ir.Ceq -> fun () -> n.%(d) <- (if f.%(a) = f.%(b) then 1 else 0); k ()
+  | Ir.Cne -> fun () -> n.%(d) <- (if f.%(a) <> f.%(b) then 1 else 0); k ()
+
+let icmp (op : Ir.cmpop) (n : int array) d a b (k : code) : code =
+  match op with
+  | Ir.Clt -> fun () -> n.%(d) <- (if n.%(a) < n.%(b) then 1 else 0); k ()
+  | Ir.Cle -> fun () -> n.%(d) <- (if n.%(a) <= n.%(b) then 1 else 0); k ()
+  | Ir.Cgt -> fun () -> n.%(d) <- (if n.%(a) > n.%(b) then 1 else 0); k ()
+  | Ir.Cge -> fun () -> n.%(d) <- (if n.%(a) >= n.%(b) then 1 else 0); k ()
+  | Ir.Ceq -> fun () -> n.%(d) <- (if n.%(a) = n.%(b) then 1 else 0); k ()
+  | Ir.Cne -> fun () -> n.%(d) <- (if n.%(a) <> n.%(b) then 1 else 0); k ()
+
+(* [op] compiled in front of [k]; [mk]: footprint marking on *)
+let op_code p st ~mk (op : Ir.fop) (k : code) : code =
   let f = p.f and n = p.n and s32 = p.f32 in
-  let mk = p.marking in
-  let len = Array.length ops in
-  for k = 0 to len - 1 do
-    match Array.unsafe_get ops k with
-    | Ir.FConst (d, x) -> f.(d) <- x
-    | Ir.IConst (d, x) -> n.(d) <- x
-    | Ir.FMov (d, a) -> f.(d) <- f.(a)
-    | Ir.IMov (d, a) -> n.(d) <- n.(a)
-    | Ir.ItoF (d, a) -> f.(d) <- float_of_int n.(a)
-    | Ir.FtoI (d, a) -> n.(d) <- int_of_float f.(a)
-    | Ir.FtoB (d, a) -> n.(d) <- (if f.(a) <> 0.0 then 1 else 0)
-    | Ir.ItoB (d, a) -> n.(d) <- (if n.(a) <> 0 then 1 else 0)
-    | Ir.FDem (d, a) -> f.(d) <- demote s32 f.(a)
-    | Ir.FAdd (d, a, b) -> f.(d) <- f.(a) +. f.(b)
-    | Ir.FSub (d, a, b) -> f.(d) <- f.(a) -. f.(b)
-    | Ir.FMul (d, a, b) -> f.(d) <- f.(a) *. f.(b)
-    | Ir.FDiv (d, a, b) -> f.(d) <- f.(a) /. f.(b)
-    | Ir.FNeg (d, a) -> f.(d) <- -.f.(a)
-    | Ir.FAddS (d, a, b) -> f.(d) <- demote s32 (f.(a) +. f.(b))
-    | Ir.FSubS (d, a, b) -> f.(d) <- demote s32 (f.(a) -. f.(b))
-    | Ir.FMulS (d, a, b) -> f.(d) <- demote s32 (f.(a) *. f.(b))
-    | Ir.FDivS (d, a, b) -> f.(d) <- demote s32 (f.(a) /. f.(b))
-    | Ir.IAdd (d, a, b) -> n.(d) <- n.(a) + n.(b)
-    | Ir.ISub (d, a, b) -> n.(d) <- n.(a) - n.(b)
-    | Ir.IMul (d, a, b) -> n.(d) <- n.(a) * n.(b)
-    | Ir.INeg (d, a) -> n.(d) <- -n.(a)
-    | Ir.IDivZ (d, a, b, loc) ->
-      let y = n.(b) in
+  let cpos = p.cpos and cf = p.cfdata and ci = p.cidata in
+  let af = p.afdata and ai = p.aidata in
+  let fr = valid (Array.length f) and ir = valid (Array.length n) in
+  let cu = valid (Array.length p.carr) and ar = valid (Array.length p.adem) in
+  match op with
+  | Ir.FConst (d, x) ->
+    let d = fr d in
+    fun () -> f.%(d) <- x; k ()
+  | Ir.IConst (d, x) ->
+    let d = ir d in
+    fun () -> n.%(d) <- x; k ()
+  | Ir.FMov (d, a) ->
+    let d = fr d and a = fr a in
+    fun () -> f.%(d) <- f.%(a); k ()
+  | Ir.IMov (d, a) ->
+    let d = ir d and a = ir a in
+    fun () -> n.%(d) <- n.%(a); k ()
+  | Ir.ItoF (d, a) ->
+    let d = fr d and a = ir a in
+    fun () -> f.%(d) <- float_of_int n.%(a); k ()
+  | Ir.FtoI (d, a) ->
+    let d = ir d and a = fr a in
+    fun () -> n.%(d) <- int_of_float f.%(a); k ()
+  | Ir.FtoB (d, a) ->
+    let d = ir d and a = fr a in
+    fun () -> n.%(d) <- (if f.%(a) <> 0.0 then 1 else 0); k ()
+  | Ir.ItoB (d, a) ->
+    let d = ir d and a = ir a in
+    fun () -> n.%(d) <- (if n.%(a) <> 0 then 1 else 0); k ()
+  | Ir.FDem (d, a) ->
+    let d = fr d and a = fr a in
+    fun () -> f.%(d) <- demote s32 f.%(a); k ()
+  | Ir.FAdd (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- f.%(a) +. f.%(b); k ()
+  | Ir.FSub (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- f.%(a) -. f.%(b); k ()
+  | Ir.FMul (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- f.%(a) *. f.%(b); k ()
+  | Ir.FDiv (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- f.%(a) /. f.%(b); k ()
+  | Ir.FNeg (d, a) ->
+    let d = fr d and a = fr a in
+    fun () -> f.%(d) <- -.f.%(a); k ()
+  | Ir.FAddS (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- demote s32 (f.%(a) +. f.%(b)); k ()
+  | Ir.FSubS (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- demote s32 (f.%(a) -. f.%(b)); k ()
+  | Ir.FMulS (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- demote s32 (f.%(a) *. f.%(b)); k ()
+  | Ir.FDivS (d, a, b) ->
+    let d = fr d and a = fr a and b = fr b in
+    fun () -> f.%(d) <- demote s32 (f.%(a) /. f.%(b)); k ()
+  | Ir.IAdd (d, a, b) ->
+    let d = ir d and a = ir a and b = ir b in
+    fun () -> n.%(d) <- n.%(a) + n.%(b); k ()
+  | Ir.ISub (d, a, b) ->
+    let d = ir d and a = ir a and b = ir b in
+    fun () -> n.%(d) <- n.%(a) - n.%(b); k ()
+  | Ir.IMul (d, a, b) ->
+    let d = ir d and a = ir a and b = ir b in
+    fun () -> n.%(d) <- n.%(a) * n.%(b); k ()
+  | Ir.INeg (d, a) ->
+    let d = ir d and a = ir a in
+    fun () -> n.%(d) <- -n.%(a); k ()
+  | Ir.IDivZ (d, a, b, loc) ->
+    let d = ir d and a = ir a and b = ir b in
+    fun () ->
+      let y = n.%(b) in
       if y = 0 then runtime_error loc "integer division by zero";
-      n.(d) <- n.(a) / y
-    | Ir.IModZ (d, a, b, loc) ->
-      let y = n.(b) in
+      n.%(d) <- n.%(a) / y;
+      k ()
+  | Ir.IModZ (d, a, b, loc) ->
+    let d = ir d and a = ir a and b = ir b in
+    fun () ->
+      let y = n.%(b) in
       if y = 0 then runtime_error loc "modulo by zero";
-      n.(d) <- n.(a) mod y
-    | Ir.IAbs (d, a) -> n.(d) <- abs n.(a)
-    | Ir.IMin (d, a, b) ->
-      let x = n.(a) and y = n.(b) in
-      n.(d) <- (if x < y then x else y)
-    | Ir.IMax (d, a, b) ->
-      let x = n.(a) and y = n.(b) in
-      n.(d) <- (if x > y then x else y)
-    | Ir.ICmp (op, d, a, b) ->
-      let x = n.(a) and y = n.(b) in
-      let r =
-        match op with
-        | Ir.Clt -> x < y
-        | Ir.Cle -> x <= y
-        | Ir.Cgt -> x > y
-        | Ir.Cge -> x >= y
-        | Ir.Ceq -> x = y
-        | Ir.Cne -> x <> y
-      in
-      n.(d) <- (if r then 1 else 0)
-    | Ir.FCmp (op, d, a, b) ->
-      let x = f.(a) and y = f.(b) in
-      let r =
-        match op with
-        | Ir.Clt -> x < y
-        | Ir.Cle -> x <= y
-        | Ir.Cgt -> x > y
-        | Ir.Cge -> x >= y
-        | Ir.Ceq -> x = y
-        | Ir.Cne -> x <> y
-      in
-      n.(d) <- (if r then 1 else 0)
-    | Ir.INot (d, a) -> n.(d) <- (if n.(a) <> 0 then 0 else 1)
-    | Ir.FMath1 (m, d, a) -> f.(d) <- m1 m f.(a)
-    | Ir.FMath1S (m, d, a) -> f.(d) <- demote s32 (m1 m f.(a))
-    | Ir.FMath2 (m, d, a, b) -> f.(d) <- m2 m f.(a) f.(b)
-    | Ir.FMath2S (m, d, a, b) -> f.(d) <- demote s32 (m2 m f.(a) f.(b))
-    | Ir.Rand d -> f.(d) <- Util.Prng.uniform st.prng
-    | Ir.FLd (d, c) ->
-      f.(d) <- p.cfdata.(c).(p.cpos.(c));
-      if mk then mark_cur_rd p st c
-    | Ir.FSt (c, s) ->
-      p.cfdata.(c).(p.cpos.(c)) <- f.(s);
-      if mk then mark_cur_wr p st c
-    | Ir.FStDem (c, s) ->
-      p.cfdata.(c).(p.cpos.(c)) <- demote s32 f.(s);
-      if mk then mark_cur_wr p st c
-    | Ir.ILd (d, c) ->
-      n.(d) <- p.cidata.(c).(p.cpos.(c));
-      if mk then mark_cur_rd p st c
-    | Ir.ISt (c, s) ->
-      p.cidata.(c).(p.cpos.(c)) <- n.(s);
-      if mk then mark_cur_wr p st c
-    | Ir.IStB (c, s) ->
-      p.cidata.(c).(p.cpos.(c)) <- (if n.(s) <> 0 then 1 else 0);
-      if mk then mark_cur_wr p st c
-    | Ir.FLdCk (d, a, i, loc) ->
-      let idx = p.aoff.(a) + n.(i) in
-      if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      f.(d) <- p.afdata.(a).(idx);
-      if mk then mark_rd p st a idx
-    | Ir.FStCk (a, i, s, loc) ->
-      let idx = p.aoff.(a) + n.(i) in
-      if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      p.afdata.(a).(idx) <- (if p.adem.(a) then demote s32 f.(s) else f.(s));
-      if mk then mark_wr p st a idx
-    | Ir.ILdCk (d, a, i, loc) ->
-      let idx = p.aoff.(a) + n.(i) in
-      if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      n.(d) <- p.aidata.(a).(idx);
-      if mk then mark_rd p st a idx
-    | Ir.IStCk (a, i, s, loc) ->
-      let idx = p.aoff.(a) + n.(i) in
-      if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      p.aidata.(a).(idx) <-
-        (if p.abool.(a) then (if n.(s) <> 0 then 1 else 0) else n.(s));
-      if mk then mark_wr p st a idx
-    | Ir.FLdSub (d, c, b) ->
-      f.(d) <- p.cfdata.(c).(p.cpos.(c)) -. f.(b);
-      if mk then mark_cur_rd p st c
-    | Ir.FLdSub2 (d, c1, c2) ->
-      f.(d) <- p.cfdata.(c1).(p.cpos.(c1)) -. p.cfdata.(c2).(p.cpos.(c2));
+      n.%(d) <- n.%(a) mod y;
+      k ()
+  | Ir.IAbs (d, a) ->
+    let d = ir d and a = ir a in
+    fun () -> n.%(d) <- abs n.%(a); k ()
+  | Ir.IMin (d, a, b) ->
+    let d = ir d and a = ir a and b = ir b in
+    fun () ->
+      let x = n.%(a) and y = n.%(b) in
+      n.%(d) <- (if x < y then x else y);
+      k ()
+  | Ir.IMax (d, a, b) ->
+    let d = ir d and a = ir a and b = ir b in
+    fun () ->
+      let x = n.%(a) and y = n.%(b) in
+      n.%(d) <- (if x > y then x else y);
+      k ()
+  | Ir.ICmp (op, d, a, b) -> icmp op n (ir d) (ir a) (ir b) k
+  | Ir.FCmp (op, d, a, b) -> fcmp op f n (ir d) (fr a) (fr b) k
+  | Ir.INot (d, a) ->
+    let d = ir d and a = ir a in
+    fun () -> n.%(d) <- (if n.%(a) <> 0 then 0 else 1); k ()
+  | Ir.FMath1 (m, d, a) -> math1 s32 m ~single:false f (fr d) (fr a) k
+  | Ir.FMath1S (m, d, a) -> math1 s32 m ~single:true f (fr d) (fr a) k
+  | Ir.FMath2 (m, d, a, b) -> math2 s32 m ~single:false f (fr d) (fr a) (fr b) k
+  | Ir.FMath2S (m, d, a, b) -> math2 s32 m ~single:true f (fr d) (fr a) (fr b) k
+  | Ir.Rand d ->
+    let d = fr d in
+    let prng = st.prng in
+    fun () -> f.%(d) <- Util.Prng.uniform prng; k ()
+  | Ir.FLd (d, c) ->
+    let d = fr d and c = cu c in
+    fun () ->
+      f.%(d) <- cf.%(c).(cpos.%(c));
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.FSt (c, s) ->
+    let c = cu c and s = fr s in
+    fun () ->
+      cf.%(c).(cpos.%(c)) <- f.%(s);
+      if mk then mark_cur_wr p st c;
+      k ()
+  | Ir.FStDem (c, s) ->
+    let c = cu c and s = fr s in
+    fun () ->
+      cf.%(c).(cpos.%(c)) <- demote s32 f.%(s);
+      if mk then mark_cur_wr p st c;
+      k ()
+  | Ir.ILd (d, c) ->
+    let d = ir d and c = cu c in
+    fun () ->
+      n.%(d) <- ci.%(c).(cpos.%(c));
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.ISt (c, s) ->
+    let c = cu c and s = ir s in
+    fun () ->
+      ci.%(c).(cpos.%(c)) <- n.%(s);
+      if mk then mark_cur_wr p st c;
+      k ()
+  | Ir.IStB (c, s) ->
+    let c = cu c and s = ir s in
+    fun () ->
+      ci.%(c).(cpos.%(c)) <- (if n.%(s) <> 0 then 1 else 0);
+      if mk then mark_cur_wr p st c;
+      k ()
+  | Ir.FLdCk (d, a, i, loc) ->
+    let d = fr d and a = ar a and i = ir i in
+    fun () ->
+      let idx = checked_index p n a i loc in
+      f.%(d) <- af.%(a).(idx);
+      if mk then mark_rd p st a idx;
+      k ()
+  | Ir.FStCk (a, i, s, loc) ->
+    let a = ar a and i = ir i and s = fr s in
+    if p.adem.(a) then fun () ->
+      let idx = checked_index p n a i loc in
+      af.%(a).(idx) <- demote s32 f.%(s);
+      if mk then mark_wr p st a idx;
+      k ()
+    else fun () ->
+      let idx = checked_index p n a i loc in
+      af.%(a).(idx) <- f.%(s);
+      if mk then mark_wr p st a idx;
+      k ()
+  | Ir.ILdCk (d, a, i, loc) ->
+    let d = ir d and a = ar a and i = ir i in
+    fun () ->
+      let idx = checked_index p n a i loc in
+      n.%(d) <- ai.%(a).(idx);
+      if mk then mark_rd p st a idx;
+      k ()
+  | Ir.IStCk (a, i, s, loc) ->
+    let a = ar a and i = ir i and s = ir s in
+    if p.abool.(a) then fun () ->
+      let idx = checked_index p n a i loc in
+      ai.%(a).(idx) <- (if n.%(s) <> 0 then 1 else 0);
+      if mk then mark_wr p st a idx;
+      k ()
+    else fun () ->
+      let idx = checked_index p n a i loc in
+      ai.%(a).(idx) <- n.%(s);
+      if mk then mark_wr p st a idx;
+      k ()
+  | Ir.FLdSub (d, c, b) ->
+    let d = fr d and c = cu c and b = fr b in
+    fun () ->
+      f.%(d) <- cf.%(c).(cpos.%(c)) -. f.%(b);
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.FLdSub2 (d, c1, c2) ->
+    let d = fr d and c1 = cu c1 and c2 = cu c2 in
+    fun () ->
+      f.%(d) <- cf.%(c1).(cpos.%(c1)) -. cf.%(c2).(cpos.%(c2));
       if mk then begin
         mark_cur_rd p st c1;
         mark_cur_rd p st c2
-      end
-    | Ir.FLdMul (d, c, b) ->
-      f.(d) <- p.cfdata.(c).(p.cpos.(c)) *. f.(b);
-      if mk then mark_cur_rd p st c
-    | Ir.FLdAdd (d, c, b) ->
-      f.(d) <- p.cfdata.(c).(p.cpos.(c)) +. f.(b);
-      if mk then mark_cur_rd p st c
-    | Ir.FMulAdd (d, a, b, c) -> f.(d) <- (f.(a) *. f.(b)) +. f.(c)
-    | Ir.FAddMul (d, c, a, b) -> f.(d) <- f.(c) +. (f.(a) *. f.(b))
-    | Ir.FSubMul (d, c, a, b) -> f.(d) <- f.(c) -. (f.(a) *. f.(b))
-    | Ir.FRecip (d, a) -> f.(d) <- 1.0 /. f.(a)
-    | Ir.FRsqrt (d, a) -> f.(d) <- 1.0 /. sqrt f.(a)
-    | Ir.FAccSt (c, s) ->
-      let q = p.cfdata.(c) and i = p.cpos.(c) in
-      q.(i) <- q.(i) +. f.(s);
+      end;
+      k ()
+  | Ir.FLdMul (d, c, b) ->
+    let d = fr d and c = cu c and b = fr b in
+    fun () ->
+      f.%(d) <- cf.%(c).(cpos.%(c)) *. f.%(b);
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.FLdAdd (d, c, b) ->
+    let d = fr d and c = cu c and b = fr b in
+    fun () ->
+      f.%(d) <- cf.%(c).(cpos.%(c)) +. f.%(b);
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.FMulAdd (d, a, b, c) ->
+    let d = fr d and a = fr a and b = fr b and c = fr c in
+    fun () -> f.%(d) <- (f.%(a) *. f.%(b)) +. f.%(c); k ()
+  | Ir.FAddMul (d, c, a, b) ->
+    let d = fr d and a = fr a and b = fr b and c = fr c in
+    fun () -> f.%(d) <- f.%(c) +. (f.%(a) *. f.%(b)); k ()
+  | Ir.FSubMul (d, c, a, b) ->
+    let d = fr d and a = fr a and b = fr b and c = fr c in
+    fun () -> f.%(d) <- f.%(c) -. (f.%(a) *. f.%(b)); k ()
+  | Ir.FRecip (d, a) ->
+    let d = fr d and a = fr a in
+    fun () -> f.%(d) <- 1.0 /. f.%(a); k ()
+  | Ir.FRsqrt (d, a) ->
+    let d = fr d and a = fr a in
+    fun () -> f.%(d) <- 1.0 /. sqrt f.%(a); k ()
+  | Ir.FAccSt (c, s) ->
+    let c = cu c and s = fr s in
+    fun () ->
+      let q = cf.%(c) and i = cpos.%(c) in
+      q.(i) <- q.(i) +. f.%(s);
       if mk then begin
         mark_cur_rd p st c;
         mark_cur_wr p st c
-      end
-    | Ir.FMulAccSt (c, a, b) ->
-      let q = p.cfdata.(c) and i = p.cpos.(c) in
-      q.(i) <- q.(i) +. (f.(a) *. f.(b));
+      end;
+      k ()
+  | Ir.FMulAccSt (c, a, b) ->
+    let c = cu c and a = fr a and b = fr b in
+    fun () ->
+      let q = cf.%(c) and i = cpos.%(c) in
+      q.(i) <- q.(i) +. (f.%(a) *. f.%(b));
       if mk then begin
         mark_cur_rd p st c;
         mark_cur_wr p st c
+      end;
+      k ()
+  | Ir.FLdSubS (d, c, b) ->
+    let d = fr d and c = cu c and b = fr b in
+    fun () ->
+      f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) -. f.%(b));
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.FLdSub2S (d, c1, c2) ->
+    let d = fr d and c1 = cu c1 and c2 = cu c2 in
+    fun () ->
+      f.%(d) <- demote s32 (cf.%(c1).(cpos.%(c1)) -. cf.%(c2).(cpos.%(c2)));
+      if mk then begin
+        mark_cur_rd p st c1;
+        mark_cur_rd p st c2
+      end;
+      k ()
+  | Ir.FLdMulS (d, c, b) ->
+    let d = fr d and c = cu c and b = fr b in
+    fun () ->
+      f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) *. f.%(b));
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.FLdAddS (d, c, b) ->
+    let d = fr d and c = cu c and b = fr b in
+    fun () ->
+      f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) +. f.%(b));
+      if mk then mark_cur_rd p st c;
+      k ()
+  | Ir.FMulAddS (d, a, b, c) ->
+    let d = fr d and a = fr a and b = fr b and c = fr c in
+    fun () -> f.%(d) <- demote s32 (demote s32 (f.%(a) *. f.%(b)) +. f.%(c)); k ()
+  | Ir.FAddMulS (d, c, a, b) ->
+    let d = fr d and a = fr a and b = fr b and c = fr c in
+    fun () -> f.%(d) <- demote s32 (f.%(c) +. demote s32 (f.%(a) *. f.%(b))); k ()
+  | Ir.FSubMulS (d, c, a, b) ->
+    let d = fr d and a = fr a and b = fr b and c = fr c in
+    fun () -> f.%(d) <- demote s32 (f.%(c) -. demote s32 (f.%(a) *. f.%(b))); k ()
+
+let ops_code p st ~mk (ops : Ir.fop array) (k : code) : code =
+  Array.fold_right (op_code p st ~mk) ops k
+
+(* A block runs its items in order and then [k]; a site's arms both
+   continue into [k].  A level enters its cursors, runs its body once per
+   iteration with the index register refreshed and the cursors bumped,
+   then nets its cursor contribution out so re-entries (inner levels run
+   once per enclosing iteration) start from the enclosing position.  Under
+   loop profiling an inner level also counts its entries and notes the
+   order levels are first entered in. *)
+let rec block_code p st ~mk ~prof (b : Ir.block) (k : code) : code =
+  Array.fold_right (item_code p st ~mk ~prof) b.Ir.b_items k
+
+and item_code p st ~mk ~prof (it : Ir.bitem) (k : code) : code =
+  match it with
+  | Ir.Bops ops -> ops_code p st ~mk ops k
+  | Ir.Bsite sid ->
+    let s = p.fl.Ir.fl_sites.(valid (Array.length p.fl.Ir.fl_sites) sid) in
+    let c = valid (Array.length p.n) s.Ir.s_cond in
+    let n = p.n and tk = p.tk in
+    let kt = block_code p st ~mk ~prof s.Ir.s_then k in
+    let ke = block_code p st ~mk ~prof s.Ir.s_else k in
+    fun () ->
+      if n.%(c) <> 0 then begin
+        tk.%(sid) <- tk.%(sid) + 1;
+        kt ()
       end
-  done
+      else ke ()
+  | Ir.Bloop lid -> level_code p st ~mk ~prof lid k
 
-(* ---- tree executor ---- *)
-
-let rec run_block p st (b : Ir.block) =
-  let items = b.Ir.b_items in
-  for k = 0 to Array.length items - 1 do
-    match Array.unsafe_get items k with
-    | Ir.Bops ops -> exec p st ops
-    | Ir.Bsite sid ->
-      let s = Array.unsafe_get p.fl.Ir.fl_sites sid in
-      if p.n.(s.Ir.s_cond) <> 0 then begin
-        p.tk.(sid) <- p.tk.(sid) + 1;
-        run_block p st s.Ir.s_then
-      end
-      else run_block p st s.Ir.s_else
-    | Ir.Bloop lid -> run_level p st lid
-  done
-
-and run_level p st lid =
-  let lv = Array.unsafe_get p.fl.Ir.fl_levels lid in
-  if p.prof then begin
-    let e = p.lent.(lid) in
-    if e = 0 then begin
-      p.lord.(p.nord) <- lid;
-      p.nord <- p.nord + 1
-    end;
-    p.lent.(lid) <- e + 1
-  end;
+and level_code p st ~mk ~prof lid (k : code) : code =
+  let lv = p.fl.Ir.fl_levels.(valid (Array.length p.fl.Ir.fl_levels) lid) in
+  let body = block_code p st ~mk ~prof lv.Ir.l_body ret in
+  let n = p.n and cpos = p.cpos in
   let cs = p.lev_cur.(lid) in
   let en = p.enter_d.(lid) and sd = p.step_d.(lid) and ex = p.exit_d.(lid) in
   let ncs = Array.length cs in
-  for j = 0 to ncs - 1 do
-    let c = Array.unsafe_get cs j in
-    p.cpos.(c) <- p.cpos.(c) + Array.unsafe_get en j
-  done;
-  let trip = p.trip.(lid) and step = p.lstep.(lid) in
+  let trip = p.trip and llo = p.llo and lstep = p.lstep in
   let ireg = p.iregs.(lid) in
-  let body = lv.Ir.l_body in
-  let i = ref p.llo.(lid) in
-  for _ = 1 to trip do
-    if ireg >= 0 then p.n.(ireg) <- !i;
-    run_block p st body;
+  if ireg >= 0 then ignore (valid (Array.length n) ireg);
+  let count = prof && lid > 0 in
+  let lent = p.lent and lord = p.lord in
+  fun () ->
+    if count then begin
+      let e = lent.%(lid) in
+      if e = 0 then begin
+        lord.(p.nord) <- lid;
+        p.nord <- p.nord + 1
+      end;
+      lent.%(lid) <- e + 1
+    end;
     for j = 0 to ncs - 1 do
-      let c = Array.unsafe_get cs j in
-      p.cpos.(c) <- p.cpos.(c) + Array.unsafe_get sd j
+      let c = cs.%(j) in
+      cpos.%(c) <- cpos.%(c) + en.%(j)
     done;
-    i := !i + step
-  done;
-  (* net out this level's contribution so re-entries (inner levels run
-     once per enclosing iteration) start from the enclosing position *)
-  for j = 0 to ncs - 1 do
-    let c = Array.unsafe_get cs j in
-    p.cpos.(c) <- p.cpos.(c) - Array.unsafe_get ex j
-  done
+    let step = lstep.%(lid) in
+    let i = ref llo.%(lid) in
+    for _ = 1 to trip.%(lid) do
+      if ireg >= 0 then n.%(ireg) <- !i;
+      body ();
+      for j = 0 to ncs - 1 do
+        let c = cs.%(j) in
+        cpos.%(c) <- cpos.%(c) + sd.%(j)
+      done;
+      i := !i + step
+    done;
+    for j = 0 to ncs - 1 do
+      let c = cs.%(j) in
+      cpos.%(c) <- cpos.%(c) - ex.%(j)
+    done;
+    k ()
+
+(* The whole nest, prologue to epilogue, in marking mode [mk]; compiled on
+   the mode's first commit in the run. *)
+let nest_code p st ~mk ~prof =
+  let slot = if mk then 1 else 0 in
+  match p.code.(slot) with
+  | Some c -> c
+  | None ->
+    let fl = p.fl in
+    let c =
+      ops_code p st ~mk fl.Ir.fl_prologue
+        (level_code p st ~mk ~prof 0 (ops_code p st ~mk fl.Ir.fl_epilogue ret))
+    in
+    p.code.(slot) <- Some c;
+    c
 
 (* Inner levels' loop_stats, as the walker's per-[For] snapshots would
    have recorded them: every entry of level [l] costs its else-baseline
@@ -709,7 +956,10 @@ let account_levels p st =
       let a = loop_acc_of st lv.Ir.l_sid in
       a.la_entries <- a.la_entries + e;
       a.la_iterations <- a.la_iterations + (e * p.trip.(l));
-      let tot = Array.map (fun x -> e * x) p.lvec.(l) in
+      let tot = p.tot and v = p.lvec.(l) in
+      for i = 0 to 14 do
+        tot.(i) <- e * v.(i)
+      done;
       add_taken p tot p.lsites.(l);
       let c = a.la_counters in
       c.Counters.steps <- c.Counters.steps + tot.(0);
@@ -772,32 +1022,46 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   done;
   (* 3. cost walk: static baseline (all sites take their else arm) plus
      per-site deltas and max execution counts; all checked arithmetic.
-     The budget must survive the statically largest possible total;
+     It depends only on the plan and the trip counts, so an entry with
+     the trip counts of the last completed walk reuses it; a walk is
+     marked valid only once 3b has passed, so a bail partway through
+     leaves no half-written walk behind.  The budget must survive the
+     statically largest possible total, checked on every entry;
      otherwise the slow path runs and raises Step_limit_exceeded at the
      exact offending statement. *)
-  let t0 = p.trip.(0) in
-  let root = levels.(0) in
-  let body_once = eval_block p root.Ir.l_body t0 in
-  vadd_into body_once
-    (ivec ~ints:(2 + root.Ir.l_hi_ops + root.Ir.l_step_ops) ~brs:1);
-  let base_v = vscale t0 body_once in
-  vadd_into base_v (ivec ~ints:(1 + root.Ir.l_hi_ops) ~brs:1);
-  let max_steps = ref base_v.(0) in
-  for s = 0 to nsites - 1 do
-    let ds = p.dsite.(s).(0) in
-    if ds > 0 then max_steps := cadd !max_steps (cmul p.cntmax.(s) ds)
-  done;
-  if st.steps_left <= !max_steps then raise (Bail "budget");
-  (* 3b. overflow pre-verification: bound the absolute value of every
-     per-field total the commit phase will compute — the nest's, and
-     under profiling every inner level's loop_stats total — so the
-     unchecked arithmetic there is provably exact.  The root's subtree
-     holds every site. *)
-  bound_total p base_v p.lsites.(0);
-  if prof then
-    for l = 1 to nl - 1 do
-      bound_total p (vscale p.lmult.(l) p.lvec.(l)) p.lsites.(l)
+  if p.wvalid && Array.for_all2 Int.equal p.trip p.wtrip then begin
+    if st.steps_left <= p.wmax then raise (Bail "budget")
+  end
+  else begin
+    p.wvalid <- false;
+    let t0 = p.trip.(0) in
+    let root = levels.(0) in
+    let body_once = eval_block p root.Ir.l_body t0 in
+    vadd_into body_once
+      (ivec ~ints:(2 + root.Ir.l_hi_ops + root.Ir.l_step_ops) ~brs:1);
+    let base_v = vscale t0 body_once in
+    vadd_into base_v (ivec ~ints:(1 + root.Ir.l_hi_ops) ~brs:1);
+    let max_steps = ref base_v.(0) in
+    for s = 0 to nsites - 1 do
+      let ds = p.dsite.(s).(0) in
+      if ds > 0 then max_steps := cadd !max_steps (cmul p.cntmax.(s) ds)
     done;
+    if st.steps_left <= !max_steps then raise (Bail "budget");
+    (* 3b. overflow pre-verification: bound the absolute value of every
+       per-field total the commit phase will compute — the nest's, and
+       under profiling every inner level's loop_stats total — so the
+       unchecked arithmetic there is provably exact.  The root's subtree
+       holds every site. *)
+    bound_total p base_v p.lsites.(0);
+    if prof then
+      for l = 1 to nl - 1 do
+        bound_total p (vscale p.lmult.(l) p.lvec.(l)) p.lsites.(l)
+      done;
+    Array.blit p.trip 0 p.wtrip 0 nl;
+    p.wbase <- base_v;
+    p.wmax <- !max_steps;
+    p.wvalid <- true
+  end;
   (* 4. resolve arrays: exact element type, raw storage, name for errors.
      [Memory] bases are append-only — an entry's storage is written
      exactly once, at allocation — so a resolution stays valid for as
@@ -920,51 +1184,28 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
       ex.(j) <- coef * (lo + (trip * step))
     done
   done;
+  (* 6. the nest's closures for this run and marking mode (compiled on
+     first use; an invalid register or id in the plan bails here) *)
+  let code = nest_code p st ~mk:marking ~prof in
   (* ---- commit: from here on the fast path runs the nest to the end ---- *)
   Array.fill p.tk 0 (Array.length p.tk) 0;
-  p.prof <- prof;
   if prof then begin
     Array.fill p.lent 0 nl 0;
     p.nord <- 0
   end;
-  p.marking <- marking;
   if marking then begin
     Array.fill p.fpw 0 (Array.length p.fpw) no_fp;
     Array.fill p.fpr 0 (Array.length p.fpr) no_fp
   end;
-  exec p st fl.Ir.fl_prologue;
-  (match p.simple with
-   | Some ops ->
-     (* single-level site-free nests keep the PR6-style tight loop *)
-     let cs = p.lev_cur.(0) in
-     let en = p.enter_d.(0) and sd = p.step_d.(0) in
-     let ncs = Array.length cs in
-     for j = 0 to ncs - 1 do
-       let c = Array.unsafe_get cs j in
-       p.cpos.(c) <- p.cpos.(c) + Array.unsafe_get en j
-     done;
-     let trip = p.trip.(0) and step = p.lstep.(0) in
-     let ireg = p.iregs.(0) in
-     let i = ref root_lo in
-     for _ = 1 to trip do
-       if ireg >= 0 then p.n.(ireg) <- !i;
-       exec p st ops;
-       for j = 0 to ncs - 1 do
-         let c = Array.unsafe_get cs j in
-         p.cpos.(c) <- p.cpos.(c) + Array.unsafe_get sd j
-       done;
-       i := !i + step
-     done
-   | None -> run_level p st 0);
-  exec p st fl.Ir.fl_epilogue;
+  code ();
   (* exact totals: baseline plus taken deltas; the overflow
      pre-verification above guarantees none of this unchecked arithmetic
      can wrap, and the budget pre-check that consume_steps cannot raise *)
-  let tot = Array.copy base_v in
+  let tot = p.tot in
+  Array.blit p.wbase 0 tot 0 15;
   add_taken p tot p.lsites.(0);
   if tot.(0) > 0 then consume_steps st tot.(0);
   apply_totals st.counters tot;
-  Obs.Metrics.Counter.add m_planned tot.(0);
   let dp = Domain.DLS.get domain_planned in
   dp := !dp + tot.(0);
   acc.la_iterations <- acc.la_iterations + p.trip.(0);

@@ -112,8 +112,12 @@ let record_run steps seconds =
   Obs.Metrics.Gauge.add m_seconds seconds
 
 (* Statements executed on the VM's planned fast path (process-wide, like
-   exec_stats); planned / exec_steps is the vm.coverage ratio. *)
-let planned_steps = Fastloop.planned_steps
+   exec_stats); planned / exec_steps is the vm.coverage ratio.  Like
+   exec_stats it counts completed runs only: a run's planned steps are
+   added when it returns, so an aborted run moves neither. *)
+let m_planned = Obs.Metrics.counter "vm.steps.planned"
+
+let planned_steps () = Obs.Metrics.Counter.value m_planned
 
 let plan_bail_sites = Fastloop.bail_sites
 
@@ -148,10 +152,11 @@ let run ?(config = default_config) ?backend (program : Ast.program) : result =
       let planned0 = Fastloop.domain_planned_steps () in
       let finish (r : result) =
         let steps = r.counters.Counters.steps in
+        let planned = Fastloop.domain_planned_steps () - planned0 in
         record_run steps (Obs.Monotonic.now_s () -. t0);
+        Obs.Metrics.Counter.add m_planned planned;
         Obs.Trace.add_attr sp "steps" (Obs.Trace.Int steps);
-        Obs.Trace.add_attr sp "planned"
-          (Obs.Trace.Int (Fastloop.domain_planned_steps () - planned0));
+        Obs.Trace.add_attr sp "planned" (Obs.Trace.Int planned);
         r
       in
       match backend with

@@ -1,4 +1,4 @@
-let version = 3
+let version = 4
 
 type prec = Psingle | Pdouble
 
@@ -81,6 +81,13 @@ type fop =
   | FRsqrt of int * int
   | FAccSt of int * int
   | FMulAccSt of int * int * int
+  | FLdSubS of int * int * int
+  | FLdSub2S of int * int * int
+  | FLdMulS of int * int * int
+  | FLdAddS of int * int * int
+  | FMulAddS of int * int * int * int
+  | FAddMulS of int * int * int * int
+  | FSubMulS of int * int * int * int
 
 and m1 =
   | Msqrt

@@ -20,7 +20,8 @@
 val version : int
 (** Version of the IR semantics and instruction encoding.  Folded into
     interpreter memoization keys alongside the backend tag so cached
-    results produced by an older lowering are never replayed. *)
+    results produced by an older lowering are never replayed.  4 since
+    the single-precision superinstructions. *)
 
 (** {1 Scalar bindings} *)
 
@@ -91,7 +92,12 @@ type cmpop = Clt | Cle | Cgt | Cge | Ceq | Cne
     (each modelled as one integer op, like the walker).  The fused
     superinstructions at the end collapse the opcode pairs that dominate
     the suite's counter profile (load-sub, mul-add chains, and
-    read-modify-write accumulations). *)
+    read-modify-write accumulations), in double and in single precision.
+    Fusion runs after the static counter deltas are computed, so it never
+    changes accounting.  An [FDem] that directly follows the op producing
+    its single-use operand is dropped when that op is single-precision
+    (its result is already demoted, and demotion is idempotent) and folded
+    into the op's [...S] form when it is a double op. *)
 type fop =
   (* constants and moves *)
   | FConst of int * float
@@ -159,6 +165,19 @@ type fop =
   | FRsqrt of int * int  (** d <- 1.0 /. sqrt a *)
   | FAccSt of int * int  (** farray(cur) <- farray(cur) +. freg *)
   | FMulAccSt of int * int * int  (** farray(cur) <- farray(cur) +. a *. b *)
+  (* single-precision superinstructions: the same shapes over the [...S]
+     arithmetic, demoting after every step exactly as the unfused
+     sequence does ([dem] is the 32-bit round trip) *)
+  | FLdSubS of int * int * int  (** dst <- dem (farray(cur) -. freg) *)
+  | FLdSub2S of int * int * int  (** dst <- dem (farray(cur1) -. farray(cur2)) *)
+  | FLdMulS of int * int * int  (** dst <- dem (farray(cur) *. freg) *)
+  | FLdAddS of int * int * int  (** dst <- dem (farray(cur) +. freg) *)
+  | FMulAddS of int * int * int * int
+      (** [(d, a, b, c)]: d <- dem (dem (a *. b) +. c) *)
+  | FAddMulS of int * int * int * int
+      (** [(d, c, a, b)]: d <- dem (c +. dem (a *. b)) *)
+  | FSubMulS of int * int * int * int
+      (** [(d, c, a, b)]: d <- dem (c -. dem (a *. b)) *)
 
 and m1 =
   | Msqrt

@@ -1068,6 +1068,18 @@ and llevel c (s : stmt) (h : for_header) body =
 
 (* ---- optimisation: hoisting, promotion, superinstruction fusion ---- *)
 
+(* destination of a single-precision op: every value it writes is already
+   demoted, so demoting it again is the identity *)
+let single_dest (op : Ir.fop) =
+  match op with
+  | FDem (x, _) | FAddS (x, _, _) | FSubS (x, _, _) | FMulS (x, _, _)
+  | FDivS (x, _, _) | FMath1S (_, x, _) | FMath2S (_, x, _, _)
+  | FLdSubS (x, _, _) | FLdSub2S (x, _, _) | FLdMulS (x, _, _)
+  | FLdAddS (x, _, _) | FMulAddS (x, _, _, _) | FAddMulS (x, _, _, _)
+  | FSubMulS (x, _, _, _) ->
+    Some x
+  | _ -> None
+
 (* float-register def/use counting over all sections; used to identify
    single-definition single-use temporaries that fusion may absorb *)
 let fcounts nf ops_list =
@@ -1078,7 +1090,7 @@ let fcounts nf ops_list =
   List.iter
     (List.iter (fun (op : Ir.fop) ->
          match op with
-         | FConst (x, _) | Rand x | FLdSub2 (x, _, _) -> d x
+         | FConst (x, _) | Rand x | FLdSub2 (x, _, _) | FLdSub2S (x, _, _) -> d x
          | FMov (x, a) | FDem (x, a) | FNeg (x, a)
          | FMath1 (_, x, a) | FMath1S (_, x, a)
          | FRecip (x, a) | FRsqrt (x, a) ->
@@ -1098,10 +1110,12 @@ let fcounts nf ops_list =
            (* dest is an int register; both operands are float uses *)
            u a;
            u b
-         | FLdSub (x, _, b) | FLdMul (x, _, b) | FLdAdd (x, _, b) ->
+         | FLdSub (x, _, b) | FLdMul (x, _, b) | FLdAdd (x, _, b)
+         | FLdSubS (x, _, b) | FLdMulS (x, _, b) | FLdAddS (x, _, b) ->
            d x;
            u b
-         | FMulAdd (x, a, b, e) | FAddMul (x, e, a, b) | FSubMul (x, e, a, b) ->
+         | FMulAdd (x, a, b, e) | FAddMul (x, e, a, b) | FSubMul (x, e, a, b)
+         | FMulAddS (x, a, b, e) | FAddMulS (x, e, a, b) | FSubMulS (x, e, a, b) ->
            d x;
            u a;
            u b;
@@ -1157,6 +1171,12 @@ let subst_use (op : Ir.fop) d r : Ir.fop option =
     | FMulAdd (x, a, b, e) -> FMulAdd (x, sh a, sh b, sh e)
     | FAddMul (x, e, a, b) -> FAddMul (x, sh e, sh a, sh b)
     | FSubMul (x, e, a, b) -> FSubMul (x, sh e, sh a, sh b)
+    | FLdSubS (x, cu, b) -> FLdSubS (x, cu, sh b)
+    | FLdMulS (x, cu, b) -> FLdMulS (x, cu, sh b)
+    | FLdAddS (x, cu, b) -> FLdAddS (x, cu, sh b)
+    | FMulAddS (x, a, b, e) -> FMulAddS (x, sh a, sh b, sh e)
+    | FAddMulS (x, e, a, b) -> FAddMulS (x, sh e, sh a, sh b)
+    | FSubMulS (x, e, a, b) -> FSubMulS (x, sh e, sh a, sh b)
     | FAccSt (cu, a) -> FAccSt (cu, sh a)
     | FMulAccSt (cu, a, b) -> FMulAccSt (cu, sh a, sh b)
     | _ -> op
@@ -1193,23 +1213,53 @@ let retarget (op : Ir.fop) d r : Ir.fop option =
   | FMulAdd (x, a, b, e) when x = d -> Some (FMulAdd (r, a, b, e))
   | FAddMul (x, e, a, b) when x = d -> Some (FAddMul (r, e, a, b))
   | FSubMul (x, e, a, b) when x = d -> Some (FSubMul (r, e, a, b))
+  | FLdSubS (x, a, b) when x = d -> Some (FLdSubS (r, a, b))
+  | FLdSub2S (x, a, b) when x = d -> Some (FLdSub2S (r, a, b))
+  | FLdMulS (x, a, b) when x = d -> Some (FLdMulS (r, a, b))
+  | FLdAddS (x, a, b) when x = d -> Some (FLdAddS (r, a, b))
+  | FMulAddS (x, a, b, e) when x = d -> Some (FMulAddS (r, a, b, e))
+  | FAddMulS (x, e, a, b) when x = d -> Some (FAddMulS (r, e, a, b))
+  | FSubMulS (x, e, a, b) when x = d -> Some (FSubMulS (r, e, a, b))
   | FRecip (x, a) when x = d -> Some (FRecip (r, a))
   | FRsqrt (x, a) when x = d -> Some (FRsqrt (r, a))
   | _ -> None
+
+(* [op1] followed by [FDem (r, t)] of its result [t] as one op writing [r] *)
+let fold_dem (op1 : Ir.fop) t r : Ir.fop option =
+  if single_dest op1 = Some t then retarget op1 t r
+  else
+    match op1 with
+    | FAdd (x, a, b) when x = t -> Some (FAddS (r, a, b))
+    | FSub (x, a, b) when x = t -> Some (FSubS (r, a, b))
+    | FMul (x, a, b) when x = t -> Some (FMulS (r, a, b))
+    | FDiv (x, a, b) when x = t -> Some (FDivS (r, a, b))
+    | FMath1 (m, x, a) when x = t -> Some (FMath1S (m, r, a))
+    | FMath2 (m, x, a, b) when x = t -> Some (FMath2S (m, r, a, b))
+    | _ -> None
 
 (* Fusion never crosses a PRNG draw, a checked access, or a zero-checked
    division (only adjacent ops merge, and none of those opcodes appear in
    any pattern), so memory/effect/raise order is preserved exactly.  Fused
    arithmetic keeps operand order — a*b+c stays (a*b)+c with the same
-   rounding — so results are bit-identical to the unfused sequence.
+   rounding — so results are bit-identical to the unfused sequence.  The
+   single-precision forms demote after every step the unfused ops demote
+   after.  An [FDem] of the single-use result of the op just before it is
+   dropped when that op is single-precision (demotion is idempotent, so the
+   op writes the [FDem]'s destination instead) and folded into the op's
+   [...S] form when it is a double op (that op followed by the demotion).
    [scan_fuse] applies at most one rewrite per call; the caller recomputes
    global def/use counts between rewrite sweeps. *)
 let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop list) : Ir.fop list =
   let rec scan acc (ops : Ir.fop list) =
     match ops with
+    | op1 :: Ir.FDem (r, t) :: tl when temp t && fold_dem op1 t r <> None ->
+      List.rev_append acc (Option.get (fold_dem op1 t r) :: tl)
     | Ir.FLd (t1, c1) :: Ir.FLd (t2, c2) :: Ir.FSub (x, a, b) :: tl
       when a = t1 && b = t2 && t1 <> t2 && temp t1 && temp t2 ->
       List.rev_append acc (Ir.FLdSub2 (x, c1, c2) :: tl)
+    | Ir.FLd (t1, c1) :: Ir.FLd (t2, c2) :: Ir.FSubS (x, a, b) :: tl
+      when a = t1 && b = t2 && t1 <> t2 && temp t1 && temp t2 ->
+      List.rev_append acc (Ir.FLdSub2S (x, c1, c2) :: tl)
     | Ir.FLd (t, cu) :: Ir.FAdd (x, a, b) :: Ir.FSt (cu2, r) :: tl
       when a = t && cu2 = cu && temp t && temp x && x = r && b <> t ->
       List.rev_append acc (Ir.FAccSt (cu, b) :: tl)
@@ -1222,6 +1272,15 @@ let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop list) : Ir.fop list =
     | Ir.FLd (t, cu) :: Ir.FMul (x, a, b) :: tl when a = t && temp t && b <> t
       ->
       List.rev_append acc (Ir.FLdMul (x, cu, b) :: tl)
+    | Ir.FLd (t, cu) :: Ir.FSubS (x, a, b) :: tl when a = t && temp t && b <> t
+      ->
+      List.rev_append acc (Ir.FLdSubS (x, cu, b) :: tl)
+    | Ir.FLd (t, cu) :: Ir.FAddS (x, a, b) :: tl when a = t && temp t && b <> t
+      ->
+      List.rev_append acc (Ir.FLdAddS (x, cu, b) :: tl)
+    | Ir.FLd (t, cu) :: Ir.FMulS (x, a, b) :: tl when a = t && temp t && b <> t
+      ->
+      List.rev_append acc (Ir.FLdMulS (x, cu, b) :: tl)
     | Ir.FMul (t, a, b) :: Ir.FAdd (x, p, q) :: tl
       when p = t && temp t && q <> t ->
       List.rev_append acc (Ir.FMulAdd (x, a, b, q) :: tl)
@@ -1231,6 +1290,15 @@ let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop list) : Ir.fop list =
     | Ir.FMul (t, a, b) :: Ir.FSub (x, p, q) :: tl
       when q = t && temp t && p <> t ->
       List.rev_append acc (Ir.FSubMul (x, p, a, b) :: tl)
+    | Ir.FMulS (t, a, b) :: Ir.FAddS (x, p, q) :: tl
+      when p = t && temp t && q <> t ->
+      List.rev_append acc (Ir.FMulAddS (x, a, b, q) :: tl)
+    | Ir.FMulS (t, a, b) :: Ir.FAddS (x, p, q) :: tl
+      when q = t && temp t && p <> t ->
+      List.rev_append acc (Ir.FAddMulS (x, p, a, b) :: tl)
+    | Ir.FMulS (t, a, b) :: Ir.FSubS (x, p, q) :: tl
+      when q = t && temp t && p <> t ->
+      List.rev_append acc (Ir.FSubMulS (x, p, a, b) :: tl)
     | Ir.FMul (t, a, b) :: Ir.FAccSt (cu, q) :: tl when q = t && temp t ->
       List.rev_append acc (Ir.FMulAccSt (cu, a, b) :: tl)
     | Ir.FDiv (x, o, a) :: tl when o < nf && one_regs.(o) && a <> o ->

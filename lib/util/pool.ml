@@ -61,11 +61,26 @@ let default_jobs () = Atomic.get default
 
 (* ---- scheduler telemetry (nondeterministic; excluded from --explain) ---- *)
 
-let m_failures = lazy (Obs.Metrics.counter "pool.worker_failures")
-let m_spawned = lazy (Obs.Metrics.counter "pool.spawned")
-let m_steals = lazy (Obs.Metrics.counter "pool.steals")
-let m_idle_ns = lazy (Obs.Metrics.counter "pool.idle_ns")
-let m_depth = lazy (Obs.Metrics.gauge "pool.queue_depth")
+(* Registered on first use, so a run that never engages the pool reports
+   no pool metrics.  Not [lazy]: forcing a lazy value that another domain
+   is forcing raises [CamlinternalLazy.Undefined], which killed worker
+   domains on their first park; registration is idempotent, so domains
+   racing here just receive the same instrument. *)
+let on_first_use make =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some m -> m
+    | None ->
+      let m = make () in
+      Atomic.set cell (Some m);
+      m
+
+let m_failures = on_first_use (fun () -> Obs.Metrics.counter "pool.worker_failures")
+let m_spawned = on_first_use (fun () -> Obs.Metrics.counter "pool.spawned")
+let m_steals = on_first_use (fun () -> Obs.Metrics.counter "pool.steals")
+let m_idle_ns = on_first_use (fun () -> Obs.Metrics.counter "pool.idle_ns")
+let m_depth = on_first_use (fun () -> Obs.Metrics.gauge "pool.queue_depth")
 
 (* ---- futures ---- *)
 
@@ -236,7 +251,7 @@ let park ?(should_stop = fun () -> false) snap =
     if Obs.Trace.enabled () then
       Obs.Trace.with_span ~name:"pool-idle" ~kind:Obs.Trace.Pool (fun _ -> wait ())
     else wait ();
-    Obs.Metrics.Counter.add (Lazy.force m_idle_ns)
+    Obs.Metrics.Counter.add (m_idle_ns ())
       (int_of_float ((Obs.Monotonic.now_s () -. t0) *. 1e9))
   end;
   Atomic.decr parked;
@@ -260,7 +275,7 @@ let complete fut thunk =
    pool. *)
 let run_claim_surviving fut thunk =
   if Faultsim.fire Faultsim.Pool_site ~site:"worker" then
-    Obs.Metrics.Counter.incr (Lazy.force m_failures);
+    Obs.Metrics.Counter.incr (m_failures ());
   complete fut thunk
 
 (* ---- finding work ---- *)
@@ -286,7 +301,7 @@ let find_task ctx =
             else
               match Deque.steal d with
               | Some _ as r ->
-                Obs.Metrics.Counter.incr (Lazy.force m_steals);
+                Obs.Metrics.Counter.incr (m_steals ());
                 r
               | None -> go (i + 1)
         in
@@ -325,7 +340,7 @@ let worker_run ctx (Any fut) =
     if Atomic.compare_and_set fut st (Claimed (thunk, ctx.claimant)) then begin
       if Faultsim.fire Faultsim.Pool_site ~site:"worker" then begin
         Atomic.set ctx.claimant.alive false;
-        Obs.Metrics.Counter.incr (Lazy.force m_failures);
+        Obs.Metrics.Counter.incr (m_failures ());
         true
       end
       else begin
@@ -402,14 +417,14 @@ let set_default_jobs jobs =
 (* ---- spawn / await ---- *)
 
 let note_depth ctx =
-  let g = Lazy.force m_depth in
+  let g = m_depth () in
   let d = float_of_int (Deque.depth ctx.deque + Injector.depth ()) in
   if d > Obs.Metrics.Gauge.value g then Obs.Metrics.Gauge.set g d
 
 let enqueue_spawn thunk =
   let ctx = Domain.DLS.get ctx_key in
   let fut = Atomic.make (New thunk) in
-  Obs.Metrics.Counter.incr (Lazy.force m_spawned);
+  Obs.Metrics.Counter.incr (m_spawned ());
   if not (Deque.push ctx.deque (Any fut)) then Injector.push (Any fut);
   note_depth ctx;
   wake_all ();

@@ -473,6 +473,47 @@ let test_exec_stats_accumulate () =
   check "steps accumulated" true (s.Machine.exec_steps > 0);
   check "time accumulated" true (s.Machine.exec_seconds >= 0.0)
 
+(* vm.steps.planned counts completed runs only, like interp.runs and
+   interp.steps: a run that commits a planned nest and then runs out of
+   budget moves none of them *)
+let test_planned_counted_per_run () =
+  let p =
+    parse
+      {|
+int main() {
+  double acc = 0.0;
+  for (int i = 0; i < 1000; i++) {
+    acc = acc + 1.0;
+    acc = acc * 0.5;
+    acc = acc - 0.25;
+    acc = acc + 0.125;
+  }
+  int k = 0;
+  while (k < 5000) { k = k + 1; }
+  print_float(acc);
+  return 0;
+}|}
+  in
+  let s0 = Machine.exec_stats () and pl0 = Machine.planned_steps () in
+  let d0 = Fastloop.domain_planned_steps () in
+  (match Machine.run ~config:{ Machine.default_config with max_steps = 5000 } ~backend:`Vm p with
+   | _ -> Alcotest.fail "expected the step budget to abort the run"
+   | exception Machine.Step_limit_exceeded -> ());
+  Alcotest.(check int) "the aborted run committed its planned nest" 4000
+    (Fastloop.domain_planned_steps () - d0);
+  let s1 = Machine.exec_stats () in
+  Alcotest.(check int) "aborted: interp.runs unchanged" s0.Machine.exec_runs s1.Machine.exec_runs;
+  Alcotest.(check int) "aborted: interp.steps unchanged" s0.Machine.exec_steps
+    s1.Machine.exec_steps;
+  Alcotest.(check int) "aborted: vm.steps.planned unchanged" pl0 (Machine.planned_steps ());
+  let r = Machine.run ~backend:`Vm p in
+  let s2 = Machine.exec_stats () in
+  Alcotest.(check int) "completed: one run" (s1.Machine.exec_runs + 1) s2.Machine.exec_runs;
+  Alcotest.(check int) "completed: its steps"
+    (s1.Machine.exec_steps + r.Machine.counters.Counters.steps)
+    s2.Machine.exec_steps;
+  Alcotest.(check int) "completed: its planned steps" 4000 (Machine.planned_steps () - pl0)
+
 let test_default_backend_switch () =
   let saved = Machine.default_backend () in
   Machine.set_default_backend `Ast;
@@ -904,6 +945,197 @@ int main() {
   check "clamp makes a level zero-trip (profiled)" true
     (agree_planned ~config:(flow_config ()) p)
 
+(* ---- single-precision superinstructions ----
+
+   Every single-precision fused op and every [FDem] fold, fed NaN, ±inf,
+   subnormals, ±FLT_MAX and products above FLT_MAX: the fused forms must
+   demote after every step the unfused sequence demotes after (an [FMulAddS]
+   whose product overflows to inf before the add is not the double sum
+   demoted once). *)
+
+let sp_fused_src =
+  let init arr vals =
+    String.concat "\n"
+      (List.mapi (fun i v -> Printf.sprintf "  %s[%d] = %s;" arr i v) vals)
+  in
+  Printf.sprintf
+    {|
+const int N = 10;
+const int K = 13;
+void knl(float* x, float* y, float* w, double* z, float* o) {
+  for (int i = 0; i < N; i++) {
+    float p = x[i] * 1.0f;
+    float q = y[i] + 0.0f;
+    float r = w[i] - 0.5f;
+    float a = x[i] - y[i];
+    float e = p * q + r;
+    float g = r + p * q;
+    float h = r - p * q;
+    float u = (double)p * z[i];
+    float v = (double)q / z[i];
+    float s = (double)r + z[i];
+    float t = (double)p - z[i];
+    float m = sqrt((double)q);
+    float n = pow((double)r, 2.0);
+    o[i * K] = p; o[i * K + 1] = q; o[i * K + 2] = r; o[i * K + 3] = a;
+    o[i * K + 4] = e; o[i * K + 5] = g; o[i * K + 6] = h; o[i * K + 7] = u;
+    o[i * K + 8] = v; o[i * K + 9] = s; o[i * K + 10] = t; o[i * K + 11] = m;
+    o[i * K + 12] = n;
+  }
+}
+int main() {
+  float x[N];
+  float y[N];
+  float w[N];
+  double z[N];
+  float o[130];
+  double qnan = 0.0 / 0.0;
+  double pinf = 1.0 / 0.0;
+%s
+%s
+%s
+%s
+  knl(x, y, w, z, o);
+  print_float(o[4] + o[17]);
+  return 0;
+}|}
+    (init "x"
+       [ "qnan"; "pinf"; "-pinf"; "1.0e-40"; "3.4028235e38"; "-3.4028235e38"; "3.0e38";
+         "-0.0"; "1.5e-45"; "1.0e20" ])
+    (init "y"
+       [ "2.0"; "-pinf"; "qnan"; "1.0e-40"; "2.0"; "0.5"; "2.0"; "0.0"; "1.0e-5"; "1.0e20" ])
+    (init "w"
+       [ "-3.0e38"; "pinf"; "1.0"; "-1.0e-40"; "-3.4028235e38"; "qnan"; "-3.0e38"; "-0.0";
+         "1.0e-45"; "-1.0e30" ])
+    (init "z"
+       [ "1.0e39"; "-1.0e39"; "1.0e-50"; "qnan"; "pinf"; "3.5e38"; "-3.5e38"; "0.0";
+         "1.0e-45"; "2.0" ])
+
+(* every op of a nest, arms and inner levels included *)
+let nest_ops (fl : Ir.fast_loop) =
+  let acc = ref [] in
+  let rec blk (b : Ir.block) =
+    Array.iter
+      (function
+        | Ir.Bops ops -> Array.iter (fun op -> acc := op :: !acc) ops
+        | Ir.Bsite s ->
+          blk fl.Ir.fl_sites.(s).Ir.s_then;
+          blk fl.Ir.fl_sites.(s).Ir.s_else
+        | Ir.Bloop l -> blk fl.Ir.fl_levels.(l).Ir.l_body)
+      b.Ir.b_items
+  in
+  blk fl.Ir.fl_levels.(0).Ir.l_body;
+  !acc
+
+let test_sp_fused_special_values () =
+  let p = parse sp_fused_src in
+  List.iter
+    (fun motion ->
+      let ops =
+        Hashtbl.fold (fun _ fl acc -> nest_ops fl @ acc) (Ir_lower.plan ~motion p) []
+      in
+      let has name pred = check (name ^ " emitted") true (List.exists pred ops) in
+      has "FLdSubS" (function Ir.FLdSubS _ -> true | _ -> false);
+      has "FLdSub2S" (function Ir.FLdSub2S _ -> true | _ -> false);
+      has "FLdMulS" (function Ir.FLdMulS _ -> true | _ -> false);
+      has "FLdAddS" (function Ir.FLdAddS _ -> true | _ -> false);
+      has "FMulAddS" (function Ir.FMulAddS _ -> true | _ -> false);
+      has "FAddMulS" (function Ir.FAddMulS _ -> true | _ -> false);
+      has "FSubMulS" (function Ir.FSubMulS _ -> true | _ -> false);
+      has "FMulS from FMul + FDem" (function Ir.FMulS _ -> true | _ -> false);
+      has "FDivS from FDiv + FDem" (function Ir.FDivS _ -> true | _ -> false);
+      has "FAddS from FAdd + FDem" (function Ir.FAddS _ -> true | _ -> false);
+      has "FSubS from FSub + FDem" (function Ir.FSubS _ -> true | _ -> false);
+      has "FMath1S from FMath1 + FDem" (function Ir.FMath1S _ -> true | _ -> false);
+      has "FMath2S from FMath2 + FDem" (function Ir.FMath2S _ -> true | _ -> false);
+      check "every FDem elided or folded" false
+        (List.exists
+           (function
+             | Ir.FDem _ | Ir.FMul _ | Ir.FDiv _ | Ir.FAdd _ | Ir.FSub _ | Ir.FMath1 _
+             | Ir.FMath2 _ ->
+               true
+             | _ -> false)
+           ops))
+    [ true; false ];
+  check "special values (unprofiled)" true (agree_planned p);
+  check "special values (flow-profiled)" true (agree_planned ~config:(flow_config ()) p)
+
+(* ---- cost walk reused across re-entries ----
+
+   The guard's cost walk is cached per nest, keyed on the trip vector.
+   [knl] is called from a [while] loop (never planned), so its nest is
+   entered once per call: with the same trip counts every time, and with
+   both bounds read from arguments that change between calls (repeats,
+   a zero-trip inner level, a return to earlier trips).  Profiled, so the
+   per-level loop_stats derived from the cached walk are compared too. *)
+
+let reentry_src calls =
+  Printf.sprintf
+    {|
+void knl(double* a, double* b, int n, int m) {
+  for (int i = 0; i < n; i++) {
+    for (int j = 0; j < m; j++) {
+      if (a[j] > 1.0) { b[i] += a[j] * 0.5; } else { b[i] -= 0.25; }
+    }
+    b[i] = (i < 2) ? b[i] * 0.5 : b[i] + 1.0;
+  }
+}
+int main() {
+  double a[8];
+  double b[8];
+  int ns[7];
+  int ms[7];
+  int k = 0;
+  while (k < 8) { a[k] = (double)k * 0.4; b[k] = 1.0; k = k + 1; }
+%s
+  k = 0;
+  while (k < 7) { knl(a, b, ns[k], ms[k]); k = k + 1; }
+  print_float(b[0] + b[3] + b[7]);
+  return 0;
+}|}
+    (String.concat "\n"
+       (List.mapi
+          (fun i (n, m) -> Printf.sprintf "  ns[%d] = %d; ms[%d] = %d;" i n i m)
+          calls))
+
+let unchanged_trips = List.init 7 (fun _ -> (6, 3))
+
+let test_walk_reuse () =
+  let same = parse (reentry_src unchanged_trips) in
+  check "unchanged trips (unprofiled)" true (agree_planned same);
+  check "unchanged trips (profiled)" true (agree_planned ~config:(flow_config ()) same);
+  let changing =
+    parse (reentry_src [ (6, 3); (6, 3); (6, 0); (4, 0); (8, 5); (8, 5); (6, 3) ])
+  in
+  check "changing trips (unprofiled)" true (agree_planned changing);
+  check "changing trips (profiled)" true (agree_planned ~config:(flow_config ()) changing)
+
+let test_walk_reuse_budget () =
+  (* every budget, with the nest entered seven times on the same trips:
+     the budget check runs on every entry, cached walk or not, and a
+     bailing entry leaves the closures to raise at the walker's statement *)
+  let p = parse (reentry_src unchanged_trips) in
+  let total = (Machine.run ~backend:`Ast p).Machine.counters.Counters.steps in
+  let d0 = Fastloop.domain_planned_steps () in
+  ignore (Machine.run ~backend:`Vm p);
+  let per_entry = (Fastloop.domain_planned_steps () - d0) / 7 in
+  check "the nest runs planned" true (per_entry > 0);
+  let cached_bail = ref false in
+  for max_steps = 1 to total + 2 do
+    let config = { Machine.default_config with max_steps } in
+    check (Printf.sprintf "re-entry budget %d" max_steps) true (agree ~config p);
+    Fastloop.reset_bail_sites ();
+    let d0 = Fastloop.domain_planned_steps () in
+    match Machine.run ~config ~backend:`Vm p with
+    | _ -> ()
+    | exception Machine.Step_limit_exceeded ->
+      (* two entries committed, so the third reused their walk *)
+      if Fastloop.domain_planned_steps () - d0 >= 2 * per_entry
+         && List.exists (fun (_, r) -> r = "budget") (Fastloop.bail_sites ())
+      then cached_bail := true
+  done;
+  check "a budget bail on an entry that reuses the cached walk" true !cached_bail
+
 (* ---- random-program differential property ---- *)
 
 let prop_backends_agree =
@@ -928,6 +1160,19 @@ let prop_backends_agree_flow =
     ~count:150 Test_props.arbitrary_kernel (fun src ->
       agree_planned ~config:(flow_config ()) (parse src))
 
+(* the same, over single-precision kernels: demotion, [f] literals,
+   casts and the single-precision superinstructions on the planned path *)
+let prop_backends_agree_sp_plain =
+  QCheck.Test.make
+    ~name:"backends agree on random single-precision kernels (unprofiled, planned nests)"
+    ~count:150 Test_props.arbitrary_sp_program (fun src -> agree_planned (parse src))
+
+let prop_backends_agree_sp_flow =
+  QCheck.Test.make
+    ~name:"backends agree on random single-precision kernels (flow-profiled, planned nests)"
+    ~count:150 Test_props.arbitrary_sp_kernel (fun src ->
+      agree_planned ~config:(flow_config ()) (parse src))
+
 let suite =
   [
     Alcotest.test_case "suite apps fully profiled" `Quick test_suite_apps;
@@ -946,6 +1191,7 @@ let suite =
     Alcotest.test_case "recursion" `Quick test_recursion;
     Alcotest.test_case "prng stream order" `Quick test_prng_stream;
     Alcotest.test_case "exec stats accumulate" `Quick test_exec_stats_accumulate;
+    Alcotest.test_case "planned steps counted per run" `Quick test_planned_counted_per_run;
     Alcotest.test_case "default backend switch" `Quick test_default_backend_switch;
     Alcotest.test_case "fault report backend-invariant" `Slow
       test_fault_report_backend_invariant;
@@ -957,7 +1203,12 @@ let suite =
     Alcotest.test_case "profiled region re-entry" `Quick test_profiled_reentered_region;
     Alcotest.test_case "profiled budget sweep" `Quick test_profiled_budget_sweep;
     Alcotest.test_case "clamped loop bounds" `Quick test_clamped_bounds;
+    Alcotest.test_case "sp fused ops special values" `Quick test_sp_fused_special_values;
+    Alcotest.test_case "cost walk reuse" `Quick test_walk_reuse;
+    Alcotest.test_case "cost walk reuse budget sweep" `Quick test_walk_reuse_budget;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_plain;
     QCheck_alcotest.to_alcotest prop_backends_agree_flow;
+    QCheck_alcotest.to_alcotest prop_backends_agree_sp_plain;
+    QCheck_alcotest.to_alcotest prop_backends_agree_sp_flow;
   ]

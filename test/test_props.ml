@@ -103,7 +103,8 @@ module Gen = struct
             (expr ~iv:j locals 2) );
       ]
 
-  let body =
+  (* 2 to 6 statements from [stmt], each seeing the locals bound before it *)
+  let body_of stmt =
     let rec build idx locals n acc =
       if n = 0 then return (List.rev acc)
       else
@@ -113,49 +114,141 @@ module Gen = struct
     in
     2 -- 6 >>= fun n -> build 0 [] n []
 
-  let program =
-    map
-      (fun lines ->
-        Printf.sprintf
-          "const int N = 16;\n\
-           int main() {\n\
-           double x[N];\n\
-           double y[N];\n\
-           for (int i = 0; i < N; i++) { x[i] = rand01() + 0.5; y[i] = 0.0; }\n\
-           for (int i = 0; i < N; i++) {\n%s\n}\n\
-           double checksum = 0.0;\n\
-           for (int i = 0; i < N; i++) { checksum += y[i]; }\n\
-           print_float(checksum);\n\
-           return 0; }"
-          (String.concat "\n" lines))
-      body
+  let body = body_of stmt
+
+  (* ---- the single-precision variant ----
+
+     The same shapes over float arrays and locals, with [f] literals,
+     [(float)] casts, [sqrtf]/[fabsf], ternaries, and float targets (locals
+     and [+=] into the float array) assigned double expressions — a
+     [(double)] operand or a double literal makes the whole expression
+     double, demoted on the store — so random programs reach demotion and
+     the single-precision superinstructions. *)
+
+  let sp_leaf ?(iv = "i") locals =
+    oneof
+      ([
+         map (fun n -> Printf.sprintf "%.2ff" (float_of_int n /. 4.0)) (1 -- 40);
+         return (Printf.sprintf "x[%s]" iv);
+         return "y[i]";
+         return (Printf.sprintf "(float)%s" iv);
+       ]
+      @ List.map return locals)
+
+  let rec sp_expr ?iv locals depth =
+    if depth = 0 then sp_leaf ?iv locals
+    else
+      let sub = sp_expr ?iv locals (depth - 1) in
+      frequency
+        [
+          (3, sp_leaf ?iv locals);
+          ( 4,
+            map3
+              (fun op a b -> Printf.sprintf "(%s %s %s)" a op b)
+              (oneofl [ "+"; "-"; "*" ])
+              sub sub );
+          (1, map (fun a -> Printf.sprintf "sqrtf(fabsf(%s) + 1.0f)" a) sub);
+          (1, map2 (fun a b -> Printf.sprintf "(%s / (fabsf(%s) + 1.0f))" a b) sub sub);
+          (1, map (fun a -> Printf.sprintf "(float)(%s * 0.75)" a) sub);
+        ]
+
+  (* double-valued, over single-precision operands *)
+  let dp_expr locals =
+    let e = sp_expr locals 2 in
+    oneof
+      [
+        map2 (fun a b -> Printf.sprintf "((double)%s * 0.5 + %s)" a b) e e;
+        map (fun a -> Printf.sprintf "sqrt(fabs((double)%s) + 1.0)" a) e;
+        map2 (fun a b -> Printf.sprintf "(%s - (double)%s / 3.0)" a b) e e;
+      ]
+
+  let sp_stmt idx locals =
+    let e = sp_expr locals 3 in
+    let d = dp_expr locals in
+    let c =
+      map3
+        (fun op a b -> Printf.sprintf "%s %s %s" a op b)
+        (oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ])
+        (sp_expr locals 2) (sp_expr locals 2)
+    in
+    let j = Printf.sprintf "j%d" idx in
+    let t = Printf.sprintf "t%d" idx in
+    frequency
+      ([
+         (3, map (fun e -> (Printf.sprintf "float %s = %s;" t e, Some t)) e);
+         (2, map (fun e -> (Printf.sprintf "float %s = %s;" t e, Some t)) d);
+         (3, map (fun e -> (Printf.sprintf "y[i] = %s;" e, None)) e);
+         (3, map (fun e -> (Printf.sprintf "y[i] += %s;" e, None)) e);
+         (1, map (fun e -> (Printf.sprintf "y[i] += %s;" e, None)) d);
+         ( 2,
+           map3
+             (fun c a b -> (Printf.sprintf "float %s = (%s) ? %s : %s;" t c a b, Some t))
+             c e e );
+         ( 2,
+           map3
+             (fun c a b ->
+               (Printf.sprintf "if (%s) { y[i] += %s; } else { y[i] -= %s; }" c a b, None))
+             c e e );
+         ( 2,
+           map2
+             (fun inner lim ->
+               ( Printf.sprintf "for (int %s = 0; %s < %d; %s++) { y[i] += %s; }" j j
+                   lim j inner,
+                 None ))
+             (sp_expr ~iv:j locals 2) (2 -- 8) );
+       ]
+      @
+      if locals = [] then []
+      else
+        [
+          ( 2,
+            map2
+              (fun v e -> (Printf.sprintf "%s = %s;" v e, None))
+              (oneofl locals) d );
+        ])
+
+  let sp_body = body_of sp_stmt
+
+  (* the whole program around [lines], the compute loop's body, over
+     [elt] arrays initialised by [init]: the loop sits in [main], or with
+     [~kernel] in a function [knl] that main calls twice, the shape
+     hotspot extraction gives flows *)
+  let shape ?(kernel = false) ~elt ~init lines =
+    let loop =
+      Printf.sprintf "for (int i = 0; i < N; i++) {\n%s\n}\n" (String.concat "\n" lines)
+    in
+    Printf.sprintf
+      "const int N = 16;\n\
+       %sint main() {\n\
+       %s x[N];\n\
+       %s y[N];\n\
+       for (int i = 0; i < N; i++) { %s }\n\
+       %sdouble checksum = 0.0;\n\
+       for (int i = 0; i < N; i++) { checksum += y[i]; }\n\
+       print_float(checksum);\n\
+       return 0; }"
+      (if kernel then Printf.sprintf "void knl(%s* x, %s* y) {\n%s}\n" elt elt loop else "")
+      elt elt init
+      (if kernel then "knl(x, y);\nknl(x, y);\n" else loop)
+
+  let dp_shape = shape ~elt:"double" ~init:"x[i] = rand01() + 0.5; y[i] = 0.0;"
+
+  let sp_shape = shape ~elt:"float" ~init:"x[i] = (float)(rand01() + 0.5); y[i] = 0.0f;"
+
+  let program = map dp_shape body
 end
 
 let arbitrary_program = QCheck.make Gen.program ~print:Fun.id
 
-(* the same kernels with the compute loop in a function [knl] that main
-   calls twice, the shape hotspot extraction gives flows *)
 let arbitrary_kernel =
-  QCheck.make ~print:Fun.id
-    (QCheck.Gen.map
-       (fun lines ->
-         Printf.sprintf
-           "const int N = 16;\n\
-            void knl(double* x, double* y) {\n\
-            for (int i = 0; i < N; i++) {\n%s\n}\n\
-            }\n\
-            int main() {\n\
-            double x[N];\n\
-            double y[N];\n\
-            for (int i = 0; i < N; i++) { x[i] = rand01() + 0.5; y[i] = 0.0; }\n\
-            knl(x, y);\n\
-            knl(x, y);\n\
-            double checksum = 0.0;\n\
-            for (int i = 0; i < N; i++) { checksum += y[i]; }\n\
-            print_float(checksum);\n\
-            return 0; }"
-           (String.concat "\n" lines))
-       Gen.body)
+  QCheck.make ~print:Fun.id (QCheck.Gen.map (Gen.dp_shape ~kernel:true) Gen.body)
+
+(* single-precision kernels, in both shapes *)
+let arbitrary_sp_program =
+  QCheck.make ~print:Fun.id (QCheck.Gen.map Gen.sp_shape Gen.sp_body)
+
+let arbitrary_sp_kernel =
+  QCheck.make ~print:Fun.id (QCheck.Gen.map (Gen.sp_shape ~kernel:true) Gen.sp_body)
 
 let parse = Parser.parse_program
 
