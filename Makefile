@@ -25,14 +25,14 @@ bench-compare: bench-quick
 	dune exec bench/compare.exe -- bench.json BENCH_seed.json
 
 # cache-effectiveness gate: a cold quick bench populates a fresh cache,
-# then a warm rerun must cut the combined runs+micro+ablation time >= 2x
-# and actually serve entries from the disk tier.  Only the gated
-# sections run: interpreter throughput is cache-independent and would
-# just pay the evaluation workloads twice.
+# then a warm rerun must cut the combined runs+ablation time >= 2x and
+# actually serve entries from the disk tier.  Only the gated sections
+# run: interpreter throughput and the micro section (bound by Bechamel's
+# time quota) are cache-independent.
 bench-warm-cold:
 	rm -rf .psa-cache bench-cold.json bench-warm.json
-	dune exec bench/main.exe -- runs micro ablation --quick --json bench-cold.json
-	dune exec bench/main.exe -- runs micro ablation --quick --json bench-warm.json
+	dune exec bench/main.exe -- runs ablation --quick --json bench-cold.json
+	dune exec bench/main.exe -- runs ablation --quick --json bench-warm.json
 	dune exec bench/compare.exe -- --warm-cold bench-cold.json bench-warm.json
 
 # scheduler-effectiveness gate: the same quick bench at --jobs 1 and

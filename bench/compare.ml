@@ -7,8 +7,8 @@
 
    The second form checks the evaluation cache's effectiveness: WARM must
    have been produced by rerunning the same bench against the cache
-   directory COLD populated.  It requires the combined runs+micro+ablation
-   wall time to drop at least 2x and the warm run to have actually served
+   directory COLD populated.  It requires the combined runs+ablation wall
+   time to drop at least 2x and the warm run to have actually served
    entries from the disk tier.
 
    The third form checks the work-stealing scheduler's effectiveness:
@@ -204,9 +204,10 @@ let coverage_floors =
    the small slack only absorbs workload-mix changes between revisions *)
 let coverage_slack = 0.02
 
-(* flow-level coverage floor: 0.9448 measured (at any --jobs) when profiled
-   runs moved onto the VM, minus [coverage_slack] *)
-let flow_coverage_floor = 0.924
+(* flow-level coverage floor: 0.9705 measured (at --jobs 1, 2 and 4) once
+   HIP launch loops inlined their per-thread body calls, minus
+   [coverage_slack] *)
+let flow_coverage_floor = 0.9505
 
 let failures = ref 0
 
@@ -253,7 +254,9 @@ let print_meta () =
 
 (* ---- warm/cold cache-effectiveness gate ---- *)
 
-let warm_cold_sections = [ "runs"; "micro"; "ablation" ]
+(* the sections whose work the cache replays: [micro] runs for as long as
+   Bechamel's quota, cached or not *)
+let warm_cold_sections = [ "runs"; "ablation" ]
 
 let warm_cold_speedup = 2.0
 

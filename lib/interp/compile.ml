@@ -889,13 +889,18 @@ and compile_stmt_inner ctx (venv : venv) (s : stmt) : citem * venv =
     in
     (* If the lowering planned this loop, bind the plan to this function's
        frame layout once; at runtime the guard either executes the whole
-       loop on the fast path or falls through to [run_for] untouched. *)
+       loop on the fast path or falls through to [run_for] untouched.  The
+       names an inlined callee reads are globals, whatever this function
+       binds. *)
     let fast =
       match Hashtbl.find_opt ctx.c_plan s.sid with
       | None -> None
       | Some fl ->
-        let lookup name =
-          match lookup_var ctx venv' name with
+        let lookup ~global name =
+          match
+            if global then Hashtbl.find_opt ctx.c_globals name
+            else lookup_var ctx venv' name
+          with
           | Some (Bslot (i, t)) -> Some (Fastloop.Slot i, t)
           | Some (Bglobal (c, t)) -> Some (Fastloop.Global c, t)
           | None -> None

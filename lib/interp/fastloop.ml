@@ -105,6 +105,7 @@ type prepared = {
   fpw : Bytes.t array array;
   fpr : Bytes.t array array;
   f32 : f32;  (* scratch cell for single-precision demotion *)
+  called : bool array;  (* per inlined call site: ran this entry (alias tracing) *)
   (* the nest compiled to closures, per footprint-marking mode (off, on) *)
   code : (unit -> unit) option array;
 }
@@ -169,9 +170,15 @@ let cmul x y =
     x * y
   end
 
+(* length of a cost vector: steps and the 15 counter fields *)
+let nvec = 16
+
 let no_f : float array = [||]
 let no_i : int array = [||]
-let no_fp : Bytes.t array = [||]
+(* "not resolved yet": a unique array, since a resolution may be empty
+   (every active frame treats the array as scratch) and empty arrays are
+   all physically equal *)
+let no_fp : Bytes.t array = [| Bytes.empty |]
 
 (* every site in the subtree of block [b], nested levels included: the
    taken counters a level's total draws on (all of them for the root) *)
@@ -186,14 +193,16 @@ let rec block_sites (fl : Ir.fast_loop) (b : Ir.block) acc =
       | Ir.Bloop lid -> block_sites fl fl.Ir.fl_levels.(lid).Ir.l_body acc)
     acc b.Ir.b_items
 
+(* [lookup ~global name]: where [name] lives — in the frame of the function
+   holding the nest, or (when [global]) among the globals only *)
 let prepare (fl : Ir.fast_loop) ~(index_slot : int)
-    ~(lookup : string -> (source * Ast.ty) option) : prepared option =
+    ~(lookup : global:bool -> string -> (source * Ast.ty) option) : prepared option =
   let ok = ref true in
   let dummy = Slot 0 in
   let var_srcs =
     Array.map
       (fun (v : Ir.var) ->
-        match lookup v.Ir.v_name with
+        match lookup ~global:v.Ir.v_global v.Ir.v_name with
         | Some (src, ty) ->
           let want =
             match v.Ir.v_kind with
@@ -209,7 +218,7 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
   let arr_srcs =
     Array.map
       (fun (a : Ir.arr) ->
-        match lookup a.Ir.a_name with
+        match lookup ~global:a.Ir.a_global a.Ir.a_name with
         | Some (src, Ast.Tptr ety) when ety = Ir.ty_of_ety a.Ir.a_ety -> src
         | _ -> (ok := false; dummy))
       fl.Ir.fl_arrs
@@ -250,12 +259,12 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         lstep = Array.make nl 1;
         tk = Array.make ns 0;
         cntmax = Array.make ns 0;
-        dsite = Array.init ns (fun _ -> Array.make 15 0);
+        dsite = Array.init ns (fun _ -> Array.make nvec 0);
         wvalid = false;
         wtrip = Array.make nl 0;
         wbase = no_i;
         wmax = 0;
-        tot = Array.make 15 0;
+        tot = Array.make nvec 0;
         avalid = false;
         abase = Array.make na (-1);
         aoff = Array.make na 0;
@@ -286,6 +295,7 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         fpw = Array.make na no_fp;
         fpr = Array.make na no_fp;
         f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
+        called = Array.make (Array.length fl.Ir.fl_calls) false;
         code = [| None; None |];
       }
   end
@@ -326,10 +336,10 @@ let m2 (m : Ir.m2) (x : float) (y : float) : float =
 
 (* ---- static cost vectors ----
 
-   15-element vectors: index 0 is steps, 1..14 the hardware-counter fields
-   in a fixed order (see [apply_totals]).  All cost-walk arithmetic is
-   checked against [ccap] so the combination with runtime taken counters
-   below is provably exact. *)
+   [nvec]-element vectors: index 0 is steps, 1..15 the counter fields in a
+   fixed order (see [apply_totals]).  All cost-walk arithmetic is checked
+   against [ccap] so the combination with runtime taken counters below is
+   provably exact. *)
 
 let vec_of_block (b : Ir.block) =
   let c = b.Ir.b_cnt in
@@ -349,10 +359,11 @@ let vec_of_block (b : Ir.block) =
     c.Ir.k_bytes_loaded;
     c.Ir.k_bytes_stored;
     c.Ir.k_branches;
+    c.Ir.k_calls;
   |]
 
 let ivec ~ints ~brs =
-  let v = Array.make 15 0 in
+  let v = Array.make nvec 0 in
   v.(1) <- ints;
   v.(14) <- brs;
   v
@@ -418,7 +429,8 @@ let apply_totals (t : Counters.t) (tot : int array) =
   t.Counters.stores <- t.Counters.stores + tot.(11);
   t.Counters.bytes_loaded <- t.Counters.bytes_loaded + tot.(12);
   t.Counters.bytes_stored <- t.Counters.bytes_stored + tot.(13);
-  t.Counters.branches <- t.Counters.branches + tot.(14)
+  t.Counters.branches <- t.Counters.branches + tot.(14);
+  t.Counters.calls <- t.Counters.calls + tot.(15)
 
 (* The exact total over one stretch of the nest: a baseline plus, for
    every site in [sites], its taken count times its delta.  [bound_total]
@@ -426,7 +438,7 @@ let apply_totals (t : Counters.t) (tot : int array) =
    the sites' maximum counts, in absolute value, all checked — so the
    unchecked arithmetic of [add_taken] after commit cannot wrap. *)
 let bound_total p (base : int array) (sites : int array) =
-  for i = 0 to 14 do
+  for i = 0 to nvec - 1 do
     let acc = ref (abs base.(i)) in
     Array.iter
       (fun s -> acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i))))
@@ -439,7 +451,7 @@ let add_taken p (tot : int array) (sites : int array) =
       let tks = p.tk.(s) in
       if tks > 0 then begin
         let d = p.dsite.(s) in
-        for i = 0 to 14 do
+        for i = 0 to nvec - 1 do
           tot.(i) <- tot.(i) + (tks * d.(i))
         done
       end)
@@ -452,14 +464,20 @@ let oob p (a : int) (idx : int) (loc : Loc.t) =
 (* ---- region footprints ----
 
    The walker marks every access into each active frame's bitsets for the
-   accessed base ([Interp_rt.mark_read]/[mark_write]).  Here the bitsets
-   are resolved once per array per nest entry, at its first access, so
-   frames gain footprint entries in the walker's first-touch order and
-   arrays the entry never touches get none.  Marking only happens with a
-   region active, so a resolved array is never the empty [no_fp]. *)
+   accessed base ([Interp_rt.mark_read]/[mark_write]), except in frames
+   for which the base is scratch.  Here the bitsets are resolved once per
+   array per nest entry, at its first access, so frames gain footprint
+   entries in the walker's first-touch order and arrays the entry never
+   touches get none.  The frames stay the same for the whole nest, so
+   which of them treat an array as scratch does too. *)
 
 let resolve_fp p st a =
-  let fps = List.map (fun fr -> get_footprint st fr p.abase.(a)) st.active_regions in
+  let base = p.abase.(a) in
+  let fps =
+    List.filter_map
+      (fun fr -> if is_scratch fr base then None else Some (get_footprint st fr base))
+      st.active_regions
+  in
   p.fpw.(a) <- Array.of_list (List.map (fun fp -> fp.fp_written) fps);
   p.fpr.(a) <- Array.of_list (List.map (fun fp -> fp.fp_read_first) fps)
 
@@ -851,6 +869,12 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
   | Ir.FSubMulS (d, c, a, b) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
     fun () -> f.%(d) <- demote s32 (f.%(c) -. demote s32 (f.%(a) *. f.%(b))); k ()
+  | Ir.Called j ->
+    let j = valid (Array.length p.called) j in
+    if st.cfg.trace_aliases then
+      let called = p.called in
+      fun () -> called.%(j) <- true; k ()
+    else k
 
 let ops_code p st ~mk (ops : Ir.fop array) (k : code) : code =
   Array.fold_right (op_code p st ~mk) ops k
@@ -957,7 +981,7 @@ let account_levels p st =
       a.la_entries <- a.la_entries + e;
       a.la_iterations <- a.la_iterations + (e * p.trip.(l));
       let tot = p.tot and v = p.lvec.(l) in
-      for i = 0 to 14 do
+      for i = 0 to nvec - 1 do
         tot.(i) <- e * v.(i)
       done;
       add_taken p tot p.lsites.(l);
@@ -1197,12 +1221,14 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
     Array.fill p.fpw 0 (Array.length p.fpw) no_fp;
     Array.fill p.fpr 0 (Array.length p.fpr) no_fp
   end;
+  let tracing = st.cfg.trace_aliases in
+  if tracing then Array.fill p.called 0 (Array.length p.called) false;
   code ();
   (* exact totals: baseline plus taken deltas; the overflow
      pre-verification above guarantees none of this unchecked arithmetic
      can wrap, and the budget pre-check that consume_steps cannot raise *)
   let tot = p.tot in
-  Array.blit p.wbase 0 tot 0 15;
+  Array.blit p.wbase 0 tot 0 nvec;
   add_taken p tot p.lsites.(0);
   if tot.(0) > 0 then consume_steps st tot.(0);
   apply_totals st.counters tot;
@@ -1210,6 +1236,18 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   dp := !dp + tot.(0);
   acc.la_iterations <- acc.la_iterations + p.trip.(0);
   if prof then account_levels p st;
+  (* alias tracing: the walker notes every call of an inlined callee; its
+     pointer arguments are arrays of the nest, whose bases are fixed for
+     the entry, so one note per call site that ran gives the same verdict.
+     Sites are noted in program order, which is the callees' first-call
+     order (the lowering makes sure of it when there are two or more) *)
+  if tracing then
+    Array.iteri
+      (fun j (k : Ir.call) ->
+        if p.called.(j) then
+          note_alias_bases st k.Ir.k_func
+            (Array.fold_right (fun a acc -> p.abase.(a) :: acc) k.Ir.k_ptrs []))
+      fl.Ir.fl_calls;
   (* write back mutated scalars with the representation [Set] maintains *)
   for k = 0 to Array.length vars - 1 do
     let v = vars.(k) in

@@ -90,7 +90,8 @@ type region_frame = {
   rf_footprints : (int, footprint) Hashtbl.t;
   rf_alloc_watermark : int;
       (* arrays allocated after the region began are region-local scratch
-         (tiles, privatised buffers): they are not transferred data *)
+         (tiles, privatised buffers): they are not transferred data, so the
+         frame keeps no footprint for them *)
 }
 
 type region_acc = {
@@ -171,7 +172,11 @@ let count_flop st prec cls =
 
 let count_int_op st = st.counters.int_ops <- st.counters.int_ops + 1
 
-(* footprint marking on the active region frames *)
+(* footprint marking on the active region frames; a base is scratch for a
+   frame that began before it was allocated ([is_scratch]), and such a
+   frame neither marks nor counts it *)
+
+let is_scratch frame base = base >= frame.rf_alloc_watermark
 
 let get_footprint st frame base =
   match Hashtbl.find_opt frame.rf_footprints base with
@@ -185,15 +190,17 @@ let get_footprint st frame base =
 let mark_read st base idx =
   List.iter
     (fun frame ->
-      let fp = get_footprint st frame base in
-      if Bytes.get fp.fp_written idx = '\000' then Bytes.set fp.fp_read_first idx '\001')
+      if not (is_scratch frame base) then begin
+        let fp = get_footprint st frame base in
+        if Bytes.get fp.fp_written idx = '\000' then Bytes.set fp.fp_read_first idx '\001'
+      end)
     st.active_regions
 
 let mark_write st base idx =
   List.iter
     (fun frame ->
-      let fp = get_footprint st frame base in
-      Bytes.set fp.fp_written idx '\001')
+      if not (is_scratch frame base) then
+        Bytes.set (get_footprint st frame base).fp_written idx '\001')
     st.active_regions
 
 let count_load st base idx =
@@ -244,18 +251,16 @@ let pop_region st =
     Counters.add_into acc.ra_counters (Counters.diff st.counters frame.rf_snapshot);
     Hashtbl.iter
       (fun base fp ->
-        if base < frame.rf_alloc_watermark then begin
-          let rd, wr =
-            match Hashtbl.find_opt acc.ra_traffic base with
-            | Some pair -> pair
-            | None ->
-              let pair = (ref 0, ref 0) in
-              Hashtbl.replace acc.ra_traffic base pair;
-              pair
-          in
-          rd := !rd + popcount fp.fp_read_first;
-          wr := !wr + popcount fp.fp_written
-        end)
+        let rd, wr =
+          match Hashtbl.find_opt acc.ra_traffic base with
+          | Some pair -> pair
+          | None ->
+            let pair = (ref 0, ref 0) in
+            Hashtbl.replace acc.ra_traffic base pair;
+            pair
+        in
+        rd := !rd + popcount fp.fp_read_first;
+        wr := !wr + popcount fp.fp_written)
       frame.rf_footprints
 
 (* ---- loop accumulators ---- *)

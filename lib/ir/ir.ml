@@ -1,14 +1,20 @@
-let version = 4
+let version = 5
 
 type prec = Psingle | Pdouble
 
 type var_kind = Kint | Kbool | Kfloat of prec
 
-type var = { v_name : string; v_kind : var_kind; v_reg : int; v_written : bool }
+type var = {
+  v_name : string;
+  v_global : bool;
+  v_kind : var_kind;
+  v_reg : int;
+  v_written : bool;
+}
 
 type ety = Efloat32 | Efloat64 | Eint | Ebool
 
-type arr = { a_name : string; a_ety : ety; a_stored : bool }
+type arr = { a_name : string; a_global : bool; a_ety : ety; a_stored : bool }
 
 type iexpr =
   | Iconst of int
@@ -88,6 +94,7 @@ type fop =
   | FMulAddS of int * int * int * int
   | FAddMulS of int * int * int * int
   | FSubMulS of int * int * int * int
+  | Called of int
 
 and m1 =
   | Msqrt
@@ -120,6 +127,7 @@ type counts = {
   mutable k_bytes_loaded : int;
   mutable k_bytes_stored : int;
   mutable k_branches : int;
+  mutable k_calls : int;
 }
 
 let zero_counts () =
@@ -138,6 +146,7 @@ let zero_counts () =
     k_bytes_loaded = 0;
     k_bytes_stored = 0;
     k_branches = 0;
+    k_calls = 0;
   }
 
 type block = { b_items : bitem array; b_steps : int; b_cnt : counts }
@@ -159,6 +168,8 @@ type level = {
   l_body : block;
 }
 
+type call = { k_func : string; k_ptrs : int array }
+
 type fast_loop = {
   fl_sid : int;
   fl_loc : Loc.t;
@@ -167,6 +178,7 @@ type fast_loop = {
   fl_vars : var array;
   fl_arrs : arr array;
   fl_cursors : cursor array;
+  fl_calls : call array;
   fl_prologue : fop array;
   fl_epilogue : fop array;
   fl_nf : int;

@@ -21,7 +21,8 @@ val version : int
 (** Version of the IR semantics and instruction encoding.  Folded into
     interpreter memoization keys alongside the backend tag so cached
     results produced by an older lowering are never replayed.  4 since
-    the single-precision superinstructions. *)
+    the single-precision superinstructions, 5 since planned nests inline
+    statement calls to leaf user functions. *)
 
 (** {1 Scalar bindings} *)
 
@@ -36,6 +37,10 @@ type var_kind = Kint | Kbool | Kfloat of prec
 
 type var = {
   v_name : string;  (** source name, resolved against the enclosing scope *)
+  v_global : bool;
+      (** read by an inlined callee, whose only free names are globals: the
+          name resolves to the global even where the function holding the
+          nest binds a local or parameter of the same name *)
   v_kind : var_kind;
   v_reg : int;  (** register (int or float file, per [v_kind]) *)
   v_written : bool;  (** written in the body: written back on loop exit *)
@@ -49,6 +54,7 @@ type ety = Efloat32 | Efloat64 | Eint | Ebool
 
 type arr = {
   a_name : string;
+  a_global : bool;  (** resolves to the global, as [v_global] does for variables *)
   a_ety : ety;
   a_stored : bool;  (** some access site stores through this array *)
 }
@@ -178,6 +184,10 @@ type fop =
       (** [(d, c, a, b)]: d <- dem (c +. dem (a *. b)) *)
   | FSubMulS of int * int * int * int
       (** [(d, c, a, b)]: d <- dem (c -. dem (a *. b)) *)
+  (* inlined calls *)
+  | Called of int
+      (** inlined call site [k] (index into [fl_calls]) ran; only alias
+          tracing observes it, and it does nothing otherwise *)
 
 and m1 =
   | Msqrt
@@ -218,6 +228,9 @@ type counts = {
   mutable k_bytes_loaded : int;
   mutable k_bytes_stored : int;
   mutable k_branches : int;
+  mutable k_calls : int;
+      (** calls of user functions: one per inlined call, counted after its
+          arguments like the walker's [calls] *)
 }
 
 val zero_counts : unit -> counts
@@ -261,6 +274,11 @@ type level = {
   l_body : block;
 }
 
+(** One call inlined into a nest: the callee, and the arrays (indices
+    into [fl_arrs]) its pointer arguments bind to, in argument order — the
+    bases alias tracing records for the call. *)
+type call = { k_func : string; k_ptrs : int array }
+
 (** One canonical loop nest lowered to the flat IR.  The root level's
     body executes once per outer iteration; [fl_prologue] (hoisted
     constants and nest-invariant loads) once per entry after the guard
@@ -277,6 +295,7 @@ type fast_loop = {
   fl_vars : var array;
   fl_arrs : arr array;
   fl_cursors : cursor array;
+  fl_calls : call array;  (** inlined call sites, in program order *)
   fl_prologue : fop array;
   fl_epilogue : fop array;
   fl_nf : int;  (** float register file size *)

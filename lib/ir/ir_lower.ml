@@ -14,7 +14,12 @@
    statements, ternaries and short-circuit operators, whose arms are
    sub-blocks selected by a 0/1 condition register).  Step and counter
    accounting stays exact because each block carries its own static cost
-   and the executor counts taken then-arms per site. *)
+   and the executor counts taken then-arms per site.
+
+   A statement call of a leaf user function is inlined: its arguments are
+   lowered in the caller's scope, then its body in a scope of its own (its
+   parameters, its locals and the globals), so the launch loop of a HIP
+   design — one body call per thread — plans as a single nest. *)
 
 open Ast
 
@@ -86,27 +91,44 @@ let cscale k coefs =
 
 type mvar = {
   mv_name : string;
+  mv_global : bool;
   mv_kind : Ir.var_kind;
   mv_reg : int;
   mutable mv_written : bool;
 }
 
-type marr = { ma_name : string; ma_ety : Ir.ety; mutable ma_stored : bool }
+type marr = {
+  ma_name : string;
+  ma_global : bool;
+  ma_ety : Ir.ety;
+  mutable ma_stored : bool;
+}
 
 (* result of lowering an expression: register plus static kind, mirroring
    compile.ml's cexp kinds (booleans ride in int registers as 0/1) *)
 type lres = Ri of int * bool | Rf of int * Ir.prec
 
 (* what a name in the body's scope currently resolves to *)
-type sym = Sindex of int  (** loop index of level [l] *) | Slocal of lres
+type sym =
+  | Sindex of int  (** loop index of level [l] *)
+  | Slocal of lres
+  | Sarr of int * marr  (** an inlined callee's pointer parameter *)
 
+(* The scope fields ([env], [all_locals], [sym], [in_callee]) describe the
+   code being lowered: the nest's own body, or the body of a callee inlined
+   into it.  In a callee, every name its parameters and locals do not bind
+   is a global. *)
 type lctx = {
-  env : Typecheck.env;  (* scope enclosing the nest (without the indexes) *)
-  assigned : (string, unit) Hashtbl.t;  (* scalars assigned anywhere in nest *)
-  all_locals : (string, unit) Hashtbl.t;  (* names declared anywhere in nest *)
-  user_funcs : (string, unit) Hashtbl.t;
+  mutable env : Typecheck.env;  (* scope enclosing the nest (without the indexes) *)
+  assigned : (string, unit) Hashtbl.t;
+      (* scalars assigned anywhere in the nest, inlined callees included *)
+  mutable all_locals : (string, unit) Hashtbl.t;  (* names declared anywhere in scope *)
+  mutable sym : (string, sym) Hashtbl.t;  (* scoped: add shadows, remove unshadows *)
+  mutable in_callee : bool;
+  genv : Typecheck.env;  (* globals only: a callee's enclosing scope *)
+  user_funcs : (string, func) Hashtbl.t;
+  region_funcs : (string, unit) Hashtbl.t;  (* [Rfunc] regions of the run *)
   region_set : (int, unit) Hashtbl.t;
-  sym : (string, sym) Hashtbl.t;  (* scoped: add shadows, remove unshadows *)
   mutable nf : int;
   mutable ni : int;
   mutable pro : Ir.fop list;  (* reversed *)
@@ -121,10 +143,10 @@ type lctx = {
   lidx : (int, int) Hashtbl.t;  (* level id -> lazily allocated index reg *)
   mutable sites : Ir.site list;  (* reversed; id = index from front *)
   mutable nsites : int;
-  vtbl : (string, int * mvar) Hashtbl.t;
+  vtbl : (bool * string, int * mvar) Hashtbl.t;  (* keyed (global, name) *)
   mutable vars : mvar list;  (* reversed; id = index from front *)
   mutable nvars : int;
-  atbl : (string, int * marr) Hashtbl.t;
+  atbl : (bool * string, int * marr) Hashtbl.t;
   mutable arrs : marr list;  (* reversed *)
   mutable narrs : int;
   mutable cursors : (int * (int * Ir.iexpr) list * Ir.iexpr) list;
@@ -132,6 +154,14 @@ type lctx = {
   mutable ncursors : int;
   fconsts : (int64, int) Hashtbl.t;
   iconsts : (int, int) Hashtbl.t;
+  (* inlined call sites (reversed), the distinct callees in first-call
+     order, and the nesting depth of levels and [if] arms around the code
+     being lowered: a call at depth 0 runs on every root iteration *)
+  mutable calls : Ir.call list;
+  mutable ncalls : int;
+  mutable callees : string list;
+  mutable depth : int;
+  mutable cond_call : bool;
 }
 
 let allocf c =
@@ -195,6 +225,14 @@ let with_block c f =
   f ();
   close_block c ob
 
+(* lower [f], code that runs conditionally or repeatedly: an [if] arm or
+   an inner level's body *)
+let nested c f =
+  c.depth <- c.depth + 1;
+  let r = f () in
+  c.depth <- c.depth - 1;
+  r
+
 let add_site c cond bt be =
   flush_ops c;
   let id = c.nsites in
@@ -229,31 +267,42 @@ let level_index_reg c l =
     Hashtbl.add c.lidx l r;
     r
 
+(* external names, resolved in the current scope: a callee's are globals *)
 let getvar c name (kind : Ir.var_kind) =
-  match Hashtbl.find_opt c.vtbl name with
+  let key = (c.in_callee, name) in
+  match Hashtbl.find_opt c.vtbl key with
   | Some (id, mv) ->
     if mv.mv_kind <> kind then reject "variable kind mismatch";
     (id, mv)
   | None ->
     let reg = match kind with Ir.Kfloat _ -> allocf c | _ -> alloci c in
-    let mv = { mv_name = name; mv_kind = kind; mv_reg = reg; mv_written = false } in
+    let mv =
+      {
+        mv_name = name;
+        mv_global = c.in_callee;
+        mv_kind = kind;
+        mv_reg = reg;
+        mv_written = false;
+      }
+    in
     let id = c.nvars in
     c.nvars <- id + 1;
     c.vars <- mv :: c.vars;
-    Hashtbl.add c.vtbl name (id, mv);
+    Hashtbl.add c.vtbl key (id, mv);
     (id, mv)
 
 let getarr c name (ety : Ir.ety) =
-  match Hashtbl.find_opt c.atbl name with
+  let key = (c.in_callee, name) in
+  match Hashtbl.find_opt c.atbl key with
   | Some (id, ma) ->
     if ma.ma_ety <> ety then reject "array element-type mismatch";
     (id, ma)
   | None ->
-    let ma = { ma_name = name; ma_ety = ety; ma_stored = false } in
+    let ma = { ma_name = name; ma_global = c.in_callee; ma_ety = ety; ma_stored = false } in
     let id = c.narrs in
     c.narrs <- id + 1;
     c.arrs <- ma :: c.arrs;
-    Hashtbl.add c.atbl name (id, ma);
+    Hashtbl.add c.atbl key (id, ma);
     (id, ma)
 
 let getcursor c aid (coefs : (int * Ir.iexpr) list) base =
@@ -311,7 +360,7 @@ let rec affine c (e : expr) : ((int * Ir.iexpr) list * Ir.iexpr * int) option =
   | Var v ->
     (match Hashtbl.find_opt c.sym v with
      | Some (Sindex l) -> Some ([ (l, Ir.Iconst 1) ], Ir.Iconst 0, 0)
-     | Some (Slocal _) -> None
+     | Some (Slocal _ | Sarr _) -> None
      | None ->
        if Hashtbl.mem c.all_locals v then None
        else (
@@ -528,6 +577,7 @@ and lvar c v : lres =
   match Hashtbl.find_opt c.sym v with
   | Some (Slocal r) -> r
   | Some (Sindex l) -> Ri (level_index_reg c l, false)
+  | Some (Sarr _) -> reject "unsupported variable type"
   | None ->
     if Hashtbl.mem c.all_locals v then reject "use before declaration";
     (match Typecheck.lookup_var c.env v with
@@ -585,7 +635,7 @@ and lbinary c e op a b : lres =
      | _ -> reject "unsupported operator")
 
 and lcall c name args : lres =
-  if Hashtbl.mem c.user_funcs name then reject "user function call";
+  if Hashtbl.mem c.user_funcs name then reject "user function call in an expression";
   (* intrinsics, pre-resolved; specialisation matches compile.ml's exact
      arities — anything else is the generic Kval fallback there, so reject *)
   let f1 m single cls a =
@@ -665,17 +715,21 @@ and lcall c name args : lres =
 
 and larr c (base : expr) : int * marr =
   (* array operand: must be a plain variable of scalar-pointer type bound
-     outside the nest, so the guard can resolve it once per entry *)
+     outside the nest, so the guard can resolve it once per entry — or an
+     inlined callee's pointer parameter, bound to such a variable *)
   match base.edesc with
   | Var v ->
-    if Hashtbl.mem c.sym v || Hashtbl.mem c.all_locals v then
-      reject "array shadowed by a body binding";
-    (match Typecheck.lookup_var c.env v with
-     | Some (Tptr sc) ->
-       (match Ir.ety_of_ty sc with
-        | Some ety -> getarr c v ety
-        | None -> reject "unsupported element type")
-     | _ -> reject "array operand is not a plain outer variable")
+    (match Hashtbl.find_opt c.sym v with
+     | Some (Sarr (id, ma)) -> (id, ma)
+     | Some (Sindex _ | Slocal _) -> reject "array shadowed by a body binding"
+     | None ->
+       if Hashtbl.mem c.all_locals v then reject "array shadowed by a body binding";
+       (match Typecheck.lookup_var c.env v with
+        | Some (Tptr sc) ->
+          (match Ir.ety_of_ty sc with
+           | Some ety -> getarr c v ety
+           | None -> reject "unsupported element type")
+        | _ -> reject "array operand is not a plain outer variable"))
   | _ -> reject "array operand is not a plain outer variable"
 
 and lindex c (e : expr) base idx : lres =
@@ -755,6 +809,33 @@ let binop_of_assign = function
   | DivEq -> Div
   | Set -> assert false
 
+(* a fresh register holding [la] converted to scalar type [ty], as
+   [Value.coerce] converts (compile.ml's coerced_value arms: as_int /
+   as_truth / demote to Sp / raw Dp); no counters *)
+let coerced c (ty : ty) (la : lres) : lres =
+  match ty with
+  | Tint ->
+    let x = as_int c la in
+    let r = alloci c in
+    emit c (Ir.IMov (r, x));
+    Ri (r, false)
+  | Tbool ->
+    let x = as_truth c la in
+    let r = alloci c in
+    emit c (Ir.IMov (r, x));
+    Ri (r, true)
+  | Tfloat ->
+    let x = as_float c la in
+    let r = allocf c in
+    emit c (Ir.FDem (r, x));
+    Rf (r, Ir.Psingle)
+  | Tdouble ->
+    let x = as_float c la in
+    let r = allocf c in
+    emit c (Ir.FMov (r, x));
+    Rf (r, Ir.Pdouble)
+  | Tptr _ | Tvoid -> reject "unsupported scalar type"
+
 let ldecl c ~added (d : decl) =
   if d.darray <> None then reject "array declaration in body";
   (match d.dty with
@@ -766,32 +847,7 @@ let ldecl c ~added (d : decl) =
   in
   (* the initialiser is lowered before the name is bound, as in the
      closure backend's venv threading *)
-  let la = lexpr c e0 in
-  let res =
-    (* coerced_value arms: as_int / as_truth / demote to Sp / raw Dp *)
-    match d.dty with
-    | Tint ->
-      let x = as_int c la in
-      let r = alloci c in
-      emit c (Ir.IMov (r, x));
-      Ri (r, false)
-    | Tbool ->
-      let x = as_truth c la in
-      let r = alloci c in
-      emit c (Ir.IMov (r, x));
-      Ri (r, true)
-    | Tfloat ->
-      let x = as_float c la in
-      let r = allocf c in
-      emit c (Ir.FDem (r, x));
-      Rf (r, Ir.Psingle)
-    | Tdouble ->
-      let x = as_float c la in
-      let r = allocf c in
-      emit c (Ir.FMov (r, x));
-      Rf (r, Ir.Pdouble)
-    | _ -> assert false
-  in
+  let res = coerced c d.dty (lexpr c e0) in
   Hashtbl.add c.sym d.dname (Slocal res);
   added := d.dname :: !added
 
@@ -799,6 +855,7 @@ let lvar_assign c (s : stmt) v op (lr : lres) =
   let target =
     match Hashtbl.find_opt c.sym v with
     | Some (Sindex _) -> reject "assignment to a loop index"
+    | Some (Sarr _) -> reject "unsupported variable type"
     | Some (Slocal (Ri (r, b))) -> `Scalar (r, if b then Ir.Kbool else Ir.Kint)
     | Some (Slocal (Rf (r, p))) -> `Scalar (r, Ir.Kfloat p)
     | None ->
@@ -1001,6 +1058,34 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
        kstore c ety
      | Ir.Ebool -> reject "compound assignment on bool array")
 
+(* names assigned / declared (including inner loop indexes) anywhere in the
+   nest body, used for invariance and scoping decisions.  Assignments in the
+   body of a user function [body] calls as a statement count as the body's
+   own: inlined, the callee makes them during the nest. *)
+let collect_info ~(funcs : (string, func) Hashtbl.t) body =
+  let assigned = Hashtbl.create 8 in
+  let all_locals = Hashtbl.create 8 in
+  let rec callee s =
+    (match s.sdesc with
+     | Assign ({ edesc = Var v; _ }, _, _) -> Hashtbl.replace assigned v ()
+     | _ -> ());
+    List.iter (List.iter callee) (stmt_sub_blocks s)
+  in
+  let rec stmt s =
+    (match s.sdesc with
+     | Assign ({ edesc = Var v; _ }, _, _) -> Hashtbl.replace assigned v ()
+     | Decl d -> Hashtbl.replace all_locals d.dname ()
+     | For (h, _) -> Hashtbl.replace all_locals h.index ()
+     | Expr_stmt { edesc = Call (f, _); _ } ->
+       Option.iter (fun fn -> List.iter callee fn.fbody) (Hashtbl.find_opt funcs f)
+     | Assign _ | Expr_stmt _ | If _ | While _ | Return _ | Break | Continue
+     | Scope _ ->
+       ());
+    List.iter (List.iter stmt) (stmt_sub_blocks s)
+  in
+  List.iter stmt body;
+  (assigned, all_locals)
+
 (* Every statement charges one step into the enclosing block (compile.ml
    batches one step per statement of a segment; control statements are
    charged by the segment that contains them, and their arms/bodies carry
@@ -1016,20 +1101,23 @@ let rec lstmt c ~added (s : stmt) =
      | Var v -> lvar_assign c s v op lr
      | Index (b, idx) -> lindex_assign c s lhs b idx op lr
      | _ -> reject "unsupported assignment target")
+  | Expr_stmt { edesc = Call (name, args); _ } when Hashtbl.mem c.user_funcs name ->
+    linline c (Hashtbl.find c.user_funcs name) args
   | Expr_stmt e -> ignore (lexpr c e)
   | If (cond, b1, b2) ->
     (* compile.ml If: count_branch, evaluate cond truth, run one arm *)
     kbranch c;
     let t = as_truth c (lexpr c cond) in
-    let bt = with_block c (fun () -> lblock c b1) in
-    let be = with_block c (fun () -> lblock c b2) in
+    let bt = nested c (fun () -> with_block c (fun () -> lblock c b1)) in
+    let be = nested c (fun () -> with_block c (fun () -> lblock c b2)) in
     add_site c t bt be
   | For (h, body) -> llevel c s h body
   | Scope b ->
     (* unconditional: the inner statements' cost folds into this block *)
     lblock c b
   | While _ -> reject "while loop"
-  | Return _ -> reject "return inside loop"
+  | Return _ ->
+    reject (if c.in_callee then "return before the callee's end" else "return inside loop")
   | Break -> reject "break"
   | Continue -> reject "continue"
 
@@ -1037,6 +1125,58 @@ and lblock c (stmts : stmt list) =
   let added = ref [] in
   List.iter (fun s -> lstmt c ~added s) stmts;
   List.iter (fun n -> Hashtbl.remove c.sym n) !added
+
+(* A statement call of a leaf user function, inlined (walker
+   [call_function]): the arguments evaluate left to right in the caller's
+   scope and the call counts; by-value parameters get fresh registers
+   holding the coerced arguments, pointer parameters bind to the caller's
+   array operands; the body runs in its own scope, where free names are
+   globals.  A final [return;] is one more statement.  Alias tracing
+   observes the call through the site's [Called] op. *)
+and linline c (fn : func) args =
+  if c.in_callee then reject "call inside an inlined callee";
+  if Hashtbl.mem c.region_funcs fn.fname then reject "callee is an observation region";
+  if fn.fret <> Tvoid then reject "non-void callee";
+  if List.length args <> List.length fn.fparams then reject "call arity";
+  let body, ret_steps =
+    match List.rev fn.fbody with
+    | ({ sdesc = Return None; _ } as r) :: rest ->
+      if Hashtbl.mem c.region_set r.sid then reject "observation region";
+      (List.rev rest, 1)
+    | _ -> (fn.fbody, 0)
+  in
+  let binds, ptrs =
+    List.fold_left2
+      (fun (binds, ptrs) (prm : param) (arg : expr) ->
+        match prm.prm_ty with
+        | Tptr pt ->
+          let aid, ma = larr c arg in
+          if Ir.ty_of_ety ma.ma_ety <> pt then reject "pointer argument type";
+          ((prm.prm_name, Sarr (aid, ma)) :: binds, aid :: ptrs)
+        | ty -> ((prm.prm_name, Slocal (coerced c ty (lexpr c arg))) :: binds, ptrs))
+      ([], []) fn.fparams args
+  in
+  c.cnt.Ir.k_calls <- c.cnt.Ir.k_calls + 1;
+  let k = c.ncalls in
+  c.ncalls <- k + 1;
+  c.calls <- { Ir.k_func = fn.fname; k_ptrs = Array.of_list (List.rev ptrs) } :: c.calls;
+  emit c (Ir.Called k);
+  if not (List.mem fn.fname c.callees) then c.callees <- c.callees @ [ fn.fname ];
+  if c.depth > 0 then c.cond_call <- true;
+  let env = c.env and all_locals = c.all_locals and sym = c.sym in
+  let callee_sym = Hashtbl.create 8 in
+  (* parameters bind in order, a repeated name to the last *)
+  List.iter (fun (n, b) -> Hashtbl.replace callee_sym n b) (List.rev binds);
+  c.env <- c.genv;
+  c.all_locals <- snd (collect_info ~funcs:(Hashtbl.create 0) body);
+  c.sym <- callee_sym;
+  c.in_callee <- true;
+  lblock c body;
+  c.steps <- c.steps + ret_steps;
+  c.env <- env;
+  c.all_locals <- all_locals;
+  c.sym <- sym;
+  c.in_callee <- false
 
 and llevel c (s : stmt) (h : for_header) body =
   let lid = c.nlevels in
@@ -1048,7 +1188,7 @@ and llevel c (s : stmt) (h : for_header) body =
   let hi, hi_ops = invariant c h.hi in
   let step, step_ops = invariant c h.step in
   Hashtbl.add c.sym h.index (Sindex lid);
-  let b = with_block c (fun () -> lblock c body) in
+  let b = nested c (fun () -> with_block c (fun () -> lblock c body)) in
   Hashtbl.remove c.sym h.index;
   flush_ops c;
   Hashtbl.replace c.lvls lid
@@ -1125,7 +1265,7 @@ let fcounts nf ops_list =
            u b
          | IConst _ | IMov _ | ItoB _ | IAdd _ | ISub _ | IMul _ | INeg _
          | IDivZ _ | IModZ _ | IAbs _ | IMin _ | IMax _ | ICmp _ | INot _
-         | ILd _ | ISt _ | IStB _ | ILdCk _ | IStCk _ ->
+         | ILd _ | ISt _ | IStB _ | ILdCk _ | IStCk _ | Called _ ->
            ()))
     ops_list;
   (defs, uses)
@@ -1321,38 +1461,20 @@ let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop list) : Ir.fop list =
 
 (* ---- whole-nest lowering ---- *)
 
-(* names assigned / declared (including inner loop indexes) anywhere in the
-   nest body, used for invariance and scoping decisions *)
-let collect_info body =
-  let assigned = Hashtbl.create 8 in
-  let all_locals = Hashtbl.create 8 in
-  let rec stmt s =
-    match s.sdesc with
-    | Assign ({ edesc = Var v; _ }, _, _) -> Hashtbl.replace assigned v ()
-    | Assign _ | Expr_stmt _ | Return _ | Break | Continue -> ()
-    | Decl d -> Hashtbl.replace all_locals d.dname ()
-    | If (_, b1, b2) ->
-      List.iter stmt b1;
-      List.iter stmt b2
-    | While (_, b) | Scope b -> List.iter stmt b
-    | For (h, b) ->
-      Hashtbl.replace all_locals h.index ();
-      List.iter stmt b
-  in
-  List.iter stmt body;
-  (assigned, all_locals)
-
-let plan_loop ~env ~user_funcs ~region_set ~motion (s : stmt) (h : for_header)
-    (body : block) : Ir.fast_loop =
-  let assigned, all_locals = collect_info body in
+let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt)
+    (h : for_header) (body : block) : Ir.fast_loop =
+  let assigned, all_locals = collect_info ~funcs:user_funcs body in
   let c =
     {
       env;
       assigned;
       all_locals;
-      user_funcs;
-      region_set;
       sym = Hashtbl.create 8;
+      in_callee = false;
+      genv;
+      user_funcs;
+      region_funcs;
+      region_set;
       nf = 0;
       ni = 0;
       pro = [];
@@ -1375,6 +1497,11 @@ let plan_loop ~env ~user_funcs ~region_set ~motion (s : stmt) (h : for_header)
       ncursors = 0;
       fconsts = Hashtbl.create 8;
       iconsts = Hashtbl.create 8;
+      calls = [];
+      ncalls = 0;
+      callees = [];
+      depth = 0;
+      cond_call = false;
     }
   in
   (* root level is id 0; its lo has already been evaluated into the frame
@@ -1384,6 +1511,21 @@ let plan_loop ~env ~user_funcs ~region_set ~motion (s : stmt) (h : for_header)
   let step, step_ops = invariant c h.step in
   let root_body = with_block c (fun () -> lblock c body) in
   Hashtbl.remove c.sym h.index;
+  (* alias tracing notes each callee's calls once per entry, at commit, so
+     the alias table gains callees in the order their first calls appear
+     in the nest: with two distinct callees that order must be the same on
+     every entry, which it is when every call runs on every iteration *)
+  if List.length c.callees > 1 && c.cond_call then reject "callee order";
+  (* a global a callee binds and a same-named variable of the nest's own
+     scope may be one cell, held in two registers *)
+  List.iter
+    (fun mv ->
+      if mv.mv_global then
+        match Hashtbl.find_opt c.vtbl (false, mv.mv_name) with
+        | Some (_, mv') when mv.mv_written || mv'.mv_written ->
+          reject "global written under two names"
+        | _ -> ())
+    c.vars;
   Hashtbl.replace c.lvls 0
     {
       Ir.l_sid = s.sid;
@@ -1572,6 +1714,7 @@ let plan_loop ~env ~user_funcs ~region_set ~motion (s : stmt) (h : for_header)
            (fun mv ->
              {
                Ir.v_name = mv.mv_name;
+               v_global = mv.mv_global;
                v_kind = mv.mv_kind;
                v_reg = mv.mv_reg;
                v_written = mv.mv_written;
@@ -1580,7 +1723,12 @@ let plan_loop ~env ~user_funcs ~region_set ~motion (s : stmt) (h : for_header)
     fl_arrs =
       Array.map
         (fun ma ->
-          { Ir.a_name = ma.ma_name; a_ety = ma.ma_ety; a_stored = ma.ma_stored })
+          {
+            Ir.a_name = ma.ma_name;
+            a_global = ma.ma_global;
+            a_ety = ma.ma_ety;
+            a_stored = ma.ma_stored;
+          })
         arrs;
     fl_cursors =
       Array.map
@@ -1595,6 +1743,7 @@ let plan_loop ~env ~user_funcs ~region_set ~motion (s : stmt) (h : for_header)
             c_base = base;
           })
         cursors;
+    fl_calls = Array.of_list (List.rev c.calls);
     fl_prologue = Array.of_list !pro;
     fl_epilogue = Array.of_list !epi;
     fl_nf = c.nf;
@@ -1611,7 +1760,7 @@ type outcome = Planned of { levels : int; sites : int } | Unplannable of string
 let decl_binding_ty (d : decl) =
   match d.darray with Some _ -> Tptr d.dty | None -> d.dty
 
-let plan_with ?(region_sids = []) ?(motion = true)
+let plan_with ?(region_sids = []) ?(region_funcs = []) ?(motion = true)
     ~(note : stmt -> outcome -> unit) (p : program) : Ir.plan =
   let tbl : Ir.plan = Hashtbl.create 16 in
   (match Typecheck.check_program p with
@@ -1635,10 +1784,17 @@ let plan_with ?(region_sids = []) ?(motion = true)
      in
      List.iter (fun f -> walk f.fbody) (funcs p)
    | Ok () ->
+     (* the last definition of a name wins, as in the walker *)
      let user_funcs = Hashtbl.create 8 in
-     List.iter (fun f -> Hashtbl.replace user_funcs f.fname ()) (funcs p);
+     List.iter (fun f -> Hashtbl.replace user_funcs f.fname f) (funcs p);
      let region_set = Hashtbl.create 8 in
      List.iter (fun sid -> Hashtbl.replace region_set sid ()) region_sids;
+     let region_funcs =
+       let t = Hashtbl.create 4 in
+       List.iter (fun f -> Hashtbl.replace t f ()) region_funcs;
+       t
+     in
+     let genv = Typecheck.env_of_program p in
      let rec walk_block env blk =
        ignore
          (List.fold_left
@@ -1656,7 +1812,10 @@ let plan_with ?(region_sids = []) ?(motion = true)
                 walk_block env b;
                 env
               | For (h, body) ->
-                (match plan_loop ~env ~user_funcs ~region_set ~motion s h body with
+                (match
+                   plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion s
+                     h body
+                 with
                  | fl ->
                    Hashtbl.replace tbl s.sid fl;
                    note s
@@ -1679,10 +1838,13 @@ let plan_with ?(region_sids = []) ?(motion = true)
        (funcs p));
   tbl
 
-let plan ?region_sids ?motion (p : program) : Ir.plan =
-  plan_with ?region_sids ?motion ~note:(fun _ _ -> ()) p
+let plan ?region_sids ?region_funcs ?motion (p : program) : Ir.plan =
+  plan_with ?region_sids ?region_funcs ?motion ~note:(fun _ _ -> ()) p
 
-let plan_report ?region_sids (p : program) : (Loc.t * outcome) list =
+let plan_report ?region_sids ?region_funcs (p : program) : (Loc.t * outcome) list =
   let acc = ref [] in
-  ignore (plan_with ?region_sids ~note:(fun s o -> acc := (s.sloc, o) :: !acc) p);
+  ignore
+    (plan_with ?region_sids ?region_funcs
+       ~note:(fun s o -> acc := (s.sloc, o) :: !acc)
+       p);
   List.rev !acc

@@ -13,8 +13,9 @@ let parse = Parser.parse_program
    compared sorted by key, and separately in list order ([o_order]): every
    backend populates the tables in the walker's first-touch order, and
    cache keys hash [rs_traffic] in list order, so the order is observable
-   too.  Memory is projected to (name, elem_ty, contents) per base: both
-   backends allocate in the same program order, so bases line up. *)
+   too — for loop stats, region traffic and alias verdicts alike.  Memory
+   is projected to (name, elem_ty, contents) per base: both backends
+   allocate in the same program order, so bases line up. *)
 type observation = {
   o_ret : Value.t option;
   o_output : string list;
@@ -25,7 +26,7 @@ type observation = {
     list;
   o_aliases : (string * bool) list;
   o_memory : (string * Ast.ty * float array) list;
-  o_order : int list * (Machine.region * string list) list;
+  o_order : int list * (Machine.region * string list) list * string list;
 }
 
 let observe (r : Machine.result) : observation =
@@ -74,7 +75,8 @@ let observe (r : Machine.result) : observation =
               List.map
                 (fun (t : Machine.array_traffic) -> t.Machine.at_name)
                 rs.Machine.rs_traffic ))
-          r.Machine.region_stats );
+          r.Machine.region_stats,
+        List.map fst r.Machine.aliased_funcs );
   }
 
 (* run one backend, capturing normal results and exceptions uniformly *)
@@ -1136,6 +1138,332 @@ let test_walk_reuse_budget () =
   done;
   check "a budget bail on an entry that reuses the cached walk" true !cached_bail
 
+(* ---- planned calls: leaf user functions inlined into nests ----
+
+   A statement call of a leaf user function inside a nest is lowered into
+   the nest, as a HIP design's launch loop calls its body once per thread.
+   Each case checks that the plan inlines the call, then runs the triangle
+   unprofiled and under the flow-shaped config ([Rfunc] on the caller
+   [knl], loop profiling, alias tracing), with the VM running most
+   statements planned — the nest with the call, not just main's set-up. *)
+
+(* the callees the plan of [p] inlines, over all its nests *)
+let inlined ?region_funcs p =
+  Hashtbl.fold
+    (fun _ (fl : Ir.fast_loop) acc ->
+      Array.fold_left (fun acc (k : Ir.call) -> k.Ir.k_func :: acc) acc fl.Ir.fl_calls)
+    (Ir_lower.plan ?region_funcs p) []
+
+let agree_mostly_planned ?(config = Machine.default_config) p =
+  let before = Machine.planned_steps () in
+  let ok = agree ~config p in
+  let planned = Machine.planned_steps () - before in
+  let total = (Machine.run ~config ~backend:`Ast p).Machine.counters.Counters.steps in
+  ok && 2 * planned > total
+
+let call_case name p =
+  check (name ^ ": call inlined") true (inlined p <> []);
+  check (name ^ " (unprofiled)") true (agree_mostly_planned p);
+  check (name ^ " (flow-profiled)") true
+    (agree_mostly_planned ~config:(flow_config ()) p)
+
+(* by-value parameters of every kind, each argument converted as
+   [Value.coerce] does (int to double, double to float with bits float
+   cannot hold, int to bool), pointer parameters named unlike the caller's
+   arrays, and a final [return;] *)
+let coerce_src =
+  {|
+const int N = 12;
+void leaf(int t, double s, float h, double m, bool b, float* dst, double* src) {
+  dst[t] = h * 3.0f + (float)m;
+  if (b) { src[t] = s * 0.5 + m; } else { src[t] = s - (double)h; }
+  return;
+}
+void knl(float* out, double* in) {
+  for (int i = 0; i < N; i++) {
+    leaf(i, i, in[i] * 1.0000001, i, i % 3, out, in);
+  }
+}
+int main() {
+  float out[N];
+  double in[N];
+  for (int i = 0; i < N; i++) { in[i] = rand01() * 3.0 + 0.1; out[i] = 0.0f; }
+  knl(out, in);
+  knl(out, in);
+  double s = 0.0;
+  for (int i = 0; i < N; i++) { s += (double)out[i] + in[i]; }
+  print_float(s);
+  return 0;
+}|}
+
+let test_call_coercions () = call_case "coerced arguments" (parse coerce_src)
+
+(* the callee's free names are globals even where the caller binds the
+   same names: [scale], [K] and the array [W] read the globals, [total] is
+   a global the callee writes back *)
+let test_call_globals () =
+  call_case "callee globals under caller shadows"
+    (parse
+       {|
+const int N = 8;
+double scale = 2.0;
+int K = 3;
+double total = 0.0;
+double W[4];
+void leaf(int t, double* x) {
+  for (int k = 0; k < K; k++) { x[t] += scale * W[k]; }
+  total += x[t];
+}
+void knl(double* a) {
+  double scale = 100.0;
+  int K = 7;
+  double W[4];
+  for (int k = 0; k < 4; k++) { W[k] = 50.0; }
+  for (int i = 0; i < N; i++) {
+    leaf(i, a);
+    a[i] += scale + (double)K + W[i % 4];
+  }
+}
+int main() {
+  double a[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i; }
+  for (int k = 0; k < 4; k++) { W[k] = (double)k + 0.5; }
+  knl(a);
+  knl(a);
+  print_float(total);
+  double s = 0.0;
+  for (int i = 0; i < N; i++) { s += a[i]; }
+  print_float(s);
+  return 0;
+}|})
+
+(* a guarded call: never taken with [lim] = N (the callee never runs, so
+   alias tracing never sees it), taken on some iterations with [lim] = 3 *)
+let guarded_src lim =
+  Printf.sprintf
+    {|
+const int N = 8;
+void leaf(int t, double* x, double* y) { x[t] = y[t] * 2.0; }
+void knl(double* a, double* b, int lim) {
+  for (int i = 0; i < N; i++) {
+    if (i > lim) { leaf(i, a, a); }
+    b[i] += a[i] + 1.0;
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i; b[i] = 0.0; }
+  knl(a, b, %s);
+  knl(a, b, %s);
+  print_float(a[7] + b[7]);
+  return 0;
+}|}
+    lim lim
+
+let test_call_guarded () =
+  let never = parse (guarded_src "N") and some = parse (guarded_src "3") in
+  call_case "guard never taken" never;
+  call_case "guard taken sometimes" some;
+  let leaf_alias p =
+    List.assoc_opt "leaf"
+      (Machine.run ~config:(flow_config ()) ~backend:`Vm p).Machine.aliased_funcs
+  in
+  check "never called: no alias verdict" true (leaf_alias never = None);
+  check "called with a, a: aliased" true (leaf_alias some = Some true)
+
+(* callee levels that run zero times: a level of the callee's top level
+   entered with no iterations, and one under a non-empty level *)
+let test_call_zero_trip () =
+  call_case "zero-trip callee levels"
+    (parse
+       {|
+const int N = 6;
+int Z = 0;
+void leaf(int t, double* x, double* y) {
+  for (int k = 0; k < Z; k++) { x[t] += y[k]; }
+  for (int k = 0; k < 3; k++) {
+    for (int j = 0; j < Z; j++) { y[j] += 1.0; }
+    x[t] += (double)k;
+  }
+}
+void knl(double* a, double* b) {
+  for (int i = 0; i < N; i++) { leaf(i, a, b); }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = 0.0; b[i] = (double)i; }
+  knl(a, b);
+  Z = 2;
+  knl(a, b);
+  print_float(a[0] + a[5] + b[0] + b[1]);
+  return 0;
+}|})
+
+(* two callees, each called with distinct and with aliased arrays from
+   call sites that run on every iteration: verdicts and their list order
+   as the walker's, which notes every call *)
+let test_call_aliases () =
+  let p =
+    parse
+      {|
+const int N = 8;
+void first(int t, double* x, double* y) { x[t] = y[t] + 1.0; }
+void second(int t, double* x, double* y) { x[t] += y[t] * 0.5; }
+void knl(double* a, double* b) {
+  for (int i = 0; i < N; i++) {
+    second(i, a, b);
+    first(i, b, b);
+    second(i, b, a);
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i; b[i] = 1.0; }
+  knl(a, b);
+  print_float(a[3] + b[4]);
+  return 0;
+}|}
+  in
+  call_case "alias tracing across call sites" p;
+  let aliases backend =
+    (Machine.run ~config:(flow_config ()) ~backend p).Machine.aliased_funcs
+  in
+  let vm = aliases `Vm in
+  check "first aliased, second not" true
+    (List.assoc_opt "first" vm = Some true && List.assoc_opt "second" vm = Some false);
+  check "verdicts in the walker's list order" true (vm = aliases `Ast)
+
+(* an [Rfunc] region on the callee opens and closes on every call: the
+   nest is not inlined and the triangle runs it on the closures *)
+let test_call_callee_region () =
+  let p = parse coerce_src in
+  check "callee region: not inlined" true (inlined ~region_funcs:[ "leaf" ] p = []);
+  let config =
+    { (flow_config ()) with regions = [ Machine.Rfunc "knl"; Machine.Rfunc "leaf" ] }
+  in
+  check "callee region (triangle)" true (agree ~config p)
+
+(* an out-of-bounds checked index and an integer division by zero inside
+   the callee: raised by the committed nest (planned, and the guard did
+   not bail) at the walker's location with its message *)
+let test_call_errors () =
+  List.iter
+    (fun (name, leaf) ->
+      let p =
+        parse
+          (Printf.sprintf
+             {|
+const int N = 8;
+%s
+void knl(int* a) {
+  for (int i = 0; i < N; i++) { leaf(i, a); }
+}
+int main() {
+  int a[N];
+  for (int i = 0; i < N; i++) { a[i] = i; }
+  knl(a);
+  print_int(a[0]);
+  return 0;
+}|}
+             leaf)
+      in
+      check (name ^ ": call inlined") true (inlined p <> []);
+      List.iter
+        (fun config ->
+          check (name ^ ": walker fails") true
+            (match run_backend `Ast config p with Failed _ -> true | _ -> false);
+          check (name ^ ": triangle") true (agree ~config p);
+          Fastloop.reset_bail_sites ();
+          ignore (run_backend `Vm config p);
+          check (name ^ ": raised on the planned path") true (Fastloop.bail_sites () = []))
+        [ Machine.default_config; flow_config () ])
+    [
+      ("out of bounds", "void leaf(int t, int* x) { x[t * 2] = t; }");
+      ("division by zero", "void leaf(int t, int* q) { q[t] = 12 / (t - 5); }");
+    ]
+
+(* every step budget through a nest with a call, both configs *)
+let test_call_budget_sweep () =
+  let p = parse coerce_src in
+  List.iter
+    (fun (label, base) ->
+      let total =
+        (Machine.run ~config:base ~backend:`Ast p).Machine.counters.Counters.steps
+      in
+      for max_steps = 1 to total + 2 do
+        let config = { base with Machine.max_steps } in
+        check (Printf.sprintf "call budget %d (%s)" max_steps label) true (agree ~config p)
+      done)
+    [ ("unprofiled", Machine.default_config); ("flow-profiled", flow_config ()) ]
+
+(* each reason a nest with a call stays on the closures; the triangle
+   still agrees on every one *)
+let test_call_rejections () =
+  let outcome ?region_funcs p =
+    let fn = Option.get (Ast.find_func p "knl") in
+    let lm = List.hd (Query.loops_in_func fn) in
+    List.assoc lm.Query.lm_stmt.Ast.sloc (Ir_lower.plan_report ?region_funcs p)
+  in
+  let case ?region_funcs reason ~leaf ~body =
+    let p =
+      parse
+        (Printf.sprintf
+           {|
+const int N = 6;
+double total = 0.0;
+%s
+void knl(double* a, double* b) {
+  for (int i = 0; i < N; i++) { %s }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i; b[i] = 1.0; }
+  knl(a, b);
+  print_float(a[2] + b[3] + total);
+  return 0;
+}|}
+           leaf body)
+    in
+    check reason true (outcome ?region_funcs p = Ir_lower.Unplannable reason);
+    let regions =
+      Machine.Rfunc "knl"
+      :: List.map (fun f -> Machine.Rfunc f) (Option.value region_funcs ~default:[])
+    in
+    check (reason ^ " (triangle)") true (agree ~config:{ (flow_config ()) with regions } p)
+  in
+  let leaf = "void leaf(int t, double* x) { x[t] += 1.0; }" in
+  case "call inside an inlined callee"
+    ~leaf:(leaf ^ "\nvoid outer(int t, double* x) { leaf(t, x); }")
+    ~body:"outer(i, a);";
+  case "call inside an inlined callee"
+    ~leaf:"void leaf(int t, double* x) { if (t > 100) { leaf(t - 1, x); } x[t] = 1.0; }"
+    ~body:"leaf(i, a);";
+  case ~region_funcs:[ "leaf" ] "callee is an observation region" ~leaf
+    ~body:"leaf(i, a);";
+  case "non-void callee"
+    ~leaf:"double leaf(int t, double* x) { x[t] = 1.0; return 0.0; }"
+    ~body:"leaf(i, a);";
+  case "user function call in an expression"
+    ~leaf:"double leaf(int t, double* x) { return x[t] * 2.0; }"
+    ~body:"a[i] = leaf(i, b);";
+  case "return before the callee's end"
+    ~leaf:"void leaf(int t, double* x) { if (t > 3) { return; } x[t] = 1.0; }"
+    ~body:"leaf(i, a);";
+  case "ill-typed program" ~leaf ~body:"leaf(i, a, b);";
+  case "array declaration in body"
+    ~leaf:"void leaf(int t, double* x) { double tmp[4]; tmp[0] = 1.0; x[t] = tmp[0]; }"
+    ~body:"leaf(i, a);";
+  case "callee order"
+    ~leaf:(leaf ^ "\nvoid other(int t, double* x) { x[t] *= 0.5; }")
+    ~body:"if (i > 2) { leaf(i, a); } other(i, b);";
+  case "global written under two names"
+    ~leaf:"void leaf(int t, double* x) { total += x[t]; }"
+    ~body:"leaf(i, a); total += b[i];"
+
 (* ---- random-program differential property ---- *)
 
 let prop_backends_agree =
@@ -1173,6 +1501,21 @@ let prop_backends_agree_sp_flow =
     ~count:150 Test_props.arbitrary_sp_kernel (fun src ->
       agree_planned ~config:(flow_config ()) (parse src))
 
+(* random kernels whose loop calls a leaf helper once per iteration,
+   maybe behind a guard, with mixed by-value and pointer arguments: the
+   call is inlined and the triangle agrees, unprofiled and flow-profiled *)
+let prop_backends_agree_leaf_plain =
+  QCheck.Test.make ~name:"backends agree on random kernels calling a leaf (unprofiled)"
+    ~count:150 Test_props.arbitrary_leaf_kernel (fun src ->
+      let p = parse src in
+      inlined p <> [] && agree_planned p)
+
+let prop_backends_agree_leaf_flow =
+  QCheck.Test.make ~name:"backends agree on random kernels calling a leaf (flow-profiled)"
+    ~count:150 Test_props.arbitrary_leaf_kernel (fun src ->
+      let p = parse src in
+      inlined p <> [] && agree_planned ~config:(flow_config ()) p)
+
 let suite =
   [
     Alcotest.test_case "suite apps fully profiled" `Quick test_suite_apps;
@@ -1206,9 +1549,20 @@ let suite =
     Alcotest.test_case "sp fused ops special values" `Quick test_sp_fused_special_values;
     Alcotest.test_case "cost walk reuse" `Quick test_walk_reuse;
     Alcotest.test_case "cost walk reuse budget sweep" `Quick test_walk_reuse_budget;
+    Alcotest.test_case "planned call coercions" `Quick test_call_coercions;
+    Alcotest.test_case "planned call globals" `Quick test_call_globals;
+    Alcotest.test_case "planned call guarded" `Quick test_call_guarded;
+    Alcotest.test_case "planned call zero-trip levels" `Quick test_call_zero_trip;
+    Alcotest.test_case "planned call aliases" `Quick test_call_aliases;
+    Alcotest.test_case "planned call callee region" `Quick test_call_callee_region;
+    Alcotest.test_case "planned call errors" `Quick test_call_errors;
+    Alcotest.test_case "planned call budget sweep" `Quick test_call_budget_sweep;
+    Alcotest.test_case "planned call rejections" `Quick test_call_rejections;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_plain;
     QCheck_alcotest.to_alcotest prop_backends_agree_flow;
     QCheck_alcotest.to_alcotest prop_backends_agree_sp_plain;
     QCheck_alcotest.to_alcotest prop_backends_agree_sp_flow;
+    QCheck_alcotest.to_alcotest prop_backends_agree_leaf_plain;
+    QCheck_alcotest.to_alcotest prop_backends_agree_leaf_flow;
   ]

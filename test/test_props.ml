@@ -103,8 +103,9 @@ module Gen = struct
             (expr ~iv:j locals 2) );
       ]
 
-  (* 2 to 6 statements from [stmt], each seeing the locals bound before it *)
-  let body_of stmt =
+  (* 2 to 6 statements from [stmt], each seeing [locals] and the locals
+     bound before it *)
+  let body_of ?(locals = []) stmt =
     let rec build idx locals n acc =
       if n = 0 then return (List.rev acc)
       else
@@ -112,7 +113,7 @@ module Gen = struct
         let locals = match binds with Some t -> t :: locals | None -> locals in
         build (idx + 1) locals (n - 1) (line :: acc)
     in
-    2 -- 6 >>= fun n -> build 0 [] n []
+    2 -- 6 >>= fun n -> build 0 locals n []
 
   let body = body_of stmt
 
@@ -212,14 +213,15 @@ module Gen = struct
   (* the whole program around [lines], the compute loop's body, over
      [elt] arrays initialised by [init]: the loop sits in [main], or with
      [~kernel] in a function [knl] that main calls twice, the shape
-     hotspot extraction gives flows *)
-  let shape ?(kernel = false) ~elt ~init lines =
+     hotspot extraction gives flows; [helpers] are functions defined
+     before both *)
+  let shape ?(kernel = false) ?(helpers = "") ~elt ~init lines =
     let loop =
       Printf.sprintf "for (int i = 0; i < N; i++) {\n%s\n}\n" (String.concat "\n" lines)
     in
     Printf.sprintf
       "const int N = 16;\n\
-       %sint main() {\n\
+       %s%sint main() {\n\
        %s x[N];\n\
        %s y[N];\n\
        for (int i = 0; i < N; i++) { %s }\n\
@@ -227,6 +229,7 @@ module Gen = struct
        for (int i = 0; i < N; i++) { checksum += y[i]; }\n\
        print_float(checksum);\n\
        return 0; }"
+      helpers
       (if kernel then Printf.sprintf "void knl(%s* x, %s* y) {\n%s}\n" elt elt loop else "")
       elt elt init
       (if kernel then "knl(x, y);\nknl(x, y);\n" else loop)
@@ -236,6 +239,39 @@ module Gen = struct
   let sp_shape = shape ~elt:"float" ~init:"x[i] = (float)(rand01() + 0.5); y[i] = 0.0f;"
 
   let program = map dp_shape body
+
+  (* ---- a leaf helper called once per iteration ----
+
+     The random statements move into [leaf], whose int parameter keeps the
+     index name [i], and which also reads its by-value parameters [s],
+     [h] (a float, read as [(double)h] so expressions stay double-valued)
+     and [m].  The compute loop calls it once per iteration, optionally
+     behind a guard, passing a double expression, a double expression
+     demoted to [h], the int index converted to [m], and the arrays in
+     order, swapped or aliased — the HIP launch loop's shape, one body
+     call per thread. *)
+
+  let leaf_call =
+    let arg = expr [] 2 in
+    map3
+      (fun (s, h) ptrs guard ->
+        let call = Printf.sprintf "leaf(i, %s, %s, i, %s);" s h ptrs in
+        match guard with
+        | Some c -> Printf.sprintf "if (%s) { %s }" c call
+        | None -> call)
+      (pair arg arg)
+      (oneofl [ "x, y"; "y, x"; "x, x" ])
+      (opt (cond []))
+
+  let leaf_program =
+    body_of ~locals:[ "s"; "(double)h"; "m" ] stmt >>= fun lines ->
+    leaf_call >|= fun call ->
+    dp_shape ~kernel:true
+      ~helpers:
+        (Printf.sprintf
+           "void leaf(int i, double s, float h, double m, double* x, double* y) {\n%s\n}\n"
+           (String.concat "\n" lines))
+      [ call ]
 end
 
 let arbitrary_program = QCheck.make Gen.program ~print:Fun.id
@@ -249,6 +285,9 @@ let arbitrary_sp_program =
 
 let arbitrary_sp_kernel =
   QCheck.make ~print:Fun.id (QCheck.Gen.map (Gen.sp_shape ~kernel:true) Gen.sp_body)
+
+(* kernels whose loop calls a leaf helper per iteration *)
+let arbitrary_leaf_kernel = QCheck.make ~print:Fun.id Gen.leaf_program
 
 let parse = Parser.parse_program
 
