@@ -18,10 +18,7 @@ let of_region_stats ~kernel (rs : Machine.region_stats) =
   }
 
 let analyse ?config p ~kernel =
-  let base = Memo.analysis_config ?config () in
-  let config =
-    { base with Machine.regions = Machine.Rfunc kernel :: base.Machine.regions }
-  in
+  let config = Memo.analysis_config ?config ~kernel () in
   let result = Memo.run ~config p in
   match Machine.find_region_stats result (Machine.Rfunc kernel) with
   | Some rs -> of_region_stats ~kernel rs

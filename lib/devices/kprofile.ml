@@ -31,16 +31,7 @@ let collect ?config ?(unroll_threshold = 64) (p : Ast.program) ~kernel =
     (match Query.outermost_loops fn with
      | [] -> Error (Printf.sprintf "kernel %s contains no loop" kernel)
      | outer :: _ ->
-       let config =
-         let base = Option.value config ~default:Machine.default_config in
-         {
-           base with
-           Machine.profile_loops = true;
-           trace_aliases = true;
-           regions = Machine.Rfunc kernel :: base.Machine.regions;
-         }
-       in
-       let result = Memo.run ~config p in
+       let result = Memo.run ~config:(Memo.analysis_config ?config ~kernel ()) p in
        (match Machine.find_region_stats result (Machine.Rfunc kernel) with
         | None -> Error (Printf.sprintf "kernel %s was never invoked" kernel)
         | Some region ->

@@ -2,7 +2,11 @@
     hotspot kernel that every device model consumes.
 
     Produced by one profiled interpreter run (loop profiling + kernel
-    region + alias tracing) plus the static dependence verdicts. *)
+    region + alias tracing, {!Memo.analysis_config} with [~kernel]) plus
+    the static dependence verdicts.  Design paths validate their
+    single-precision literals under the same configuration, so profiling
+    a design whose canonical program is unchanged since that validation
+    replays the validation's run from the memo. *)
 
 type inner_loop = {
   il_sid : int;
@@ -37,8 +41,9 @@ val collect :
   Ast.program ->
   kernel:string ->
   (t, string) result
-(** Profile the program and assemble the kernel profile.  Fails when the
-    kernel has no loop or was never called. *)
+(** Profile the program and assemble the kernel profile: one
+    {!Memo.run} under [Memo.analysis_config ?config ~kernel ()].  Fails
+    when the kernel has no loop or was never called. *)
 
 val ops_per_outer_iter : t -> float
 (** Weighted flops per outer-loop iteration. *)

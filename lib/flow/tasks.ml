@@ -229,8 +229,17 @@ let initial_design ~target ~manage ~compute ?body ?thread_index () =
     ds_output = None;
   }
 
-let run_design_output art =
+(* The design's output.  With [observe], the run carries the observers
+   [Kprofile.collect] asks for on that kernel, so a later profile of the
+   same canonical program is a memo hit; observers never change
+   [output]. *)
+let run_design_output ?observe art =
   let config = Artifact.machine_config art in
+  let config =
+    match observe with
+    | Some kernel -> Memo.analysis_config ~config ~kernel ()
+    | None -> config
+  in
   let result = Memo.run ~config art.Artifact.art_program in
   result.Machine.output
 
@@ -259,7 +268,7 @@ let demote_buffers program ~manage_fn =
    against the reference at the application's tolerance, and revert the
    transform when validation fails (the paper's SP tasks carry a [*]:
    applied only where precision allows). *)
-let sp_guarded_transform art ~transform ~what =
+let sp_guarded_transform ?observe art ~transform ~what =
   let ds = Artifact.design_exn art in
   let program = transform art.Artifact.art_program in
   let art' = { art with Artifact.art_program = program } in
@@ -267,7 +276,7 @@ let sp_guarded_transform art ~transform ~what =
   match art.Artifact.art_reference_output with
   | None -> Error "reference output missing; run the analysis tasks first"
   | Some reference ->
-    let output = run_design_output art' in
+    let output = run_design_output ?observe art' in
     if validate_outputs ~tol ~reference output then
       Ok
         (Artifact.logf
@@ -278,8 +287,13 @@ let sp_guarded_transform art ~transform ~what =
         (Artifact.logf art "%s rejected by validation (tol %.1e): keeping double" what
            tol)
 
+(* A design path's last precision validation: its profile task comes
+   next, with only program-preserving tasks in between on most paths, so
+   the validation observes what that profile will ask for. *)
 let sp_demote_with_guard art ~fnames ~manage_fn =
-  sp_guarded_transform art ~what:"single-precision data"
+  let ds = Artifact.design_exn art in
+  sp_guarded_transform art ~observe:ds.Artifact.ds_compute_fn
+    ~what:"single-precision data"
     ~transform:(fun program ->
       let program = Sp_transforms.sp_literals program ~fnames in
       let program = Sp_transforms.demote_types program ~fnames in

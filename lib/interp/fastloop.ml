@@ -11,8 +11,10 @@
    Profiled runs stay on this path too.  Under [profile_loops] the inner
    levels' [loop_stats] are derived at commit from per-level entry counts,
    the per-entry trip counts and the per-site taken counters, exactly as
-   the totals are; under active observation regions every access marks the
-   frames' read-before-write/written footprints in program order.
+   the totals are; under active observation regions, arrays whose marks
+   cannot depend on the order of the accesses are marked in bulk at commit
+   and every other access marks the frames' read-before-write/written
+   footprints in program order.
 
    Soundness discipline: everything before "commit" below is read-only on
    interpreter state (it only scribbles on [prepared] scratch), so bailing
@@ -104,6 +106,16 @@ type prepared = {
   carr : int array;  (* per cursor: its array *)
   fpw : Bytes.t array array;
   fpr : Bytes.t array array;
+  (* bulk marking (static, see [footprint_plan]): per array, whether its
+     marks land at commit, whether the nest loads it ([a_stored]: stores
+     it), and a bulk array's distinct (cursor, enclosing levels) images;
+     whether the resolved bases give a bulk array a namesake of the other
+     role (cached with the resolution); per cursor, its entry position *)
+  bulk : bool array;
+  aload : bool array;
+  bimg : (int * int array) list array;
+  mutable conflict : bool;
+  cpos0 : int array;
   f32 : f32;  (* scratch cell for single-precision demotion *)
   called : bool array;  (* per inlined call site: ran this entry (alias tracing) *)
   (* the nest compiled to closures, per footprint-marking mode (off, on) *)
@@ -180,6 +192,105 @@ let no_i : int array = [||]
    all physically equal *)
 let no_fp : Bytes.t array = [| Bytes.empty |]
 
+(* resolved to no frame at all: arrays scratch in every active frame *)
+let no_marks : Bytes.t array = [||]
+
+(* ---- bulk footprint marking: the static half ----
+
+   An array's footprint marks can wait for commit when every access to it
+   is a cursor access on the nest's unconditional path (outside any site
+   arm, the prologue and the epilogue) and the nest only loads it or only
+   stores it.  Each such access then runs once for every combination of
+   its enclosing levels' indices whenever all of them run, so the
+   elements it touches are its cursor's image over those levels, and the
+   marks cannot depend on the order of the accesses ([mark_bulk]).  A
+   read-modify-write accumulation counts as a load and a store; a checked
+   access keeps its array per access. *)
+
+(* [cur c ~ld] per cursor access and [ck a ~ld] per checked access of
+   [op], [ld] for a load (an accumulation is a load and a store) *)
+let iter_accesses (op : Ir.fop) ~(cur : int -> ld:bool -> unit)
+    ~(ck : int -> ld:bool -> unit) =
+  match op with
+  | Ir.FLd (_, c) | Ir.ILd (_, c) | Ir.FLdSub (_, c, _) | Ir.FLdMul (_, c, _)
+  | Ir.FLdAdd (_, c, _) | Ir.FLdSubS (_, c, _) | Ir.FLdMulS (_, c, _)
+  | Ir.FLdAddS (_, c, _) | Ir.FAccSt (c, _) | Ir.FMulAccSt (c, _, _) ->
+    cur c ~ld:true
+  | Ir.FLdSub2 (_, c1, c2) | Ir.FLdSub2S (_, c1, c2) ->
+    cur c1 ~ld:true;
+    cur c2 ~ld:true
+  | Ir.FSt (c, _) | Ir.FStDem (c, _) | Ir.ISt (c, _) | Ir.IStB (c, _) -> cur c ~ld:false
+  | Ir.FLdCk (_, a, _, _) | Ir.ILdCk (_, a, _, _) -> ck a ~ld:true
+  | Ir.FStCk (a, _, _, _) | Ir.IStCk (a, _, _, _) -> ck a ~ld:false
+  | Ir.FConst _ | Ir.IConst _ | Ir.FMov _ | Ir.IMov _ | Ir.ItoF _ | Ir.FtoI _
+  | Ir.FtoB _ | Ir.ItoB _ | Ir.FDem _ | Ir.FAdd _ | Ir.FSub _ | Ir.FMul _
+  | Ir.FDiv _ | Ir.FNeg _ | Ir.FAddS _ | Ir.FSubS _ | Ir.FMulS _ | Ir.FDivS _
+  | Ir.IAdd _ | Ir.ISub _ | Ir.IMul _ | Ir.INeg _ | Ir.IDivZ _ | Ir.IModZ _
+  | Ir.IAbs _ | Ir.IMin _ | Ir.IMax _ | Ir.ICmp _ | Ir.FCmp _ | Ir.INot _
+  | Ir.FMath1 _ | Ir.FMath1S _ | Ir.FMath2 _ | Ir.FMath2S _ | Ir.Rand _
+  | Ir.FMulAdd _ | Ir.FAddMul _ | Ir.FSubMul _ | Ir.FRecip _ | Ir.FRsqrt _
+  | Ir.FMulAddS _ | Ir.FAddMulS _ | Ir.FSubMulS _ | Ir.Called _ ->
+    ()
+
+(* Per array: bulk-marked, loaded, and (bulk arrays only) the
+   distinct (cursor, enclosing levels outermost first) pairs of its
+   accesses.  A cursor that moves with a level not enclosing one of its
+   accesses (none does: a level's index is only in scope inside it)
+   keeps its array per access.  Ids are validated when the nest
+   compiles, so bad ones are skipped here. *)
+let footprint_plan (fl : Ir.fast_loop) =
+  let na = Array.length fl.Ir.fl_arrs and nc = Array.length fl.Ir.fl_cursors in
+  let ld = Array.make na false in
+  let ok = Array.make na true and imgs = Array.make na [] in
+  let scan ~chain ~armed ops =
+    Array.iter
+      (fun op ->
+        iter_accesses op
+          ~cur:(fun c ~ld:l ->
+            if c < nc && fl.Ir.fl_cursors.(c).Ir.c_arr < na then begin
+              let cu = fl.Ir.fl_cursors.(c) in
+              let a = cu.Ir.c_arr in
+              if l then ld.(a) <- true;
+              let moves_outside = ref false in
+              Array.iteri
+                (fun lv e ->
+                  if e <> Ir.Iconst 0 && not (List.mem lv chain) then moves_outside := true)
+                cu.Ir.c_coefs;
+              if armed || chain = [] || !moves_outside then ok.(a) <- false
+              else if not (List.mem (c, chain) imgs.(a)) then
+                imgs.(a) <- (c, chain) :: imgs.(a)
+            end)
+          ~ck:(fun a ~ld:l ->
+            if a < na then begin
+              if l then ld.(a) <- true;
+              ok.(a) <- false
+            end))
+      ops
+  in
+  let rec block ~chain ~armed (b : Ir.block) =
+    Array.iter
+      (function
+        | Ir.Bops ops -> scan ~chain ~armed ops
+        | Ir.Bsite sid ->
+          let s = fl.Ir.fl_sites.(sid) in
+          block ~chain ~armed:true s.Ir.s_then;
+          block ~chain ~armed:true s.Ir.s_else
+        | Ir.Bloop lid ->
+          block ~chain:(lid :: chain) ~armed fl.Ir.fl_levels.(lid).Ir.l_body)
+      b.Ir.b_items
+  in
+  scan ~chain:[] ~armed:false fl.Ir.fl_prologue;
+  scan ~chain:[] ~armed:false fl.Ir.fl_epilogue;
+  block ~chain:[ 0 ] ~armed:false fl.Ir.fl_levels.(0).Ir.l_body;
+  let bulk = Array.init na (fun a -> ok.(a) && ld.(a) <> fl.Ir.fl_arrs.(a).Ir.a_stored) in
+  let bimg =
+    Array.init na (fun a ->
+        if bulk.(a) then
+          List.rev_map (fun (c, chain) -> (c, Array.of_list (List.rev chain))) imgs.(a)
+        else [])
+  in
+  (bulk, ld, bimg)
+
 (* every site in the subtree of block [b], nested levels included: the
    taken counters a level's total draws on (all of them for the root) *)
 let rec block_sites (fl : Ir.fast_loop) (b : Ir.block) acc =
@@ -232,6 +343,7 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
     let ns = max 1 (Array.length fl.Ir.fl_sites) in
     let na = max 1 (Array.length fl.Ir.fl_arrs) in
     let nc = max 1 (Array.length fl.Ir.fl_cursors) in
+    let bulk, aload, bimg = footprint_plan fl in
     let lev_cur =
       Array.init nl (fun l ->
           let ids = ref [] in
@@ -294,6 +406,11 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         carr = Array.map (fun (c : Ir.cursor) -> c.Ir.c_arr) fl.Ir.fl_cursors;
         fpw = Array.make na no_fp;
         fpr = Array.make na no_fp;
+        bulk;
+        aload;
+        bimg;
+        conflict = false;
+        cpos0 = Array.make nc 0;
         f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
         called = Array.make (Array.length fl.Ir.fl_calls) false;
         code = [| None; None |];
@@ -469,7 +586,10 @@ let oob p (a : int) (idx : int) (loc : Loc.t) =
    array per nest entry, at its first access, so frames gain footprint
    entries in the walker's first-touch order and arrays the entry never
    touches get none.  The frames stay the same for the whole nest, so
-   which of them treat an array as scratch does too. *)
+   which of them treat an array as scratch does too: an array scratch in
+   every one of them is resolved to no frame before the nest runs, and
+   marks nothing.  Accesses of a bulk array only resolve its bitsets;
+   [mark_bulk] marks them at commit. *)
 
 let resolve_fp p st a =
   let base = p.abase.(a) in
@@ -499,6 +619,55 @@ let mark_cur_rd p st c = mark_rd p st p.carr.(c) p.cpos.(c)
 
 let mark_cur_wr p st c = mark_wr p st p.carr.(c) p.cpos.(c)
 
+(* Mark cursor [c]'s image over the levels [chain] into one frame's
+   bitsets: the entry position plus, per level it moves with, its
+   coefficient times each index value.  The guard's endpoint checks bound
+   every such position (the chain holds every level the cursor moves
+   with, and all of them ran). *)
+let mark_image p c chain ~load (w : Bytes.t) (r : Bytes.t) =
+  let coefs = p.ccoef.(c) and n = Array.length chain in
+  let rec go k pos =
+    if k = n then begin
+      if not load then Bytes.set w pos '\001'
+      else if Bytes.get w pos = '\000' then Bytes.set r pos '\001'
+    end
+    else begin
+      let l = chain.(k) in
+      let coef = coefs.(l) in
+      if coef = 0 then go (k + 1) pos
+      else begin
+        let d = coef * p.lstep.(l) in
+        let q = ref (pos + (coef * p.llo.(l))) in
+        for _ = 1 to p.trip.(l) do
+          go (k + 1) !q;
+          q := !q + d
+        done
+      end
+    end
+  in
+  go 0 p.cpos0.(c)
+
+(* Commit-time marks of the bulk arrays the entry touched, each distinct
+   (cursor, enclosing levels) image once per frame, when every enclosing
+   level ran.  This equals the per-access marks: the guard's role check
+   means no access of the nest wrote a base the nest only reads, so a
+   frame's [written] bits at commit are those every load saw, and
+   [read_first |= image & ~written] is what marking the loads one at a
+   time sets; stores only ever set [written]. *)
+let mark_bulk p =
+  Array.iteri
+    (fun a imgs ->
+      let ws = p.fpw.(a) and rs = p.fpr.(a) in
+      if imgs <> [] && ws != no_fp then
+        List.iter
+          (fun (c, chain) ->
+            if Array.for_all (fun l -> p.trip.(l) > 0) chain then
+              for j = 0 to Array.length ws - 1 do
+                mark_image p c chain ~load:p.aload.(a) ws.(j) rs.(j)
+              done)
+          imgs)
+    p.bimg
+
 (* [Value.demote] inline: a store to a float32 cell and a load back are
    the same two conversions (cvtsd2ss/cvtss2sd, round-to-nearest) as its
    [Int32] bit round trip, without the two C calls.  The cell belongs to
@@ -522,7 +691,9 @@ let[@inline] demote (s : f32) x =
    behind the guard's proof.  The only runtime checks the source semantics
    demand are checked accesses and integer division by zero.  Memory ops
    mark footprints after the access, in the walker's order, in the
-   marking variant only. *)
+   marking variant only: a cursor access through a marking closure
+   chained in front of its continuation ([cur_mark]), so the other
+   variant pays nothing for it. *)
 
 type code = unit -> unit
 
@@ -540,6 +711,30 @@ let[@inline] checked_index p (n : int array) a i loc =
   let idx = p.aoff.%(a) + n.%(i) in
   if idx < 0 || idx >= p.alen.%(a) then oob p a idx loc;
   idx
+
+(* false only for an array resolved to no frame (scratch in all of
+   them): its accesses skip the marking call *)
+let[@inline] marks (fpw : Bytes.t array array) a = Array.length fpw.%(a) <> 0
+
+(* [k] preceded by the footprint marks of a load ([~store:false]) or store
+   through cursor [c], run right after the access: none when marking is
+   off, only the first-touch resolution for a bulk array ([mark_bulk]
+   marks it at commit), the per-access marks otherwise *)
+let cur_mark p st ~mk ~store c (k : code) : code =
+  if not mk then k
+  else begin
+    let a = valid (Array.length p.bulk) p.carr.(c) in
+    let fpw = p.fpw in
+    if p.bulk.(a) then fun () ->
+      if fpw.%(a) == no_fp then resolve_fp p st a;
+      k ()
+    else if store then fun () ->
+      if marks fpw a then mark_cur_wr p st c;
+      k ()
+    else fun () ->
+      if marks fpw a then mark_cur_rd p st c;
+      k ()
+  end
 
 let math1 s32 (m : Ir.m1) ~single (f : float array) d a (k : code) : code =
   match m, single with
@@ -584,7 +779,7 @@ let icmp (op : Ir.cmpop) (n : int array) d a b (k : code) : code =
 (* [op] compiled in front of [k]; [mk]: footprint marking on *)
 let op_code p st ~mk (op : Ir.fop) (k : code) : code =
   let f = p.f and n = p.n and s32 = p.f32 in
-  let cpos = p.cpos and cf = p.cfdata and ci = p.cidata in
+  let cpos = p.cpos and cf = p.cfdata and ci = p.cidata and fpw = p.fpw in
   let af = p.afdata and ai = p.aidata in
   let fr = valid (Array.length f) and ir = valid (Array.length n) in
   let cu = valid (Array.length p.carr) and ar = valid (Array.length p.adem) in
@@ -699,105 +894,84 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     fun () -> f.%(d) <- Util.Prng.uniform prng; k ()
   | Ir.FLd (d, c) ->
     let d = fr d and c = cu c in
-    fun () ->
-      f.%(d) <- cf.%(c).(cpos.%(c));
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> f.%(d) <- cf.%(c).(cpos.%(c)); k ()
   | Ir.FSt (c, s) ->
     let c = cu c and s = fr s in
-    fun () ->
-      cf.%(c).(cpos.%(c)) <- f.%(s);
-      if mk then mark_cur_wr p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:true c k in
+    fun () -> cf.%(c).(cpos.%(c)) <- f.%(s); k ()
   | Ir.FStDem (c, s) ->
     let c = cu c and s = fr s in
-    fun () ->
-      cf.%(c).(cpos.%(c)) <- demote s32 f.%(s);
-      if mk then mark_cur_wr p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:true c k in
+    fun () -> cf.%(c).(cpos.%(c)) <- demote s32 f.%(s); k ()
   | Ir.ILd (d, c) ->
     let d = ir d and c = cu c in
-    fun () ->
-      n.%(d) <- ci.%(c).(cpos.%(c));
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> n.%(d) <- ci.%(c).(cpos.%(c)); k ()
   | Ir.ISt (c, s) ->
     let c = cu c and s = ir s in
-    fun () ->
-      ci.%(c).(cpos.%(c)) <- n.%(s);
-      if mk then mark_cur_wr p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:true c k in
+    fun () -> ci.%(c).(cpos.%(c)) <- n.%(s); k ()
   | Ir.IStB (c, s) ->
     let c = cu c and s = ir s in
-    fun () ->
-      ci.%(c).(cpos.%(c)) <- (if n.%(s) <> 0 then 1 else 0);
-      if mk then mark_cur_wr p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:true c k in
+    fun () -> ci.%(c).(cpos.%(c)) <- (if n.%(s) <> 0 then 1 else 0); k ()
   | Ir.FLdCk (d, a, i, loc) ->
     let d = fr d and a = ar a and i = ir i in
     fun () ->
       let idx = checked_index p n a i loc in
       f.%(d) <- af.%(a).(idx);
-      if mk then mark_rd p st a idx;
+      if mk && marks fpw a then mark_rd p st a idx;
       k ()
   | Ir.FStCk (a, i, s, loc) ->
     let a = ar a and i = ir i and s = fr s in
     if p.adem.(a) then fun () ->
       let idx = checked_index p n a i loc in
       af.%(a).(idx) <- demote s32 f.%(s);
-      if mk then mark_wr p st a idx;
+      if mk && marks fpw a then mark_wr p st a idx;
       k ()
     else fun () ->
       let idx = checked_index p n a i loc in
       af.%(a).(idx) <- f.%(s);
-      if mk then mark_wr p st a idx;
+      if mk && marks fpw a then mark_wr p st a idx;
       k ()
   | Ir.ILdCk (d, a, i, loc) ->
     let d = ir d and a = ar a and i = ir i in
     fun () ->
       let idx = checked_index p n a i loc in
       n.%(d) <- ai.%(a).(idx);
-      if mk then mark_rd p st a idx;
+      if mk && marks fpw a then mark_rd p st a idx;
       k ()
   | Ir.IStCk (a, i, s, loc) ->
     let a = ar a and i = ir i and s = ir s in
     if p.abool.(a) then fun () ->
       let idx = checked_index p n a i loc in
       ai.%(a).(idx) <- (if n.%(s) <> 0 then 1 else 0);
-      if mk then mark_wr p st a idx;
+      if mk && marks fpw a then mark_wr p st a idx;
       k ()
     else fun () ->
       let idx = checked_index p n a i loc in
       ai.%(a).(idx) <- n.%(s);
-      if mk then mark_wr p st a idx;
+      if mk && marks fpw a then mark_wr p st a idx;
       k ()
   | Ir.FLdSub (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
-    fun () ->
-      f.%(d) <- cf.%(c).(cpos.%(c)) -. f.%(b);
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> f.%(d) <- cf.%(c).(cpos.%(c)) -. f.%(b); k ()
   | Ir.FLdSub2 (d, c1, c2) ->
     let d = fr d and c1 = cu c1 and c2 = cu c2 in
+    let k = cur_mark p st ~mk ~store:false c1 (cur_mark p st ~mk ~store:false c2 k) in
     fun () ->
       f.%(d) <- cf.%(c1).(cpos.%(c1)) -. cf.%(c2).(cpos.%(c2));
-      if mk then begin
-        mark_cur_rd p st c1;
-        mark_cur_rd p st c2
-      end;
       k ()
   | Ir.FLdMul (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
-    fun () ->
-      f.%(d) <- cf.%(c).(cpos.%(c)) *. f.%(b);
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> f.%(d) <- cf.%(c).(cpos.%(c)) *. f.%(b); k ()
   | Ir.FLdAdd (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
-    fun () ->
-      f.%(d) <- cf.%(c).(cpos.%(c)) +. f.%(b);
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> f.%(d) <- cf.%(c).(cpos.%(c)) +. f.%(b); k ()
   | Ir.FMulAdd (d, a, b, c) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
     fun () -> f.%(d) <- (f.%(a) *. f.%(b)) +. f.%(c); k ()
@@ -815,51 +989,36 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     fun () -> f.%(d) <- 1.0 /. sqrt f.%(a); k ()
   | Ir.FAccSt (c, s) ->
     let c = cu c and s = fr s in
+    let k = cur_mark p st ~mk ~store:false c (cur_mark p st ~mk ~store:true c k) in
     fun () ->
       let q = cf.%(c) and i = cpos.%(c) in
       q.(i) <- q.(i) +. f.%(s);
-      if mk then begin
-        mark_cur_rd p st c;
-        mark_cur_wr p st c
-      end;
       k ()
   | Ir.FMulAccSt (c, a, b) ->
     let c = cu c and a = fr a and b = fr b in
+    let k = cur_mark p st ~mk ~store:false c (cur_mark p st ~mk ~store:true c k) in
     fun () ->
       let q = cf.%(c) and i = cpos.%(c) in
       q.(i) <- q.(i) +. (f.%(a) *. f.%(b));
-      if mk then begin
-        mark_cur_rd p st c;
-        mark_cur_wr p st c
-      end;
       k ()
   | Ir.FLdSubS (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
-    fun () ->
-      f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) -. f.%(b));
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) -. f.%(b)); k ()
   | Ir.FLdSub2S (d, c1, c2) ->
     let d = fr d and c1 = cu c1 and c2 = cu c2 in
+    let k = cur_mark p st ~mk ~store:false c1 (cur_mark p st ~mk ~store:false c2 k) in
     fun () ->
       f.%(d) <- demote s32 (cf.%(c1).(cpos.%(c1)) -. cf.%(c2).(cpos.%(c2)));
-      if mk then begin
-        mark_cur_rd p st c1;
-        mark_cur_rd p st c2
-      end;
       k ()
   | Ir.FLdMulS (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
-    fun () ->
-      f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) *. f.%(b));
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) *. f.%(b)); k ()
   | Ir.FLdAddS (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
-    fun () ->
-      f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) +. f.%(b));
-      if mk then mark_cur_rd p st c;
-      k ()
+    let k = cur_mark p st ~mk ~store:false c k in
+    fun () -> f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) +. f.%(b)); k ()
   | Ir.FMulAddS (d, a, b, c) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
     fun () -> f.%(d) <- demote s32 (demote s32 (f.%(a) *. f.%(b)) +. f.%(c)); k ()
@@ -1141,8 +1300,23 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
           if k <> pr && p.abase.(k) = bp then raise (Bail "alias")
         done)
       fl.Ir.fl_promoted;
+    (* 4c. bulk marking needs every base the nest marks as only read to
+       be stored by none of its arrays, and every base it marks as only
+       written to be loaded by none: two names for one base (aliased
+       pointer arguments) can break that *)
+    p.conflict <- false;
+    Array.iteri
+      (fun a bulk ->
+        if bulk then
+          for k = 0 to na - 1 do
+            if p.abase.(k) = p.abase.(a)
+               && (if p.aload.(a) then arrs.(k).Ir.a_stored else p.aload.(k))
+            then p.conflict <- true
+          done)
+      p.bulk;
     p.avalid <- true
   end;
+  if marking && p.conflict then raise (Bail "alias");
   (* 5. cursors: evaluate the affine coefficients and the separable
      endpoint bounds — in-bounds extrema imply every reached iteration is
      in bounds.  A cursor with a nonzero coefficient at a zero-trip level
@@ -1190,6 +1364,7 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
       if !lo_b < 0 || !hi_b >= p.alen.(a) then raise (Bail "bounds")
     end;
     p.cpos.(k) <- pos0;
+    p.cpos0.(k) <- pos0;
     p.cfdata.(k) <- p.afdata.(a);
     p.cidata.(k) <- p.aidata.(a)
   done;
@@ -1219,11 +1394,19 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   end;
   if marking then begin
     Array.fill p.fpw 0 (Array.length p.fpw) no_fp;
-    Array.fill p.fpr 0 (Array.length p.fpr) no_fp
+    Array.fill p.fpr 0 (Array.length p.fpr) no_fp;
+    for a = 0 to na - 1 do
+      let base = p.abase.(a) in
+      if List.for_all (fun rf -> is_scratch rf base) st.active_regions then begin
+        p.fpw.(a) <- no_marks;
+        p.fpr.(a) <- no_marks
+      end
+    done
   end;
   let tracing = st.cfg.trace_aliases in
   if tracing then Array.fill p.called 0 (Array.length p.called) false;
   code ();
+  if marking then mark_bulk p;
   (* exact totals: baseline plus taken deltas; the overflow
      pre-verification above guarantees none of this unchecked arithmetic
      can wrap, and the budget pre-check that consume_steps cannot raise *)

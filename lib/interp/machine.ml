@@ -144,8 +144,15 @@ let effective_config config =
 let run ?(config = default_config) ?backend (program : Ast.program) : result =
   let config = effective_config config in
   let backend = match backend with Some b -> b | None -> default_backend () in
+  (* the observer set, so a trace tells observed runs from plain ones *)
   Obs.Trace.with_span
-    ~attrs:[ ("backend", Obs.Trace.Str (backend_name backend)) ]
+    ~attrs:
+      [
+        ("backend", Obs.Trace.Str (backend_name backend));
+        ("profile_loops", Obs.Trace.Bool config.profile_loops);
+        ("trace_aliases", Obs.Trace.Bool config.trace_aliases);
+        ("regions", Obs.Trace.Int (List.length config.regions));
+      ]
     ~name:"interp-run" ~kind:Obs.Trace.Interp_run
     (fun sp ->
       let t0 = Obs.Monotonic.now_s () in

@@ -168,5 +168,10 @@ let run ?(config = Machine.default_config) ?backend p =
   in
   translate of_canon canon_r
 
-let analysis_config ?(config = Machine.default_config) () =
-  { config with Machine.profile_loops = true; trace_aliases = true }
+let analysis_config ?(config = Machine.default_config) ?kernel () =
+  let regions =
+    match kernel with
+    | Some k -> Machine.Rfunc k :: config.Machine.regions
+    | None -> config.Machine.regions
+  in
+  { config with Machine.profile_loops = true; trace_aliases = true; regions }

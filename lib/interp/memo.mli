@@ -70,10 +70,15 @@ val run :
     Exceptions ({!Machine.Runtime_error}, {!Machine.Step_limit_exceeded},
     ...) propagate and are never cached. *)
 
-val analysis_config : ?config:Machine.config -> unit -> Machine.config
-(** The shared instrumentation configuration used by the standalone
-    analyses (hotspot, trip count, alias): [config] (default
+val analysis_config :
+  ?config:Machine.config -> ?kernel:string -> unit -> Machine.config
+(** The one observed interpreter configuration: [config] (default
     {!Machine.default_config}) with [profile_loops] and [trace_aliases]
-    both enabled.  Instrumentation is purely observational, so turning
-    both on lets every analysis of a program share one interpretation
-    instead of one per analysis. *)
+    both enabled and, given [kernel], an [Rfunc kernel] region added.
+    Without [kernel] it serves the standalone analyses (hotspot, trip
+    count, alias); with it, [Kprofile.collect], [Datainout.analyse]
+    and a design's single-precision-literal validation, whose run a
+    later profile of the same canonical program therefore hits.
+    Observers never change a run's output, counters or memory, so every
+    analysis of a program can share one interpretation instead of one
+    per analysis. *)

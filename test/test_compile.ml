@@ -1516,6 +1516,320 @@ let prop_backends_agree_leaf_flow =
       let p = parse src in
       inlined p <> [] && agree_planned ~config:(flow_config ()) p)
 
+(* ---- bulk footprint marking ----
+
+   Under a region, an array a nest only loads or only stores, through
+   cursor accesses outside any site arm, has its footprint marked once per
+   entry at commit.  Each case runs the triangle with the flow-shaped
+   config, then again with an [Rstmt] region on every scope in [knl]'s
+   body as well, so the nests inside them run under two frames. *)
+
+let knl_scopes p =
+  match Ast.find_func p "knl" with
+  | Some fn ->
+    List.filter_map
+      (fun (s : Ast.stmt) ->
+        match s.Ast.sdesc with Ast.Scope _ -> Some (Machine.Rstmt s.Ast.sid) | _ -> None)
+      fn.Ast.fbody
+  | None -> []
+
+let bulk_case name src =
+  let p = parse src in
+  let flow = flow_config () in
+  check (name ^ " (one frame)") true (agree_planned ~config:flow p);
+  let scopes = knl_scopes p in
+  check (name ^ ": a scope in knl") true (scopes <> []);
+  let config = { flow with Machine.regions = flow.Machine.regions @ scopes } in
+  check (name ^ " (two frames)") true (agree_planned ~config p)
+
+let test_bulk_overlapping () =
+  bulk_case "overlapping cursors"
+    {|
+const int N = 10;
+void knl(double* x, double* y, double* z) {
+  {
+    for (int i = 0; i < 3; i++) {
+      for (int j = 0; j < N - 2; j++) {
+        y[j + i] = x[j] + x[j + 1];
+        z[j + 1] = x[i + j] * 0.5;
+        z[j] = 1.0;
+      }
+    }
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  double z[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; y[i] = 0.0; z[i] = 0.0; }
+  knl(x, y, z);
+  print_float(y[3] + z[4]);
+  return 0;
+}|}
+
+let test_bulk_zero_trip () =
+  (* with [m] = 0 the accesses under level j never run, though their
+     cursors do not move with j, and [w] is never touched at all *)
+  bulk_case "zero-trip entries"
+    {|
+const int N = 6;
+const int M = 8;
+void knl(double* x, double* y, double* w, int m) {
+  {
+    for (int i = 0; i < N; i++) {
+      y[i] = x[i];
+      for (int j = 0; j < m; j++) {
+        y[i + 1] = x[i + 2] + (double)j;
+        for (int k = 0; k < 2; k++) { w[k + j] = x[j]; }
+      }
+    }
+  }
+}
+int main() {
+  double x[M];
+  double y[M];
+  double w[M];
+  for (int i = 0; i < M; i++) { x[i] = (double)i; y[i] = 0.0; w[i] = 0.0; }
+  knl(x, y, w, 0);
+  knl(x, y, w, 3);
+  knl(x, y, w, 0);
+  print_float(y[2] + w[3]);
+  return 0;
+}|}
+
+let test_bulk_read_after_write () =
+  (* the region writes [x] before the nests that only read it: those
+     elements are not read first *)
+  bulk_case "read-only after earlier writes"
+    {|
+const int N = 8;
+void knl(double* x, double* y) {
+  x[2] = 7.0;
+  {
+    for (int i = 0; i < N; i++) { y[i] = x[i] * 2.0; }
+  }
+  for (int i = 0; i < 3; i++) { x[i + 4] = 1.0; }
+  {
+    for (int i = 0; i < N; i++) { y[i] = y[i] + x[i]; }
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; y[i] = 0.0; }
+  knl(x, y);
+  print_float(y[2] + y[5]);
+  return 0;
+}|}
+
+let alias_bailed p =
+  match Query.loops p with
+  | [] -> false
+  | loops ->
+    List.exists
+      (fun (lm : Query.loop_match) ->
+        List.mem (lm.Query.lm_stmt.Ast.sloc, "alias") (Fastloop.bail_sites ()))
+      loops
+
+let test_bulk_two_names () =
+  (* one base under two read-only names stays bulk; a name that only
+     reads beside one that only writes it makes the guard bail, and the
+     closures mark per access *)
+  let both_read =
+    {|
+const int N = 8;
+void knl(double* a, double* b, double* y) {
+  {
+    for (int i = 0; i < N - 1; i++) { y[i] = a[i] + b[i + 1]; }
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; y[i] = 0.0; }
+  knl(x, x, y);
+  knl(y, y, x);
+  print_float(y[3] + x[2]);
+  return 0;
+}|}
+  in
+  bulk_case "two read-only names for one base" both_read;
+  Fastloop.reset_bail_sites ();
+  ignore (Machine.run ~config:(flow_config ()) ~backend:`Vm (parse both_read));
+  check "two read-only names: no alias bail" false (alias_bailed (parse both_read));
+  let read_write =
+    {|
+const int N = 8;
+void knl(double* a, double* b) {
+  {
+    for (int i = 0; i < N - 1; i++) { b[i] = a[i + 1] * 0.5; }
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; y[i] = 1.0; }
+  knl(x, y);
+  knl(x, x);
+  knl(y, x);
+  print_float(x[3] + y[4]);
+  return 0;
+}|}
+  in
+  bulk_case "a reading and a writing name for one base" read_write;
+  Fastloop.reset_bail_sites ();
+  ignore (Machine.run ~config:(flow_config ()) ~backend:`Vm (parse read_write));
+  check "reading and writing names: alias bail" true (alias_bailed (parse read_write))
+
+let test_bulk_guarded () =
+  (* [r] is read only in an arm and [w] both read and written: both mark
+     per access beside the bulk [x] and [z] *)
+  bulk_case "guarded accesses beside bulk ones"
+    {|
+const int N = 8;
+void knl(double* x, double* r, double* w, double* z) {
+  double s = 0.0;
+  {
+    for (int i = 0; i < N; i++) {
+      double v = x[i];
+      if (v > 2.5) { s += r[i]; w[i + 1] = v; }
+      z[i] = (v > 4.5) ? s : v + w[i];
+    }
+  }
+  z[0] = s;
+}
+int main() {
+  double x[N];
+  double r[N];
+  double w[N + 1];
+  double z[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i * 0.75; r[i] = 1.0; w[i] = 0.5; z[i] = 0.0; }
+  knl(x, r, w, z);
+  print_float(z[0] + z[7] + w[5]);
+  return 0;
+}|}
+
+let test_bulk_scratch () =
+  (* [t] is allocated after the function's frame began but before the
+     scope's: scratch in one frame only.  [u] is scratch in both *)
+  bulk_case "scratch in one frame only"
+    {|
+const int N = 8;
+void knl(double* x, double* y) {
+  double t[N];
+  for (int i = 0; i < N; i++) { t[i] = x[i] + 1.0; }
+  {
+    double u[N];
+    for (int i = 0; i < N; i++) { u[i] = t[i] * 2.0; }
+    for (int i = 0; i < N; i++) { y[i] = u[i] + t[i]; }
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; y[i] = 0.0; }
+  knl(x, y);
+  print_float(y[3]);
+  return 0;
+}|}
+
+let test_bulk_reentered () =
+  (* the region function runs on other arrays and ranges each time, roles
+     swapped on the last call *)
+  bulk_case "region function entered several times"
+    {|
+const int N = 8;
+void knl(double* x, double* y, int lo, int n) {
+  {
+    for (int i = lo; i < n; i++) {
+      for (int k = 0; k < 2; k++) { y[i + k] = x[i] * (double)k; }
+    }
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  double z[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; y[i] = 1.0; z[i] = 0.5; }
+  knl(x, y, 0, 6);
+  knl(x, y, 2, 5);
+  knl(z, y, 0, 4);
+  knl(y, z, 1, 3);
+  print_float(y[2] + z[3]);
+  return 0;
+}|}
+
+let test_bulk_first_touch_order () =
+  (* bulk and per-access arrays first touched alternately: frames gain
+     footprints in the walker's order only if a bulk array's bitsets are
+     resolved at its first access; twelve bases over eight buckets make
+     the order show in [rs_traffic] ([o_order]) *)
+  bulk_case "first-touch order"
+    {|
+const int N = 4;
+void knl(double* p0, double* b0, double* p1, double* b1, double* p2, double* b2,
+         double* p3, double* b3, double* p4, double* b4, double* p5, double* b5) {
+  {
+    for (int i = 0; i < N; i++) {
+      p0[i] += 1.0;
+      b0[i] = 2.0;
+      p1[i] += b1[i];
+      b2[i] = 2.0;
+      p2[i] += 1.0;
+      p3[i] += b3[i];
+      b4[i] = 2.0;
+      p4[i] += 1.0;
+      p5[i] += b5[i];
+    }
+  }
+}
+int main() {
+  double a0[N]; double a1[N]; double a2[N]; double a3[N]; double a4[N]; double a5[N];
+  double c0[N]; double c1[N]; double c2[N]; double c3[N]; double c4[N]; double c5[N];
+  for (int i = 0; i < N; i++) {
+    a0[i] = 0.0; a1[i] = 0.0; a2[i] = 0.0; a3[i] = 0.0; a4[i] = 0.0; a5[i] = 0.0;
+    c0[i] = 1.0; c1[i] = 1.0; c2[i] = 1.0; c3[i] = 1.0; c4[i] = 1.0; c5[i] = 1.0;
+  }
+  knl(a0, c0, a1, c1, a2, c2, a3, c3, a4, c4, a5, c5);
+  print_float(a1[2] + c4[1]);
+  return 0;
+}|}
+
+let test_bulk_error_after_commit () =
+  (* a checked access out of bounds partway through the nest: raised by
+     the committed nest at the walker's statement, bulk marks pending *)
+  let src =
+    {|
+const int N = 8;
+void knl(double* x, double* w, int* idx, double* z) {
+  {
+    for (int i = 0; i < N; i++) { z[i] = x[i] + w[idx[i]]; }
+  }
+}
+int main() {
+  double x[N];
+  double w[N];
+  double z[N];
+  int idx[N];
+  for (int i = 0; i < N; i++) { x[i] = (double)i; w[i] = 1.0; idx[i] = i; }
+  idx[5] = N + 3;
+  knl(x, w, idx, z);
+  print_float(z[1]);
+  return 0;
+}|}
+  in
+  let p = parse src in
+  List.iter
+    (fun config ->
+      check "walker fails" true
+        (match run_backend `Ast config p with Failed _ -> true | _ -> false);
+      check "error after commit: triangle" true (agree ~config p);
+      Fastloop.reset_bail_sites ();
+      ignore (run_backend `Vm config p);
+      check "raised on the planned path" true (Fastloop.bail_sites () = []))
+    [ flow_config ();
+      { (flow_config ()) with Machine.regions = Machine.Rfunc "knl" :: knl_scopes p } ]
+
 let suite =
   [
     Alcotest.test_case "suite apps fully profiled" `Quick test_suite_apps;
@@ -1558,6 +1872,15 @@ let suite =
     Alcotest.test_case "planned call errors" `Quick test_call_errors;
     Alcotest.test_case "planned call budget sweep" `Quick test_call_budget_sweep;
     Alcotest.test_case "planned call rejections" `Quick test_call_rejections;
+    Alcotest.test_case "bulk marks overlapping cursors" `Quick test_bulk_overlapping;
+    Alcotest.test_case "bulk marks zero-trip entries" `Quick test_bulk_zero_trip;
+    Alcotest.test_case "bulk marks after region writes" `Quick test_bulk_read_after_write;
+    Alcotest.test_case "bulk marks two names for a base" `Quick test_bulk_two_names;
+    Alcotest.test_case "bulk marks beside guarded ones" `Quick test_bulk_guarded;
+    Alcotest.test_case "bulk marks scratch frames" `Quick test_bulk_scratch;
+    Alcotest.test_case "bulk marks region re-entry" `Quick test_bulk_reentered;
+    Alcotest.test_case "bulk marks first-touch order" `Quick test_bulk_first_touch_order;
+    Alcotest.test_case "bulk marks error after commit" `Quick test_bulk_error_after_commit;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_plain;
     QCheck_alcotest.to_alcotest prop_backends_agree_flow;

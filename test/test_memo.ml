@@ -83,20 +83,66 @@ let test_exceptions_not_cached () =
   let s = Memo.stats () in
   checki "failed runs never hit" 0 s.Memo.hits
 
+(* The memo lookups of each profile task in one traced flow, as
+   (branch path, outcome), in recording order per domain track. *)
+let profile_lookups () =
+  let stacks = Hashtbl.create 4 in
+  List.fold_left
+    (fun acc (ev : Obs.Trace.event) ->
+      let stack = Option.value (Hashtbl.find_opt stacks ev.Obs.Trace.ev_tid) ~default:[] in
+      match ev.Obs.Trace.ev_ph with
+      | `E ->
+        Hashtbl.replace stacks ev.Obs.Trace.ev_tid (List.tl stack);
+        acc
+      | `B ->
+        Hashtbl.replace stacks ev.Obs.Trace.ev_tid (ev :: stack);
+        let innermost cat =
+          List.find_opt (fun (e : Obs.Trace.event) -> e.Obs.Trace.ev_cat = cat) stack
+        in
+        (match innermost "task", innermost "pool", List.assoc_opt "outcome" ev.Obs.Trace.ev_attrs with
+         | Some task, Some path, Some (Obs.Trace.Str outcome)
+           when ev.Obs.Trace.ev_name = "cache:run"
+                && String.starts_with ~prefix:"Profile" task.Obs.Trace.ev_name ->
+           (path.Obs.Trace.ev_name, outcome) :: acc
+         | _ -> acc))
+    [] (Obs.Trace.events ())
+  |> List.rev
+
 let test_flow_run_reuses_interpretations () =
-  (* acceptance: one uninformed N-Body flow must hit the memo at least
-     three times (the analysis tasks share one kernel profile) *)
-  Memo.reset ();
-  (match
-     Engine.run ~workload:Nbody.app.App.app_test_overrides
-       ~mode:Pipeline.Uninformed Nbody.app
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("flow failed: " ^ e));
-  let s = Memo.stats () in
-  check
-    (Printf.sprintf "at least 3 hits in one flow run (got %d)" s.Memo.hits)
-    true (s.Memo.hits >= 3)
+  (* each uninformed quick flow interprets an exact number of distinct
+     programs.  Design paths validate their single-precision literals
+     with the profile's observers, so a profile whose program no task
+     changed since is a hit: HIP and A10 profiles, except N-Body's HIP
+     design (shared-memory tiles change it) and Rush-Larsen's (both of
+     its literal validations reject).  S10's zero-copy transfer always
+     changes the program. *)
+  let old = Cache.dir () in
+  Cache.set_dir None;
+  Fun.protect ~finally:(fun () -> Cache.set_dir old) @@ fun () ->
+  List.iter
+    (fun ((app : App.t), misses, hits, profiles) ->
+      Memo.reset ();
+      Obs.Trace.start ();
+      let r =
+        Engine.run ~workload:app.App.app_test_overrides ~mode:Pipeline.Uninformed app
+      in
+      Obs.Trace.stop ();
+      (match r with Ok _ -> () | Error e -> Alcotest.fail ("flow failed: " ^ e));
+      let s = Memo.stats () in
+      let name = app.App.app_slug in
+      checki (name ^ ": memo misses") misses s.Memo.misses;
+      checki (name ^ ": memo hits") hits s.Memo.hits;
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": profile lookups") profiles
+        (List.sort compare (profile_lookups ())))
+    (let reused = [ ("path A10", "mem-hit"); ("path S10", "miss"); ("path gpu", "mem-hit") ] in
+     [
+       (Nbody.app, 8, 5, [ ("path A10", "mem-hit"); ("path S10", "miss"); ("path gpu", "miss") ]);
+       (Kmeans.app, 7, 6, reused);
+       (Adpredictor.app, 7, 6, reused);
+       (Rush_larsen.app, 9, 4, [ ("path A10", "miss"); ("path S10", "miss"); ("path gpu", "miss") ]);
+       (Bezier.app, 7, 6, reused);
+     ])
 
 let test_backends_do_not_collide () =
   Memo.reset ();

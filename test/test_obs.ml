@@ -158,6 +158,37 @@ let test_validator_rejects_malformed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "validator must reject an unclosed span"
 
+let test_interp_run_observers () =
+  (* each interp-run span names its run's observer set beside the
+     backend and statement counts, so observed runs show in a trace *)
+  let p = Parser.parse_program "void knl() { } int main() { knl(); return 0; }" in
+  Obs.Trace.start ();
+  ignore (Machine.run ~backend:`Vm p);
+  ignore (Machine.run ~config:(Memo.analysis_config ~kernel:"knl" ()) ~backend:`Vm p);
+  Obs.Trace.stop ();
+  let runs =
+    List.filter
+      (fun (ev : Obs.Trace.event) ->
+        ev.Obs.Trace.ev_ph = `B && ev.Obs.Trace.ev_name = "interp-run")
+      (Obs.Trace.events ())
+  in
+  let observers (ev : Obs.Trace.event) =
+    List.filter_map
+      (fun k -> List.assoc_opt k ev.Obs.Trace.ev_attrs)
+      [ "backend"; "profile_loops"; "trace_aliases"; "regions"; "steps"; "planned" ]
+  in
+  match runs with
+  | [ plain; observed ] ->
+    check "plain run's observers" true
+      (match observers plain with
+       | [ Str "vm"; Bool false; Bool false; Int 0; Int _; Int _ ] -> true
+       | _ -> false);
+    check "observed run's observers" true
+      (match observers observed with
+       | [ Str "vm"; Bool true; Bool true; Int 1; Int _; Int _ ] -> true
+       | _ -> false)
+  | _ -> Alcotest.failf "expected 2 interp-run spans, got %d" (List.length runs)
+
 (* ---- provenance determinism ---- *)
 
 let why_of_run app =
@@ -209,6 +240,8 @@ let suite =
       test_trace_json_valid_and_restart_clears;
     Alcotest.test_case "trace: validator rejects malformed" `Quick
       test_validator_rejects_malformed;
+    Alcotest.test_case "trace: interp-run spans name their observers" `Quick
+      test_interp_run_observers;
     Alcotest.test_case "provenance: --why deterministic" `Quick
       test_why_deterministic;
   ]
