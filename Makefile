@@ -119,11 +119,17 @@ report-check:
 # splices (zero new cache misses), an overload burst sheds with 503
 # without disturbing in-flight runs, finished requests leave ledger
 # records and journals, SIGTERM drains cleanly, and a restart still
-# serves the persisted history.  Artifacts land in ./serve-smoke/.
+# serves the persisted history.  Every request's journal must then
+# validate as flight-recorder JSONL with span records.  Artifacts land
+# in ./serve-smoke/.
 serve-check:
-	dune build bin/psaflowd.exe bin/psaflow.exe bench/servesmoke.exe
+	dune build bin/psaflowd.exe bin/psaflow.exe bench/servesmoke.exe bench/tracecheck.exe
 	dune exec --no-build bench/servesmoke.exe -- \
 	  _build/default/bin/psaflowd.exe _build/default/bin/psaflow.exe
+	@for j in serve-smoke/.psa-reqs/*.journal.jsonl; do \
+	  dune exec --no-build bench/tracecheck.exe -- --journal $$j --require-kinds span \
+	    || exit 1; \
+	done
 
 # API documentation (odoc): fails on any odoc warning in lib/flow,
 # lib/obs, lib/ir or lib/serve, whose public interfaces are the

@@ -42,121 +42,9 @@
      recorded it.  Skipped when the current file has no such key (a warm
      cache interpreted nothing).
 
-   Exit status 1 on any violation, 0 otherwise.  The JSON reader below is
-   a minimal recursive-descent parser for the subset bench emits (objects,
-   strings, numbers, booleans); no external dependency. *)
+   Exit status 1 on any violation, 0 otherwise. *)
 
-type json =
-  | Obj of (string * json) list
-  | Num of float
-  | Bool of bool
-  | Str of string
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected '%s'" word)
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some 'n' -> Buffer.add_char b '\n'
-         | Some 't' -> Buffer.add_char b '\t'
-         | Some c -> Buffer.add_char b c
-         | None -> fail "unterminated escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some ('0' .. '9' | '-') -> Num (number ())
-    | _ -> fail "unexpected character"
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then begin
-      advance ();
-      Obj []
-    end
-    else begin
-      let rec members acc =
-        skip_ws ();
-        let k = string_lit () in
-        skip_ws ();
-        expect ':';
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ((k, v) :: acc)
-        | Some '}' ->
-          advance ();
-          List.rev ((k, v) :: acc)
-        | _ -> fail "expected ',' or '}'"
-      in
-      Obj (members [])
-    end
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Obs.Json
 
 let read_file path =
   match open_in_bin path with
@@ -168,10 +56,6 @@ let read_file path =
     let s = really_input_string ic len in
     close_in ic;
     s
-
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
 
 (* a top-level number field, if present *)
 let top j name = match member name j with Some (Num f) -> Some f | _ -> None
@@ -220,14 +104,14 @@ let report fmt =
 
 (* every parsed input, so a failing gate can say exactly which code and
    configuration produced each side *)
-let parsed : (string * json) list ref = ref []
+let parsed : (string * t) list ref = ref []
 
 let parse path =
-  match parse_json (read_file path) with
-  | j ->
+  match Obs.Json.parse (read_file path) with
+  | Ok j ->
     parsed := !parsed @ [ (path, j) ];
     j
-  | exception Parse_error msg ->
+  | Error msg ->
     Printf.eprintf "compare: %s: %s\n" path msg;
     exit 2
 
@@ -244,7 +128,8 @@ let print_meta () =
               | Str s -> s
               | Num f -> Printf.sprintf "%g" f
               | Bool b -> string_of_bool b
-              | Obj _ -> "{..}"
+              | Null -> "null"
+              | List _ | Obj _ -> "{..}"
             in
             Printf.printf " %s=%s" k s)
           fields;

@@ -123,87 +123,58 @@ let vm_coverage : (string * float) list ref = ref []
 let flow_vm_coverage : float option ref = ref None
 
 let write_json path ~total =
-  let b = Buffer.create 4096 in
-  let entries = List.rev !timings @ [ ("total", total) ] in
-  (* "cores" lets compare.exe --jobs-speedup skip its gate on hosts with
-     too few cores to show a parallel speedup at all *)
-  Printf.bprintf b "{\n  \"quick\": %b,\n  \"jobs\": %d,\n  \"cores\": %d,\n"
-    quick
-    (Util.Pool.default_jobs ())
-    (Domain.recommended_domain_count ());
-  (* provenance: which code and configuration produced these numbers;
-     compare.exe prints both sides' meta when a gate fails *)
-  Printf.bprintf b
-    "  \"meta\": {\n\
-    \    \"schema\": %d,\n\
-    \    \"git_rev\": %S,\n\
-    \    \"ir_version\": %d,\n\
-    \    \"backend\": %S,\n\
-    \    \"cmdline\": %S\n\
-    \  },\n"
-    Obs.Ledger.schema_version Run_record.git_rev Ir.version
-    (Machine.backend_name (Machine.default_backend ()))
-    (String.concat " " argv);
-  Printf.bprintf b "  \"sections\": {\n";
-  List.iteri
-    (fun i (name, t) ->
-      Printf.bprintf b "    %S: %.6f%s\n" name t
-        (if i < List.length entries - 1 then "," else ""))
-    entries;
-  Buffer.add_string b "  },\n  \"statements_per_sec\": {\n";
-  let tp = !throughput in
-  List.iteri
-    (fun i (name, sps) ->
-      Printf.bprintf b "    %S: %.1f%s\n" name sps
-        (if i < List.length tp - 1 then "," else ""))
-    tp;
-  Buffer.add_string b "  },\n  \"vm_coverage\": {\n";
-  let cov = !vm_coverage in
-  List.iteri
-    (fun i (name, c) ->
-      Printf.bprintf b "    %S: %.4f%s\n" name c
-        (if i < List.length cov - 1 then "," else ""))
-    cov;
-  Buffer.add_string b "  },\n";
-  Option.iter
-    (Printf.bprintf b "  \"flow_vm_coverage\": %.4f,\n")
-    !flow_vm_coverage;
+  let open Obs.Json in
+  let nums kvs = Obj (List.map (fun (k, v) -> (k, Num v)) kvs) in
   let s = Cache.stats () in
-  Printf.bprintf b
-    "  \"cache\": {\n\
-    \    \"enabled\": %b,\n\
-    \    \"mem_hits\": %d,\n\
-    \    \"disk_hits\": %d,\n\
-    \    \"misses\": %d,\n\
-    \    \"waits\": %d,\n\
-    \    \"errors\": %d,\n\
-    \    \"corrupt\": %d,\n\
-    \    \"evictions\": %d,\n\
-    \    \"bytes_read\": %d,\n\
-    \    \"bytes_written\": %d\n\
-    \  },\n"
-    (Cache.enabled ()) s.Cache.mem_hits s.Cache.disk_hits s.Cache.misses
-    s.Cache.waits s.Cache.errors s.Cache.corrupt s.Cache.evictions
-    s.Cache.bytes_read s.Cache.bytes_written;
-  (* flat name -> number map via the shared Obs.Metrics.flatten:
-     compare.ml's parser has no array support, so histograms arrive as
-     .count/.sum/.p50/.p90/.p99 entries; non-finite values (empty
-     histograms) are dropped to keep the document parseable *)
-  let metrics =
-    List.filter
-      (fun (_, v) -> Float.is_finite v)
-      (Obs.Metrics.flatten (Obs.Metrics.snapshot ()))
+  let doc =
+    Obj
+      ([
+         ("quick", Bool quick);
+         ("jobs", int (Util.Pool.default_jobs ()));
+         (* lets compare.exe --jobs-speedup skip its gate on hosts with too
+            few cores to show a parallel speedup at all *)
+         ("cores", int (Domain.recommended_domain_count ()));
+         (* provenance: which code and configuration produced these
+            numbers; compare.exe prints both sides' meta when a gate fails *)
+         ( "meta",
+           Obj
+             [
+               ("schema", int Obs.Ledger.schema_version);
+               ("git_rev", Str Run_record.git_rev);
+               ("ir_version", int Ir.version);
+               ("backend", Str (Machine.backend_name (Machine.default_backend ())));
+               ("cmdline", Str (String.concat " " argv));
+             ] );
+         ("sections", nums (List.rev !timings @ [ ("total", total) ]));
+         ("statements_per_sec", nums !throughput);
+         ("vm_coverage", nums !vm_coverage);
+       ]
+      @ Option.fold ~none:[]
+          ~some:(fun c -> [ ("flow_vm_coverage", Num c) ])
+          !flow_vm_coverage
+      @ [
+          ( "cache",
+            Obj
+              [
+                ("enabled", Bool (Cache.enabled ()));
+                ("mem_hits", int s.Cache.mem_hits);
+                ("disk_hits", int s.Cache.disk_hits);
+                ("misses", int s.Cache.misses);
+                ("waits", int s.Cache.waits);
+                ("errors", int s.Cache.errors);
+                ("corrupt", int s.Cache.corrupt);
+                ("evictions", int s.Cache.evictions);
+                ("bytes_read", int s.Cache.bytes_read);
+                ("bytes_written", int s.Cache.bytes_written);
+              ] );
+          (* flat name -> number map via the shared Obs.Metrics.flatten:
+             histograms arrive as .count/.sum/.p50/.p90/.p99 entries *)
+          ("metrics", nums (Obs.Metrics.flatten (Obs.Metrics.snapshot ())));
+        ])
   in
-  Buffer.add_string b "  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      Printf.bprintf b "    %S: %.6g%s\n" name v
-        (if i < List.length metrics - 1 then "," else ""))
-    metrics;
-  Buffer.add_string b "  }\n}\n";
   (* temp file + atomic rename: a crashed bench never leaves a truncated
      JSON where compare.exe expects a complete one *)
-  match Obs.Atomic_io.write_file path (Buffer.contents b) with
+  match Obs.Atomic_io.write_file path (to_string doc ^ "\n") with
   | Ok () -> ()
   | Error msg ->
     Printf.eprintf "bench: cannot write %s: %s\n" path msg;

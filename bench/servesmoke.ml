@@ -93,39 +93,31 @@ let wait_for ?(timeout = 120.0) what pred =
   in
   loop ()
 
+(* A top-level member of a JSON response body. *)
+let field resp name =
+  Result.fold ~ok:(Obs.Json.member name) ~error:(fun _ -> None)
+    (Obs.Json.parse (body_of resp))
+
 let flow_state id =
-  let b = body_of (get ("/v1/flows/" ^ id)) in
-  List.find_map
-    (fun st ->
-      if contains ~needle:(Printf.sprintf "\"state\":%S" st) b then Some st
-      else None)
-    [ "queued"; "running"; "done"; "failed"; "interrupted" ]
-  |> Option.value ~default:"?"
+  match field (get ("/v1/flows/" ^ id)) "state" with Some (Str st) -> st | _ -> "?"
 
 let id_of resp =
-  let b = body_of resp in
-  let re = {|"id":"|} in
-  let rec find i =
-    if i + String.length re > String.length b then fail "no id in %s" b
-    else if String.sub b i (String.length re) = re then
-      String.sub b (i + String.length re) 7
-    else find (i + 1)
-  in
-  find 0
+  match field resp "id" with Some (Str id) -> id | _ -> fail "no id in %s" (body_of resp)
 
 (* Sum of every cache.*.misses counter in a /v1/metrics body. *)
 let cache_misses () =
-  let b = body_of (get "/v1/metrics") in
-  let total = ref 0.0 in
-  List.iter
-    (fun field ->
-      match String.split_on_char ':' field with
-      | [ name; v ] when contains ~needle:"cache." name && contains ~needle:".misses" name
-        -> ( try total := !total +. float_of_string v with Failure _ -> ())
-      | _ -> ())
-    (String.split_on_char ',' (String.map (function '{' | '}' | '"' -> ' ' | c -> c) b
-                              |> String.split_on_char ' ' |> String.concat ""));
-  !total
+  match Obs.Json.parse (body_of (get "/v1/metrics")) with
+  | Ok (Obj fields) ->
+    List.fold_left
+      (fun acc (name, v) ->
+        match v with
+        | Obs.Json.Num n
+          when String.starts_with ~prefix:"cache." name
+               && String.ends_with ~suffix:".misses" name ->
+          acc +. n
+        | _ -> acc)
+      0.0 fields
+  | _ -> fail "unparseable /v1/metrics body"
 
 (* ---- subprocesses ---- *)
 

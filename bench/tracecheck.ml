@@ -38,18 +38,14 @@ let validate_journal contents =
           Hashtbl.fold (fun k n acc -> (k, n) :: acc) kinds []
           |> List.sort compare )
     | line :: rest -> (
-      match Obs.Trace_json.parse line with
+      match Obs.Json.parse line with
       | Error msg -> Error (Printf.sprintf "line %d: %s" (i + 1) msg)
       | Ok j -> (
         let str name =
-          match Obs.Trace_json.member name j with
-          | Some (Obs.Trace_json.Str s) -> Some s
-          | _ -> None
+          match Obs.Json.member name j with Some (Str s) -> Some s | _ -> None
         in
         let num name =
-          match Obs.Trace_json.member name j with
-          | Some (Obs.Trace_json.Num _) -> true
-          | _ -> false
+          match Obs.Json.member name j with Some (Num _) -> true | _ -> false
         in
         match (num "ts_us", str "kind", str "name") with
         | true, Some kind, Some _ ->

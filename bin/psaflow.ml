@@ -154,13 +154,13 @@ let finish_journal ~journal ~status ~rec_path =
   (match journal with
   | None -> ()
   | Some file -> (
-    match Obs.Journal.flush file with
+    match Obs.Trace.write_journal file with
     | Ok n -> Printf.printf "wrote journal %s (%d events)\n" file n
     | Error msg -> Printf.eprintf "failed to write journal %s: %s\n" file msg));
   match rec_path with
   | Some p when status <> 0 && journal = None ->
     let jf = Filename.chop_suffix p ".psarun" ^ ".journal.jsonl" in
-    (match Obs.Journal.flush jf with
+    (match Obs.Trace.write_journal jf with
     | Ok n -> Printf.eprintf "flight recorder: %s (%d events)\n" jf n
     | Error msg -> Printf.eprintf "failed to write journal %s: %s\n" jf msg)
   | _ -> ()

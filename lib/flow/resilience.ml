@@ -121,13 +121,13 @@ let supervise ?policy:p ~site thunk =
     | Error (cls, msg) ->
       if n < pol.pol_max_attempts && pol.pol_retryable cls then begin
         Obs.Metrics.Counter.incr c_retries;
-        Obs.Journal.record ~kind:"retry" ~detail:(class_label cls) site;
+        Obs.Trace.point ~kind:"retry" ~detail:(class_label cls) site;
         backoff pol ~site n;
         attempt (n + 1)
       end
       else begin
         Obs.Metrics.Counter.incr c_failures;
-        Obs.Journal.record ~kind:"failure" ~detail:(class_label cls) site;
+        Obs.Trace.point ~kind:"failure" ~detail:(class_label cls) site;
         Error { f_class = cls; f_site = site; f_msg = msg; f_attempts = n }
       end
   in

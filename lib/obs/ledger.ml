@@ -51,147 +51,88 @@ type record = {
 
 (* ---- serialization ---- *)
 
-let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+let opt f = function None -> Json.Null | Some v -> f v
 
-let add_int buf i = Buffer.add_string buf (string_of_int i)
+let num f = Json.Num f
 
-let add_opt buf add = function
-  | None -> Buffer.add_string buf "null"
-  | Some v -> add buf v
+let str s = Json.Str s
 
-let add_design buf d =
-  let first = ref true in
-  Buffer.add_char buf '{';
-  Json_out.field buf ~first "target";
-  Json_out.str buf d.ds_target;
-  Json_out.field buf ~first "device";
-  Json_out.str buf d.ds_device;
-  Json_out.field buf ~first "time_s";
-  add_opt buf Json_out.gnum d.ds_time_s;
-  Json_out.field buf ~first "speedup";
-  add_opt buf Json_out.gnum d.ds_speedup;
-  Json_out.field buf ~first "feasible";
-  add_bool buf d.ds_feasible;
-  Json_out.field buf ~first "valid";
-  add_bool buf d.ds_valid;
-  Buffer.add_char buf '}'
+let design_json d =
+  Json.Obj
+    [
+      ("target", str d.ds_target);
+      ("device", str d.ds_device);
+      ("time_s", opt num d.ds_time_s);
+      ("speedup", opt num d.ds_speedup);
+      ("feasible", Json.Bool d.ds_feasible);
+      ("valid", Json.Bool d.ds_valid);
+    ]
 
-let add_failure buf f =
-  let first = ref true in
-  Buffer.add_char buf '{';
-  Json_out.field buf ~first "path";
-  Json_out.str buf f.fs_path;
-  Json_out.field buf ~first "class";
-  Json_out.str buf f.fs_class;
-  Json_out.field buf ~first "site";
-  Json_out.str buf f.fs_site;
-  Json_out.field buf ~first "attempts";
-  add_int buf f.fs_attempts;
-  Json_out.field buf ~first "msg";
-  Json_out.str buf f.fs_msg;
-  Buffer.add_char buf '}'
+let failure_json f =
+  Json.Obj
+    [
+      ("path", str f.fs_path);
+      ("class", str f.fs_class);
+      ("site", str f.fs_site);
+      ("attempts", Json.int f.fs_attempts);
+      ("msg", str f.fs_msg);
+    ]
 
-let add_list buf add xs =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char buf ',';
-      add buf x)
-    xs;
-  Buffer.add_char buf ']'
+let stable_value s =
+  Json.Obj
+    [
+      ("kind", str s.s_kind);
+      ("app", str s.s_app);
+      ("mode", str s.s_mode);
+      ("workload", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) s.s_workload));
+      ("backend", str s.s_backend);
+      ("ir_version", Json.int s.s_ir_version);
+      ("status", Json.int s.s_status);
+      ("decision", str s.s_decision);
+      ("best", opt str s.s_best);
+      ("best_cost", opt num s.s_best_cost);
+      ("designs", Json.List (List.map design_json s.s_designs));
+      ("failures", Json.List (List.map failure_json s.s_failures));
+    ]
 
-let add_stable buf s =
-  let first = ref true in
-  Buffer.add_char buf '{';
-  Json_out.field buf ~first "kind";
-  Json_out.str buf s.s_kind;
-  Json_out.field buf ~first "app";
-  Json_out.str buf s.s_app;
-  Json_out.field buf ~first "mode";
-  Json_out.str buf s.s_mode;
-  Json_out.field buf ~first "workload";
-  let wfirst = ref true in
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (k, v) ->
-      Json_out.field buf ~first:wfirst k;
-      add_int buf v)
-    s.s_workload;
-  Buffer.add_char buf '}';
-  Json_out.field buf ~first "backend";
-  Json_out.str buf s.s_backend;
-  Json_out.field buf ~first "ir_version";
-  add_int buf s.s_ir_version;
-  Json_out.field buf ~first "status";
-  add_int buf s.s_status;
-  Json_out.field buf ~first "decision";
-  Json_out.str buf s.s_decision;
-  Json_out.field buf ~first "best";
-  add_opt buf Json_out.str s.s_best;
-  Json_out.field buf ~first "best_cost";
-  add_opt buf Json_out.gnum s.s_best_cost;
-  Json_out.field buf ~first "designs";
-  add_list buf add_design s.s_designs;
-  Json_out.field buf ~first "failures";
-  add_list buf add_failure s.s_failures;
-  Buffer.add_char buf '}'
-
-let stable_json r =
-  let buf = Buffer.create 512 in
-  add_stable buf r.r_stable;
-  Buffer.contents buf
+let stable_json r = Json.to_string (stable_value r.r_stable)
 
 let to_json r =
-  let buf = Buffer.create 2048 in
-  let first = ref true in
-  Buffer.add_char buf '{';
-  Json_out.field buf ~first "schema";
-  add_int buf schema_version;
-  Json_out.field buf ~first "meta";
   let m = r.r_meta in
-  let mfirst = ref true in
-  Buffer.add_char buf '{';
-  Json_out.field buf ~first:mfirst "git_rev";
-  Json_out.str buf m.m_git_rev;
-  Json_out.field buf ~first:mfirst "cmdline";
-  Json_out.str buf m.m_cmdline;
-  Json_out.field buf ~first:mfirst "jobs";
-  add_int buf m.m_jobs;
-  Json_out.field buf ~first:mfirst "unix_time";
-  Json_out.gnum buf m.m_unix_time;
-  Buffer.add_char buf '}';
-  Json_out.field buf ~first "stable";
-  add_stable buf r.r_stable;
-  Json_out.field buf ~first "metrics";
-  let xfirst = ref true in
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (k, v) ->
-      Json_out.field buf ~first:xfirst k;
-      Json_out.gnum buf v)
-    r.r_metrics;
-  Buffer.add_char buf '}';
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.int schema_version);
+         ( "meta",
+           Json.Obj
+             [
+               ("git_rev", str m.m_git_rev);
+               ("cmdline", str m.m_cmdline);
+               ("jobs", Json.int m.m_jobs);
+               ("unix_time", num m.m_unix_time);
+             ] );
+         ("stable", stable_value r.r_stable);
+         ("metrics", Json.Obj (List.map (fun (k, v) -> (k, num v)) r.r_metrics));
+       ])
 
 (* ---- parsing ---- *)
 
 let j_str ?(default = "") name j =
-  match Trace_json.member name j with Some (Str s) -> s | _ -> default
+  match Json.member name j with Some (Str s) -> s | _ -> default
 
 let j_int ?(default = 0) name j =
-  match Trace_json.member name j with
+  match Json.member name j with
   | Some (Num f) -> int_of_float f
   | _ -> default
 
 let j_bool ?(default = false) name j =
-  match Trace_json.member name j with Some (Bool b) -> b | _ -> default
+  match Json.member name j with Some (Bool b) -> b | _ -> default
 
 let j_opt_num name j =
-  match Trace_json.member name j with Some (Num f) -> Some f | _ -> None
+  match Json.member name j with Some (Num f) -> Some f | _ -> None
 
 let j_opt_str name j =
-  match Trace_json.member name j with Some (Str s) -> Some s | _ -> None
+  match Json.member name j with Some (Str s) -> Some s | _ -> None
 
 let design_of_json j =
   {
@@ -213,35 +154,35 @@ let failure_of_json j =
   }
 
 let j_list name j =
-  match Trace_json.member name j with Some (List l) -> l | _ -> []
+  match Json.member name j with Some (List l) -> l | _ -> []
 
 let of_json text =
-  match Trace_json.parse text with
+  match Json.parse text with
   | Error e -> Error e
   | Ok j -> (
-    match Trace_json.member "schema" j with
+    match Json.member "schema" j with
     | Some (Num v) when int_of_float v <> schema_version ->
       Error (Printf.sprintf "record schema v%.0f, expected v%d" v schema_version)
     | _ -> (
-      match (Trace_json.member "meta" j, Trace_json.member "stable" j) with
+      match (Json.member "meta" j, Json.member "stable" j) with
       | Some meta, Some stable ->
         let workload =
-          match Trace_json.member "workload" stable with
+          match Json.member "workload" stable with
           | Some (Obj kvs) ->
             List.filter_map
               (fun (k, v) ->
-                match v with Trace_json.Num f -> Some (k, int_of_float f) | _ -> None)
+                match v with Json.Num f -> Some (k, int_of_float f) | _ -> None)
               kvs
           | _ -> []
         in
         let metrics =
-          match Trace_json.member "metrics" j with
+          match Json.member "metrics" j with
           | Some (Obj kvs) ->
             List.filter_map
               (fun (k, v) ->
                 match v with
-                | Trace_json.Num f -> Some (k, f)
-                | Trace_json.Null -> Some (k, Float.nan)
+                | Json.Num f -> Some (k, f)
+                | Json.Null -> Some (k, Float.nan)
                 | _ -> None)
               kvs
           | _ -> []

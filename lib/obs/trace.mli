@@ -1,11 +1,23 @@
-(** Span tracer with Chrome trace-event JSON export.
+(** Span tracer and flight recorder, with Chrome trace-event export.
 
-    Spans record begin/end events with process-anchored timestamps
-    ({!Monotonic}) and the domain id of the recording domain.  Each domain
-    appends to its own buffer (no locking on the hot path beyond one
-    atomic read), so {!Util.Pool} workers trace freely; buffers are merged
-    when the trace is exported.  When tracing is disabled, {!with_span}
-    costs one atomic load and runs its body against a shared dummy span.
+    Every completed span ({!with_span}) and every point event ({!point}:
+    retries, failures, injected faults) becomes one record in the
+    recording domain's buffer, stamped with a process-anchored timestamp
+    ({!Monotonic}) and the domain id.  Each domain appends to its own
+    buffer without locking, so {!Util.Pool} workers record freely; a
+    registry lets readers merge the buffers afterwards.
+
+    A buffer keeps its records two ways:
+    - {b Flight recorder}, always on: the newest 512 records per domain.
+      {!journal} and {!write_journal} read this window as JSONL, so a
+      failed run leaves a post-mortem trail without having armed the
+      tracer.
+    - {b Tracer}, armed by {!start}: every span completed until {!stop},
+      for {!events} and the Chrome export.  Point events stay out of the
+      export.
+
+    With the tracer off, {!with_span} reads the clock twice and stores
+    one record in the ring; its body runs against a shared dummy span.
 
     Event ordering is reconstructed from per-buffer sequence numbers, not
     timestamps: a span's begin and end events carry the sequence values
@@ -26,11 +38,13 @@
       even under work stealing.
     - A span closes exactly once, including when the body raises.
     - {!add_attr} only mutates a live (un-closed) span; attributes become
-      visible on the span's [E] event.
+      visible on the span's [B] event.
 
-    Tracing never influences flow results: spans carry no data back into
-    the computation, so enabling or disabling the tracer leaves outputs
-    byte-identical. *)
+    Recording never influences flow results: records carry no data back
+    into the computation, so arming or disarming the tracer leaves
+    outputs byte-identical.  Recorded contents are wall-clock and
+    scheduling dependent, so nothing here participates in the
+    byte-identical [--jobs] guarantees. *)
 
 type kind =
   | Task  (** one flow-task application *)
@@ -51,21 +65,28 @@ type attr = Str of string | Int of int | Float of float | Bool of bool
 type span
 
 val enabled : unit -> bool
+(** Whether the tracer is armed. *)
 
 val start : unit -> unit
-(** Discard previously recorded spans and start recording. *)
+(** Discard every record (the flight-recorder window included) and arm
+    the tracer. *)
 
 val stop : unit -> unit
-(** Stop recording; recorded spans stay available for export. *)
+(** Disarm the tracer; recorded spans stay available for export. *)
 
 val with_span : ?attrs:(string * attr) list -> name:string -> kind:kind -> (span -> 'a) -> 'a
 (** Run the body inside a span.  The span closes when the body returns or
-    raises.  When tracing is off the body runs against a dummy span and
-    nothing is recorded. *)
+    raises, and is then recorded.  When the tracer is off the body runs
+    against a dummy span and the record carries no attributes. *)
 
 val add_attr : span -> string -> attr -> unit
 (** Attach an attribute to a live span (e.g. a step count known only
     after the work ran).  No-op on the dummy span. *)
+
+val point : kind:string -> ?detail:string -> string -> unit
+(** [point ~kind name] records a point event in the flight recorder.
+    [kind] is a short class tag (["retry"], ["failure"], ["fault"]),
+    [name] the site, [detail] free-form context. *)
 
 (** A merged begin/end event, for tests and validation. *)
 type event = {
@@ -80,6 +101,19 @@ type event = {
 val events : unit -> event list
 (** All recorded events, grouped by domain track; within a track, events
     are in recording order with non-decreasing timestamps. *)
+
+val journal : unit -> Json.t list
+(** The flight-recorder window: the newest 512 records of every domain,
+    ordered by (domain, buffer birth, sequence) like {!events}.  Each is
+    an object with the fields [ts_us] (end time), [tid], [seq] (the
+    record's number in its buffer), [kind] (["span"] or the point
+    event's class), [name], [detail] (a span's category) and [dur_us]
+    (0 for point events); times are microseconds with three decimals. *)
+
+val write_journal : string -> (int, string) result
+(** Atomically write {!journal} to a file as JSONL, one object per line,
+    the format [bench/tracecheck.exe --journal] validates; returns the
+    record count. *)
 
 val export_json : Buffer.t -> unit
 (** Append the Chrome trace-event JSON document ([traceEvents] array plus

@@ -1,169 +1,4 @@
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-type state = { src : string; mutable pos : int }
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> bad "expected %c at offset %d, found %c" c st.pos c'
-  | None -> bad "expected %c at offset %d, found end of input" c st.pos
-
-let literal st word value =
-  let n = String.length word in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word then begin
-    st.pos <- st.pos + n;
-    value
-  end
-  else bad "invalid literal at offset %d" st.pos
-
-let parse_string_body st =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> bad "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-       | Some '"' -> Buffer.add_char buf '"'; advance st; go ()
-       | Some '\\' -> Buffer.add_char buf '\\'; advance st; go ()
-       | Some '/' -> Buffer.add_char buf '/'; advance st; go ()
-       | Some 'n' -> Buffer.add_char buf '\n'; advance st; go ()
-       | Some 'r' -> Buffer.add_char buf '\r'; advance st; go ()
-       | Some 't' -> Buffer.add_char buf '\t'; advance st; go ()
-       | Some 'b' -> Buffer.add_char buf '\b'; advance st; go ()
-       | Some 'f' -> Buffer.add_char buf '\012'; advance st; go ()
-       | Some 'u' ->
-         advance st;
-         if st.pos + 4 > String.length st.src then bad "truncated \\u escape";
-         let hex = String.sub st.src st.pos 4 in
-         st.pos <- st.pos + 4;
-         (match int_of_string_opt ("0x" ^ hex) with
-          | None -> bad "invalid \\u escape %S" hex
-          | Some code ->
-            (* decoded byte-wise; enough for the ASCII traces we emit *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else Buffer.add_string buf (Printf.sprintf "\\u%s" hex));
-         go ()
-       | _ -> bad "invalid escape at offset %d" st.pos)
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number st =
-  let start = st.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while (match peek st with Some c when is_num_char c -> true | _ -> false) do
-    advance st
-  done;
-  let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> bad "invalid number %S at offset %d" s start
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> bad "unexpected end of input"
-  | Some '{' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      advance st;
-      Obj []
-    end
-    else begin
-      let rec members acc =
-        skip_ws st;
-        expect st '"';
-        let k = parse_string_body st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          members ((k, v) :: acc)
-        | Some '}' ->
-          advance st;
-          List.rev ((k, v) :: acc)
-        | _ -> bad "expected , or } at offset %d" st.pos
-      in
-      Obj (members [])
-    end
-  | Some '[' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      advance st;
-      List []
-    end
-    else begin
-      let rec elements acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          elements (v :: acc)
-        | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-        | _ -> bad "expected , or ] at offset %d" st.pos
-      in
-      List (elements [])
-    end
-  | Some '"' ->
-    advance st;
-    Str (parse_string_body st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some _ -> parse_number st
-
-let parse s =
-  let st = { src = s; pos = 0 } in
-  match parse_value st with
-  | v ->
-    skip_ws st;
-    if st.pos <> String.length s then Error "trailing garbage after JSON value"
-    else Ok v
-  | exception Bad msg -> Error msg
-
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-(* ---- validation ---- *)
+include Json
 
 type summary = {
   su_events : int;

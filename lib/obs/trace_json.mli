@@ -1,21 +1,14 @@
-(** Minimal JSON parser and Chrome-trace validator.
+(** Chrome-trace validator.
 
     Shared by the test suite and [bench/tracecheck.exe]: parse a trace
     file, then check that every domain track is balanced (each E closes
     the most recent B with the same name) and that timestamps are
-    non-decreasing per track. *)
+    non-decreasing per track.  The JSON codec itself is {!Json},
+    re-exported here for callers that reach it through this module. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-val parse : string -> (json, string) result
-
-val member : string -> json -> json option
+include module type of struct
+  include Json
+end
 
 (** What a valid trace contained. *)
 type summary = {
@@ -24,7 +17,8 @@ type summary = {
   su_cats : (string * int) list;  (** complete-span count per category, sorted *)
 }
 
-val validate : json -> (summary, string) result
+val validate : t -> (summary, string) result
 (** Check the [traceEvents] of a parsed trace document. *)
 
 val validate_string : string -> (summary, string) result
+(** {!Json.parse}, then {!validate}. *)

@@ -1,4 +1,4 @@
-module J = Obs.Trace_json
+module J = Obs.Json
 
 let known_keys =
   [ "app"; "source"; "source_name"; "scale"; "mode"; "workload";
@@ -93,28 +93,21 @@ let parse body =
   | Ok _ -> Error "request body must be a JSON object"
 
 let to_json ?client (spec : Request.spec) =
-  let buf = Buffer.create 256 in
-  let first = ref true in
-  let field = Obs.Json_out.field buf ~first in
-  let str_f name v =
-    field name;
-    Obs.Json_out.str buf v
+  let opt name f = Option.fold ~none:[] ~some:(fun v -> [ (name, f v) ]) in
+  let source =
+    match spec.Request.sp_source with
+    | Request.Builtin slug -> [ ("app", J.Str slug) ]
+    | Request.Inline { name; text; scale } ->
+      [ ("source", J.Str text); ("source_name", J.Str name) ]
+      @ if scale <> 1 then [ ("scale", J.int scale) ] else []
   in
-  let int_f name v =
-    field name;
-    Obs.Json_out.num buf (float_of_int v)
-  in
-  Buffer.add_char buf '{';
-  (match spec.Request.sp_source with
-  | Request.Builtin slug -> str_f "app" slug
-  | Request.Inline { name; text; scale } ->
-    str_f "source" text;
-    str_f "source_name" name;
-    if scale <> 1 then int_f "scale" scale);
-  str_f "mode" (Pipeline.mode_name spec.Request.sp_mode);
-  str_f "workload" (if spec.Request.sp_quick then "quick" else "eval");
-  Option.iter (int_f "step_budget") spec.Request.sp_step_budget;
-  Option.iter (int_f "jobs") spec.Request.sp_jobs_hint;
-  Option.iter (str_f "client") client;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       (source
+       @ [
+           ("mode", J.Str (Pipeline.mode_name spec.Request.sp_mode));
+           ("workload", J.Str (if spec.Request.sp_quick then "quick" else "eval"));
+         ]
+       @ opt "step_budget" J.int spec.Request.sp_step_budget
+       @ opt "jobs" J.int spec.Request.sp_jobs_hint
+       @ opt "client" (fun c -> J.Str c) client))

@@ -5,7 +5,7 @@
     wrong types, out-of-range values and ambiguous sources are rejected
     with a message naming the offending field — a malformed request can
     never be half-accepted.  Emission ({!to_json}) is canonical and
-    deterministic (fixed key order, {!Obs.Json_out} number formatting),
+    deterministic (fixed key order, printed by {!Obs.Json}),
     and {!parse} inverts it exactly: [parse (to_json ?client spec)]
     returns [(spec, client)] for every representable spec.  The request
     store persists specs in this very encoding, so a resumed request

@@ -1,4 +1,5 @@
 module M = Obs.Metrics
+module J = Obs.Json
 
 type listen =
   | Unix_sock of string
@@ -109,12 +110,7 @@ let fresh_id t =
 
 (* ---- JSON response bodies ---- *)
 
-let error_body msg =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf "{\"error\":";
-  Obs.Json_out.str buf msg;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let error_body msg = J.to_string (J.Obj [ ("error", J.Str msg) ])
 
 let needs_exclusive spec = spec.Request.sp_step_budget <> None
 
@@ -123,85 +119,55 @@ let spec_of_entry (e : Store.entry) =
   | Ok (spec, _) -> Some spec
   | Error _ -> None
 
-let entry_summary buf (e : Store.entry) =
-  let first = ref true in
-  let field = Obs.Json_out.field buf ~first in
-  Buffer.add_char buf '{';
-  field "id";
-  Obs.Json_out.str buf e.Store.e_id;
-  field "state";
-  Obs.Json_out.str buf (Store.state_name e.Store.e_state);
-  if e.Store.e_status >= 0 then begin
-    field "status";
-    Obs.Json_out.num buf (float_of_int e.Store.e_status)
-  end;
-  Buffer.add_char buf '}'
+(* A flow's listing entry, and the head of its detail body. *)
+let summary_fields (e : Store.entry) =
+  [ ("id", J.Str e.Store.e_id); ("state", J.Str (Store.state_name e.Store.e_state)) ]
+  @ if e.Store.e_status >= 0 then [ ("status", J.int e.Store.e_status) ] else []
 
 let entry_body (e : Store.entry) =
-  let buf = Buffer.create 256 in
-  let first = ref true in
-  let field = Obs.Json_out.field buf ~first in
-  let str_f name v = field name; Obs.Json_out.str buf v in
-  Buffer.add_char buf '{';
-  str_f "id" e.Store.e_id;
-  str_f "state" (Store.state_name e.Store.e_state);
-  if e.Store.e_status >= 0 then begin
-    field "status";
-    Obs.Json_out.num buf (float_of_int e.Store.e_status)
-  end;
-  str_f "client" e.Store.e_client;
-  str_f "spec" e.Store.e_spec;
-  if e.Store.e_error <> "" then str_f "error" e.Store.e_error;
-  if e.Store.e_ledger <> "" then str_f "ledger" e.Store.e_ledger;
-  if e.Store.e_state = Store.Done || e.Store.e_report <> "" then begin
-    str_f "report" (Printf.sprintf "/v1/flows/%s/report" e.Store.e_id);
-    str_f "why" (Printf.sprintf "/v1/flows/%s/why" e.Store.e_id)
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let str_if cond name v = if cond then [ (name, J.Str v) ] else [] in
+  let finished = e.Store.e_state = Store.Done || e.Store.e_report <> "" in
+  J.to_string
+    (J.Obj
+       (summary_fields e
+       @ [ ("client", J.Str e.Store.e_client); ("spec", J.Str e.Store.e_spec) ]
+       @ str_if (e.Store.e_error <> "") "error" e.Store.e_error
+       @ str_if (e.Store.e_ledger <> "") "ledger" e.Store.e_ledger
+       @ str_if finished "report" (Printf.sprintf "/v1/flows/%s/report" e.Store.e_id)
+       @ str_if finished "why" (Printf.sprintf "/v1/flows/%s/why" e.Store.e_id)))
 
 let health_body t =
   with_lock t (fun () ->
-      let buf = Buffer.create 128 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"ok\":true,\"draining\":%b,\"inflight\":%d,\"queued\":%d,\"capacity\":%d}"
-           (Atomic.get stop_flag) t.inflight
-           (Admission.length t.queue)
-           (Admission.capacity t.queue));
-      Buffer.contents buf)
+      J.to_string
+        (J.Obj
+           [
+             ("ok", J.Bool true);
+             ("draining", J.Bool (Atomic.get stop_flag));
+             ("inflight", J.int t.inflight);
+             ("queued", J.int (Admission.length t.queue));
+             ("capacity", J.int (Admission.capacity t.queue));
+           ]))
 
 let apps_body () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"apps\":[";
-  List.iteri
-    (fun i (a : App.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let first = ref true in
-      let field = Obs.Json_out.field buf ~first in
-      Buffer.add_char buf '{';
-      field "slug";
-      Obs.Json_out.str buf a.App.app_slug;
-      field "name";
-      Obs.Json_out.str buf a.App.app_name;
-      field "descr";
-      Obs.Json_out.str buf a.App.app_descr;
-      Buffer.add_char buf '}')
-    Suite.all;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ( "apps",
+           J.List
+             (List.map
+                (fun (a : App.t) ->
+                  J.Obj
+                    [
+                      ("slug", J.Str a.App.app_slug);
+                      ("name", J.Str a.App.app_name);
+                      ("descr", J.Str a.App.app_descr);
+                    ])
+                Suite.all) );
+       ])
 
 let metrics_body () =
-  let buf = Buffer.create 1024 in
-  let first = ref true in
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (name, v) ->
-      Obs.Json_out.field buf ~first name;
-      Obs.Json_out.gnum buf v)
-    (M.flatten (M.snapshot ()));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let values = List.map (fun (name, v) -> (name, J.Num v)) (M.flatten (M.snapshot ())) in
+  J.to_string (J.Obj values)
 
 let flows_body t =
   with_lock t (fun () ->
@@ -209,15 +175,8 @@ let flows_body t =
         Hashtbl.fold (fun _ e acc -> e :: acc) t.registry []
         |> List.sort (fun a b -> compare a.Store.e_id b.Store.e_id)
       in
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf "{\"flows\":[";
-      List.iteri
-        (fun i e ->
-          if i > 0 then Buffer.add_char buf ',';
-          entry_summary buf e)
-        entries;
-      Buffer.add_string buf "]}";
-      Buffer.contents buf)
+      let flows = List.map (fun e -> J.Obj (summary_fields e)) entries in
+      J.to_string (J.Obj [ ("flows", J.List flows) ]))
 
 (* ---- dispatch ---- *)
 
@@ -361,7 +320,7 @@ and run_one t id excl =
     (* per-request flight-recorder flush: the post-mortem trail survives
        the daemon even for successful runs *)
     (match
-       Obs.Journal.flush
+       Obs.Trace.write_journal
          (Filename.concat t.cfg.c_store (id ^ ".journal.jsonl"))
      with
     | Ok _ -> ()

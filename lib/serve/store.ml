@@ -1,4 +1,4 @@
-module J = Obs.Trace_json
+module J = Obs.Json
 
 type state =
   | Queued
@@ -42,25 +42,20 @@ let version = 1
 let skipped = Obs.Metrics.counter "serve.store.skipped"
 
 let to_json e =
-  let buf = Buffer.create 512 in
-  let first = ref true in
-  let field = Obs.Json_out.field buf ~first in
-  let str_f name v = field name; Obs.Json_out.str buf v in
-  Buffer.add_char buf '{';
-  str_f "id" e.e_id;
-  field "received";
-  Obs.Json_out.gnum buf e.e_received;
-  str_f "client" e.e_client;
-  str_f "spec" e.e_spec;
-  str_f "state" (state_name e.e_state);
-  field "status";
-  Obs.Json_out.num buf (float_of_int e.e_status);
-  str_f "error" e.e_error;
-  str_f "report" e.e_report;
-  str_f "why" e.e_why;
-  str_f "ledger" e.e_ledger;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ("id", J.Str e.e_id);
+         ("received", J.Num e.e_received);
+         ("client", J.Str e.e_client);
+         ("spec", J.Str e.e_spec);
+         ("state", J.Str (state_name e.e_state));
+         ("status", J.int e.e_status);
+         ("error", J.Str e.e_error);
+         ("report", J.Str e.e_report);
+         ("why", J.Str e.e_why);
+         ("ledger", J.Str e.e_ledger);
+       ])
 
 let of_json text =
   match J.parse text with

@@ -150,7 +150,7 @@ let fire tgt ~site =
         st_spec.sp_rules;
       if !hit then begin
         Obs.Metrics.Counter.incr (injected_counter tgt);
-        Obs.Journal.record ~kind:"fault" ~detail:(target_label tgt) site
+        Obs.Trace.point ~kind:"fault" ~detail:(target_label tgt) site
       end;
       !hit
 

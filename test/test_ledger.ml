@@ -273,7 +273,9 @@ let test_stats_table () =
 
 let test_journal_flush_on_fault () =
   with_dir @@ fun dir ->
-  Obs.Journal.clear ();
+  (* start + stop: fresh buffers, tracer off *)
+  Obs.Trace.start ();
+  Obs.Trace.stop ();
   (match Util.Faultsim.parse "task:journal-test@1,seed=7" with
   | Error e -> Alcotest.fail e
   | Ok spec -> Util.Faultsim.arm spec);
@@ -282,7 +284,7 @@ let test_journal_flush_on_fault () =
     (Util.Faultsim.fire Util.Faultsim.Task_site ~site:"journal-test");
   let file = Filename.concat dir "fault.journal.jsonl" in
   Unix.mkdir dir 0o755;
-  (match Obs.Journal.flush file with
+  (match Obs.Trace.write_journal file with
   | Error e -> Alcotest.fail e
   | Ok n -> check "journal holds at least the fault event" true (n >= 1));
   let contents = In_channel.with_open_bin file In_channel.input_all in
@@ -293,13 +295,10 @@ let test_journal_flush_on_fault () =
   let fault_line =
     List.find_opt
       (fun l ->
-        match Obs.Trace_json.parse l with
+        match Obs.Json.parse l with
         | Ok j -> (
-          match
-            (Obs.Trace_json.member "kind" j, Obs.Trace_json.member "name" j)
-          with
-          | Some (Obs.Trace_json.Str "fault"), Some (Obs.Trace_json.Str site) ->
-            site = "journal-test"
+          match (Obs.Json.member "kind" j, Obs.Json.member "name" j) with
+          | Some (Str "fault"), Some (Str site) -> site = "journal-test"
           | _ -> false)
         | Error _ -> false)
       lines
@@ -307,16 +306,19 @@ let test_journal_flush_on_fault () =
   check "the injected fault is on the record" true (fault_line <> None)
 
 let test_journal_ring_bounded () =
-  Obs.Journal.clear ();
+  Obs.Trace.start ();
+  Obs.Trace.stop ();
   for i = 1 to 2000 do
-    Obs.Journal.record ~kind:"span" ~detail:"test" (Printf.sprintf "ev%d" i)
+    Obs.Trace.point ~kind:"span" ~detail:"test" (Printf.sprintf "ev%d" i)
   done;
-  let evs = Obs.Journal.events () in
+  let evs = Obs.Trace.journal () in
   check "ring keeps a bounded recent window" true
     (List.length evs <= 512 && List.length evs > 0);
   (* the window is the most recent events, in order *)
   match List.rev evs with
-  | last :: _ -> check_str "last event survives" "ev2000" last.Obs.Journal.jv_name
+  | last :: _ ->
+    check_str "last event survives" "ev2000"
+      (match Obs.Json.member "name" last with Some (Str s) -> s | _ -> "")
   | [] -> Alcotest.fail "no events"
 
 let suite =

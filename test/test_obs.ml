@@ -1,7 +1,8 @@
 (* Tests for lib/obs: the metrics registry (counters, gauges, histogram
-   percentiles), the span tracer (nesting/ordering under pool
-   parallelism, Chrome-trace JSON validity), and flow provenance
-   determinism (same seed => byte-identical --why text). *)
+   percentiles), the span tracer and flight recorder (nesting/ordering
+   under pool parallelism, Chrome-trace JSON validity, the recorder
+   window), the JSON codec, and flow provenance determinism (same seed
+   => byte-identical --why text). *)
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -189,6 +190,126 @@ let test_interp_run_observers () =
        | _ -> false)
   | _ -> Alcotest.failf "expected 2 interp-run spans, got %d" (List.length runs)
 
+let test_recorder_window_while_armed () =
+  Obs.Trace.start ();
+  for i = 1 to 2000 do
+    Obs.Trace.with_span ~name:(Printf.sprintf "s%d" i) ~kind:Obs.Trace.Section ignore
+  done;
+  Obs.Trace.stop ();
+  checki "the tracer keeps every span" 4000 (List.length (Obs.Trace.events ()));
+  let tid = Obs.Json.int (Domain.self () :> int) in
+  let names =
+    List.filter_map
+      (fun j ->
+        match (Obs.Json.member "tid" j, Obs.Json.member "name" j) with
+        | Some t, Some (Str n) when t = tid -> Some n
+        | _ -> None)
+      (Obs.Trace.journal ())
+  in
+  checki "the recorder keeps the newest 512" 512 (List.length names);
+  checks "oldest survivor" "s1489" (List.hd names);
+  checks "newest record" "s2000" (List.nth names 511)
+
+let test_point_events_journal_only () =
+  Obs.Trace.start ();
+  Obs.Trace.with_span ~name:"outer" ~kind:Obs.Trace.Task (fun _ ->
+      Obs.Trace.point ~kind:"retry" ~detail:"task-failed" "site-a");
+  Obs.Trace.stop ();
+  let kinds =
+    List.filter_map
+      (fun j ->
+        match (Obs.Json.member "kind" j, Obs.Json.member "name" j) with
+        | Some (Str k), Some (Str n) -> Some (k, n)
+        | _ -> None)
+      (Obs.Trace.journal ())
+  in
+  check "journal: point event, then the span" true
+    (kinds = [ ("retry", "site-a"); ("span", "outer") ]);
+  check "the export holds the span only" true
+    (List.for_all
+       (fun (ev : Obs.Trace.event) -> ev.Obs.Trace.ev_name = "outer")
+       (Obs.Trace.events ()));
+  match Obs.Trace_json.validate_string (export_string ()) with
+  | Ok su -> checki "one span = two events" 2 su.Obs.Trace_json.su_events
+  | Error e -> Alcotest.failf "trace invalid: %s" e
+
+(* ---- JSON codec ---- *)
+
+let json_gen =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (0 -- 8) in
+  let num =
+    oneof
+      [
+        (* integral, either sign, past 1e15 *)
+        map float_of_int int;
+        (* any magnitude down to subnormals *)
+        map2 ldexp (float_range (-1.0) 1.0) (int_range (-1074) 1023);
+        (* timestamps rounded to three decimals *)
+        map (fun f -> Float.round (f *. 1e3) /. 1e3) (float_range (-1e12) 1e12);
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun f -> Obs.Json.Num f) num;
+        map (fun s -> Obs.Json.Str s) bytes;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then scalar
+      else
+        frequency
+          [
+            (2, scalar);
+            (1, map (fun l -> Obs.Json.List l) (list_size (0 -- 4) (self (depth - 1))));
+            ( 1,
+              map
+                (fun l -> Obs.Json.Obj l)
+                (list_size (0 -- 4) (pair bytes (self (depth - 1)))) );
+          ])
+    3
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"json: parse inverts to_string" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string json_gen)
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
+
+let test_json_printer () =
+  checks "compact, in member order, raw bytes kept"
+    "{\"b\":[1,-2.5,true,null],\"a\\\\\":\"x\\\"y\\n\\u0001\255\"}"
+    (Obs.Json.to_string
+       (Obj
+          [
+            ("b", List [ Num 1.0; Num (-2.5); Bool true; Null ]);
+            ("a\\", Str "x\"y\n\001\255");
+          ]));
+  checks "non-finite numbers print as null" "[null,null,null]"
+    (Obs.Json.to_string
+       (List [ Num Float.nan; Num Float.infinity; Num Float.neg_infinity ]));
+  checks "shortest round-trip forms" "[0.1,1e+15,123456.789,0.30000000000000004]"
+    (Obs.Json.to_string (List [ Num 0.1; Num 1e15; Num 123456.789; Num (0.1 +. 0.2) ]))
+
+let test_json_unicode_escapes () =
+  let str text =
+    match Obs.Json.parse text with Ok (Str s) -> Some s | _ -> None
+  in
+  check "escapes decode to UTF-8, surrogate pairs joined" true
+    (str {|"\u00e9 \ud83d\ude00 \u0041\u20ac"|}
+    = Some "\xc3\xa9 \xf0\x9f\x98\x80 A\xe2\x82\xac");
+  List.iter
+    (fun (what, text) -> check what true (str text = None))
+    [
+      ("lone high surrogate", {|"\ud83d"|});
+      ("high surrogate before a non-surrogate", {|"\ud83d\u0041"|});
+      ("lone low surrogate", {|"\ude00"|});
+      ("non-hex digit", {|"\u12g4"|});
+      ("truncated escape", {|"\u12"|});
+    ]
+
 (* ---- provenance determinism ---- *)
 
 let why_of_run app =
@@ -242,6 +363,15 @@ let suite =
       test_validator_rejects_malformed;
     Alcotest.test_case "trace: interp-run spans name their observers" `Quick
       test_interp_run_observers;
+    Alcotest.test_case "trace: armed, the recorder keeps the newest 512" `Quick
+      test_recorder_window_while_armed;
+    Alcotest.test_case "trace: point events reach the journal only" `Quick
+      test_point_events_journal_only;
+    QCheck_alcotest.to_alcotest prop_json_round_trip;
+    Alcotest.test_case "json: compact printer, one number format" `Quick
+      test_json_printer;
+    Alcotest.test_case "json: \\u escapes decode to UTF-8" `Quick
+      test_json_unicode_escapes;
     Alcotest.test_case "provenance: --why deterministic" `Quick
       test_why_deterministic;
   ]

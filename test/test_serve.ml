@@ -101,6 +101,7 @@ let test_codec_malformed () =
   rejected {|{"app":"nbody","step_budget":1.5}|} "positive";
   rejected {|{"app":"nbody","jobs":-2}|} "positive";
   rejected {|{"app":"nbody","client":""}|} "client";
+  rejected {|{"app":"nbody","client":"\ud800"}|} "invalid JSON";
   rejected {|{"app":7}|} "string"
 
 (* ---------------- http framing ---------------- *)
@@ -249,6 +250,30 @@ let entry id state =
     e_why = "";
     e_ledger = "";
   }
+
+(* Clients that escape non-ASCII (Python's json.dumps default) must get
+   back the name they sent, through the codec and the request store. *)
+let test_codec_unicode_escapes () =
+  let name (spec : Request.spec) =
+    match spec.Request.sp_source with Request.Inline { name; _ } -> name | _ -> ""
+  in
+  match Serve.Codec.parse {|{"source":"int main() {}","source_name":"caf\u00e9"}|} with
+  | Error msg -> Alcotest.failf "escaped name rejected: %s" msg
+  | Ok (spec, _) ->
+    check_str "escape decodes to UTF-8" "caf\xc3\xa9" (name spec);
+    check_str "canonical encoding keeps it" "caf\xc3\xa9"
+      (name (fst (round_trip spec None)));
+    with_dir (fun dir ->
+        let e = entry "q000001" Serve.Store.Queued in
+        (match Serve.Store.save ~dir { e with e_spec = Serve.Codec.to_json spec } with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "save failed: %s" msg);
+        match Serve.Store.find ~dir "q000001" with
+        | Some got -> (
+          match Serve.Codec.parse got.Serve.Store.e_spec with
+          | Ok (stored, _) -> check_str "the store keeps it" "caf\xc3\xa9" (name stored)
+          | Error msg -> Alcotest.failf "stored spec rejected: %s" msg)
+        | None -> Alcotest.fail "saved entry not found")
 
 let test_store_round_trip () =
   with_dir (fun dir ->
@@ -624,6 +649,7 @@ let suite =
       test_limiter_disabled;
     Alcotest.test_case "admission bounded queue sheds" `Quick
       test_admission_shed;
+    Alcotest.test_case "codec decodes \\u escapes" `Quick test_codec_unicode_escapes;
     Alcotest.test_case "store round-trip" `Quick test_store_round_trip;
     Alcotest.test_case "store skips corrupt records" `Quick
       test_store_corruption_skipped;
