@@ -19,8 +19,8 @@ bench-quick:
 
 # regression gate: re-run the quick bench and diff against the committed
 # seed baseline (fails on >20% regression in any section or in
-# interpreter throughput, or if the compiled backend drops below 3x the
-# seed walker)
+# interpreter throughput, if the vm backend drops below 20x the seed
+# walker or the walker of the same run, or on a per-app vm coverage floor)
 bench-compare: bench-quick
 	dune exec bench/compare.exe -- bench.json BENCH_seed.json
 

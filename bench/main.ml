@@ -19,7 +19,7 @@
      main.exe --quick         test workloads (fast smoke run)
      main.exe --jobs N        domains for parallel flow execution (1 = sequential)
      main.exe --json FILE     dump per-section wall-clock times as JSON
-     main.exe --interp B      default interpreter backend: ast | compiled | vm
+     main.exe --interp B      default interpreter backend: ast | vm
      main.exe --cache D       evaluation-cache directory (default .psa-cache; off = disabled)
      main.exe --faults SPEC   arm the deterministic fault-injection harness
      main.exe --trace FILE    write a Chrome trace-event span trace of the run
@@ -56,7 +56,7 @@ let () =
     match Machine.backend_of_string v with
     | Some b -> Machine.set_default_backend b
     | None ->
-      prerr_endline "bench: --interp expects 'ast', 'compiled' or 'vm'";
+      prerr_endline "bench: --interp expects 'ast' or 'vm'";
       exit 2)
 
 let () =
@@ -356,9 +356,8 @@ let run_interp_throughput () =
     (float_of_int !steps /. dt, !steps)
   in
   let ast_sps, steps = measure `Ast in
-  let compiled_sps, _ = measure `Compiled in
   let vm_sps, _ = measure `Vm in
-  throughput := [ ("ast", ast_sps); ("compiled", compiled_sps); ("vm", vm_sps) ];
+  throughput := [ ("ast", ast_sps); ("vm", vm_sps) ];
   vm_coverage :=
     List.filter_map
       (fun (name, _, _) ->
@@ -370,10 +369,6 @@ let run_interp_throughput () =
   let table = Util.Table.create ~headers:[ "backend"; "statements/s"; "speedup" ] in
   Util.Table.set_aligns table [ Util.Table.Left; Util.Table.Right; Util.Table.Right ];
   Util.Table.add_row table [ "ast (tree walker)"; Printf.sprintf "%.2e" ast_sps; "1.00x" ];
-  Util.Table.add_row table
-    [ "compiled (closures)";
-      Printf.sprintf "%.2e" compiled_sps;
-      Printf.sprintf "%.2fx" (compiled_sps /. ast_sps) ];
   Util.Table.add_row table
     [ "vm (superinstructions)";
       Printf.sprintf "%.2e" vm_sps;

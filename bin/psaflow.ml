@@ -56,14 +56,11 @@ let jobs_arg =
 let interp_arg =
   let doc =
     "Interpreter backend: $(b,vm) (default; superinstruction VM over the \
-     typed flat IR), $(b,compiled) (one-shot closure compilation) or \
-     $(b,ast) (reference tree walker). All three produce bit-identical \
-     results; the slower backends exist as semantic oracles and for \
-     debugging."
+     typed flat IR, hosted by the tree walker) or $(b,ast) (reference tree \
+     walker alone). Both produce bit-identical results; the walker exists \
+     as the semantic oracle and for debugging."
   in
-  let backend_conv =
-    Arg.enum [ ("ast", `Ast); ("compiled", `Compiled); ("vm", `Vm) ]
-  in
+  let backend_conv = Arg.enum [ ("ast", `Ast); ("vm", `Vm) ] in
   Arg.(value & opt (some backend_conv) None & info [ "interp" ] ~docv:"BACKEND" ~doc)
 
 let trace_arg =
@@ -222,7 +219,7 @@ let print_interp_stats () =
 
 (* Per-loop plan outcomes for --explain: what the lowering pass decided for
    every for statement in the app, plus any loops whose plan bailed back to
-   the closure path at runtime.  Both sources are deterministic sets in
+   the walker at runtime.  Both sources are deterministic sets in
    program order, so the output is byte-identical at any --jobs. *)
 let print_vm_plan app =
   let report = Ir_lower.plan_report (App.program app) in

@@ -93,15 +93,12 @@ let project (art : Artifact.t) =
       art_prov = [];
     } )
 
-let backend_tag () =
-  match Machine.default_backend () with `Ast -> 0 | `Compiled -> 1 | `Vm -> 2
-
 let key_of (task : Task.t) art =
   Digest.string
     (Marshal.to_string
        ( Machine.interp_version,
          Ir.version,
-         backend_tag (),
+         Machine.backend_tag (Machine.default_backend ()),
          task.Task.name,
          Task.scope_label task.Task.scope,
          task.Task.kind,

@@ -1,12 +1,14 @@
 (* Guarded executor for {!Ir.fast_loop}: the superinstruction VM's hot
-   path.  [Compile] intercepts a planned [For] right after initialising the
-   root index slot; [try_run] either executes the whole nest here — unboxed
-   register files, the nest's ops compiled once per run into threaded
-   closures, batched step/counter accounting with per-site taken counters,
-   a cost walk reused while the trip counts stay the same, bounds checks
-   verified once at the endpoints of every level — or returns [false]
-   without any observable effect, in which case the caller falls back to
-   the reference closure loop.
+   path.  The walker offers every [For] of a planned statement once the
+   root index cell holds its lo bound ([runner]); [try_run] binds the
+   nest's external names to the walker's cells and either executes the
+   whole nest here —
+   unboxed register files, the nest's ops compiled once per run into
+   threaded closures, batched step/counter accounting with per-site taken
+   counters, a cost walk reused while the trip counts stay the same, bounds
+   checks verified once at the endpoints of every level — or returns
+   [false] without any observable effect, in which case the walker runs
+   the loop itself.
 
    Profiled runs stay on this path too.  Under [profile_loops] the inner
    levels' [loop_stats] are derived at commit from per-level entry counts,
@@ -19,31 +21,30 @@
    Soundness discipline: everything before "commit" below is read-only on
    interpreter state (it only scribbles on [prepared] scratch), so bailing
    out at any point — including via the [Failure] raised by dangling
-   pointers inside [Memory] accessors — leaves the slow path to reproduce
-   the walker's behaviour exactly.  After commit the nest runs to
-   completion; the only exceptions it can raise ([Runtime_error] from
-   checked accesses and division by zero) are raised at the exact point the
+   pointers inside [Memory] accessors — leaves the walker to run the loop
+   exactly as it would have.  After commit the nest runs to completion;
+   the only exceptions it can raise ([Runtime_error] from checked accesses,
+   checked cursors and division by zero) are raised at the exact point the
    walker would raise them, with identical memory, output, and PRNG state
    (counters are added after the run, but counter state is unobservable on
    aborted runs — only the raise identity is).  The step budget is
    pre-checked against the statically largest possible total, so the
-   post-run [consume_steps] can never raise. *)
+   post-run [consume_steps] can never raise.  Arrays the nest declares are
+   allocated after commit, by each execution of their declaration, so the
+   walker's allocation order and memory image are kept. *)
 
 open Interp_rt
 
-(* Where an external name lives in the enclosing compiled function. *)
-type source = Slot of int | Global of Value.t ref
-
 type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* A prepared nest lives for one run: [Compile] binds it while compiling
-   the run's program, so the run's state and config are fixed for its
-   lifetime. *)
+(* A prepared nest lives for one run ([runner]), so the run's state and
+   config are fixed for its lifetime. *)
 type prepared = {
   fl : Ir.fast_loop;
-  index_slot : int;
-  var_srcs : source array;  (* per fl_vars entry *)
-  arr_srcs : source array;  (* per fl_arrs entry *)
+  (* per entry, the walker's cells of the external names: per fl_vars
+     entry, and per fl_arrs entry (unused for declared arrays) *)
+  vcell : Value.t ref array;
+  acell : Value.t ref array;
   (* register files and per-entry scratch, reused across entries *)
   f : float array;
   n : int array;
@@ -79,6 +80,7 @@ type prepared = {
   aidata : int array array;
   adem : bool array;  (* element type is float32: stores demote *)
   abool : bool array;  (* element type is bool: stores normalise *)
+  acur : int array array;  (* per declared array: its cursors *)
   (* per-cursor position, per-level coefficient values, resolved data *)
   cpos : int array;
   ccoef : int array array;
@@ -116,9 +118,15 @@ type prepared = {
   bimg : (int * int array) list array;
   mutable conflict : bool;
   cpos0 : int array;
+  (* per cursor: its accesses may be checked one by one (every one of
+     them lies in a site arm), and this entry checks them (its endpoints
+     fall outside the array) *)
+  ckok : bool array;
+  cck : bool array;
   f32 : f32;  (* scratch cell for single-precision demotion *)
   called : bool array;  (* per inlined call site: ran this entry (alias tracing) *)
-  (* the nest compiled to closures, per footprint-marking mode (off, on) *)
+  (* the nest compiled to closures, per footprint-marking mode (off, on)
+     and cursor-checking mode (off, on) *)
   code : (unit -> unit) option array;
 }
 
@@ -229,7 +237,7 @@ let iter_accesses (op : Ir.fop) ~(cur : int -> ld:bool -> unit)
   | Ir.IAbs _ | Ir.IMin _ | Ir.IMax _ | Ir.ICmp _ | Ir.FCmp _ | Ir.INot _
   | Ir.FMath1 _ | Ir.FMath1S _ | Ir.FMath2 _ | Ir.FMath2S _ | Ir.Rand _
   | Ir.FMulAdd _ | Ir.FAddMul _ | Ir.FSubMul _ | Ir.FRecip _ | Ir.FRsqrt _
-  | Ir.FMulAddS _ | Ir.FAddMulS _ | Ir.FSubMulS _ | Ir.Called _ ->
+  | Ir.FMulAddS _ | Ir.FAddMulS _ | Ir.FSubMulS _ | Ir.Alloc _ | Ir.Called _ ->
     ()
 
 (* Per array: bulk-marked, loaded, and (bulk arrays only) the
@@ -282,7 +290,14 @@ let footprint_plan (fl : Ir.fast_loop) =
   scan ~chain:[] ~armed:false fl.Ir.fl_prologue;
   scan ~chain:[] ~armed:false fl.Ir.fl_epilogue;
   block ~chain:[ 0 ] ~armed:false fl.Ir.fl_levels.(0).Ir.l_body;
-  let bulk = Array.init na (fun a -> ok.(a) && ld.(a) <> fl.Ir.fl_arrs.(a).Ir.a_stored) in
+  (* an array the nest declares has no base before its [Alloc], so the
+     guard's role check cannot see it: it marks per access (into no frame,
+     as scratch to all of them) *)
+  let bulk =
+    Array.init na (fun a ->
+        let arr = fl.Ir.fl_arrs.(a) in
+        ok.(a) && ld.(a) <> arr.Ir.a_stored && arr.Ir.a_size = None)
+  in
   let bimg =
     Array.init na (fun a ->
         if bulk.(a) then
@@ -304,118 +319,104 @@ let rec block_sites (fl : Ir.fast_loop) (b : Ir.block) acc =
       | Ir.Bloop lid -> block_sites fl fl.Ir.fl_levels.(lid).Ir.l_body acc)
     acc b.Ir.b_items
 
-(* [lookup ~global name]: where [name] lives — in the frame of the function
-   holding the nest, or (when [global]) among the globals only *)
-let prepare (fl : Ir.fast_loop) ~(index_slot : int)
-    ~(lookup : global:bool -> string -> (source * Ast.ty) option) : prepared option =
-  let ok = ref true in
-  let dummy = Slot 0 in
-  let var_srcs =
-    Array.map
-      (fun (v : Ir.var) ->
-        match lookup ~global:v.Ir.v_global v.Ir.v_name with
-        | Some (src, ty) ->
-          let want =
-            match v.Ir.v_kind with
-            | Ir.Kint -> Ast.Tint
-            | Ir.Kbool -> Ast.Tbool
-            | Ir.Kfloat Ir.Psingle -> Ast.Tfloat
-            | Ir.Kfloat Ir.Pdouble -> Ast.Tdouble
-          in
-          if ty = want then src else (ok := false; dummy)
-        | None -> (ok := false; dummy))
-      fl.Ir.fl_vars
+let no_cell = ref (Value.Vint 0)
+
+let prepare (fl : Ir.fast_loop) : prepared =
+  let nl = Array.length fl.Ir.fl_levels in
+  let ns = max 1 (Array.length fl.Ir.fl_sites) in
+  let na = max 1 (Array.length fl.Ir.fl_arrs) in
+  let nc = max 1 (Array.length fl.Ir.fl_cursors) in
+  let bulk, aload, bimg = footprint_plan fl in
+  let lev_cur =
+    Array.init nl (fun l ->
+        let ids = ref [] in
+        Array.iteri
+          (fun k (c : Ir.cursor) ->
+            if c.Ir.c_coefs.(l) <> Ir.Iconst 0 then ids := k :: !ids)
+          fl.Ir.fl_cursors;
+        Array.of_list (List.rev !ids))
   in
-  let arr_srcs =
-    Array.map
-      (fun (a : Ir.arr) ->
-        match lookup ~global:a.Ir.a_global a.Ir.a_name with
-        | Some (src, Ast.Tptr ety) when ety = Ir.ty_of_ety a.Ir.a_ety -> src
-        | _ -> (ok := false; dummy))
-      fl.Ir.fl_arrs
-  in
-  if not !ok then begin
-    record_bail fl.Ir.fl_loc "binding";
-    None
-  end
-  else begin
-    let nl = Array.length fl.Ir.fl_levels in
-    let ns = max 1 (Array.length fl.Ir.fl_sites) in
-    let na = max 1 (Array.length fl.Ir.fl_arrs) in
-    let nc = max 1 (Array.length fl.Ir.fl_cursors) in
-    let bulk, aload, bimg = footprint_plan fl in
-    let lev_cur =
-      Array.init nl (fun l ->
-          let ids = ref [] in
+  (* cursors accessed by the prologue or epilogue run unconditionally *)
+  let moved = Array.make nc false in
+  Array.iter
+    (fun op ->
+      iter_accesses op
+        ~cur:(fun c ~ld:_ -> if c < nc then moved.(c) <- true)
+        ~ck:(fun _ ~ld:_ -> ()))
+    (Array.append fl.Ir.fl_prologue fl.Ir.fl_epilogue);
+  {
+    fl;
+    vcell = Array.make (Array.length fl.Ir.fl_vars) no_cell;
+    acell = Array.make na no_cell;
+    f = Array.make (max 1 fl.Ir.fl_nf) 0.0;
+    n = Array.make (max 1 fl.Ir.fl_ni) 0;
+    iregs =
+      Array.map
+        (fun (l : Ir.level) ->
+          match l.Ir.l_index_reg with Some r -> r | None -> -1)
+        fl.Ir.fl_levels;
+    trip = Array.make nl 0;
+    llo = Array.make nl 0;
+    lstep = Array.make nl 1;
+    tk = Array.make ns 0;
+    cntmax = Array.make ns 0;
+    dsite = Array.init ns (fun _ -> Array.make nvec 0);
+    wvalid = false;
+    wtrip = Array.make nl 0;
+    wbase = no_i;
+    wmax = 0;
+    tot = Array.make nvec 0;
+    avalid = false;
+    abase = Array.make na (-1);
+    aoff = Array.make na 0;
+    alen = Array.make na 0;
+    aname = Array.make na "";
+    afdata = Array.make na no_f;
+    aidata = Array.make na no_i;
+    adem = Array.map (fun (a : Ir.arr) -> a.Ir.a_ety = Ir.Efloat32) fl.Ir.fl_arrs;
+    abool = Array.map (fun (a : Ir.arr) -> a.Ir.a_ety = Ir.Ebool) fl.Ir.fl_arrs;
+    acur =
+      Array.init na (fun a ->
+          let cs = ref [] in
           Array.iteri
-            (fun k (c : Ir.cursor) ->
-              if c.Ir.c_coefs.(l) <> Ir.Iconst 0 then ids := k :: !ids)
+            (fun k (c : Ir.cursor) -> if c.Ir.c_arr = a then cs := k :: !cs)
             fl.Ir.fl_cursors;
-          Array.of_list (List.rev !ids))
-    in
-    Some
-      {
-        fl;
-        index_slot;
-        var_srcs;
-        arr_srcs;
-        f = Array.make (max 1 fl.Ir.fl_nf) 0.0;
-        n = Array.make (max 1 fl.Ir.fl_ni) 0;
-        iregs =
-          Array.map
-            (fun (l : Ir.level) ->
-              match l.Ir.l_index_reg with Some r -> r | None -> -1)
-            fl.Ir.fl_levels;
-        trip = Array.make nl 0;
-        llo = Array.make nl 0;
-        lstep = Array.make nl 1;
-        tk = Array.make ns 0;
-        cntmax = Array.make ns 0;
-        dsite = Array.init ns (fun _ -> Array.make nvec 0);
-        wvalid = false;
-        wtrip = Array.make nl 0;
-        wbase = no_i;
-        wmax = 0;
-        tot = Array.make nvec 0;
-        avalid = false;
-        abase = Array.make na (-1);
-        aoff = Array.make na 0;
-        alen = Array.make na 0;
-        aname = Array.make na "";
-        afdata = Array.make na no_f;
-        aidata = Array.make na no_i;
-        adem = Array.map (fun (a : Ir.arr) -> a.Ir.a_ety = Ir.Efloat32) fl.Ir.fl_arrs;
-        abool = Array.map (fun (a : Ir.arr) -> a.Ir.a_ety = Ir.Ebool) fl.Ir.fl_arrs;
-        cpos = Array.make nc 0;
-        ccoef = Array.init nc (fun _ -> Array.make nl 0);
-        cfdata = Array.make nc no_f;
-        cidata = Array.make nc no_i;
-        lev_cur;
-        enter_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
-        step_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
-        exit_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
-        lsites =
-          Array.map
-            (fun (l : Ir.level) -> Array.of_list (block_sites fl l.Ir.l_body []))
-            fl.Ir.fl_levels;
-        lvec = Array.make nl no_i;
-        lmult = Array.make nl 0;
-        lent = Array.make nl 0;
-        lord = Array.make nl 0;
-        nord = 0;
-        carr = Array.map (fun (c : Ir.cursor) -> c.Ir.c_arr) fl.Ir.fl_cursors;
-        fpw = Array.make na no_fp;
-        fpr = Array.make na no_fp;
-        bulk;
-        aload;
-        bimg;
-        conflict = false;
-        cpos0 = Array.make nc 0;
-        f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
-        called = Array.make (Array.length fl.Ir.fl_calls) false;
-        code = [| None; None |];
-      }
-  end
+          Array.of_list !cs);
+    cpos = Array.make nc 0;
+    ccoef = Array.init nc (fun _ -> Array.make nl 0);
+    cfdata = Array.make nc no_f;
+    cidata = Array.make nc no_i;
+    lev_cur;
+    enter_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
+    step_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
+    exit_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
+    lsites =
+      Array.map
+        (fun (l : Ir.level) -> Array.of_list (block_sites fl l.Ir.l_body []))
+        fl.Ir.fl_levels;
+    lvec = Array.make nl no_i;
+    lmult = Array.make nl 0;
+    lent = Array.make nl 0;
+    lord = Array.make nl 0;
+    nord = 0;
+    carr = Array.map (fun (c : Ir.cursor) -> c.Ir.c_arr) fl.Ir.fl_cursors;
+    fpw = Array.make na no_fp;
+    fpr = Array.make na no_fp;
+    bulk;
+    aload;
+    bimg;
+    conflict = false;
+    cpos0 = Array.make nc 0;
+    ckok =
+      Array.init nc (fun k ->
+          k < Array.length fl.Ir.fl_cursors
+          && fl.Ir.fl_cursors.(k).Ir.c_arm <> None
+          && not moved.(k));
+    cck = Array.make nc false;
+    f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
+    called = Array.make (Array.length fl.Ir.fl_calls) false;
+    code = Array.make 4 None;
+  }
 
 (* Nest-invariant integer expressions; [Ivar] indexes the var table and is
    guaranteed int-kinded and unwritten by the lowering. *)
@@ -1028,6 +1029,22 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
   | Ir.FSubMulS (d, c, a, b) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
     fun () -> f.%(d) <- demote s32 (f.%(c) -. demote s32 (f.%(a) *. f.%(b))); k ()
+  | Ir.Alloc a ->
+    let a = ar a in
+    let arr = p.fl.Ir.fl_arrs.(a) in
+    let name = arr.Ir.a_name and elem_ty = Ir.ty_of_ety arr.Ir.a_ety in
+    let curs = p.acur.(a) and alen = p.alen and abase = p.abase in
+    fun () ->
+      let base = (Memory.alloc st.mem ~name ~elem_ty alen.%(a)).Value.base in
+      abase.%(a) <- base;
+      (match Memory.raw st.mem base with
+       | Memory.Rfloat data ->
+         af.%(a) <- data;
+         Array.iter (fun c -> cf.%(c) <- data) curs
+       | Memory.Rint data ->
+         ai.%(a) <- data;
+         Array.iter (fun c -> ci.%(c) <- data) curs);
+      k ()
   | Ir.Called j ->
     let j = valid (Array.length p.called) j in
     if st.cfg.trace_aliases then
@@ -1035,8 +1052,29 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
       fun () -> called.%(j) <- true; k ()
     else k
 
-let ops_code p st ~mk (ops : Ir.fop array) (k : code) : code =
-  Array.fold_right (op_code p st ~mk) ops k
+(* [k] preceded by the checks of the cursors [op] accesses that this entry
+   may check one by one, in access order: each raises the walker's
+   out-of-bounds error at the access's location when its cursor is
+   checked ([p.cck]) and the position is outside the array *)
+let cur_checks p (op : Ir.fop) (k : code) : code =
+  let cs = ref [] in
+  iter_accesses op
+    ~cur:(fun c ~ld:_ -> if p.ckok.(valid (Array.length p.ckok) c) then cs := c :: !cs)
+    ~ck:(fun _ ~ld:_ -> ());
+  List.fold_left
+    (fun k c ->
+      let a = p.carr.(c) and cck = p.cck and cpos = p.cpos and alen = p.alen in
+      let loc = Option.get p.fl.Ir.fl_cursors.(c).Ir.c_arm in
+      fun () ->
+        (if cck.%(c) then
+           let pos = cpos.%(c) in
+           if pos < 0 || pos >= alen.%(a) then oob p a pos loc);
+        k ())
+    k !cs
+
+let ops_code p st ~mk ~ck (ops : Ir.fop array) (k : code) : code =
+  if ck then Array.fold_right (fun op k -> cur_checks p op (op_code p st ~mk op k)) ops k
+  else Array.fold_right (op_code p st ~mk) ops k
 
 (* A block runs its items in order and then [k]; a site's arms both
    continue into [k].  A level enters its cursors, runs its body once per
@@ -1045,29 +1083,29 @@ let ops_code p st ~mk (ops : Ir.fop array) (k : code) : code =
    once per enclosing iteration) start from the enclosing position.  Under
    loop profiling an inner level also counts its entries and notes the
    order levels are first entered in. *)
-let rec block_code p st ~mk ~prof (b : Ir.block) (k : code) : code =
-  Array.fold_right (item_code p st ~mk ~prof) b.Ir.b_items k
+let rec block_code p st ~mk ~ck ~prof (b : Ir.block) (k : code) : code =
+  Array.fold_right (item_code p st ~mk ~ck ~prof) b.Ir.b_items k
 
-and item_code p st ~mk ~prof (it : Ir.bitem) (k : code) : code =
+and item_code p st ~mk ~ck ~prof (it : Ir.bitem) (k : code) : code =
   match it with
-  | Ir.Bops ops -> ops_code p st ~mk ops k
+  | Ir.Bops ops -> ops_code p st ~mk ~ck ops k
   | Ir.Bsite sid ->
     let s = p.fl.Ir.fl_sites.(valid (Array.length p.fl.Ir.fl_sites) sid) in
     let c = valid (Array.length p.n) s.Ir.s_cond in
     let n = p.n and tk = p.tk in
-    let kt = block_code p st ~mk ~prof s.Ir.s_then k in
-    let ke = block_code p st ~mk ~prof s.Ir.s_else k in
+    let kt = block_code p st ~mk ~ck ~prof s.Ir.s_then k in
+    let ke = block_code p st ~mk ~ck ~prof s.Ir.s_else k in
     fun () ->
       if n.%(c) <> 0 then begin
         tk.%(sid) <- tk.%(sid) + 1;
         kt ()
       end
       else ke ()
-  | Ir.Bloop lid -> level_code p st ~mk ~prof lid k
+  | Ir.Bloop lid -> level_code p st ~mk ~ck ~prof lid k
 
-and level_code p st ~mk ~prof lid (k : code) : code =
+and level_code p st ~mk ~ck ~prof lid (k : code) : code =
   let lv = p.fl.Ir.fl_levels.(valid (Array.length p.fl.Ir.fl_levels) lid) in
-  let body = block_code p st ~mk ~prof lv.Ir.l_body ret in
+  let body = block_code p st ~mk ~ck ~prof lv.Ir.l_body ret in
   let n = p.n and cpos = p.cpos in
   let cs = p.lev_cur.(lid) in
   let en = p.enter_d.(lid) and sd = p.step_d.(lid) and ex = p.exit_d.(lid) in
@@ -1107,17 +1145,19 @@ and level_code p st ~mk ~prof lid (k : code) : code =
     done;
     k ()
 
-(* The whole nest, prologue to epilogue, in marking mode [mk]; compiled on
-   the mode's first commit in the run. *)
-let nest_code p st ~mk ~prof =
-  let slot = if mk then 1 else 0 in
+(* The whole nest, prologue to epilogue, in marking mode [mk] and, when
+   [ck], with the per-access cursor checks ([cur_checks]); compiled on the
+   modes' first commit in the run.  Entries that check no cursor run the
+   variant without checks. *)
+let nest_code p st ~mk ~ck ~prof =
+  let slot = (if mk then 1 else 0) + if ck then 2 else 0 in
   match p.code.(slot) with
   | Some c -> c
   | None ->
     let fl = p.fl in
     let c =
-      ops_code p st ~mk fl.Ir.fl_prologue
-        (level_code p st ~mk ~prof 0 (ops_code p st ~mk fl.Ir.fl_epilogue ret))
+      ops_code p st ~mk ~ck fl.Ir.fl_prologue
+        (level_code p st ~mk ~ck ~prof 0 (ops_code p st ~mk ~ck fl.Ir.fl_epilogue ret))
     in
     p.code.(slot) <- Some c;
     c
@@ -1150,11 +1190,15 @@ let account_levels p st =
     end
   done
 
-let read_src (fr : Value.t array) = function
-  | Slot i -> fr.(i)
-  | Global r -> !r
+(* the walker's cell of an external name: in the scope around the loop
+   (no external name is the root index), or (when [global]) among the
+   globals only; unbound declines the nest *)
+let cell st env ~global name =
+  match if global then Hashtbl.find_opt st.globals name else lookup env name with
+  | Some r -> r
+  | None -> raise (Bail "binding")
 
-let attempt p st (fr : Value.t array) (acc : loop_acc) =
+let attempt p st env (index : Value.t ref) (acc : loop_acc) =
   let fl = p.fl in
   let levels = fl.Ir.fl_levels in
   let nl = Array.length levels in
@@ -1169,22 +1213,28 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   if marking
      && (Array.length fl.Ir.fl_hoisted > 0 || Array.length fl.Ir.fl_promoted > 0)
   then raise (Bail "code motion");
-  (* 1. load external scalars, strictly typed (mismatch -> slow path) *)
+  (* 1. bind the external scalars to the walker's cells and load them;
+     a value of another representation than the lowering assumed
+     (precision included) declines the nest *)
   let vars = fl.Ir.fl_vars in
   for k = 0 to Array.length vars - 1 do
     let v = vars.(k) in
-    match v.Ir.v_kind, read_src fr p.var_srcs.(k) with
+    let r = cell st env ~global:v.Ir.v_global v.Ir.v_name in
+    p.vcell.(k) <- r;
+    match v.Ir.v_kind, !r with
     | Ir.Kint, Value.Vint x -> p.n.(v.Ir.v_reg) <- x
     | Ir.Kbool, Value.Vbool b -> p.n.(v.Ir.v_reg) <- (if b then 1 else 0)
-    | Ir.Kfloat _, Value.Vfloat (_, x) -> p.f.(v.Ir.v_reg) <- x
+    | Ir.Kfloat Ir.Psingle, Value.Vfloat (Value.Sp, x)
+    | Ir.Kfloat Ir.Pdouble, Value.Vfloat (Value.Dp, x) ->
+      p.f.(v.Ir.v_reg) <- x
     | _ -> raise (Bail "binding")
   done;
   (* 2. trip counts: every level is [for i = lo; i </<= hi; i += step]
      with nest-invariant bounds, so the whole iteration space is decided
      here once.  The root must run at least one iteration (a zero-trip
-     root is cheaper on the slow path); inner levels may be empty. *)
+     root is cheaper on the walker); inner levels may be empty. *)
   let root_lo =
-    match fr.(p.index_slot) with
+    match !index with
     | Value.Vint x -> x
     | _ -> raise (Bail "binding")
   in
@@ -1210,8 +1260,8 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
      marked valid only once 3b has passed, so a bail partway through
      leaves no half-written walk behind.  The budget must survive the
      statically largest possible total, checked on every entry;
-     otherwise the slow path runs and raises Step_limit_exceeded at the
-     exact offending statement. *)
+     otherwise the walker runs the loop and raises Step_limit_exceeded at
+     the exact offending statement. *)
   if p.wvalid && Array.for_all2 Int.equal p.trip p.wtrip then begin
     if st.steps_left <= p.wmax then raise (Bail "budget")
   end
@@ -1250,23 +1300,40 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
      exactly once, at allocation — so a resolution stays valid for as
      long as the frame holds the same base+offset pointer.  Re-entries
      with unchanged pointers (the common case for a nest entered many
-     times) skip the accessor calls and the alias re-checks entirely. *)
+     times) skip the accessor calls and the alias re-checks entirely.
+     An array the nest declares gets its length here (its offset stays
+     0) and its base and storage from each [Alloc]; until then its base
+     is -1, which no resolved base equals. *)
   let arrs = fl.Ir.fl_arrs in
   let na = Array.length arrs in
   let same = ref p.avalid in
   for k = 0 to na - 1 do
-    match read_src fr p.arr_srcs.(k) with
-    | Value.Vptr ptr ->
-      if ptr.Value.base <> p.abase.(k) || ptr.Value.offset <> p.aoff.(k) then
-        same := false
-    | _ -> raise (Bail "binding")
+    let a = arrs.(k) in
+    match a.Ir.a_size with
+    | Some size ->
+      (* declared in the nest: allocated after commit, [size] long; the
+         walker raises its own error for a negative size *)
+      let n = ieval p size in
+      if n < 0 || n > cap then raise (Bail "array size");
+      p.abase.(k) <- -1;
+      p.alen.(k) <- n;
+      p.aname.(k) <- a.Ir.a_name
+    | None ->
+      let r = cell st env ~global:a.Ir.a_global a.Ir.a_name in
+      p.acell.(k) <- r;
+      (match !r with
+       | Value.Vptr ptr ->
+         if ptr.Value.base <> p.abase.(k) || ptr.Value.offset <> p.aoff.(k) then
+           same := false
+       | _ -> raise (Bail "binding"))
   done;
   if not !same then begin
     p.avalid <- false;
     for k = 0 to na - 1 do
       let a = arrs.(k) in
-      match read_src fr p.arr_srcs.(k) with
-      | Value.Vptr ptr ->
+      match a.Ir.a_size, !(p.acell.(k)) with
+      | Some _, _ -> ()
+      | None, Value.Vptr ptr ->
         let base = ptr.Value.base in
         if Memory.elem_ty st.mem base <> Ir.ty_of_ety a.Ir.a_ety then
           raise (Bail "types");
@@ -1279,7 +1346,7 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
         (match Memory.raw st.mem base with
          | Memory.Rfloat data -> p.afdata.(k) <- data
          | Memory.Rint data -> p.aidata.(k) <- data)
-      | _ -> raise (Bail "binding")
+      | None, _ -> raise (Bail "binding")
     done;
     (* 4b. alias re-checks for the code-motion the lowering performed on
        statically distinct names: hoisted loads must not alias any stored
@@ -1321,7 +1388,10 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
      endpoint bounds — in-bounds extrema imply every reached iteration is
      in bounds.  A cursor with a nonzero coefficient at a zero-trip level
      is never dereferenced (every access is scoped inside that level), so
-     it skips the checks. *)
+     it skips the checks.  A cursor whose accesses all lie in site arms
+     may reach outside the array at its endpoints without ever doing so
+     (a tile loop guarded by [if (jj + t < n)]): it is checked at each
+     access instead ([cur_checks]), after commit. *)
   let cursors = fl.Ir.fl_cursors in
   let ncur = Array.length cursors in
   for k = 0 to ncur - 1 do
@@ -1332,6 +1402,7 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
     let pos0 = base + p.aoff.(a) in
     let coefs = p.ccoef.(k) in
     let accessed = ref true in
+    p.cck.(k) <- false;
     for l = 0 to nl - 1 do
       let coef = ieval p cu.Ir.c_coefs.(l) in
       if coef < -coef_cap || coef > coef_cap then raise (Bail "bounds");
@@ -1361,7 +1432,8 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
           mag := cadd !mag m
         end
       done;
-      if !lo_b < 0 || !hi_b >= p.alen.(a) then raise (Bail "bounds")
+      if !lo_b < 0 || !hi_b >= p.alen.(a) then
+        if p.ckok.(k) then p.cck.(k) <- true else raise (Bail "bounds")
     end;
     p.cpos.(k) <- pos0;
     p.cpos0.(k) <- pos0;
@@ -1383,9 +1455,10 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
       ex.(j) <- coef * (lo + (trip * step))
     done
   done;
-  (* 6. the nest's closures for this run and marking mode (compiled on
-     first use; an invalid register or id in the plan bails here) *)
-  let code = nest_code p st ~mk:marking ~prof in
+  (* 6. the nest's closures for this run, marking mode and checking mode
+     (compiled on first use; an invalid register or id in the plan bails
+     here) *)
+  let code = nest_code p st ~mk:marking ~ck:(Array.mem true p.cck) ~prof in
   (* ---- commit: from here on the fast path runs the nest to the end ---- *)
   Array.fill p.tk 0 (Array.length p.tk) 0;
   if prof then begin
@@ -1442,15 +1515,15 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
         | Ir.Kfloat Ir.Psingle -> Value.Vfloat (Value.Sp, p.f.(v.Ir.v_reg))
         | Ir.Kfloat Ir.Pdouble -> Value.Vfloat (Value.Dp, p.f.(v.Ir.v_reg))
       in
-      match p.var_srcs.(k) with Slot s -> fr.(s) <- value | Global r -> r := value
+      p.vcell.(k) := value
     end
   done;
-  (* leave the root index slot where the failing loop test read it *)
-  fr.(p.index_slot) <- Value.Vint (root_lo + (p.trip.(0) * p.lstep.(0)))
+  (* leave the root index where the failing loop test read it *)
+  index := Value.Vint (root_lo + (p.trip.(0) * p.lstep.(0)))
 
-let try_run p st (fr : Value.t array) (acc : loop_acc) : bool =
+let try_run p st env (index : Value.t ref) (acc : loop_acc) : bool =
   try
-    attempt p st fr acc;
+    attempt p st env index acc;
     true
   with
   | Bail r ->
@@ -1459,3 +1532,18 @@ let try_run p st (fr : Value.t array) (acc : loop_acc) : bool =
   | Failure _ ->
     record_bail p.fl.Ir.fl_loc "memory";
     false
+
+(* The walker's [run_nest] for one run under [plan]: each planned [For]
+   prepares its nest on first entry, and the nest lives for the run *)
+let runner (plan : Ir.plan) st =
+  let nests : (int, prepared option) Hashtbl.t = Hashtbl.create 16 in
+  fun sid env index acc ->
+    let p =
+      match Hashtbl.find_opt nests sid with
+      | Some p -> p
+      | None ->
+        let p = Option.map prepare (Hashtbl.find_opt plan sid) in
+        Hashtbl.replace nests sid p;
+        p
+    in
+    match p with Some p -> try_run p st env index acc | None -> false

@@ -1,16 +1,15 @@
-(* Shared runtime core of the two interpreter backends.
+(* Shared runtime core of the interpreter.
 
-   Both the reference tree-walker (Walker) and the closure compiler
-   (Compile) execute against the same mutable [state]: one memory, one
-   counter set, one PRNG, one output buffer, and the same profiling
-   tables.  Keeping every observable accumulator and its update helpers
-   here is what makes the backends bit-identical: a loop snapshot, a
-   region footprint or an alias cell is maintained by exactly one piece
-   of code, whichever backend drives it.  The VM's planned nests
-   (Fastloop) are the one exception: they batch a nest's inner-level
-   loop statistics and mark footprints through their own code, into the
-   accumulators obtained here ([loop_acc_of], [get_footprint]), and the
-   differential tests hold them to the walker's results. *)
+   The reference tree-walker (Walker) executes against one mutable
+   [state]: one memory, one counter set, one PRNG, one output buffer, and
+   the profiling tables.  Every observable accumulator and its update
+   helpers live here, so a loop snapshot, a region footprint or an alias
+   cell is maintained by exactly one piece of code.  The VM's planned
+   nests (Fastloop), which the walker runs through [run_nest], are the one
+   exception: they batch a nest's inner-level loop statistics and mark
+   footprints through their own code, into the accumulators obtained here
+   ([loop_acc_of], [get_footprint]), and the differential tests hold them
+   to the walker's results. *)
 
 open Ast
 
@@ -103,6 +102,15 @@ type region_acc = {
 
 type flow = Fnormal | Fbreak | Fcontinue | Freturn of Value.t option
 
+(* the walker's scope chain, innermost scope first and the globals last *)
+type env = (string, Value.t ref) Hashtbl.t list
+
+let rec lookup (env : env) name =
+  match env with
+  | [] -> None
+  | scope :: rest ->
+    (match Hashtbl.find_opt scope name with Some r -> Some r | None -> lookup rest name)
+
 type state = {
   program : program;
   cfg : config;
@@ -117,6 +125,11 @@ type state = {
   alias_table : (string, bool ref) Hashtbl.t;
   func_table : (string, func) Hashtbl.t;
   mutable steps_left : int;
+  mutable run_nest : int -> env -> Value.t ref -> loop_acc -> bool;
+      (* offered every [For] once its index cell holds the lo bound
+         (statement id, the scope around the loop, index cell, loop
+         accumulator): true when it ran the whole loop.  The VM installs
+         its planned nests here. *)
 }
 
 let make_state (cfg : config) program =
@@ -134,6 +147,7 @@ let make_state (cfg : config) program =
     alias_table = Hashtbl.create 4;
     func_table = Hashtbl.create 16;
     steps_left = cfg.max_steps;
+    run_nest = (fun _ _ _ _ -> false);
   }
 
 let runtime_error loc fmt = Printf.ksprintf (fun msg -> raise (Runtime_error (loc, msg))) fmt
@@ -468,8 +482,9 @@ let decl_scalar_ty (d : decl) : ty =
 
 (* ---- result assembly ----
 
-   Every backend fills the same tables in the same first-touch order, so
-   folding them here yields identical association lists either way. *)
+   The walker and the planned nests fill the same tables in the same
+   first-touch order, so folding them here yields identical association
+   lists whichever ran a loop. *)
 
 let assemble_result st ret : result =
   let loop_stats =

@@ -1,10 +1,9 @@
 (* Public interpreter façade.
 
-   Dispatches between the three backends over the shared Interp_rt core:
-   - [`Vm] (default): the superinstruction VM — the closure compiler with
-     eligible loops lowered to the typed flat IR and run by Fastloop;
-   - [`Compiled]: Compile, the closure-compiling backend, plan-free;
-   - [`Ast]: Walker, the reference tree-walker.
+   Dispatches between the two backends over the shared Interp_rt core:
+   - [`Vm] (default): the superinstruction VM — the walker with eligible
+     loops lowered to the typed flat IR and run by Fastloop;
+   - [`Ast]: Walker alone, the reference tree-walker.
 
    Also keeps cumulative execution statistics (runs, interpreted
    statements, wall-clock seconds) so callers can report interpreter
@@ -62,17 +61,20 @@ type result = Interp_rt.result = {
 
 (* ---- backend selection ---- *)
 
-type backend = [ `Ast | `Compiled | `Vm ]
+type backend = [ `Ast | `Vm ]
 
 (* Bump when observable interpreter semantics change; memoization keys
-   include this so stale cached results are never replayed. *)
-let interp_version = 2
+   include this so stale cached results are never replayed.  3 since the
+   VM raises the walker's "unbound variable" for a global initialiser
+   calling a function that reads a later global. *)
+let interp_version = 3
 
-let backend_name = function `Ast -> "ast" | `Compiled -> "compiled" | `Vm -> "vm"
+let backend_name = function `Ast -> "ast" | `Vm -> "vm"
+
+let backend_tag = function `Ast -> 0 | `Vm -> 1
 
 let backend_of_string = function
   | "ast" -> Some `Ast
-  | "compiled" -> Some `Compiled
   | "vm" -> Some `Vm
   | _ -> None
 
@@ -168,7 +170,6 @@ let run ?(config = default_config) ?backend (program : Ast.program) : result =
       in
       match backend with
       | `Ast -> finish (Walker.run config program)
-      | `Compiled -> finish (Compile.run config program)
       | `Vm -> finish (Vm.run config program))
 
 let find_loop_stats (r : result) sid = List.assoc_opt sid r.loop_stats

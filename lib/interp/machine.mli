@@ -60,14 +60,13 @@ type result = {
   memory : Memory.t;                          (** final memory, for inspecting results *)
 }
 
-(** Interpreter backend: [`Vm] (the superinstruction VM) additionally lowers
-    eligible canonical loops to a typed flat IR executed over unboxed
-    register files with bounds-check elision, fused opcode pairs and batched
-    step/counter accounting; [`Compiled] lowers the AST to OCaml closures in
-    a one-shot pass before execution (slot-indexed frames, pre-resolved
-    calls, block-batched step counting); [`Ast] is the reference
-    tree-walker.  All three produce bit-identical observables. *)
-type backend = [ `Ast | `Compiled | `Vm ]
+(** Interpreter backend: [`Ast] is the reference tree-walker; [`Vm] (the
+    superinstruction VM) is the walker with eligible canonical loops
+    lowered to a typed flat IR and executed over unboxed register files
+    with bounds-check elision, fused opcode pairs and batched step/counter
+    accounting, every other statement running on the walker.  Both produce
+    bit-identical observables. *)
+type backend = [ `Ast | `Vm ]
 
 val interp_version : int
 (** Bumped whenever observable interpreter semantics change; memoization
@@ -75,6 +74,9 @@ val interp_version : int
     older interpreters are never replayed. *)
 
 val backend_name : backend -> string
+
+val backend_tag : backend -> int
+(** The backend's encoding in cache keys (run memo and task cache). *)
 
 val backend_of_string : string -> backend option
 
@@ -100,10 +102,10 @@ val planned_steps : unit -> int
     across all runs in the process (backed by the [vm.steps.planned]
     metric).  [planned_steps () / exec_steps] is the VM's step coverage:
     the fraction of interpreted statements that ran as lowered loop-nest
-    plans rather than closures. *)
+    plans rather than on the walker. *)
 
 val plan_bail_sites : unit -> (Loc.t * string) list
-(** Planned loops that fell back to the closure path at runtime, as a
+(** Planned loops that fell back to the walker at runtime, as a
     sorted (root location, reason) set — reasons like ["budget"],
     ["bounds"], ["alias"], ["trip-count"], ["overflow"], ["binding"].
     Profiled runs ([profile_loops], observation regions) stay on the

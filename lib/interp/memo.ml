@@ -123,8 +123,6 @@ let translate map (r : Machine.result) =
    the on-disk tier is enabled (Cache.set_dir) results persist across
    processes.  Entries are stored in canonical id space — cached
    statistics are translated into the requester's ids on every hit. *)
-let backend_tag = function `Ast -> 0 | `Compiled -> 1 | `Vm -> 2
-
 (* No_sharing: a marshalled value's bytes otherwise depend on physical
    sharing, which differs between freshly built structures and ones
    unmarshalled from the disk tier — same content, different key.
@@ -132,7 +130,7 @@ let backend_tag = function `Ast -> 0 | `Compiled -> 1 | `Vm -> 2
 let key_of backend canon_p config =
   Digest.string
     (Marshal.to_string
-       (Machine.interp_version, Ir.version, backend_tag backend, canon_p, config)
+       (Machine.interp_version, Ir.version, Machine.backend_tag backend, canon_p, config)
        [ Marshal.No_sharing ])
 
 module C = Cache.Make (struct

@@ -74,41 +74,6 @@ let store t ptr i v =
   | Sint a, Ast.Tbool -> a.(idx) <- (if Value.truth v then 1 else 0)
   | Sint a, _ -> a.(idx) <- Value.to_int v
 
-(* Non-allocating equivalents of [to_float (load ...)], [to_int (load ...)],
-   [store ... (Vfloat ...)] and [store ... (Vint ...)], for the compiled
-   backend's typed fast paths.  Each case mirrors the boxed pipeline above
-   exactly, including single-precision demotion and bool normalisation. *)
-
-let load_float t ptr i =
-  let e, idx = check t ptr i in
-  match e.storage, e.ety with
-  | Sfloat a, _ -> a.(idx)
-  | Sint a, Ast.Tbool -> if a.(idx) <> 0 then 1.0 else 0.0
-  | Sint a, _ -> float_of_int a.(idx)
-
-let load_int t ptr i =
-  let e, idx = check t ptr i in
-  match e.storage, e.ety with
-  | Sfloat a, _ -> int_of_float a.(idx)
-  | Sint a, Ast.Tbool -> if a.(idx) <> 0 then 1 else 0
-  | Sint a, _ -> a.(idx)
-
-let store_float t ptr i x =
-  let e, idx = check t ptr i in
-  match e.storage, e.ety with
-  | Sfloat a, Ast.Tfloat -> a.(idx) <- Value.demote x
-  | Sfloat a, _ -> a.(idx) <- x
-  | Sint a, Ast.Tbool -> a.(idx) <- (if x <> 0.0 then 1 else 0)
-  | Sint a, _ -> a.(idx) <- int_of_float x
-
-let store_int t ptr i n =
-  let e, idx = check t ptr i in
-  match e.storage, e.ety with
-  | Sfloat a, Ast.Tfloat -> a.(idx) <- Value.demote (float_of_int n)
-  | Sfloat a, _ -> a.(idx) <- float_of_int n
-  | Sint a, Ast.Tbool -> a.(idx) <- (if n <> 0 then 1 else 0)
-  | Sint a, _ -> a.(idx) <- n
-
 type raw = Rfloat of float array | Rint of int array
 
 let raw t base =

@@ -31,19 +31,6 @@ val store : t -> Value.ptr -> int -> Value.t -> unit
 (** Stores coerce the value to the array element type (demoting to single
     precision for [float] arrays). *)
 
-val load_float : t -> Value.ptr -> int -> float
-(** Unboxed [Value.to_float (load mem ptr i)]. Same bounds behaviour. *)
-
-val load_int : t -> Value.ptr -> int -> int
-(** Unboxed [Value.to_int (load mem ptr i)]. Same bounds behaviour. *)
-
-val store_float : t -> Value.ptr -> int -> float -> unit
-(** Unboxed [store mem ptr i (Vfloat (_, x))]: demotes into [float] arrays,
-    truth-tests into [bool] arrays, truncates into [int] arrays. *)
-
-val store_int : t -> Value.ptr -> int -> int -> unit
-(** Unboxed [store mem ptr i (Vint n)]. *)
-
 (** Direct view of an array's backing storage, for guarded fast paths that
     have already verified the element type and bounds. *)
 type raw = Rfloat of float array | Rint of int array

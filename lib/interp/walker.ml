@@ -1,32 +1,28 @@
-(* Reference tree-walking backend.
+(* Reference tree-walking interpreter, and the host of the VM.
 
-   This is the original interpreter, kept verbatim as the semantic oracle
-   for the closure-compiled backend (Compile): environments are chains of
-   per-scope hashtables, every statement ticks the step budget
-   individually, and every call resolves its callee by name.  Slow, but
-   each operation maps one-to-one onto the language definition — the
-   differential tests hold Compile to byte-identical observables against
-   this module. *)
+   Environments are chains of per-scope hashtables, every statement ticks
+   the step budget individually, and every call resolves its callee by
+   name: each operation maps one-to-one onto the language definition, so
+   this module is the semantic oracle.  Given a plan ([run ~plan], the
+   [`Vm] backend), every [For] is offered to the planned nest of its
+   statement once the lo bound is evaluated into the index cell; a nest
+   either runs the whole loop or declines without effect, and the loop
+   then runs here.
+   Code off the plan therefore has exactly the oracle's semantics, and the
+   differential tests hold the planned nests to byte-identical
+   observables against runs without a plan. *)
 
 open Ast
 open Interp_rt
 
 (* ---- environment ---- *)
 
-type env = (string, Value.t ref) Hashtbl.t list
-
 let push_scope env : env = Hashtbl.create 8 :: env
-
-let rec lookup env name =
-  match env with
-  | [] -> None
-  | scope :: rest ->
-    (match Hashtbl.find_opt scope name with Some r -> Some r | None -> lookup rest name)
 
 let bind env name v =
   match env with
   | scope :: _ -> Hashtbl.replace scope name (ref v)
-  | [] -> invalid_arg "Machine.bind: empty environment"
+  | [] -> invalid_arg "Walker.bind: empty environment"
 
 (* ---- expression evaluation ---- *)
 
@@ -222,12 +218,16 @@ and exec_stmt_inner st env (s : stmt) : flow =
   | Scope blk -> exec_block st env blk
 
 and exec_for st env s h body lo acc : flow =
-  ignore s;
-  let env_loop = push_scope env in
-  bind env_loop h.index (Value.Vint lo);
-  let index_ref =
-    match lookup env_loop h.index with Some r -> r | None -> assert false
-  in
+  let index_ref = ref (Value.Vint lo) in
+  (* a planned nest reads no name its own index could shadow *)
+  if st.run_nest s.sid env index_ref acc then Fnormal
+  else begin
+    let scope = Hashtbl.create 8 in
+    Hashtbl.replace scope h.index index_ref;
+    iterate_for st (scope :: env) h body index_ref acc
+  end
+
+and iterate_for st env_loop h body index_ref acc : flow =
   let test () =
     count_branch st;
     count_int_op st;
@@ -307,8 +307,9 @@ let init_globals st =
            Hashtbl.replace st.globals d.dname (ref v)))
     st.program.pglobals
 
-let run (config : config) program : result =
+let run ?plan (config : config) program : result =
   let st = make_state config program in
+  Option.iter (fun plan -> st.run_nest <- Fastloop.runner plan st) plan;
   List.iter (fun fn -> Hashtbl.replace st.func_table fn.fname fn) (funcs program);
   init_globals st;
   let entry =

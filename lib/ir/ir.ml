@@ -1,4 +1,4 @@
-let version = 5
+let version = 6
 
 type prec = Psingle | Pdouble
 
@@ -14,8 +14,6 @@ type var = {
 
 type ety = Efloat32 | Efloat64 | Eint | Ebool
 
-type arr = { a_name : string; a_global : bool; a_ety : ety; a_stored : bool }
-
 type iexpr =
   | Iconst of int
   | Ivar of int
@@ -26,7 +24,20 @@ type iexpr =
   | Imin of iexpr * iexpr
   | Imax of iexpr * iexpr
 
-type cursor = { c_arr : int; c_coefs : iexpr array; c_base : iexpr }
+type arr = {
+  a_name : string;
+  a_global : bool;
+  a_ety : ety;
+  a_stored : bool;
+  a_size : iexpr option;
+}
+
+type cursor = {
+  c_arr : int;
+  c_coefs : iexpr array;
+  c_base : iexpr;
+  c_arm : Loc.t option;
+}
 
 type cmpop = Clt | Cle | Cgt | Cge | Ceq | Cne
 
@@ -94,6 +105,7 @@ type fop =
   | FMulAddS of int * int * int * int
   | FAddMulS of int * int * int * int
   | FSubMulS of int * int * int * int
+  | Alloc of int
   | Called of int
 
 and m1 =

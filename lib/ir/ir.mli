@@ -22,7 +22,8 @@ val version : int
     interpreter memoization keys alongside the backend tag so cached
     results produced by an older lowering are never replayed.  4 since
     the single-precision superinstructions, 5 since planned nests inline
-    statement calls to leaf user functions. *)
+    statement calls to leaf user functions, 6 since nests declare arrays
+    and check cursors of site arms per access. *)
 
 (** {1 Scalar bindings} *)
 
@@ -52,19 +53,12 @@ type var = {
     the resolved array matches before the fast path may run. *)
 type ety = Efloat32 | Efloat64 | Eint | Ebool
 
-type arr = {
-  a_name : string;
-  a_global : bool;  (** resolves to the global, as [v_global] does for variables *)
-  a_ety : ety;
-  a_stored : bool;  (** some access site stores through this array *)
-}
-
 (** Nest-invariant integer expression, evaluated once by the runtime guard
     (trip counts, affine coefficients).  [Ivar] indexes the {!var} table
     and must reference an int-kinded, unwritten variable; evaluation is
     total (no division, no effects).  [Imin]/[Imax] are the [imin]/[imax]
     intrinsics (tile clamps such as [imin(jj + 256, N)]); they appear in
-    loop bounds only, never in affine access paths. *)
+    loop bounds and array sizes, never in affine access paths. *)
 type iexpr =
   | Iconst of int
   | Ivar of int
@@ -75,13 +69,34 @@ type iexpr =
   | Imin of iexpr * iexpr
   | Imax of iexpr * iexpr
 
+type arr = {
+  a_name : string;
+  a_global : bool;  (** resolves to the global, as [v_global] does for variables *)
+  a_ety : ety;
+  a_stored : bool;  (** some access site stores through this array *)
+  a_size : iexpr option;
+      (** [Some n] for an array the nest declares ([double t\[n\];] with [n]
+          nest-invariant): not resolved from the enclosing scope, but
+          allocated fresh and zeroed by every execution of its declaration
+          ({!fop.Alloc}), [n] elements long *)
+}
+
 (** Affine access path across the whole nest: element index =
     [sum_l coefs.(l) * i_l + base] over the levels' loop variables (the
     pointer's own offset is added by the guard).  All components are
     nest-invariant, so in-bounds endpoints per level imply every reached
     iteration is in bounds — this is what licenses bounds-check elision.
-    [c_coefs] is indexed by level id (0 = root). *)
-type cursor = { c_arr : int; c_coefs : iexpr array; c_base : iexpr }
+    [c_coefs] is indexed by level id (0 = root).  [c_arm] is [Some loc]
+    for a cursor whose accesses all lie in site arms and report an
+    out-of-bounds index at [loc]: when its endpoints fall outside the
+    array, the guard checks it at each access instead of declining the
+    nest. *)
+type cursor = {
+  c_arr : int;
+  c_coefs : iexpr array;
+  c_base : iexpr;
+  c_arm : Loc.t option;
+}
 
 (** Comparison operator for {!fop.ICmp}/{!fop.FCmp}. *)
 type cmpop = Clt | Cle | Cgt | Cge | Ceq | Cne
@@ -92,7 +107,7 @@ type cmpop = Clt | Cle | Cgt | Cge | Ceq | Cne
     (floats) and [n] (ints; booleans as 0/1).  Plain arithmetic operates
     at double precision; [...S] variants demote the result through single
     precision.  [Ld]/[St] address memory through a {!cursor} with no
-    per-access bounds check; [...Ck] variants take a runtime index
+    per-access bounds check (unless its [c_arm] check is armed); [...Ck] variants take a runtime index
     register and check bounds, raising the walker's exact out-of-bounds
     error.  [ICmp]/[FCmp] materialise comparison results as 0/1 ints
     (each modelled as one integer op, like the walker).  The fused
@@ -184,6 +199,10 @@ type fop =
       (** [(d, c, a, b)]: d <- dem (c +. dem (a *. b)) *)
   | FSubMulS of int * int * int * int
       (** [(d, c, a, b)]: d <- dem (c -. dem (a *. b)) *)
+  (* array declarations *)
+  | Alloc of int
+      (** the declaration of array [a] (an [a_size] array) ran: allocate
+          it fresh, as the walker does at that point *)
   (* inlined calls *)
   | Called of int
       (** inlined call site [k] (index into [fl_calls]) ran; only alias
@@ -257,9 +276,8 @@ and bitem = Bops of fop array | Bsite of int | Bloop of int
 type site = { s_cond : int; s_then : block; s_else : block }
 
 (** One loop level of the nest.  Level 0 is the root: its [l_lo] is
-    unused (the root's initial index value is read from the frame slot,
-    already evaluated by the enclosing compiled code) and [l_lo_ops] is
-    0.  Inner levels' bounds are nest-invariant, so every level has a
+    unused (the root's initial index value is read from the index cell,
+    already evaluated by the walker) and [l_lo_ops] is 0.  Inner levels' bounds are nest-invariant, so every level has a
     constant trip count for the whole entry. *)
 type level = {
   l_sid : int;  (** statement id of the [For] this level came from *)
@@ -306,7 +324,7 @@ type fast_loop = {
 
 (** Plan for a whole program: lowered nests keyed by [For] statement id.
     Inner loops of a planned nest also get their own independent entries,
-    so the compiled fallback path still fast-paths them when the outer
+    so the walker's fallback path still fast-paths them when the outer
     guard declines. *)
 type plan = (int, fast_loop) Hashtbl.t
 

@@ -1,12 +1,13 @@
 (* Lowering from the typed AST to flat fast-loop nest plans.
 
    Parity discipline: every lowered operation must be observably identical
-   to what lib/interp/compile.ml's closures do for the same source node —
-   same float rounding (single-precision demotion points), same counter
-   increments, same error messages and locations, same PRNG draw order.
-   Each arm below cites the compile.ml arm it mirrors; when in doubt the
-   pass rejects the loop (raising [Reject] with a reason) and the loop
-   simply runs on the closure backend.
+   to what the walker (lib/interp/walker.ml, over the evaluators of
+   Interp_rt) does for the same source node — same float rounding
+   (single-precision demotion points), same counter increments, same error
+   messages and locations, same PRNG draw order.  Each arm below cites the
+   walker behaviour it mirrors; when in doubt the pass rejects the loop
+   (raising [Reject] with a reason) and the loop simply runs on the
+   walker.
 
    Since the nest extension, a plan is a tree: the root level's block may
    contain inner loop levels (whose bounds must be nest-invariant, so every
@@ -102,17 +103,21 @@ type marr = {
   ma_global : bool;
   ma_ety : Ir.ety;
   mutable ma_stored : bool;
+  ma_size : Ir.iexpr option;  (* declared in the nest, this many elements *)
 }
 
-(* result of lowering an expression: register plus static kind, mirroring
-   compile.ml's cexp kinds (booleans ride in int registers as 0/1) *)
+(* result of lowering an expression: register plus static kind, the
+   representation the walker's value has (booleans ride in int registers
+   as 0/1) *)
 type lres = Ri of int * bool | Rf of int * Ir.prec
 
 (* what a name in the body's scope currently resolves to *)
 type sym =
   | Sindex of int  (** loop index of level [l] *)
   | Slocal of lres
-  | Sarr of int * marr  (** an inlined callee's pointer parameter *)
+  | Sarr of int * marr
+      (** an array the nest declares, or an inlined callee's pointer
+          parameter *)
 
 (* The scope fields ([env], [all_locals], [sym], [in_callee]) describe the
    code being lowered: the nest's own body, or the body of a callee inlined
@@ -149,8 +154,8 @@ type lctx = {
   atbl : (bool * string, int * marr) Hashtbl.t;
   mutable arrs : marr list;  (* reversed *)
   mutable narrs : int;
-  mutable cursors : (int * (int * Ir.iexpr) list * Ir.iexpr) list;
-      (* reversed; (array id, sparse per-level coefs, base) *)
+  mutable cursors : (int * (int * Ir.iexpr) list * Ir.iexpr * Loc.t option) list;
+      (* reversed; (array id, sparse per-level coefs, base, arm location) *)
   mutable ncursors : int;
   fconsts : (int64, int) Hashtbl.t;
   iconsts : (int, int) Hashtbl.t;
@@ -162,6 +167,7 @@ type lctx = {
   mutable callees : string list;
   mutable depth : int;
   mutable cond_call : bool;
+  mutable arms : int;  (* site arms around the code being lowered *)
 }
 
 let allocf c =
@@ -233,6 +239,14 @@ let nested c f =
   c.depth <- c.depth - 1;
   r
 
+(* lower [f], code in an arm of a site: its cursors may be checked per
+   access ([getcursor]) *)
+let arm c f =
+  c.arms <- c.arms + 1;
+  let r = f () in
+  c.arms <- c.arms - 1;
+  r
+
 let add_site c cond bt be =
   flush_ops c;
   let id = c.nsites in
@@ -291,6 +305,12 @@ let getvar c name (kind : Ir.var_kind) =
     Hashtbl.add c.vtbl key (id, mv);
     (id, mv)
 
+let newarr c ma =
+  let id = c.narrs in
+  c.narrs <- id + 1;
+  c.arrs <- ma :: c.arrs;
+  id
+
 let getarr c name (ety : Ir.ety) =
   let key = (c.in_callee, name) in
   match Hashtbl.find_opt c.atbl key with
@@ -298,28 +318,34 @@ let getarr c name (ety : Ir.ety) =
     if ma.ma_ety <> ety then reject "array element-type mismatch";
     (id, ma)
   | None ->
-    let ma = { ma_name = name; ma_global = c.in_callee; ma_ety = ety; ma_stored = false } in
-    let id = c.narrs in
-    c.narrs <- id + 1;
-    c.arrs <- ma :: c.arrs;
+    let ma =
+      { ma_name = name; ma_global = c.in_callee; ma_ety = ety; ma_stored = false;
+        ma_size = None }
+    in
+    let id = newarr c ma in
     Hashtbl.add c.atbl key (id, ma);
     (id, ma)
 
-let getcursor c aid (coefs : (int * Ir.iexpr) list) base =
+(* A cursor for an access at [loc]; accesses in site arms share a cursor
+   only with accesses at the same location, so a cursor the guard checks
+   per access knows where its out-of-bounds error is raised *)
+let getcursor c aid (coefs : (int * Ir.iexpr) list) base ~loc =
+  let arm = if c.arms > 0 then Some loc else None in
+  let key = (aid, coefs, base, arm) in
   let rec find k = function
     | [] -> None
-    | (a, co, b) :: tl ->
-      if a = aid && co = coefs && b = base then Some k else find (k - 1) tl
+    | cu :: tl -> if cu = key then Some k else find (k - 1) tl
   in
   match find (c.ncursors - 1) c.cursors with
   | Some k -> k
   | None ->
     let k = c.ncursors in
     c.ncursors <- k + 1;
-    c.cursors <- (aid, coefs, base) :: c.cursors;
+    c.cursors <- key :: c.cursors;
     k
 
-(* counter-delta helpers; mirror Interp_rt.count_int_op / count_flop *)
+(* counter-delta helpers; mirror Interp_rt.count_int_op / count_flop /
+   count_load / count_store *)
 let kint c = c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + 1
 
 let kbranch c = c.cnt.Ir.k_branches <- c.cnt.Ir.k_branches + 1
@@ -349,8 +375,8 @@ let kstore c (ety : Ir.ety) =
 (* ---- affine index extraction ----
 
    idx(i_0..i_n) = sum_l coefs_l*i_l + base with nest-invariant coefs/base.
-   The op count is the number of Binary/Unary int nodes the closure backend
-   would count per evaluation; both are exact in the wrap-around ring, so
+   The op count is the number of Binary/Unary int nodes the walker counts
+   per evaluation; both are exact in the wrap-around ring, so
    the guard's per-level endpoint bounds check covers every reached
    iteration (with magnitude caps at run time to rule out overflow of the
    affine sum itself). *)
@@ -479,33 +505,33 @@ let rec lexpr c (e : expr) : lres =
   | Unary (Neg, a) ->
     (match lexpr c a with
      | Ri (r, false) ->
-       (* compile.ml Neg/Kint: count_int_op, negate *)
+       (* walker Neg of an int: count_int_op, negate *)
        let d = alloci c in
        emit c (Ir.INeg (d, r));
        kint c;
        Ri (d, false)
      | Ri (_, true) ->
-       reject "negating a boolean"  (* walker raises "negating non-number" *)
+       reject "negating a boolean"  (* the walker raises "negating non-number" *)
      | Rf (r, p) ->
-       (* compile.ml Neg/Kfloat: count_flop p Cadd, no demotion *)
+       (* walker Neg of a float: count_flop p Cadd, no demotion *)
        let d = allocf c in
        emit c (Ir.FNeg (d, r));
        kflop c p `Add;
        Rf (d, p))
   | Unary (Not, a) ->
-    (* compile.ml Not: operand truth, count_int_op, logical negation *)
+    (* walker Not: operand truth, count_int_op, logical negation *)
     let t = as_truth c (lexpr c a) in
     let d = alloci c in
     emit c (Ir.INot (d, t));
     kint c;
     Ri (d, true)
   | Binary (And, a, b) ->
-    (* compile.ml And: count_branch; if lhs truth then rhs truth else false *)
+    (* walker And: count_branch; if lhs truth then rhs truth else false *)
     kbranch c;
     let ta = as_truth c (lexpr c a) in
     let d = alloci c in
     let ob1 = open_block c in
-    let tb = as_truth c (lexpr c b) in
+    let tb = arm c (fun () -> as_truth c (lexpr c b)) in
     emit c (Ir.IMov (d, tb));
     let bt = close_block c ob1 in
     let ob2 = open_block c in
@@ -514,7 +540,7 @@ let rec lexpr c (e : expr) : lres =
     add_site c ta bt be;
     Ri (d, true)
   | Binary (Or, a, b) ->
-    (* compile.ml Or: count_branch; if lhs truth then true else rhs truth *)
+    (* walker Or: count_branch; if lhs truth then true else rhs truth *)
     kbranch c;
     let ta = as_truth c (lexpr c a) in
     let d = alloci c in
@@ -522,13 +548,13 @@ let rec lexpr c (e : expr) : lres =
     emit c (Ir.IConst (d, 1));
     let bt = close_block c ob1 in
     let ob2 = open_block c in
-    let tb = as_truth c (lexpr c b) in
+    let tb = arm c (fun () -> as_truth c (lexpr c b)) in
     emit c (Ir.IMov (d, tb));
     let be = close_block c ob2 in
     add_site c ta bt be;
     Ri (d, true)
   | Binary ((Lt | Le | Gt | Ge | Eq | Ne) as op, a, b) ->
-    (* compile.ml compare: both operands evaluated, then one count_int_op;
+    (* walker compare: both operands evaluated, then one count_int_op;
        any float operand promotes the comparison to raw doubles *)
     let la = lexpr c a in
     let lb = lexpr c b in
@@ -547,15 +573,15 @@ let rec lexpr c (e : expr) : lres =
   | Index (base, idx) -> lindex c e base idx
   | Cast (ty, a) -> lcast c ty a
   | Cond (cc, a, b) ->
-    (* compile.ml Cond: count_branch, evaluate cond truth, run one arm.
-       Both arms must share a specialised representation; otherwise
-       compile.ml falls back to the generic Kval arm, which we reject. *)
+    (* walker Cond: count_branch, evaluate cond truth, run one arm.  The
+       result lives in one register, so both arms must have the same
+       representation. *)
     kbranch c;
     let t = as_truth c (lexpr c cc) in
     let ob1 = open_block c in
-    let ra = lexpr c a in
+    let ra = arm c (fun () -> lexpr c a) in
     let ob2 = open_block c in
-    let rb = lexpr c b in
+    let rb = arm c (fun () -> lexpr c b) in
     let res, mova, movb =
       match ra, rb with
       | Ri (x, ba), Ri (y, bb) when ba = bb ->
@@ -594,7 +620,7 @@ and lbinary c e op a b : lres =
   let lb = lexpr c b in
   match la, lb with
   | Ri (ra, _), Ri (rb, _) ->
-    (* compile.ml `Int/`Int arm *)
+    (* walker int/int [eval_binop]: one int op; Div and Mod check zero *)
     let d = alloci c in
     (match op with
      | Add -> emit c (Ir.IAdd (d, ra, rb))
@@ -606,7 +632,7 @@ and lbinary c e op a b : lres =
     kint c;
     Ri (d, false)
   | _ ->
-    (* float_op_prec join; Mod stays integral (compile.ml float-Mod arm) *)
+    (* float_op_prec join; Mod stays integral, as in [eval_binop] *)
     (match op with
      | Mod ->
        let x = as_int c la in
@@ -636,8 +662,8 @@ and lbinary c e op a b : lres =
 
 and lcall c name args : lres =
   if Hashtbl.mem c.user_funcs name then reject "user function call in an expression";
-  (* intrinsics, pre-resolved; specialisation matches compile.ml's exact
-     arities — anything else is the generic Kval fallback there, so reject *)
+  (* intrinsics, pre-resolved, counted as [eval_intrinsic] counts them;
+     other arities are not lowered *)
   let f1 m single cls a =
     let x = as_float c (lexpr c a) in
     let d = allocf c in
@@ -760,7 +786,7 @@ and lindex c (e : expr) base idx : lres =
     match affine c idx with
     | Some (coefs, bse, nops) ->
       c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
-      load_affine (getcursor c aid coefs bse)
+      load_affine (getcursor c aid coefs bse ~loc:e.eloc)
     | None ->
       let ii = as_int c (lexpr c idx) in
       (match ety with
@@ -786,7 +812,7 @@ and lindex c (e : expr) base idx : lres =
 
 and lcast c ty a : lres =
   let la = lexpr c a in
-  (* compile.ml compile_cast: no counters on any specialised cast arm *)
+  (* walker Cast ([Value.coerce]): no counters *)
   match ty with
   | Tint -> Ri (as_int c la, false)
   | Tbool -> Ri (as_truth c la, true)
@@ -810,8 +836,8 @@ let binop_of_assign = function
   | Set -> assert false
 
 (* a fresh register holding [la] converted to scalar type [ty], as
-   [Value.coerce] converts (compile.ml's coerced_value arms: as_int /
-   as_truth / demote to Sp / raw Dp); no counters *)
+   [Value.coerce] converts (to_int / truth / demote to Sp / raw Dp); no
+   counters *)
 let coerced c (ty : ty) (la : lres) : lres =
   match ty with
   | Tint ->
@@ -837,18 +863,38 @@ let coerced c (ty : ty) (la : lres) : lres =
   | Tptr _ | Tvoid -> reject "unsupported scalar type"
 
 let ldecl c ~added (d : decl) =
-  if d.darray <> None then reject "array declaration in body";
-  (match d.dty with
-   | Tint | Tbool | Tfloat | Tdouble -> ()
-   | _ -> reject "unsupported declaration type");
   if Hashtbl.mem c.sym d.dname then reject "shadowing declaration";
-  let e0 =
-    match d.dinit with Some e -> e | None -> reject "uninitialised declaration"
-  in
-  (* the initialiser is lowered before the name is bound, as in the
-     closure backend's venv threading *)
-  let res = coerced c d.dty (lexpr c e0) in
-  Hashtbl.add c.sym d.dname (Slocal res);
+  (match d.darray with
+   | Some size_e ->
+     (* walker Decl of an array: the size's int ops, then [Memory.alloc]
+        of a fresh zeroed array, bound to the name *)
+     let ety =
+       match Ir.ety_of_ty d.dty with
+       | Some ety -> ety
+       | None -> reject "unsupported element type"
+     in
+     let size, nops =
+       try invariant c size_e with Reject _ -> reject "non-invariant array size"
+     in
+     c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
+     let ma =
+       { ma_name = d.dname; ma_global = false; ma_ety = ety; ma_stored = false;
+         ma_size = Some size }
+     in
+     let id = newarr c ma in
+     emit c (Ir.Alloc id);
+     Hashtbl.add c.sym d.dname (Sarr (id, ma))
+   | None ->
+     (match d.dty with
+      | Tint | Tbool | Tfloat | Tdouble -> ()
+      | _ -> reject "unsupported declaration type");
+     let e0 =
+       match d.dinit with Some e -> e | None -> reject "uninitialised declaration"
+     in
+     (* the initialiser is lowered before the name is bound, as the walker
+        evaluates it before [bind] *)
+     let res = coerced c d.dty (lexpr c e0) in
+     Hashtbl.add c.sym d.dname (Slocal res));
   added := d.dname :: !added
 
 let lvar_assign c (s : stmt) v op (lr : lres) =
@@ -876,8 +922,8 @@ let lvar_assign c (s : stmt) v op (lr : lres) =
   in
   match op with
   | Set ->
-    (* compile_var_assign Set arms: Vint (as_int) / Vbool (as_truth) /
-       Vfloat (Sp, demote) / Vfloat (Dp, as_float); no counters *)
+    (* walker Set through [cast_like]: Vint (to_int) / Vbool (truth) /
+       Vfloat (Sp, demote) / Vfloat (Dp, to_float); no counters *)
     (match kind with
      | Ir.Kint ->
        let x = as_int c lr in
@@ -957,8 +1003,8 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
   let aid, ma = larr c base in
   let ety = ma.ma_ety in
   ma.ma_stored <- true;
-  (* value conversions belong to the rhs closure and run before the index
-     evaluates, so emit them first *)
+  (* converting the rhs to the element type has no effect the index could
+     observe, so emit it first *)
   match op with
   | Set ->
     let src =
@@ -970,7 +1016,7 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
     (match affine c idx with
      | Some (coefs, bse, nops) ->
        c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
-       let cur = getcursor c aid coefs bse in
+       let cur = getcursor c aid coefs bse ~loc:lhs.eloc in
        (match ety with
         | Ir.Efloat32 -> emit c (Ir.FStDem (cur, src))
         | Ir.Efloat64 -> emit c (Ir.FSt (cur, src))
@@ -997,7 +1043,7 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
          match affine c idx with
          | Some (coefs, bse, nops) ->
            c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
-           let cur = getcursor c aid coefs bse in
+           let cur = getcursor c aid coefs bse ~loc:lhs.eloc in
            ( (fun d -> emit c (Ir.FLd (d, cur))),
              fun srcr ->
                emit c
@@ -1026,7 +1072,8 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
        st t;
        kstore c ety
      | Ir.Eint ->
-       (* compile.ml requires an int/bool-kinded rhs here *)
+       (* a float rhs makes the walker's op a flop truncated on store:
+           not lowered *)
        let y =
          match lr with
          | Ri (y, _) -> y
@@ -1036,7 +1083,7 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
          match affine c idx with
          | Some (coefs, bse, nops) ->
            c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
-           let cur = getcursor c aid coefs bse in
+           let cur = getcursor c aid coefs bse ~loc:lhs.eloc in
            ( (fun d -> emit c (Ir.ILd (d, cur))),
              fun srcr -> emit c (Ir.ISt (cur, srcr)) )
          | None ->
@@ -1086,10 +1133,9 @@ let collect_info ~(funcs : (string, func) Hashtbl.t) body =
   List.iter stmt body;
   (assigned, all_locals)
 
-(* Every statement charges one step into the enclosing block (compile.ml
-   batches one step per statement of a segment; control statements are
-   charged by the segment that contains them, and their arms/bodies carry
-   their own counts). *)
+(* Every statement charges one step into the enclosing block (the walker
+   ticks one step per statement; a control statement's arms and bodies
+   carry their own counts). *)
 let rec lstmt c ~added (s : stmt) =
   if Hashtbl.mem c.region_set s.sid then reject "observation region";
   c.steps <- c.steps + 1;
@@ -1105,11 +1151,12 @@ let rec lstmt c ~added (s : stmt) =
     linline c (Hashtbl.find c.user_funcs name) args
   | Expr_stmt e -> ignore (lexpr c e)
   | If (cond, b1, b2) ->
-    (* compile.ml If: count_branch, evaluate cond truth, run one arm *)
+    (* walker If: count_branch, evaluate cond truth, run one arm *)
     kbranch c;
     let t = as_truth c (lexpr c cond) in
-    let bt = nested c (fun () -> with_block c (fun () -> lblock c b1)) in
-    let be = nested c (fun () -> with_block c (fun () -> lblock c b2)) in
+    let lower b = nested c (fun () -> arm c (fun () -> with_block c (fun () -> lblock c b))) in
+    let bt = lower b1 in
+    let be = lower b2 in
     add_site c t bt be
   | For (h, body) -> llevel c s h body
   | Scope b ->
@@ -1181,9 +1228,9 @@ and linline c (fn : func) args =
 and llevel c (s : stmt) (h : for_header) body =
   let lid = c.nlevels in
   c.nlevels <- lid + 1;
-  (* all three bounds are re-evaluated by the closure backend (lo once per
-     entry, hi per test, step per bump); they must be nest-invariant so
-     the guard can derive one trip count per level per nest entry *)
+  (* all three bounds are re-evaluated by the walker (lo once per entry,
+     hi per test, step per bump); they must be nest-invariant so the
+     guard can derive one trip count per level per nest entry *)
   let lo, lo_ops = invariant c h.lo in
   let hi, hi_ops = invariant c h.hi in
   let step, step_ops = invariant c h.step in
@@ -1265,7 +1312,7 @@ let fcounts nf ops_list =
            u b
          | IConst _ | IMov _ | ItoB _ | IAdd _ | ISub _ | IMul _ | INeg _
          | IDivZ _ | IModZ _ | IAbs _ | IMin _ | IMax _ | ICmp _ | INot _
-         | ILd _ | ISt _ | IStB _ | ILdCk _ | IStCk _ | Called _ ->
+         | ILd _ | ISt _ | IStB _ | ILdCk _ | IStCk _ | Alloc _ | Called _ ->
            ()))
     ops_list;
   (defs, uses)
@@ -1502,10 +1549,11 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
       callees = [];
       depth = 0;
       cond_call = false;
+      arms = 0;
     }
   in
-  (* root level is id 0; its lo has already been evaluated into the frame
-     slot by the enclosing compiled code, so only hi/step are lowered *)
+  (* root level is id 0; its lo has already been evaluated into the index
+     cell by the walker, so only hi/step are lowered *)
   Hashtbl.add c.sym h.index (Sindex 0);
   let hi, hi_ops = invariant c h.hi in
   let step, step_ops = invariant c h.step in
@@ -1549,11 +1597,11 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
   let arrs = Array.of_list (List.rev c.arrs) in
   let cursors = Array.of_list (List.rev c.cursors) in
   let zero_coef cu =
-    let _, coefs, _ = cursors.(cu) in
+    let _, coefs, _, _ = cursors.(cu) in
     coefs = []
   in
   let arr_of cu =
-    let a, _, _ = cursors.(cu) in
+    let a, _, _, _ = cursors.(cu) in
     a
   in
   (* tree traversal helpers: every level/site block is referenced exactly
@@ -1599,7 +1647,9 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
      hoist: loads through invariant (all-zero-coefficient) cursors of
      arrays never stored move to the prologue (guard re-checks no aliasing
      store can clobber them); their counter costs stay at the original
-     site, so accounting is unchanged *)
+     site, so accounting is unchanged.  Arrays the nest declares are new
+     on every execution of their declaration, so neither they nor their
+     cells move. *)
   let hoisted = Hashtbl.create 4 in
   if motion then
     rewrite_tree (fun ops ->
@@ -1608,7 +1658,9 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
             (fun (op : Ir.fop) ->
               match op with
               | (FLd (_, cu) | ILd (_, cu))
-                when zero_coef cu && not arrs.(arr_of cu).ma_stored ->
+                when zero_coef cu
+                     && (not arrs.(arr_of cu).ma_stored)
+                     && arrs.(arr_of cu).ma_size = None ->
                 pro := !pro @ [ op ];
                 Hashtbl.replace hoisted (arr_of cu) ();
                 None
@@ -1637,10 +1689,11 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
   let promoted_regs = ref [] in
   Array.iteri
     (fun aid (ma : marr) ->
-      if motion && ma.ma_stored && not (Hashtbl.mem ck_arrs aid) then begin
+      if motion && ma.ma_stored && ma.ma_size = None && not (Hashtbl.mem ck_arrs aid)
+      then begin
         let cus = ref [] in
         Array.iteri
-          (fun cu (a, _, _) ->
+          (fun cu (a, _, _, _) ->
             if a = aid && cursor_uses.(cu) > 0 then cus := cu :: !cus)
           cursors;
         match !cus with
@@ -1728,11 +1781,12 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
             a_global = ma.ma_global;
             a_ety = ma.ma_ety;
             a_stored = ma.ma_stored;
+            a_size = ma.ma_size;
           })
         arrs;
     fl_cursors =
       Array.map
-        (fun (a, coefs, base) ->
+        (fun (a, coefs, base, arm) ->
           {
             Ir.c_arr = a;
             c_coefs =
@@ -1741,6 +1795,7 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
                   | Some e -> e
                   | None -> Ir.Iconst 0);
             c_base = base;
+            c_arm = arm;
           })
         cursors;
     fl_calls = Array.of_list (List.rev c.calls);

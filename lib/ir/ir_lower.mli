@@ -7,7 +7,10 @@
     typed statements the flat IR can express — declarations, assignments,
     expression statements, [if] statements, inner [for] loops, scopes,
     statement calls of leaf user functions — and all array accesses go
-    through plain outer pointer variables.
+    through plain outer pointer variables or arrays the nest declares.
+    An array declaration [T a\[n\];] needs a nest-invariant size [n]; each
+    execution allocates a fresh zeroed array ([Ir.fop.Alloc]), as the
+    walker does, so memory images and allocation order stay identical.
     A statement call [f(args);] is inlined: the arguments are lowered left
     to right in the caller's scope and the call is counted
     ([Ir.counts.k_calls]); by-value parameters get fresh registers holding
@@ -19,18 +22,18 @@
     ([Ir.var.v_global]).  The nest stays unplanned when the callee calls
     a user function (recursion included), is an [Rfunc] region of the run,
     is non-void, returns other than by a final [return;], is called with
-    the wrong arity, declares arrays, or when a nest inlines two distinct
+    the wrong arity, or when a nest inlines two distinct
     callees not all called on every root iteration (alias tracing needs
     their first calls in a fixed order).
     Ternaries and short-circuit [&&]/[||] lower to control-flow sites with
-    per-site taken counters, so the executing backend's batched step and
+    per-site taken counters, so the executing VM's batched step and
     hardware-counter accounting stays exact even when arms cost
     differently.  Loops containing [while], [return], [break],
     [continue], user function calls inside expressions, or statements
     that are themselves [Rstmt] observation regions are rejected, as is
     anything whose counter or rounding behaviour the flat IR cannot
     replicate bit-for-bit; rejected
-    loops simply run on the closure backend, so lowering is a pure, sound
+    loops simply run on the walker, so lowering is a pure, sound
     optimisation with no effect on observable semantics (values, step
     budgets, counters, loop and region statistics, error messages, PRNG
     draws, or printed output).  Only [Rstmt] regions inside the nest and
@@ -68,7 +71,7 @@ val plan :
     observation regions plan with [~motion:false], so every access marks
     footprints exactly where and when the walker performs it.  Inner loops
     of a planned nest also get independent entries of their own, so the
-    compiled fallback still fast-paths them when the outer guard
+    walker's fallback still fast-paths them when the outer guard
     declines.  Programs that fail {!Typecheck.check_program} produce an
     empty plan (the backends reproduce the walker's dynamic behaviour
     instead). *)

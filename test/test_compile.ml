@@ -1,9 +1,7 @@
-(* Differential tests for the non-walker interpreter backends: the
-   closure-compiled backend and the superinstruction VM must both be
-   observably bit-identical to the reference tree-walker on every
-   program — output, counters, loop/region stats, alias verdicts, final
-   memory, and raised exceptions.  Every parity check below runs the
-   full walker/compiled/VM triangle. *)
+(* Differential tests for the superinstruction VM: it must be observably
+   bit-identical to the reference tree-walker on every program — output,
+   counters, loop/region stats, alias verdicts, final memory, and raised
+   exceptions.  Every parity check below runs the walker/VM pair. *)
 
 let check = Alcotest.(check bool)
 
@@ -99,9 +97,7 @@ let outcomes_equal a b =
   | _ -> false
 
 let agree ?(config = Machine.default_config) p =
-  let reference = run_backend `Ast config p in
-  outcomes_equal reference (run_backend `Compiled config p)
-  && outcomes_equal reference (run_backend `Vm config p)
+  outcomes_equal (run_backend `Ast config p) (run_backend `Vm config p)
 
 let agree_src ?config src = agree ?config (parse src)
 
@@ -132,8 +128,8 @@ let flow_config ?(kernel = "knl") () =
   }
 
 (* [agree], plus the VM must have executed statements on its planned path
-   — a triangle that only ever compares closures proves nothing about the
-   lowering *)
+   — a pair that only ever compares the walker with itself proves
+   nothing about the lowering *)
 let agree_planned ?config p =
   let before = Machine.planned_steps () in
   let ok = agree ?config p in
@@ -185,7 +181,7 @@ let test_suite_apps_flow () =
 
 (* every design the quick uninformed flows emit — single-precision HIP
    bodies with tile clamps, oneAPI kernels, OpenMP loops — through the
-   triangle, unprofiled and with every function an observation region
+   walker/VM pair, unprofiled and with every function an observation region
    (so accesses in the body mark up to four nested frames at once) *)
 let test_design_programs () =
   List.iter
@@ -280,8 +276,8 @@ int main() {
 
 let test_numeric_semantics () =
   (* mixed precision, casts, bool arrays, integral Mod on floats, compound
-     ops: the corners where the compiled specializations must match the
-     dynamic walker exactly *)
+     ops: the corners where the VM's static representations must match
+     the dynamic walker exactly *)
   check "numeric corner cases" true
     (agree_src
        {|
@@ -346,10 +342,10 @@ int main() {
   in
   let p = parse src in
   check "alias verdicts agree" true (agree ~config:(full_config p) p);
-  (* and positively: the compiled backend detects the aliasing call *)
+  (* and positively: the VM detects the aliasing call *)
   let config = { (full_config p) with trace_aliases = true } in
-  let r = Machine.run ~config ~backend:`Compiled p in
-  check "compiled backend flags sum2 as aliased" true
+  let r = Machine.run ~config ~backend:`Vm p in
+  check "vm backend flags sum2 as aliased" true
     (List.assoc_opt "sum2" r.Machine.aliased_funcs = Some true)
 
 let test_global_overrides () =
@@ -370,7 +366,7 @@ int main() {
   in
   check "global override respected identically" true (agree ~config p);
   (* the walker skips evaluating the overridden initializer; so must we *)
-  let r = Machine.run ~config ~backend:`Compiled p in
+  let r = Machine.run ~config ~backend:`Vm p in
   check "override value used" true (r.Machine.output = [ "7.5" ])
 
 let test_error_parity () =
@@ -388,9 +384,21 @@ let test_error_parity () =
         "int f(int a, int b) { return a + b; } int main() { print_int(f(1)); return 0; }" );
       ( "negative alloc",
         "int main() { int n = 0 - 3; double a[n]; return 0; }" );
+      ( "global initialiser reads a later global",
+        "int f() { return later; }\nint early = f();\nint later = 5;\n\
+         int main() { print_int(early); return 0; }" );
     ]
   in
-  List.iter (fun (name, src) -> check name true (agree_src src)) cases
+  List.iter (fun (name, src) -> check name true (agree_src src)) cases;
+  (* the walker's own error, not the later global's zero-initialised cell *)
+  check "later global: unbound at the use" true
+    (match
+       run_backend `Vm Machine.default_config
+         (parse "int f() { return later; }\nint early = f();\nint later = 5;\n\
+                 int main() { print_int(early); return 0; }")
+     with
+     | Failed (loc, msg) -> (loc.Loc.line, loc.Loc.col, msg) = (1, 18, "unbound variable later")
+     | Completed _ | Out_of_steps -> false)
 
 let test_step_limit_parity () =
   let src =
@@ -417,7 +425,7 @@ int main() {
     [ 100; 1000; 2000; 5000; 5999; 6000; 6007; 8000 ]
 
 let test_step_count_identical () =
-  (* same program, all backends complete: identical total steps *)
+  (* same program, both backends complete: identical total steps *)
   List.iter
     (fun (app : App.t) ->
       let config =
@@ -428,9 +436,7 @@ let test_step_count_identical () =
       in
       let p = App.program app in
       let sa = (Machine.run ~config ~backend:`Ast p).Machine.counters.Counters.steps in
-      let sc = (Machine.run ~config ~backend:`Compiled p).Machine.counters.Counters.steps in
       let sv = (Machine.run ~config ~backend:`Vm p).Machine.counters.Counters.steps in
-      Alcotest.(check int) (app.App.app_slug ^ " steps") sa sc;
       Alcotest.(check int) (app.App.app_slug ^ " steps (vm)") sa sv)
     Suite.all
 
@@ -523,7 +529,6 @@ let test_default_backend_switch () =
   Machine.set_default_backend saved;
   check "backend names round-trip" true
     (Machine.backend_of_string (Machine.backend_name `Ast) = Some `Ast
-    && Machine.backend_of_string (Machine.backend_name `Compiled) = Some `Compiled
     && Machine.backend_of_string (Machine.backend_name `Vm) = Some `Vm
     && Machine.backend_of_string "nope" = None)
 
@@ -566,14 +571,10 @@ let test_fault_report_backend_invariant () =
                 drop_backend_line (Report.why_text rep) )))
   in
   let da, fa, wa = observe `Ast in
-  let dc, fc, wc = observe `Compiled in
   let dv, fv, wv = observe `Vm in
   check "fault prunes a branch" true (fa <> "");
-  check "designs identical (compiled)" true (da = dc);
   check "designs identical (vm)" true (da = dv);
-  Alcotest.(check string) "failure lines identical (compiled)" fa fc;
   Alcotest.(check string) "failure lines identical (vm)" fa fv;
-  Alcotest.(check string) "why trails identical (compiled)" wa wc;
   Alcotest.(check string) "why trails identical (vm)" wa wv
 
 (* ---- loop-nest lowering: coverage and budget parity ---- *)
@@ -634,11 +635,10 @@ let test_nest_planned_coverage () =
 let test_nest_budget_bail_parity () =
   (* sweep the step budget across the whole run, hitting every
      outer-iteration boundary of the planned nest: the guard's budget
-     bail is pre-effect, so walker, compiled and VM must abort at exactly
-     the same statement with identical partial state — and budgets
-     between the guard's worst-case site accounting and the actual cost
-     exercise bail-then-complete on the closure path with all counters
-     observable *)
+     bail is pre-effect, so walker and VM must abort at exactly the same
+     statement with identical partial state — and budgets between the
+     guard's worst-case site accounting and the actual cost exercise
+     bail-then-complete on the walker with all counters observable *)
   let p = parse nest_src in
   let total =
     (Machine.run ~backend:`Ast p).Machine.counters.Counters.steps
@@ -655,7 +655,7 @@ let test_nest_budget_bail_parity () =
        (fun d -> [ (total / 4) + d; (total / 2) + d; total + d ])
        [ -2; -1; 0; 1 ]);
   (* profiled (with an [Rstmt] region on every loop, so the nest is
-     unplannable and runs on the closures): same sweep *)
+     unplannable and runs on the walker): same sweep *)
   List.iter
     (fun max_steps ->
       let config = { (full_config p) with max_steps } in
@@ -669,7 +669,7 @@ let test_nest_budget_bail_parity () =
    Each case runs a kernel function under [flow_config] (footprints on,
    loop profiling on), so the nest's inner levels' loop_stats and the
    region's traffic come from the VM's derivation and marking; the
-   triangle compares them with the walker's per-statement accounting,
+   pair compares them with the walker's per-statement accounting,
    including the lists' order. *)
 
 let profiled_case name src =
@@ -808,9 +808,9 @@ let test_profiled_code_motion () =
        (Ir_lower.plan ~motion:false p) true);
   profiled_case "hoisted and promoted accesses never performed" motion_src;
   (* a plan with moved accesses handed to a region run anyway: the guard
-     refuses it, so the closures keep the footprints exact *)
+     refuses it, so the walker keeps the footprints exact *)
   let rt =
-    Compile.run ~plan:(Ir_lower.plan p)
+    Walker.run ~plan:(Ir_lower.plan p)
       { Interp_rt.default_config with regions = [ Interp_rt.Rfunc "knl" ] }
       p
   in
@@ -1115,7 +1115,7 @@ let test_walk_reuse () =
 let test_walk_reuse_budget () =
   (* every budget, with the nest entered seven times on the same trips:
      the budget check runs on every entry, cached walk or not, and a
-     bailing entry leaves the closures to raise at the walker's statement *)
+     bailing entry leaves the walker to raise at its own statement *)
   let p = parse (reentry_src unchanged_trips) in
   let total = (Machine.run ~backend:`Ast p).Machine.counters.Counters.steps in
   let d0 = Fastloop.domain_planned_steps () in
@@ -1142,7 +1142,7 @@ let test_walk_reuse_budget () =
 
    A statement call of a leaf user function inside a nest is lowered into
    the nest, as a HIP design's launch loop calls its body once per thread.
-   Each case checks that the plan inlines the call, then runs the triangle
+   Each case checks that the plan inlines the call, then runs the pair
    unprofiled and under the flow-shaped config ([Rfunc] on the caller
    [knl], loop profiling, alias tracing), with the VM running most
    statements planned — the nest with the call, not just main's set-up. *)
@@ -1337,14 +1337,14 @@ int main() {
   check "verdicts in the walker's list order" true (vm = aliases `Ast)
 
 (* an [Rfunc] region on the callee opens and closes on every call: the
-   nest is not inlined and the triangle runs it on the closures *)
+   nest is not inlined and the pair runs it on the walker *)
 let test_call_callee_region () =
   let p = parse coerce_src in
   check "callee region: not inlined" true (inlined ~region_funcs:[ "leaf" ] p = []);
   let config =
     { (flow_config ()) with regions = [ Machine.Rfunc "knl"; Machine.Rfunc "leaf" ] }
   in
-  check "callee region (triangle)" true (agree ~config p)
+  check "callee region (pair)" true (agree ~config p)
 
 (* an out-of-bounds checked index and an integer division by zero inside
    the callee: raised by the committed nest (planned, and the guard did
@@ -1375,7 +1375,7 @@ int main() {
         (fun config ->
           check (name ^ ": walker fails") true
             (match run_backend `Ast config p with Failed _ -> true | _ -> false);
-          check (name ^ ": triangle") true (agree ~config p);
+          check (name ^ ": pair") true (agree ~config p);
           Fastloop.reset_bail_sites ();
           ignore (run_backend `Vm config p);
           check (name ^ ": raised on the planned path") true (Fastloop.bail_sites () = []))
@@ -1399,8 +1399,8 @@ let test_call_budget_sweep () =
       done)
     [ ("unprofiled", Machine.default_config); ("flow-profiled", flow_config ()) ]
 
-(* each reason a nest with a call stays on the closures; the triangle
-   still agrees on every one *)
+(* each reason a nest with a call stays on the walker; the pair still
+   agrees on every one *)
 let test_call_rejections () =
   let outcome ?region_funcs p =
     let fn = Option.get (Ast.find_func p "knl") in
@@ -1433,7 +1433,7 @@ int main() {
       Machine.Rfunc "knl"
       :: List.map (fun f -> Machine.Rfunc f) (Option.value region_funcs ~default:[])
     in
-    check (reason ^ " (triangle)") true (agree ~config:{ (flow_config ()) with regions } p)
+    check (reason ^ " (pair)") true (agree ~config:{ (flow_config ()) with regions } p)
   in
   let leaf = "void leaf(int t, double* x) { x[t] += 1.0; }" in
   case "call inside an inlined callee"
@@ -1454,8 +1454,8 @@ int main() {
     ~leaf:"void leaf(int t, double* x) { if (t > 3) { return; } x[t] = 1.0; }"
     ~body:"leaf(i, a);";
   case "ill-typed program" ~leaf ~body:"leaf(i, a, b);";
-  case "array declaration in body"
-    ~leaf:"void leaf(int t, double* x) { double tmp[4]; tmp[0] = 1.0; x[t] = tmp[0]; }"
+  case "non-invariant array size"
+    ~leaf:"void leaf(int t, double* x) { double tmp[t + 1]; tmp[0] = 1.0; x[t] = tmp[0]; }"
     ~body:"leaf(i, a);";
   case "callee order"
     ~leaf:(leaf ^ "\nvoid other(int t, double* x) { x[t] *= 0.5; }")
@@ -1468,13 +1468,13 @@ int main() {
 
 let prop_backends_agree =
   QCheck.Test.make
-    ~name:"compiled and vm backends agree with walker on random kernels"
+    ~name:"vm backend agrees with walker on random kernels"
     ~count:150 Test_props.arbitrary_program (fun src ->
       let p = parse src in
       agree ~config:(full_config p) p)
 
 (* unprofiled, the VM actually executes random nests/ifs/ternaries on the
-   planned fast path instead of bailing to the closure fallback *)
+   planned fast path instead of bailing to the walker *)
 let prop_backends_agree_plain =
   QCheck.Test.make
     ~name:"backends agree on random kernels (unprofiled, planned nests)"
@@ -1503,7 +1503,7 @@ let prop_backends_agree_sp_flow =
 
 (* random kernels whose loop calls a leaf helper once per iteration,
    maybe behind a guard, with mixed by-value and pointer arguments: the
-   call is inlined and the triangle agrees, unprofiled and flow-profiled *)
+   call is inlined and the pair agrees, unprofiled and flow-profiled *)
 let prop_backends_agree_leaf_plain =
   QCheck.Test.make ~name:"backends agree on random kernels calling a leaf (unprofiled)"
     ~count:150 Test_props.arbitrary_leaf_kernel (fun src ->
@@ -1520,7 +1520,7 @@ let prop_backends_agree_leaf_flow =
 
    Under a region, an array a nest only loads or only stores, through
    cursor accesses outside any site arm, has its footprint marked once per
-   entry at commit.  Each case runs the triangle with the flow-shaped
+   entry at commit.  Each case runs the pair with the flow-shaped
    config, then again with an [Rstmt] region on every scope in [knl]'s
    body as well, so the nests inside them run under two frames. *)
 
@@ -1634,7 +1634,7 @@ let alias_bailed p =
 let test_bulk_two_names () =
   (* one base under two read-only names stays bulk; a name that only
      reads beside one that only writes it makes the guard bail, and the
-     closures mark per access *)
+     walker marks per access *)
   let both_read =
     {|
 const int N = 8;
@@ -1823,12 +1823,299 @@ int main() {
     (fun config ->
       check "walker fails" true
         (match run_backend `Ast config p with Failed _ -> true | _ -> false);
-      check "error after commit: triangle" true (agree ~config p);
+      check "error after commit: pair" true (agree ~config p);
       Fastloop.reset_bail_sites ();
       ignore (run_backend `Vm config p);
       check "raised on the planned path" true (Fastloop.bail_sites () = []))
     [ flow_config ();
       { (flow_config ()) with Machine.regions = Machine.Rfunc "knl" :: knl_scopes p } ]
+
+(* ---- arrays declared in nests ----
+
+   A nest that declares an array allocates it fresh, zeroed, at every
+   execution of the declaration, as the walker does, so bases, memory
+   images and region footprints (the array is scratch to every frame)
+   agree.  Each case checks that [knl]'s nest is planned, then runs the
+   pair unprofiled, flow-profiled, and flow-profiled with an [Rstmt]
+   region on the nest itself. *)
+
+let knl_nest p =
+  match Ast.find_func p "knl" with
+  | Some fn -> (List.hd (Query.loops_in_func fn)).Query.lm_stmt
+  | None -> Alcotest.fail "no knl"
+
+let decl_configs p =
+  let flow = flow_config () in
+  [ ("unprofiled", Machine.default_config);
+    ("flow-profiled", flow);
+    ( "region on the nest",
+      { flow with Machine.regions = Machine.Rstmt (knl_nest p).Ast.sid :: flow.Machine.regions } ) ]
+
+let decl_case name src =
+  let p = parse src in
+  check (name ^ ": nest planned") true
+    (match List.assoc_opt (knl_nest p).Ast.sloc (Ir_lower.plan_report p) with
+     | Some (Ir_lower.Planned _) -> true
+     | _ -> false);
+  List.iter
+    (fun (label, config) ->
+      check (Printf.sprintf "%s (%s)" name label) true (agree_mostly_planned ~config p))
+    (decl_configs p)
+
+let global_sized_src =
+  {|
+const int N = 6;
+int M = 3;
+void knl(double* a, double* b) {
+  for (int i = 0; i < N; i++) {
+    double t[M + 1];
+    for (int k = 0; k < M; k++) { t[k + 1] = t[k] + a[i] * (double)k; }
+    b[i] = t[M] + t[0];
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i + 0.5; b[i] = 0.0; }
+  knl(a, b);
+  M = 4;
+  knl(a, b);
+  print_float(b[1] + b[5]);
+  return 0;
+}|}
+
+let test_decl_global_size () = decl_case "array sized by a global" global_sized_src
+
+let test_decl_zero_trip () =
+  decl_case "array in a zero-trip level"
+    {|
+const int N = 6;
+void knl(double* a, double* b, int m) {
+  for (int i = 0; i < N; i++) {
+    for (int j = 0; j < m; j++) {
+      int t[4];
+      t[1] = j;
+      t[(j + 2) % 4] += 3;
+      b[i] += a[i] * (double)(t[1] + t[2] + t[3]);
+    }
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i; b[i] = 1.0; }
+  knl(a, b, 0);
+  knl(a, b, 3);
+  knl(a, b, 0);
+  print_float(b[2] + b[4]);
+  return 0;
+}|}
+
+let test_decl_in_arm () =
+  decl_case "array in an if arm"
+    {|
+const int N = 8;
+void knl(double* a, double* b) {
+  for (int i = 0; i < N; i++) {
+    if (a[i] > 2.0) {
+      float t[3];
+      t[0] = a[i];
+      t[2] = t[0] * 2.0f;
+      b[i] = t[2] + t[1];
+    } else {
+      b[i] = 0.5;
+    }
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i * 0.7; b[i] = 0.0; }
+  knl(a, b);
+  print_float(b[3] + b[7]);
+  return 0;
+}|}
+
+(* a leaf that declares an array, and a leaf handed one the nest declares:
+   the HIP body's shape *)
+let decl_leaf_src =
+  {|
+const int N = 6;
+void fill(int t, double* w, double* y) {
+  for (int k = 0; k < 4; k++) { w[k] = y[t] * (double)k; }
+}
+void leaf(int t, double* x, double* w) {
+  double s[2];
+  s[1] = w[3] + w[1];
+  x[t] = s[1] + s[0];
+}
+void knl(double* a, double* b) {
+  for (int i = 0; i < N; i++) {
+    double w[4];
+    fill(i, w, b);
+    leaf(i, a, w);
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = 0.0; b[i] = (double)i + 0.25; }
+  knl(a, b);
+  print_float(a[2] + a[5]);
+  return 0;
+}|}
+
+let test_decl_leaf () =
+  check "arrays in a leaf: calls inlined" true (List.length (inlined (parse decl_leaf_src)) = 2);
+  decl_case "arrays in an inlined leaf" decl_leaf_src;
+  let leaf_aliases =
+    (Machine.run ~config:(flow_config ()) ~backend:`Vm (parse decl_leaf_src)).Machine.aliased_funcs
+  in
+  check "a declared array is its own base" true
+    (List.assoc_opt "fill" leaf_aliases = Some false
+    && List.assoc_opt "leaf" leaf_aliases = Some false)
+
+let test_decl_negative_size () =
+  let p =
+    parse
+      {|
+const int N = 4;
+int M = 0;
+void knl(double* a) {
+  for (int i = 0; i < N; i++) {
+    double t[M - 1];
+    a[i] = 1.0;
+  }
+}
+int main() {
+  double a[N];
+  knl(a);
+  print_float(a[0]);
+  return 0;
+}|}
+  in
+  List.iter
+    (fun (label, config) ->
+      check ("negative size: walker fails (" ^ label ^ ")") true
+        (match run_backend `Ast config p with Failed _ -> true | _ -> false);
+      check ("negative size (" ^ label ^ ")") true (agree ~config p);
+      Fastloop.reset_bail_sites ();
+      ignore (run_backend `Vm config p);
+      check ("negative size: the guard declines (" ^ label ^ ")") true
+        (List.exists (fun (_, r) -> r = "array size") (Fastloop.bail_sites ())))
+    (decl_configs p)
+
+let test_decl_budget_sweep () =
+  List.iter
+    (fun src ->
+      let p = parse src in
+      List.iter
+        (fun (label, base) ->
+          let total =
+            (Machine.run ~config:base ~backend:`Ast p).Machine.counters.Counters.steps
+          in
+          for max_steps = 1 to total + 2 do
+            let config = { base with Machine.max_steps } in
+            check (Printf.sprintf "decl budget %d (%s)" max_steps label) true (agree ~config p)
+          done)
+        (decl_configs p))
+    [ global_sized_src; decl_leaf_src ]
+
+(* ---- cursors in site arms, checked per access ----
+
+   A shared-memory tile staged under [if (jj + t < n)] reaches past [n]
+   at its endpoints without ever doing so: the guard checks such a
+   cursor at each access instead of declining, and an arm that does read
+   past the end raises the walker's error after commit. *)
+
+let tile_src n =
+  Printf.sprintf
+    {|
+const int N = %d;
+const int TILE = 8;
+void knl(double* xs, double* out) {
+  for (int jj = 0; jj < N; jj += TILE) {
+    double tile[TILE];
+    for (int t = 0; t < TILE; t++) {
+      if (jj + t < N) { tile[t] = xs[jj + t]; }
+    }
+    for (int j = jj; j < imin(jj + TILE, N); j++) { out[j] = tile[j - jj] * 2.0; }
+  }
+  for (int i = 0; i < 3; i++) {
+    double row[TILE];
+    for (int t = 0; t < TILE; t++) {
+      if (t < N) { row[t] = xs[t] + (double)i; } else { row[t] = xs[t - N] * 0.5; }
+    }
+    for (int t = 0; t < imin(N, TILE); t++) { out[t] += row[t]; }
+  }
+}
+int main() {
+  double xs[N];
+  double out[N];
+  for (int i = 0; i < N; i++) { xs[i] = (double)i + 0.5; out[i] = 0.0; }
+  knl(xs, out);
+  print_float(out[0] + out[N - 1]);
+  return 0;
+}|}
+    n
+
+let test_arm_tile () =
+  List.iter
+    (fun n ->
+      let p = parse (tile_src n) in
+      List.iter
+        (fun (label, config) ->
+          check (Printf.sprintf "tile, N = %d (%s)" n label) true
+            (agree_mostly_planned ~config p);
+          Fastloop.reset_bail_sites ();
+          ignore (run_backend `Vm config p);
+          check (Printf.sprintf "tile, N = %d: no bounds bail (%s)" n label) true
+            (not (List.exists (fun (_, r) -> r = "bounds") (Fastloop.bail_sites ()))))
+        [ ("unprofiled", Machine.default_config); ("flow-profiled", flow_config ()) ])
+    [ 5; 8; 13 ]
+
+let test_arm_read_past_end () =
+  List.iter
+    (fun (name, arm) ->
+      let p =
+        parse
+          (Printf.sprintf
+             {|
+const int N = 8;
+void knl(double* a, double* b, int lim) {
+  for (int i = 0; i < N; i++) {
+    b[i] = a[i] * 0.5;
+    if (i > lim) { %s }
+  }
+}
+int main() {
+  double a[N];
+  double b[N];
+  for (int i = 0; i < N; i++) { a[i] = (double)i; b[i] = 0.0; }
+  knl(a, b, N);
+  knl(a, b, 3);
+  print_float(b[2]);
+  return 0;
+}|}
+             arm)
+      in
+      List.iter
+        (fun (label, config) ->
+          check (Printf.sprintf "%s: walker fails (%s)" name label) true
+            (match run_backend `Ast config p with Failed _ -> true | _ -> false);
+          check (Printf.sprintf "%s (%s)" name label) true (agree ~config p);
+          Fastloop.reset_bail_sites ();
+          ignore (run_backend `Vm config p);
+          check (Printf.sprintf "%s: raised on the planned path (%s)" name label) true
+            (Fastloop.bail_sites () = []))
+        [ ("unprofiled", Machine.default_config); ("flow-profiled", flow_config ()) ])
+    [
+      ("load past the end", "b[i] = a[i + 2];");
+      ("two loads, one position", "b[i] = a[i] + a[i + 3] * a[i + 3];");
+      ("store past the end", "a[i + 3] = b[i];");
+      ("accumulation past the end", "a[i + 4] += 1.0;");
+      ("ternary past the end", "b[i] = (i > 5) ? a[i + 3] : a[i];");
+    ]
 
 let suite =
   [
@@ -1881,6 +2168,14 @@ let suite =
     Alcotest.test_case "bulk marks region re-entry" `Quick test_bulk_reentered;
     Alcotest.test_case "bulk marks first-touch order" `Quick test_bulk_first_touch_order;
     Alcotest.test_case "bulk marks error after commit" `Quick test_bulk_error_after_commit;
+    Alcotest.test_case "declared array sized by a global" `Quick test_decl_global_size;
+    Alcotest.test_case "declared array in a zero-trip level" `Quick test_decl_zero_trip;
+    Alcotest.test_case "declared array in an if arm" `Quick test_decl_in_arm;
+    Alcotest.test_case "declared arrays in an inlined leaf" `Quick test_decl_leaf;
+    Alcotest.test_case "declared array of negative size" `Quick test_decl_negative_size;
+    Alcotest.test_case "declared arrays budget sweep" `Quick test_decl_budget_sweep;
+    Alcotest.test_case "arm cursors: tile past the end" `Quick test_arm_tile;
+    Alcotest.test_case "arm cursors: read past the end" `Quick test_arm_read_past_end;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_plain;
     QCheck_alcotest.to_alcotest prop_backends_agree_flow;

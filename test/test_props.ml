@@ -117,6 +117,30 @@ module Gen = struct
 
   let body = body_of stmt
 
+  (* [stmt], or a scratch array declared in the loop body (sized by a
+     literal or by the global [N]), partly filled by an inner loop, maybe
+     behind a guard, then read, an untouched cell included *)
+  let kernel_stmt idx locals =
+    let a = Printf.sprintf "a%d" idx and j = Printf.sprintf "j%d" idx in
+    frequency
+      [
+        (6, stmt idx locals);
+        ( 1,
+          map3
+            (fun (size, fill) inner guard ->
+              let body =
+                Printf.sprintf
+                  "double %s[%s]; for (int %s = 0; %s < %d; %s++) { %s[%s] = %s; } \
+                   y[i] += %s[0] + %s[3];"
+                  a size j j fill j a j inner a a
+              in
+              match guard with
+              | Some c -> (Printf.sprintf "if (%s) { %s }" c body, None)
+              | None -> (body, None))
+            (pair (oneofl [ "4"; "N - 12"; "2 + 2" ]) (1 -- 4))
+            (expr ~iv:j locals 2) (opt (cond locals)) );
+      ]
+
   (* ---- the single-precision variant ----
 
      The same shapes over float arrays and locals, with [f] literals,
@@ -277,7 +301,8 @@ end
 let arbitrary_program = QCheck.make Gen.program ~print:Fun.id
 
 let arbitrary_kernel =
-  QCheck.make ~print:Fun.id (QCheck.Gen.map (Gen.dp_shape ~kernel:true) Gen.body)
+  QCheck.make ~print:Fun.id
+    (QCheck.Gen.map (Gen.dp_shape ~kernel:true) (Gen.body_of Gen.kernel_stmt))
 
 (* single-precision kernels, in both shapes *)
 let arbitrary_sp_program =

@@ -189,7 +189,7 @@ let test_nested_budget_fault_backend_invariant () =
   (* K-Means' hot loops run as planned multi-level nests on the VM.  A
      step budget small enough to blow mid-nest makes every planned entry
      fail the guard's budget pre-check — a pre-effect bail — and the
-     closure path then aborts mid-outer-iteration; an injected task fault
+     walker then aborts mid-outer-iteration; an injected task fault
      prunes one accelerator branch on top.  The pruned report must be
      identical whatever backend interprets and at --jobs 1 and 4: a bail
      that committed partial steps, counters or writes would diverge
