@@ -10,7 +10,9 @@
      or the in-flight runs;
    - every finished request leaves a ledger record and a journal file;
    - SIGTERM drains cleanly (exit 0, socket removed) and a restart
-     still serves the persisted history.
+     still serves the persisted history;
+   - a step-budgeted and an unbudgeted request in flight together both
+     serve the CLI's bytes.
 
    Usage: servesmoke.exe PSAFLOWD_EXE PSAFLOW_EXE
    Everything runs under ./serve-smoke/ so CI can upload it. *)
@@ -121,7 +123,7 @@ let cache_misses () =
 
 (* ---- subprocesses ---- *)
 
-let spawn_daemon exe log =
+let spawn_daemon ?(max_inflight = 1) exe log =
   let out = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
   let pid =
     Unix.create_process exe
@@ -130,7 +132,8 @@ let spawn_daemon exe log =
         "--cache"; Filename.concat dir ".psa-cache";
         "--ledger"; Filename.concat dir ".psa-runs";
         "--store"; Filename.concat dir ".psa-reqs";
-        "--queue-cap"; "2"; "--max-inflight"; "1"; "--rate"; "0"; "--verbose";
+        "--queue-cap"; "2"; "--max-inflight"; string_of_int max_inflight;
+        "--rate"; "0"; "--verbose";
       |]
       Unix.stdin out out
   in
@@ -260,8 +263,11 @@ let () =
   if Sys.file_exists sock then fail "socket file left behind after drain";
   ok "SIGTERM drained cleanly (exit 0, socket removed)";
 
-  (* 6. restart: the persisted history is still served *)
-  let daemon2 = spawn_daemon psaflowd (Filename.concat dir "daemon2.log") in
+  (* 6. restart: the persisted history is still served; with two slots,
+     a budgeted request runs beside an unbudgeted one *)
+  let daemon2 =
+    spawn_daemon ~max_inflight:2 psaflowd (Filename.concat dir "daemon2.log")
+  in
   at_exit (fun () -> try Unix.kill daemon2 Sys.sigkill with Unix.Unix_error _ -> ());
   wait_for ~timeout:30.0 "restarted daemon" (fun () ->
       Sys.file_exists sock
@@ -271,6 +277,21 @@ let () =
   if body_of (get ("/v1/flows/" ^ id1 ^ "/report")) <> served then
     fail "restart serves different report bytes";
   ok "restart serves the persisted history (%s still done, bytes identical)" id1;
+  let budgeted =
+    {|{"app":"nbody","workload":"quick","client":"smoke","step_budget":1000000000000}|}
+  in
+  let rb = post "/v1/flows" budgeted and ru = post "/v1/flows" body in
+  if status_of rb <> 202 || status_of ru <> 202 then
+    fail "budgeted/unbudgeted submits rejected";
+  let idb = id_of rb and idu = id_of ru in
+  wait_for "budgeted and unbudgeted flows" (fun () ->
+      flow_state idb = "done" && flow_state idu = "done");
+  List.iter
+    (fun id ->
+      if body_of (get ("/v1/flows/" ^ id ^ "/report")) <> cli then
+        fail "%s serves different bytes from the CLI" id)
+    [ idb; idu ];
+  ok "budgeted %s and unbudgeted %s both serve the CLI bytes" idb idu;
   (try Unix.kill daemon2 Sys.sigterm with Unix.Unix_error _ -> ());
   (match Unix.waitpid [] daemon2 with
   | _, Unix.WEXITED 0 -> ()

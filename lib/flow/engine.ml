@@ -49,7 +49,7 @@ let assemble_failure (oc : Graph.outcome) (f : Resilience.failure) =
 let assemble_site (oc : Graph.outcome) =
   "assemble/" ^ String.concat "/" (List.map snd oc.Graph.oc_path)
 
-let run ?psa_config ?workload ?(strict = false) ~mode app =
+let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
   flow_span ~phase:"total" ("flow " ^ app.App.app_name) app @@ fun () ->
   let workload = Option.value workload ~default:app.App.app_eval_overrides in
   let art0 = Artifact.create app ~workload in
@@ -76,20 +76,23 @@ let run ?psa_config ?workload ?(strict = false) ~mode app =
     | Some o -> Ok o
     | None -> Error "analysis did not capture the reference output"
   in
-  (* The resilience step budget (when the policy arms one) covers the
-     branch fan-out only: a blown budget there prunes one path.  The
-     target-independent phase and design assembly run uncapped — they
-     have no sibling paths to fall back on. *)
+  (* The step budget covers the branch fan-out only: a blown budget
+     there prunes one path.  The target-independent phase and design
+     assembly run uncapped — they have no sibling paths to fall back on.
+     The fan-out's futures carry the budget with them (Util.Reqctx). *)
+  let fanout () =
+    let node = Pipeline.branch_a ?psa_config mode in
+    if strict then Result.map (fun ocs -> (ocs, [])) (Graph.run node analysed)
+    else
+      Result.map
+        (fun r -> (r.Graph.rr_outcomes, r.Graph.rr_pruned))
+        (Graph.run_tolerant node analysed)
+  in
   let* outcomes, pruned =
     flow_span ~phase:"fanout" "branch fan-out" app (fun () ->
-        Resilience.with_step_cap (fun () ->
-            let node = Pipeline.branch_a ?psa_config mode in
-            if strict then
-              Result.map (fun ocs -> (ocs, [])) (Graph.run node analysed)
-            else
-              Result.map
-                (fun r -> (r.Graph.rr_outcomes, r.Graph.rr_pruned))
-                (Graph.run_tolerant node analysed)))
+        match step_budget with
+        | Some n -> Util.Reqctx.with_step_budget n fanout
+        | None -> fanout ())
   in
   let reference_program = App.program app in
   let* designs, pruned =

@@ -38,12 +38,19 @@ val run :
   ?psa_config:Psa.config ->
   ?workload:(string * int) list ->
   ?strict:bool ->
+  ?step_budget:int ->
   mode:Pipeline.mode ->
   App.t ->
   (report, string) result
 (** Default workload: the app's evaluation workload.  [~strict] (default
     [false]) restores fail-fast: the first task failure aborts the run
-    instead of pruning its branch. *)
+    instead of pruning its branch.  [~step_budget:n] caps every
+    interpreter run of the branch fan-out at [n] statements: a run that
+    blows it fails its task with a {!Resilience.Timeout}, which prunes
+    that path (exit 3, or 4 when none survives).  The budget travels with
+    the fan-out's futures ({!Util.Reqctx}), so concurrent flows never see
+    each other's; the target-independent phase and design assembly run
+    uncapped.  Default: no budget. *)
 
 val best_design : report -> Design.t option
 (** Fastest feasible design (the paper's "Auto-Selected" bar under the

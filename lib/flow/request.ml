@@ -73,19 +73,9 @@ let run spec =
   match resolve spec with
   | Error msg -> failed msg
   | Ok (app, workload) -> (
-    let exec () = Engine.run ~workload ~mode:spec.sp_mode app in
-    let result =
-      match spec.sp_step_budget with
-      | None -> exec ()
-      | Some budget ->
-        (* the cap is process-wide (see .mli): callers serialize budgeted
-           requests; here we only scope the arming to this run *)
-        let policy =
-          { (Resilience.policy ()) with Resilience.pol_step_budget = Some budget }
-        in
-        Resilience.with_step_cap ~policy exec
-    in
-    match result with
+    match
+      Engine.run ~workload ?step_budget:spec.sp_step_budget ~mode:spec.sp_mode app
+    with
     | Error msg -> failed msg
     | Ok rep ->
       {

@@ -17,17 +17,12 @@
     requests execute concurrently on the same scheduler: the engine
     never branches on scheduling, cached values are content-addressed,
     and single-flight replay returns the same values a fresh computation
-    would.
-
-    {2 Step-budget caveat}
-
-    [Machine.set_step_cap] is process-wide, so a step-budgeted request
-    must not run concurrently with other requests (the cap would leak
-    into their interpreter runs and could fail them spuriously).  {!run}
-    arms the cap only for its own duration; {e callers} running requests
-    concurrently must serialize budgeted specs — [psaflowd] admits them
-    exclusively (its dispatcher starts a budgeted request only when
-    nothing else is in flight, and starts nothing until it finishes). *)
+    would.  A request's step budget travels with its own futures
+    ({!Engine.run}'s [~step_budget]), so it never reaches another
+    request's interpreter runs.  It bounds executed statements: a
+    budgeted request replays runs that an earlier or concurrent request
+    completed instead of re-executing them, so which paths it prunes
+    depends on what the cache already holds. *)
 
 (** Where the program comes from. *)
 type source =
@@ -41,7 +36,8 @@ type spec = {
   sp_mode : Pipeline.mode;
   sp_quick : bool;  (** test workload instead of the evaluation workload *)
   sp_step_budget : int option;
-      (** interpreter step cap per supervised task (see the caveat above) *)
+      (** caps each interpreter run of the branch fan-out; a blown budget
+          prunes that path (status 3, or 4 when none survives) *)
   sp_jobs_hint : int option;
       (** advisory only: recorded for provenance; execution parallelism
           belongs to the process-wide scheduler ([--jobs] at daemon

@@ -1,5 +1,5 @@
-(* Fault-tolerance policies: classification, bounded retry with seeded
-   backoff, step-budget/deadline timeouts.  See resilience.mli. *)
+(* Fault tolerance: classification, bounded retry with seeded backoff.
+   See resilience.mli. *)
 
 type error_class = Task_failed | Timeout | Cache_corrupt | Resource_exhausted
 
@@ -10,35 +10,14 @@ type failure = {
   f_attempts : int;
 }
 
-type policy = {
-  pol_max_attempts : int;
-  pol_backoff_s : float;
-  pol_seed : int;
-  pol_deadline_s : float option;
-  pol_step_budget : int option;
-  pol_retryable : error_class -> bool;
-}
+(* Two attempts per site; only failures that may not recur are retried.
+   Timeouts and resource exhaustion are deterministic blowouts that
+   would fail identically again. *)
+let max_attempts = 2
 
-let default_retryable = function
+let retryable = function
   | Task_failed | Cache_corrupt -> true
   | Timeout | Resource_exhausted -> false
-
-let default_policy =
-  {
-    pol_max_attempts = 2;
-    pol_backoff_s = 0.01;
-    pol_seed = 42;
-    pol_deadline_s = None;
-    pol_step_budget = None;
-    pol_retryable = default_retryable;
-  }
-
-let the_policy = Atomic.make default_policy
-
-let policy () = Atomic.get the_policy
-
-let set_policy p =
-  Atomic.set the_policy { p with pol_max_attempts = max 1 p.pol_max_attempts }
 
 let class_label = function
   | Task_failed -> "task-failed"
@@ -77,26 +56,15 @@ let classify_exn = function
     Some (Task_failed, "interpreter runtime error: " ^ msg)
   | _ -> None
 
-(* Backoff before attempt [n+1]: exponential in the attempt index with a
-   jitter factor in [0.5, 1.5) drawn from a stream seeded purely by
-   (policy seed, site) — the same (site, attempt) always waits the same
-   time, whatever else runs concurrently. *)
-let backoff pol ~site n =
-  if pol.pol_backoff_s > 0.0 then begin
-    let g = Util.Prng.create (pol.pol_seed lxor Hashtbl.hash site) in
-    (* advance the stream to this attempt's draw *)
-    let jitter = ref 1.0 in
-    for _ = 1 to n do
-      jitter := 0.5 +. Util.Prng.uniform g
-    done;
-    let d = pol.pol_backoff_s *. (2.0 ** float_of_int (n - 1)) *. !jitter in
-    Unix.sleepf (Float.min d 1.0)
-  end
+(* Backoff before the retry: 0.01 s times a jitter factor in [0.5, 1.5)
+   drawn from a stream seeded purely by (42, site) — the same site always
+   waits the same time, whatever else runs concurrently. *)
+let backoff ~site =
+  let g = Util.Prng.create (42 lxor Hashtbl.hash site) in
+  Unix.sleepf (0.01 *. (0.5 +. Util.Prng.uniform g))
 
-let supervise ?policy:p ~site thunk =
-  let pol = match p with Some p -> p | None -> Atomic.get the_policy in
+let supervise ~site thunk =
   let rec attempt n =
-    let t0 = Obs.Monotonic.now_s () in
     let outcome =
       match thunk () with
       | Ok v -> Ok v
@@ -106,23 +74,13 @@ let supervise ?policy:p ~site thunk =
         | Some c -> Error c
         | None -> Error (Task_failed, Printexc.to_string e))
     in
-    let elapsed = Obs.Monotonic.now_s () -. t0 in
-    let outcome =
-      match pol.pol_deadline_s with
-      | Some d when elapsed > d ->
-        Error
-          ( Timeout,
-            Printf.sprintf "wall-clock deadline %.3gs exceeded (ran %.3gs)" d
-              elapsed )
-      | _ -> outcome
-    in
     match outcome with
     | Ok v -> Ok v
     | Error (cls, msg) ->
-      if n < pol.pol_max_attempts && pol.pol_retryable cls then begin
+      if n < max_attempts && retryable cls then begin
         Obs.Metrics.Counter.incr c_retries;
         Obs.Trace.point ~kind:"retry" ~detail:(class_label cls) site;
-        backoff pol ~site n;
+        backoff ~site;
         attempt (n + 1)
       end
       else begin
@@ -132,12 +90,3 @@ let supervise ?policy:p ~site thunk =
       end
   in
   attempt 1
-
-let with_step_cap ?policy:p f =
-  let pol = match p with Some p -> p | None -> Atomic.get the_policy in
-  match pol.pol_step_budget with
-  | None -> f ()
-  | Some budget ->
-    let previous = Machine.step_cap () in
-    Machine.set_step_cap (Some budget);
-    Fun.protect ~finally:(fun () -> Machine.set_step_cap previous) f

@@ -1,36 +1,30 @@
-(** Fault-tolerance policies for flow execution.
+(** Fault tolerance for flow execution.
 
     Every task application in a {!Graph} run crosses one supervised
     boundary ({!supervise}): exceptions and error results are classified
-    into a small taxonomy, retryable classes are retried a bounded number
-    of times with deterministic seeded backoff, and what remains becomes a
-    structured {!failure} that the engine turns into a pruned branch (an
+    into a small taxonomy, retryable classes are retried once after a
+    deterministic seeded backoff, and what remains becomes a structured
+    {!failure} that the engine turns into a pruned branch (an
     {!Prov.Sfailed} trail step) rather than an aborted run — except under
     [psaflow run --strict], which restores fail-fast.
 
-    Timeouts come in two shapes:
+    The one kind of timeout is the interpreter step budget
+    ([Engine.run ~step_budget], a served request's [step_budget]): it caps
+    every interpreter run of the branch fan-out, and a blown budget raises
+    [Machine.Step_limit_exceeded], classified as {!Timeout}, which prunes
+    that path (exit 3, or 4 when no design survives).  Step budgets are
+    exact and deterministic: the same program blows the same budget at
+    the same statement at any [--jobs] level.
 
-    - {b interpreter step budgets} ([pol_step_budget]) cap
-      [Machine.max_steps] while a flow phase runs ({!with_step_cap}); a
-      blown budget raises [Machine.Step_limit_exceeded], classified as
-      {!Timeout}.  Step budgets are exact and deterministic: the same
-      program blows the same budget at the same statement at any [--jobs]
-      level.
-    - {b wall-clock deadlines} ([pol_deadline_s]) are checked against
-      {!Obs.Monotonic} after each attempt.  They are a safety net against
-      pathological slowness, {e not} deterministic — scheduling can push a
-      borderline task over the line — so deadline timeouts are never
-      retried and default to off.
-
-    Determinism invariant: with no policy armed beyond the defaults and no
-    faults injected, supervision is observationally free — every task
-    succeeds on its first attempt and flow output is byte-identical to an
-    unsupervised run at any [--jobs] level. *)
+    Determinism invariant: with no faults injected and no budget blown,
+    supervision is observationally free — every task succeeds on its
+    first attempt and flow output is byte-identical to an unsupervised
+    run at any [--jobs] level. *)
 
 (** Why a task ultimately failed. *)
 type error_class =
   | Task_failed  (** the task returned an error or raised *)
-  | Timeout  (** step budget or wall-clock deadline exhausted *)
+  | Timeout  (** interpreter step budget exhausted *)
   | Cache_corrupt  (** failure traced to a corrupted cache entry *)
   | Resource_exhausted  (** out of memory / stack overflow *)
 
@@ -41,30 +35,6 @@ type failure = {
   f_attempts : int;  (** attempts consumed, [>= 1] *)
 }
 
-type policy = {
-  pol_max_attempts : int;  (** total attempts per site, [>= 1]; default 2 *)
-  pol_backoff_s : float;
-      (** base backoff before attempt [n+1]: [base * 2^(n-1) * jitter]
-          with jitter drawn in [\[0.5, 1.5)] from a {!Util.Prng} stream
-          seeded by [pol_seed] and the site name — deterministic per
-          (policy, site, attempt).  Default 0.01 s. *)
-  pol_seed : int;  (** seeds the backoff jitter; default 42 *)
-  pol_deadline_s : float option;  (** wall-clock deadline per attempt; default off *)
-  pol_step_budget : int option;
-      (** interpreter step cap armed by {!with_step_cap}; default off *)
-  pol_retryable : error_class -> bool;
-      (** default: retry {!Task_failed} and {!Cache_corrupt} only —
-          {!Timeout} and {!Resource_exhausted} are deterministic blowouts
-          that would fail identically again *)
-}
-
-val default_policy : policy
-
-val policy : unit -> policy
-(** The process-wide policy used when {!supervise} is not given one. *)
-
-val set_policy : policy -> unit
-
 val class_label : error_class -> string
 (** Stable lowercase label ("task-failed", "timeout", "cache-corrupt",
     "resource-exhausted") used in provenance rendering and metrics. *)
@@ -73,17 +43,15 @@ val classify_message : string -> error_class
 (** Heuristic classification of a task's error string. *)
 
 val supervise :
-  ?policy:policy -> site:string -> (unit -> ('a, string) result) -> ('a, failure) result
-(** [supervise ~site thunk] runs [thunk] under the policy: exceptions are
-    caught and classified ([Machine.Step_limit_exceeded] is a {!Timeout},
+  site:string -> (unit -> ('a, string) result) -> ('a, failure) result
+(** [supervise ~site thunk] runs [thunk]: exceptions are caught and
+    classified ([Machine.Step_limit_exceeded] is a {!Timeout},
     [Out_of_memory]/[Stack_overflow] are {!Resource_exhausted}, anything
-    else {!Task_failed}), error results are classified by message, and
-    retryable failures re-run the thunk after a seeded backoff until
-    [pol_max_attempts] is spent.  Each retry increments the
-    [flow.retries] counter; a final failure increments
+    else {!Task_failed}) and error results are classified by message.
+    {!Task_failed} and {!Cache_corrupt} are retried once, after a backoff
+    of [0.01 s * jitter], the jitter drawn in [\[0.5, 1.5)] from a
+    {!Util.Prng} stream seeded by 42 and the site name, so the wait is
+    deterministic per site; {!Timeout} and {!Resource_exhausted} are
+    deterministic blowouts that would fail identically again.  Each retry
+    increments the [flow.retries] counter; a final failure increments
     [flow.task.failures]. *)
-
-val with_step_cap : ?policy:policy -> (unit -> 'a) -> 'a
-(** Arm the policy's step budget as a process-wide interpreter cap
-    ([Machine.set_step_cap]) for the duration of the callback, restoring
-    the previous cap on exit.  A no-op when the policy has no budget. *)

@@ -123,28 +123,18 @@ let planned_steps () = Obs.Metrics.Counter.value m_planned
 
 let plan_bail_sites = Fastloop.bail_sites
 
-(* ---- resilience step cap ---- *)
-
-(* When armed (flow resilience policies with a per-task step budget),
-   every run's max_steps is clamped to this value.  A capped run that
-   completes is identical to the uncapped run — the cap only affects
-   whether Step_limit_exceeded fires — so the cap does not belong in
-   memoization keys and capped results replay safely. *)
-let the_step_cap : int option Atomic.t = Atomic.make None
-
-let set_step_cap c = Atomic.set the_step_cap (Option.map (max 1) c)
-
-let step_cap () = Atomic.get the_step_cap
-
-let effective_config config =
-  match Atomic.get the_step_cap with
-  | None -> config
-  | Some cap -> { config with max_steps = min config.max_steps cap }
-
 (* ---- execution ---- *)
 
+(* The request context's step budget caps every run.  A capped run that
+   completes is identical to the uncapped run (the cap only decides
+   whether Step_limit_exceeded fires), so the budget stays out of memo
+   keys and capped results replay safely. *)
 let run ?(config = default_config) ?backend (program : Ast.program) : result =
-  let config = effective_config config in
+  let config =
+    match Util.Reqctx.step_budget () with
+    | Some budget -> { config with max_steps = min config.max_steps budget }
+    | None -> config
+  in
   let backend = match backend with Some b -> b | None -> default_backend () in
   (* the observer set, so a trace tells observed runs from plain ones *)
   Obs.Trace.with_span

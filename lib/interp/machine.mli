@@ -113,21 +113,12 @@ val plan_bail_sites : unit -> (Loc.t * string) list
     set of executed runs, and therefore the set of bail sites,
     schedule-independent. *)
 
-val set_step_cap : int option -> unit
-(** Arm ([Some n]) or clear ([None]) a process-wide cap on [max_steps]:
-    while armed, every {!run} executes with [min config.max_steps n].
-    Used by flow resilience policies to give tasks an interpreter step
-    budget.  Sound with respect to memoization: a capped run that
-    completes is identical to the uncapped run (the cap only decides
-    whether {!Step_limit_exceeded} fires), so the cap is deliberately
-    absent from cache keys — which also means a memoized result can be
-    replayed without re-spending the steps that produced it. *)
-
-val step_cap : unit -> int option
-(** The currently armed cap, if any. *)
-
 val run : ?config:config -> ?backend:backend -> Ast.program -> result
-(** Execute the program from its entry function.
+(** Execute the program from its entry function.  The request context's
+    step budget ({!Util.Reqctx}), when set, caps [max_steps]; a blown
+    budget in a flow's branch fan-out prunes that path (exit 3 or 4).
+    The cap is absent from memo keys: a capped run that completes is
+    identical to the uncapped run, so its result replays safely.
     @raise Runtime_error on dynamic errors (bounds, division by zero, ...)
     @raise Step_limit_exceeded when [max_steps] is exhausted. *)
 

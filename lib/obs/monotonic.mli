@@ -7,10 +7,9 @@
     Per-domain monotonicity of trace timestamps is enforced separately
     by clamping in {!Trace}.
 
-    This clock is for {e observation only} — span timestamps, bench
-    section timings, and the advisory wall-clock deadlines of the flow's
-    resilience policy.  Flow results never depend on it: deterministic
-    timeouts use interpreter step budgets instead. *)
+    This clock is for {e observation only} — span timestamps and bench
+    section timings.  Flow results never depend on it: timeouts are
+    interpreter step budgets. *)
 
 val now_s : unit -> float
 (** Seconds since process start. *)

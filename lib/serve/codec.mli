@@ -25,7 +25,10 @@
       "jobs": 4,                   -- optional advisory parallelism hint
       "client": "alice"            -- optional rate-limit identity
     }
-    v} *)
+    v}
+
+    [step_budget] caps each interpreter run of the branch fan-out; a run
+    that blows it prunes its path (status 3, or 4 when none survives). *)
 
 val parse : string -> (Request.spec * string option, string) result
 (** Decode and validate a request body.  The returned option is the

@@ -73,9 +73,6 @@ type t = {
   queue : string Admission.t;  (* ids awaiting dispatch, FIFO *)
   limiter : Limiter.t;
   mutable inflight : int;
-  mutable exclusive : bool;  (* a step-budgeted request owns the scheduler *)
-  mutable parked : string option;
-      (* exclusive head-of-line request waiting for the daemon to go idle *)
   mutable next_id : int;
   cmdline : string;
 }
@@ -111,13 +108,6 @@ let fresh_id t =
 (* ---- JSON response bodies ---- *)
 
 let error_body msg = J.to_string (J.Obj [ ("error", J.Str msg) ])
-
-let needs_exclusive spec = spec.Request.sp_step_budget <> None
-
-let spec_of_entry (e : Store.entry) =
-  match Codec.parse e.Store.e_spec with
-  | Ok (spec, _) -> Some spec
-  | Error _ -> None
 
 (* A flow's listing entry, and the head of its detail body. *)
 let summary_fields (e : Store.entry) =
@@ -180,69 +170,35 @@ let flows_body t =
 
 (* ---- dispatch ---- *)
 
-(* Move queued requests into flight while slots remain.  An exclusive
-   (step-budgeted) request blocks at the head until the daemon is idle,
-   then runs alone: the interpreter step cap is process-wide, so overlap
-   would leak it into innocent requests.  Spawning happens outside the
-   lock — with --jobs 1 a spawn executes the whole flow inline. *)
+(* Move queued requests into flight, in FIFO order, while slots remain.
+   Spawning happens outside the lock — with --jobs 1 a spawn executes the
+   whole flow inline. *)
 let rec pump t =
   let to_start =
     with_lock t (fun () ->
-        let start e excl =
-          t.inflight <- t.inflight + 1;
-          if excl then t.exclusive <- true;
-          M.Gauge.set m_inflight (float_of_int t.inflight);
-          persist t { e with Store.e_state = Store.Running }
-        in
         let rec fill acc =
-          if Atomic.get stop_flag then List.rev acc
-          else if t.exclusive || t.inflight >= t.cfg.c_max_inflight then
+          if Atomic.get stop_flag || t.inflight >= t.cfg.c_max_inflight then
             List.rev acc
           else
-            match t.parked with
-            | Some id when t.inflight > 0 ->
-              (* head-of-line: everything waits until the daemon is idle *)
-              ignore id;
-              List.rev acc
+            match Admission.take t.queue with
+            | None -> List.rev acc
             | Some id -> (
-              t.parked <- None;
               match Hashtbl.find_opt t.registry id with
-              | None -> fill acc
+              | None -> fill acc (* unreachable: registry holds every id *)
               | Some e ->
-                start e true;
-                fill ((id, true) :: acc))
-            | None -> (
-              match Admission.take t.queue with
-              | None -> List.rev acc
-              | Some id -> (
-                match Hashtbl.find_opt t.registry id with
-                | None -> fill acc (* unreachable: registry holds every id *)
-                | Some e ->
-                  let excl =
-                    match spec_of_entry e with
-                    | Some spec -> needs_exclusive spec
-                    | None -> false
-                  in
-                  if excl && t.inflight > 0 then begin
-                    (* wait for idle without losing the queue position *)
-                    t.parked <- Some id;
-                    List.rev acc
-                  end
-                  else begin
-                    start e excl;
-                    fill ((id, excl) :: acc)
-                  end))
+                t.inflight <- t.inflight + 1;
+                M.Gauge.set m_inflight (float_of_int t.inflight);
+                persist t { e with Store.e_state = Store.Running };
+                fill (id :: acc))
         in
         fill [])
   in
   List.iter
-    (fun (id, excl) ->
-      ignore
-        (Util.Pool.Fut.spawn ~label:("serve:" ^ id) (fun () ->
-             run_one t id excl)))
+    (fun id ->
+      ignore (Util.Pool.Fut.spawn ~label:("serve:" ^ id) (fun () -> run_one t id)))
     to_start
 
-and run_one t id excl =
+and run_one t id =
   let t0 = Obs.Monotonic.now_s () in
   let entry =
     with_lock t (fun () -> Hashtbl.find_opt t.registry id)
@@ -335,7 +291,6 @@ and run_one t id excl =
       log t "%s failed: %s" id finished.Store.e_error));
   with_lock t (fun () ->
       t.inflight <- t.inflight - 1;
-      if excl then t.exclusive <- false;
       M.Gauge.set m_inflight (float_of_int t.inflight));
   pump t
 
@@ -576,8 +531,6 @@ let run cfg =
           queue = Admission.create ~capacity:cfg.c_queue_cap;
           limiter = Limiter.create ~rate:cfg.c_rate ~burst:cfg.c_burst ();
           inflight = 0;
-          exclusive = false;
-          parked = None;
           next_id = 1;
           cmdline = String.concat " " (Array.to_list Sys.argv);
         }

@@ -46,8 +46,11 @@
     any [--jobs] level and any request interleaving (see {!Request});
     what concurrency and restarts may change is only telemetry ([serve.*],
     cache temperatures) and which requests shed under overload.
-    Step-budgeted requests are dispatched exclusively (never overlapping
-    another request) because the interpreter step cap is process-wide. *)
+    Step-budgeted requests are dispatched like any other: the budget
+    travels with the request's own futures, and a blown budget prunes
+    paths (status 3, or 4 when none survives).  Because it bounds
+    executed statements, a budgeted request replays runs that another
+    request completed, so its pruning can depend on the cache. *)
 
 type listen =
   | Unix_sock of string  (** path; an existing socket file is replaced *)

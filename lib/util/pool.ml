@@ -421,9 +421,13 @@ let note_depth ctx =
   let d = float_of_int (Deque.depth ctx.deque + Injector.depth ()) in
   if d > Obs.Metrics.Gauge.value g then Obs.Metrics.Gauge.set g d
 
+(* The future runs in its spawner's request context on whichever domain
+   claims it: every path below (worker, thief, inline or helping await,
+   crash reclaim) calls the stored thunk. *)
 let enqueue_spawn thunk =
   let ctx = Domain.DLS.get ctx_key in
-  let fut = Atomic.make (New thunk) in
+  let rc = Reqctx.current () in
+  let fut = Atomic.make (New (fun () -> Reqctx.run_in rc thunk)) in
   Obs.Metrics.Counter.incr (m_spawned ());
   if not (Deque.push ctx.deque (Any fut)) then Injector.push (Any fut);
   note_depth ctx;

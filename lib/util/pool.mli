@@ -81,8 +81,9 @@ module Fut : sig
   (** [spawn f] schedules [f] on the pool and returns its future.  When
       the default job count is 1, [f] runs eagerly at the spawn point
       (in program order, exceptions propagating immediately) so
-      sequential runs never observe the scheduler.  [label] names the
-      task's span in [--trace] output. *)
+      sequential runs never observe the scheduler.  [f] runs in the
+      spawner's request context ({!Reqctx}) whichever domain executes
+      it.  [label] names the task's span in [--trace] output. *)
 
   val await : 'a t -> 'a
   (** [await fut] returns the future's value, executing it inline if no

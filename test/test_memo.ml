@@ -83,6 +83,48 @@ let test_exceptions_not_cached () =
   let s = Memo.stats () in
   checki "failed runs never hit" 0 s.Memo.hits
 
+(* A budget bounds executed statements, not results: an unbudgeted run
+   racing a budgeted one on the same key always gets the full result.
+   The budgeted leader's Step_limit_exceeded releases the key, and the
+   waiting caller computes it in its own context.  The unbudgeted run
+   starts 2 ms into the budgeted one, which takes about ten times that to
+   blow, so it finds the key claimed and waits. *)
+let test_budgeted_leader_releases_waiters () =
+  let config =
+    { Machine.default_config with
+      overrides = App.machine_overrides [ ("N", 256); ("STEPS", 4) ] }
+  in
+  let full = Machine.run ~config nbody_program in
+  let budget = full.Machine.counters.Counters.steps / 2 in
+  let waits () = Obs.Metrics.Counter.value (Obs.Metrics.counter "cache.run.waits") in
+  let saved = Util.Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) @@ fun () ->
+  Util.Pool.set_default_jobs 4;
+  let waited = ref 0 in
+  for _ = 1 to 5 do
+    Memo.reset ();
+    let started = Atomic.make false in
+    let budgeted =
+      Util.Pool.Fut.spawn (fun () ->
+          Util.Reqctx.with_step_budget budget (fun () ->
+              Atomic.set started true;
+              match Memo.run ~config nbody_program with
+              | r -> Some r
+              | exception Machine.Step_limit_exceeded -> None))
+    in
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.002;
+    check "unbudgeted racer gets the full result" true
+      (Memo.run ~config nbody_program = full);
+    (match Util.Pool.Fut.await budgeted with
+     | Some r -> check "a budgeted replay is the full result" true (r = full)
+     | None -> ());
+    waited := !waited + waits ()
+  done;
+  check "the unbudgeted run waited on a budgeted leader" true (!waited > 0)
+
 (* The memo lookups of each profile task in one traced flow, as
    (branch path, outcome), in recording order per domain track. *)
 let profile_lookups () =
@@ -162,5 +204,8 @@ let suite =
     ("distinct configs do not collide", `Quick, test_distinct_configs_do_not_collide);
     ("id-renumbered programs share one entry", `Quick, test_renumbered_program_hits);
     ("failed runs are not cached", `Quick, test_exceptions_not_cached);
+    ( "budgeted leader releases unbudgeted waiters",
+      `Quick,
+      test_budgeted_leader_releases_waiters );
     ("one flow run reuses interpretations", `Quick, test_flow_run_reuses_interpretations);
   ]

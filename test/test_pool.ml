@@ -77,6 +77,142 @@ let test_default_jobs_roundtrip () =
   Util.Pool.set_default_jobs before;
   checki "restored" before (Util.Pool.default_jobs ())
 
+(* ---- the request context follows the future ---- *)
+
+let budget = Util.Reqctx.step_budget
+
+let in_budget n f = Util.Reqctx.with_step_budget n f
+
+(* Spin until [flag] is set; the bound keeps a broken scheduler from
+   hanging the suite. *)
+let wait_until what flag =
+  let t0 = Unix.gettimeofday () in
+  while not (Atomic.get flag) do
+    if Unix.gettimeofday () -. t0 > 10.0 then
+      Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.001
+  done
+
+(* What a future saw: its budget and the domain that ran it. *)
+let observed ?ran () =
+  let r = (budget (), Domain.self ()) in
+  Option.iter (fun flag -> Atomic.set flag true) ran;
+  r
+
+(* At --jobs 2 the pool has one worker domain, and this domain runs only
+   what it awaits, so who executes each future below is fixed. *)
+let test_context_follows_future () =
+  let saved = Util.Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) @@ fun () ->
+  Util.Pool.set_default_jobs 2;
+  let here = Domain.self () in
+  (* stolen: the worker takes [outer] from this domain's deque; [outer]
+     spawns [inner] into the worker's own deque, which the worker pops
+     once [outer] returns *)
+  let inner_ran = Atomic.make false in
+  let outer =
+    in_budget 11 (fun () ->
+        Util.Pool.Fut.spawn (fun () ->
+            let seen = observed () in
+            (seen, in_budget 22 (fun () ->
+                 Util.Pool.Fut.spawn (observed ~ran:inner_ran)))))
+  in
+  check "spawner's context restored" true (budget () = None);
+  wait_until "the worker runs both futures" inner_ran;
+  let (b_outer, d_outer), inner = Util.Pool.Fut.await outer in
+  let b_inner, d_inner = Util.Pool.Fut.await inner in
+  check "stolen future ran on the worker" true (d_outer <> here);
+  check "stolen future sees its spawner's budget" true (b_outer = Some 11);
+  check "worker's own future ran on the worker" true (d_inner <> here);
+  check "worker's own future sees its spawner's budget" true (b_inner = Some 22);
+  let plain_ran = Atomic.make false in
+  let plain = Util.Pool.Fut.spawn (observed ~ran:plain_ran) in
+  wait_until "the worker runs an unbudgeted future" plain_ran;
+  check "an unbudgeted future sees no budget on the same worker" true
+    (fst (Util.Pool.Fut.await plain) = None);
+  (* hold the worker so nothing below can run there *)
+  let holding = Atomic.make false and release = Atomic.make false in
+  let hold =
+    Util.Pool.Fut.spawn (fun () ->
+        Atomic.set holding true;
+        wait_until "release" release)
+  in
+  wait_until "the worker is held" holding;
+  (* inline: an unclaimed future runs on the awaiting domain *)
+  let f = in_budget 33 (fun () -> Util.Pool.Fut.spawn observed) in
+  in_budget 44 (fun () ->
+      let b, d = Util.Pool.Fut.await f in
+      check "inline future ran on the awaiting domain" true (d = here);
+      check "inline future sees its spawner's budget" true (b = Some 33);
+      check "awaiter's context restored after inline run" true (budget () = Some 44));
+  let g =
+    in_budget 55 (fun () ->
+        Util.Pool.Fut.spawn (fun () -> raise (Boom (Option.value (budget ()) ~default:0))))
+  in
+  in_budget 66 (fun () ->
+      (match Util.Pool.Fut.await g with
+       | () -> Alcotest.fail "expected Boom"
+       | exception Boom n -> checki "raising future saw its spawner's budget" 55 n);
+      check "awaiter's context restored after a raise" true (budget () = Some 66));
+  (* helping: awaiting the held future, this domain runs [k] from its
+     deque; [k] releases the worker *)
+  let k =
+    in_budget 77 (fun () ->
+        Util.Pool.Fut.spawn (fun () ->
+            let r = observed () in
+            Atomic.set release true;
+            r))
+  in
+  in_budget 88 (fun () ->
+      Util.Pool.Fut.await hold;
+      check "helping awaiter's context restored" true (budget () = Some 88));
+  let b, d = Util.Pool.Fut.await k in
+  check "helped future ran on the helping domain" true (d = here);
+  check "helped future sees its spawner's budget" true (b = Some 77);
+  check "no context left behind" true (budget () = None)
+
+(* --jobs 1 evaluates at the spawn point, inside the spawner's context. *)
+let test_context_eager () =
+  let saved = Util.Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) @@ fun () ->
+  Util.Pool.set_default_jobs 1;
+  let f = in_budget 5 (fun () -> Util.Pool.Fut.spawn budget) in
+  check "eager future sees its spawner's budget" true (Util.Pool.Fut.await f = Some 5);
+  check "eager map sees its caller's budget" true
+    (in_budget 6 (fun () -> Util.Pool.map (fun _ -> budget ()) [ 1; 2 ])
+     = [ Some 6; Some 6 ]);
+  (match in_budget 7 (fun () -> Util.Pool.Fut.spawn (fun () -> raise (Boom 7))) with
+   | _ -> Alcotest.fail "expected Boom"
+   | exception Boom 7 -> ());
+  check "context restored after an eager raise" true (budget () = None)
+
+(* A future whose worker crashes before running it is recomputed by the
+   awaiting domain, still in its spawner's context. *)
+let test_context_survives_crash_reclaim () =
+  let saved = Util.Pool.default_jobs () in
+  let crashes () = Obs.Metrics.Counter.value (Obs.Metrics.counter "pool.worker_failures") in
+  (match Util.Faultsim.parse "pool:worker@1" with
+   | Ok spec -> Util.Faultsim.arm spec
+   | Error e -> Alcotest.fail e);
+  Fun.protect
+    ~finally:(fun () ->
+      Util.Faultsim.disarm ();
+      Util.Pool.set_default_jobs saved)
+  @@ fun () ->
+  Util.Pool.set_default_jobs 2;
+  let crashes0 = crashes () in
+  let f = in_budget 9 (fun () -> Util.Pool.Fut.spawn observed) in
+  let t0 = Unix.gettimeofday () in
+  while crashes () = crashes0 && Unix.gettimeofday () -. t0 < 10.0 do
+    Unix.sleepf 0.001
+  done;
+  check "the worker crashed on the claim" true (crashes () > crashes0);
+  in_budget 10 (fun () ->
+      let b, d = Util.Pool.Fut.await f in
+      check "reclaimed future ran on the awaiting domain" true (d = Domain.self ());
+      check "reclaimed future sees its spawner's budget" true (b = Some 9);
+      check "awaiter's context restored" true (budget () = Some 10))
+
 (* ---- parallel flow == sequential flow, observably ---- *)
 
 (* Log lines embed statement ids ("hotspot: loop 190 in main"), and ids
@@ -213,6 +349,11 @@ let suite =
     ("first failure in input order wins", `Quick, test_first_exception_wins);
     ("nested maps neither deadlock nor reorder", `Quick, test_nested_maps);
     ("default jobs can be set and restored", `Quick, test_default_jobs_roundtrip);
+    ("request context follows the future", `Quick, test_context_follows_future);
+    ("request context at --jobs 1", `Quick, test_context_eager);
+    ( "request context survives a crash reclaim",
+      `Quick,
+      test_context_survives_crash_reclaim );
     ( "nested suite fan-out byte-identical at --jobs 1/2/8",
       `Quick,
       test_nested_fanout_across_jobs );

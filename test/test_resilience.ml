@@ -87,12 +87,12 @@ let test_probabilistic_replay () =
 
 (* ---- engine-level fault tolerance ---- *)
 
-let run_nbody ?(strict = false) () =
+let run_nbody ?(strict = false) ?step_budget () =
   (* the task/run caches are process-global memory tiers shared with the
      other suites: drop them so every application actually crosses the
      fault-injection boundary instead of replaying a cached result *)
   Cache.clear_memory ();
-  Engine.run ~workload:Nbody.app.App.app_test_overrides ~strict
+  Engine.run ~workload:Nbody.app.App.app_test_overrides ~strict ?step_budget
     ~mode:Pipeline.Uninformed Nbody.app
 
 let test_task_fault_prunes_one_branch () =
@@ -150,17 +150,12 @@ let test_step_budget_timeout_deterministic () =
   (* a tiny step budget blows every interpreting task in the fan-out;
      the resulting report must be identical at --jobs 1 and --jobs 4 *)
   let old_jobs = Util.Pool.default_jobs () in
-  let old_policy = Resilience.policy () in
-  Resilience.set_policy
-    { Resilience.default_policy with Resilience.pol_step_budget = Some 50 };
   Fun.protect
-    ~finally:(fun () ->
-      Resilience.set_policy old_policy;
-      Util.Pool.set_default_jobs old_jobs)
+    ~finally:(fun () -> Util.Pool.set_default_jobs old_jobs)
     (fun () ->
       let observe jobs =
         Util.Pool.set_default_jobs jobs;
-        match run_nbody () with
+        match run_nbody ~step_budget:50 () with
         | Error e -> Alcotest.fail e
         | Ok rep ->
           ( List.map (fun (d : Design.t) -> Target.short d.Design.d_target)
@@ -195,13 +190,8 @@ let test_nested_budget_fault_backend_invariant () =
      that committed partial steps, counters or writes would diverge
      here. *)
   let old_jobs = Util.Pool.default_jobs () in
-  let old_policy = Resilience.policy () in
-  Resilience.set_policy
-    { Resilience.default_policy with Resilience.pol_step_budget = Some 500 };
   Fun.protect
-    ~finally:(fun () ->
-      Resilience.set_policy old_policy;
-      Util.Pool.set_default_jobs old_jobs)
+    ~finally:(fun () -> Util.Pool.set_default_jobs old_jobs)
     (fun () ->
       let observe backend jobs =
         let saved = Machine.default_backend () in
@@ -214,7 +204,7 @@ let test_nested_budget_fault_backend_invariant () =
                 Cache.clear_memory ();
                 match
                   Engine.run ~workload:Kmeans.app.App.app_test_overrides
-                    ~mode:Pipeline.Uninformed Kmeans.app
+                    ~step_budget:500 ~mode:Pipeline.Uninformed Kmeans.app
                 with
                 | Error e -> Alcotest.fail e
                 | Ok rep ->

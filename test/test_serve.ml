@@ -2,8 +2,9 @@
    malformed-request rejection, HTTP framing, rate-limiter replay
    determinism, bounded-admission load shedding, request-store crash
    recovery, and in-process end-to-end server runs with an injected
-   runner (shed burst, drain, resume, exclusive dispatch, report
-   bytes). *)
+   runner (shed burst, drain, resume, budgeted requests overlapping,
+   report bytes), and the step budget's scope: a served budget prunes
+   paths like a flow budget and never leaks into a concurrent request. *)
 
 let check msg = Alcotest.(check bool) msg
 
@@ -362,6 +363,74 @@ let test_request_resolve_errors () =
   check_int "unresolvable spec fails with status 1" 1 oc.Request.oc_status;
   check "run never raises" true (oc.Request.oc_error <> "")
 
+(* ---------------- step budgets ---------------- *)
+
+let with_jobs jobs f =
+  let saved = Util.Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) @@ fun () ->
+  Util.Pool.set_default_jobs jobs;
+  f ()
+
+let rendered oc = (oc.Request.oc_status, oc.Request.oc_text, oc.Request.oc_why)
+
+(* Runs on a cold memory tier: a replayed run spends no steps, so a
+   budget only prunes what a request actually executes. *)
+let run_cold spec =
+  Cache.clear_memory ();
+  Request.run spec
+
+(* A served budget means what a flow budget means: it caps the branch
+   fan-out, so a blown budget prunes paths instead of failing the flow. *)
+let test_request_budget_prunes () =
+  let spec = { quick_spec with Request.sp_step_budget = Some 50 } in
+  List.iter
+    (fun jobs ->
+      with_jobs jobs @@ fun () ->
+      let oc = run_cold spec in
+      Cache.clear_memory ();
+      match
+        Engine.run ~workload:Nbody.app.App.app_test_overrides ~step_budget:50
+          ~mode:Pipeline.Uninformed Nbody.app
+      with
+      | Error e -> Alcotest.fail e
+      | Ok rep ->
+        let at what = Printf.sprintf "%s at --jobs %d" what jobs in
+        check_int (at "budget prunes paths") Request.exit_partial oc.Request.oc_status;
+        check_str (at "text equals the flow budget's") (Report.run_text rep)
+          oc.Request.oc_text;
+        check_str (at "why equals the flow budget's") (Report.why_text rep)
+          oc.Request.oc_why)
+    [ 1; 4 ]
+
+(* Two requests on one scheduler: a budgeted K-Means flow must not leak
+   its budget into an unbudgeted N-Body flow, whichever domain runs
+   whose futures.  The two apps share no memo or task-cache key, so each
+   outcome must equal its solo run.  N-Body is spawned first so that a
+   worker steals it while this domain runs K-Means: the two flows start
+   together. *)
+let test_request_budget_no_leak () =
+  let kmeans =
+    {
+      quick_spec with
+      Request.sp_source = Request.Builtin "kmeans";
+      sp_step_budget = Some 50;
+    }
+  in
+  with_jobs 4 @@ fun () ->
+  let nbody_solo = rendered (run_cold quick_spec) in
+  let kmeans_solo = rendered (run_cold kmeans) in
+  for round = 1 to 8 do
+    Cache.clear_memory ();
+    let n = Util.Pool.Fut.spawn (fun () -> Request.run quick_spec) in
+    let k = Util.Pool.Fut.spawn (fun () -> Request.run kmeans) in
+    let k = Util.Pool.Fut.await k in
+    let n = Util.Pool.Fut.await n in
+    check (Printf.sprintf "round %d: nbody equals its solo run" round) true
+      (rendered n = nbody_solo);
+    check (Printf.sprintf "round %d: budgeted kmeans equals its solo run" round)
+      true (rendered k = kmeans_solo)
+  done
+
 (* ---------------- server end-to-end ---------------- *)
 
 let http_round sock_path text =
@@ -588,20 +657,33 @@ let test_server_resume () =
             (status_of (post sock "/v1/flows" {|{"app":"nbody"}|}));
           wait_for "new run" (fun () -> terminal sock "q000004")))
 
-let test_server_exclusive_dispatch () =
+(* Budgeted and unbudgeted requests share the scheduler: each request's
+   budget travels with its own futures, so dispatch never holds one back
+   for another.  Each runner keeps its slot until both kinds have
+   started (bounded), so the two intervals overlap unless dispatch
+   serializes them.  The accept-loop domain never runs futures, so the
+   pool needs two workers (3 jobs) to run two requests at once. *)
+let test_server_overlaps_budgeted () =
+  with_jobs (max 3 (Util.Pool.default_jobs ())) @@ fun () ->
   with_dir (fun dir ->
       let lock = Mutex.create () in
-      let events = ref [] in
-      let record tag excl =
-        Mutex.lock lock;
-        events := (tag, excl) :: !events;
-        Mutex.unlock lock
-      in
+      let spans = ref [] in
+      let started_budgeted = Atomic.make false
+      and started_plain = Atomic.make false in
       let runner spec =
-        let excl = spec.Request.sp_step_budget <> None in
-        record `Start excl;
-        Unix.sleepf 0.15;
-        record `Stop excl;
+        let budgeted = spec.Request.sp_step_budget <> None in
+        let t0 = Unix.gettimeofday () in
+        Atomic.set (if budgeted then started_budgeted else started_plain) true;
+        while
+          (not (Atomic.get started_budgeted && Atomic.get started_plain))
+          && Unix.gettimeofday () -. t0 < 5.0
+        do
+          Unix.sleepf 0.01
+        done;
+        Unix.sleepf 0.05;
+        Mutex.lock lock;
+        spans := (budgeted, t0, Unix.gettimeofday ()) :: !spans;
+        Mutex.unlock lock;
         failing_outcome
       in
       with_server ~max_inflight:4 ~runner dir (fun sock ->
@@ -609,28 +691,14 @@ let test_server_exclusive_dispatch () =
             check_int "accepted" 202 (status_of (post sock "/v1/flows" body))
           in
           submit {|{"app":"nbody"}|};
-          submit {|{"app":"nbody"}|};
           submit {|{"app":"nbody","step_budget":1000000}|};
-          submit {|{"app":"nbody"}|};
-          wait_for "all four" (fun () ->
-              List.for_all (terminal sock)
-                [ "q000001"; "q000002"; "q000003"; "q000004" ]);
-          (* a step-budgeted request must never overlap another request:
-             the interpreter step cap is process-wide *)
-          let timeline = List.rev !events in
-          check_int "all four requests ran" 8 (List.length timeline);
-          let overlap, _, _ =
-            List.fold_left
-              (fun (bad, inflight, excl_open) (tag, excl) ->
-                match tag with
-                | `Start ->
-                  ( bad || (excl && inflight > 0) || excl_open,
-                    inflight + 1,
-                    excl_open || excl )
-                | `Stop -> (bad, inflight - 1, excl_open && not excl))
-              (false, 0, false) timeline
-          in
-          check "budgeted request ran alone start-to-stop" false overlap))
+          wait_for "both" (fun () ->
+              List.for_all (terminal sock) [ "q000001"; "q000002" ]);
+          match List.partition (fun (b, _, _) -> b) !spans with
+          | [ (_, b0, b1) ], [ (_, u0, u1) ] ->
+            check "budgeted request overlaps the unbudgeted one" true
+              (b0 < u1 && u0 < b1)
+          | _ -> Alcotest.fail "expected one budgeted and one unbudgeted run"))
 
 let suite =
   [
@@ -659,9 +727,13 @@ let suite =
       test_request_run;
     Alcotest.test_case "request resolve errors" `Quick
       test_request_resolve_errors;
+    Alcotest.test_case "request budget prunes like a flow budget" `Slow
+      test_request_budget_prunes;
+    Alcotest.test_case "request budget never leaks across requests" `Slow
+      test_request_budget_no_leak;
     Alcotest.test_case "server end-to-end" `Slow test_server_e2e;
     Alcotest.test_case "server rate limit" `Quick test_server_rate_limit;
     Alcotest.test_case "server resume after crash" `Quick test_server_resume;
-    Alcotest.test_case "server exclusive dispatch" `Quick
-      test_server_exclusive_dispatch;
+    Alcotest.test_case "server overlaps budgeted requests" `Quick
+      test_server_overlaps_budgeted;
   ]
