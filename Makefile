@@ -50,7 +50,10 @@ bench-jobs:
 # x eval/quick) run on the default backend, cache and ledger off, must
 # print byte for byte the report the reference tree-walker produced
 # (perfbench/golden, written by perfbench/golden/regen.sh).  The only gate
-# that compares evaluation-size flows with the walker.
+# that compares evaluation-size flows with the walker.  JOBS, when set, is
+# passed to --jobs (planned nests split into parallel chunks only at
+# --jobs > 1).
+JOBS ?=
 golden-check:
 	dune build bin/psaflow.exe
 	@fail=0; for app in nbody kmeans adpredictor rush_larsen bezier; do \
@@ -59,8 +62,8 @@ golden-check:
 	      flag=; [ "$$workload" = quick ] && flag=--quick; \
 	      golden=perfbench/golden/$$app.$$mode.$$workload.txt; \
 	      if dune exec --no-build bin/psaflow.exe -- run $$app $$flag --mode $$mode \
-	           --cache off --ledger off | cmp -s - $$golden; then \
-	        echo "golden-check: $$app $$mode $$workload ok"; \
+	           --cache off --ledger off $(if $(JOBS),--jobs $(JOBS)) | cmp -s - $$golden; then \
+	        echo "golden-check: $$app $$mode $$workload ok$(if $(JOBS), (--jobs $(JOBS)))"; \
 	      else \
 	        echo "golden-check: $$app $$mode $$workload differs from $$golden"; fail=1; \
 	      fi; \

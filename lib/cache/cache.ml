@@ -44,7 +44,17 @@ let the_dir : string option Atomic.t = Atomic.make None
 
 let the_max_bytes = Atomic.make (512 * 1024 * 1024)
 
-let set_dir d = Atomic.set the_dir d
+(* guards [dir_bytes], the disk tier's byte total as this process knows
+   it ([note_store]): [None] until the first store scans the directory *)
+let evict_lock = Mutex.create ()
+
+let dir_bytes : int option ref = ref None
+
+let set_dir d =
+  Mutex.lock evict_lock;
+  dir_bytes := None;
+  Atomic.set the_dir d;
+  Mutex.unlock evict_lock
 
 let dir () = Atomic.get the_dir
 
@@ -102,10 +112,16 @@ let entry_path ~kind ~version ~key =
 
 let ensure_dir d = try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-(* Eviction is per-process best-effort: scan the directory, and when the
-   cap is exceeded delete oldest-mtime entries down to 3/4 of it.
-   Failures (entries deleted by a racing process) are ignored. *)
-let evict_lock = Mutex.create ()
+(* Eviction is per-process best-effort.  The process keeps a running byte
+   total of the directory: one scan at its first store (and after
+   [set_dir]), then the size of every entry it writes.  Only when a store
+   takes the total past the cap does it scan again, and if the scan
+   confirms the directory is over the cap, delete oldest-mtime entries
+   down to 3/4 of it.  Bytes other processes write or delete are seen at
+   the next scan; an overwritten entry counts twice until then, which
+   only brings that scan forward.  Failures (entries deleted by a racing
+   process) are ignored. *)
+let m_evict_scans = Obs.Metrics.counter "cache.evict_scans"
 
 let entry_files d =
   match Sys.readdir d with
@@ -122,32 +138,47 @@ let entry_files d =
              | _ -> None
            else None)
 
-let evict d =
+(* Scan [d], evicting when it is over the cap: the bytes left and the
+   number of entries evicted.  Called under [evict_lock]. *)
+let scan d =
+  Obs.Metrics.Counter.incr m_evict_scans;
+  let files = entry_files d in
+  let total = List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 files in
+  let cap = max_bytes () in
+  if total <= cap then (total, 0)
+  else begin
+    let target = cap * 3 / 4 in
+    let by_age = List.sort (fun (_, _, a) (_, _, b) -> compare a b) files in
+    let evicted = ref 0 in
+    let remaining = ref total in
+    List.iter
+      (fun (path, sz, _) ->
+        if !remaining > target then begin
+          try
+            Sys.remove path;
+            remaining := !remaining - sz;
+            incr evicted
+          with Sys_error _ -> ()
+        end)
+      by_age;
+    (!remaining, !evicted)
+  end
+
+(* Account a [written]-byte store into [d]: the number of entries
+   evicted. *)
+let note_store d written =
   Mutex.lock evict_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock evict_lock)
     (fun () ->
-      let files = entry_files d in
-      let total = List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 files in
-      let cap = max_bytes () in
-      if total <= cap then 0
-      else begin
-        let target = cap * 3 / 4 in
-        let by_age = List.sort (fun (_, _, a) (_, _, b) -> compare a b) files in
-        let evicted = ref 0 in
-        let remaining = ref total in
-        List.iter
-          (fun (path, sz, _) ->
-            if !remaining > target then begin
-              (try
-                 Sys.remove path;
-                 remaining := !remaining - sz;
-                 incr evicted
-               with Sys_error _ -> ())
-            end)
-          by_age;
-        !evicted
-      end)
+      match !dir_bytes with
+      | Some total when total + written <= max_bytes () ->
+        dir_bytes := Some (total + written);
+        0
+      | Some _ | None ->
+        let remaining, evicted = scan d in
+        dir_bytes := Some remaining;
+        evicted)
 
 type disk_outcome = Hit of string | Miss | Error_miss
 
@@ -205,16 +236,20 @@ let disk_store ~kind ~version ~key payload =
     (* publication (unique temp file + atomic rename) is the shared
        Obs.Atomic_io discipline, also used by the run ledger and the
        trace writer *)
+    let header =
+      Marshal.to_string
+        (kind, version, Digest.to_hex (Digest.string key), Digest.string payload)
+        []
+    in
     (match
        ensure_dir d;
        Obs.Atomic_io.with_atomic_out
          (Filename.concat d (file_name ~kind ~version ~key))
          (fun oc ->
-           output_value oc
-             (kind, version, Digest.to_hex (Digest.string key), Digest.string payload);
+           output_string oc header;
            output_string oc payload)
      with
-     | Ok () -> evict d
+     | Ok () -> note_store d (String.length header + String.length payload)
      | Error _ -> -1
      | exception (Sys_error _ | Unix.Unix_error _) -> -1)
 

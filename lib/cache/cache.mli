@@ -69,7 +69,8 @@ val add_stats : stats -> stats -> stats
 
 val set_dir : string option -> unit
 (** Enable ([Some dir]) or disable ([None], the default) the on-disk
-    tier.  The directory is created lazily on first use. *)
+    tier.  The directory is created lazily on first use.  Also forgets
+    the process's byte total of the tier (see {!set_max_bytes}). *)
 
 val dir : unit -> string option
 
@@ -77,8 +78,12 @@ val enabled : unit -> bool
 (** [dir () <> None]. *)
 
 val set_max_bytes : int -> unit
-(** Size cap for the on-disk tier (default 512 MiB).  Exceeding it after
-    a store evicts oldest-mtime entries down to 3/4 of the cap. *)
+(** Size cap for the on-disk tier (default 512 MiB).  The process scans
+    the directory at its first store and then adds the size of every
+    entry it writes; a store that takes that total past the cap rescans,
+    and evicts oldest-mtime entries down to 3/4 of the cap when the
+    directory is over it.  Scans count in the [cache.evict_scans]
+    metric. *)
 
 val max_bytes : unit -> int
 

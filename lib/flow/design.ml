@@ -13,7 +13,7 @@ type t = {
   d_prov : Prov.step list;
 }
 
-let of_outcome ~app ~reference_program ~baseline_s ~reference_output
+let of_outcome ~app ~reference_loc ~baseline_s ~reference_output
     (oc : Graph.outcome) =
   let art = oc.Graph.oc_artifact in
   match art.Artifact.art_design with
@@ -44,7 +44,7 @@ let of_outcome ~app ~reference_program ~baseline_s ~reference_output
         d_time_s = time_s;
         d_speedup = speedup;
         d_loc_added_pct =
-          Loc_count.added_pct ~reference:reference_program ~design:art.Artifact.art_program;
+          Loc_count.added_pct ~reference_loc ~design:art.Artifact.art_program;
         d_valid = valid;
         d_log = art.Artifact.art_log;
         d_prov = art.Artifact.art_prov;

@@ -23,12 +23,14 @@ type t = {
 
 val of_outcome :
   app:App.t ->
-  reference_program:Ast.program ->
+  reference_loc:int ->
   baseline_s:float ->
   reference_output:string list ->
   Graph.outcome ->
   (t, string) result
-(** Package a flow outcome. Fails when the outcome carries no design. *)
+(** Package a flow outcome.  [reference_loc] is the reference source's
+    line count ({!Loc_count.program_loc}).  Fails when the outcome
+    carries no design. *)
 
 val label : t -> string
 

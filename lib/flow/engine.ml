@@ -94,7 +94,7 @@ let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
         | Some n -> Util.Reqctx.with_step_budget n fanout
         | None -> fanout ())
   in
-  let reference_program = App.program app in
+  let reference_loc = Loc_count.program_loc art0.Artifact.art_program in
   let* designs, pruned =
     flow_span ~phase:"assemble" "assemble designs" app @@ fun () ->
     let folded =
@@ -103,8 +103,7 @@ let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
           let* designs, pruned = acc in
           match
             Resilience.supervise ~site:(assemble_site oc) (fun () ->
-                Design.of_outcome ~app ~reference_program ~baseline_s
-                  ~reference_output oc)
+                Design.of_outcome ~app ~reference_loc ~baseline_s ~reference_output oc)
           with
           | Ok d -> Ok (d :: designs, pruned)
           | Error f when not strict ->
@@ -179,7 +178,7 @@ let run_budgeted ?psa_config ?workload ?(pricing = Cost.default_pricing) ~budget
     | Some o -> Ok o
     | None -> Error "analysis did not capture the reference output"
   in
-  let reference_program = App.program app in
+  let reference_loc = Loc_count.program_loc art0.Artifact.art_program in
   let try_branch branch =
     let select _ =
       Graph.select
@@ -194,7 +193,7 @@ let run_budgeted ?psa_config ?workload ?(pricing = Cost.default_pricing) ~budget
         List.filter_map
           (fun oc ->
             match
-              Design.of_outcome ~app ~reference_program ~baseline_s ~reference_output oc
+              Design.of_outcome ~app ~reference_loc ~baseline_s ~reference_output oc
             with
             | Ok d when d.Design.d_feasible && d.Design.d_time_s <> None -> Some d
             | Ok _ | Error _ -> None)

@@ -93,13 +93,18 @@ let rec run_node ~tolerant node (oc : outcome) :
           ] )
     | Error f -> Error f.Resilience.f_msg)
   | Seq nodes ->
+    (* a step with one outcome runs in place: a future would only add a
+       spawn, and a steal that moves the step off its path's span *)
     let step acc node =
       let* outcomes, fails = acc in
       let* outs, fails' =
-        outcomes
-        |> List.map (fun oc ->
-               Util.Pool.Fut.spawn (fun () -> run_node ~tolerant node oc))
-        |> Util.Pool.Fut.await_all |> concat_results
+        match outcomes with
+        | [ oc ] -> run_node ~tolerant node oc
+        | _ ->
+          outcomes
+          |> List.map (fun oc ->
+                 Util.Pool.Fut.spawn (fun () -> run_node ~tolerant node oc))
+          |> Util.Pool.Fut.await_all |> concat_results
       in
       Ok (outs, fails @ fails')
     in

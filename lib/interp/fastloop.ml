@@ -31,7 +31,11 @@
    pre-checked against the statically largest possible total, so the
    post-run [consume_steps] can never raise.  Arrays the nest declares are
    allocated after commit, by each execution of their declaration, so the
-   walker's allocation order and memory image are kept. *)
+   walker's allocation order and memory image are kept.
+
+   At [--jobs] > 1 a committed nest whose root iterations the guard proves
+   independent runs its root level as chunks on the pool ([run_split]);
+   the merged state is the serial commit's, so nothing above changes. *)
 
 open Interp_rt
 
@@ -128,6 +132,21 @@ type prepared = {
   (* the nest compiled to closures, per footprint-marking mode (off, on)
      and cursor-checking mode (off, on) *)
   code : (unit -> unit) option array;
+  (* parallel root chunks (see [run_split]): the static half of the split
+     rules ([split_ok]; the arrays loaded by checked accesses; the
+     declared arrays in the order the root body declares them), whether
+     this is a chunk instance, per declared array the arrays allocated
+     for every root iteration before the chunks start ([palloc], shared
+     with the chunk instances) and the root iteration a chunk instance's
+     next [Alloc] belongs to, and the chunk instances, made on the first
+     split of the run *)
+  split_ok : bool;
+  ck_loads : int array;
+  allocs : int array;
+  chunk : bool;
+  palloc : (int * Memory.raw) array array;
+  anext : int array;
+  mutable chunks : prepared array;
 }
 
 exception Bail of string
@@ -319,6 +338,55 @@ let rec block_sites (fl : Ir.fast_loop) (b : Ir.block) acc =
       | Ir.Bloop lid -> block_sites fl fl.Ir.fl_levels.(lid).Ir.l_body acc)
     acc b.Ir.b_items
 
+(* The static half of the split rules ([split_chunks] checks the rest per
+   entry): no PRNG draw, whose stream order is the iteration order; no
+   checked store, whose index the guard cannot bound; no written external
+   scalar and no promoted cell, so no value crosses root iterations
+   through a register (scalar reductions, floating-point ones included,
+   stay serial); and every declared array declared exactly once per root
+   iteration, at the root body's top level, so its arrays can be
+   allocated in the walker's order before the chunks start.  Returns the
+   verdict, the arrays loaded by checked accesses and the declared
+   arrays in declaration order. *)
+let split_plan (fl : Ir.fast_loop) =
+  let ok =
+    ref
+      (Array.for_all (fun (v : Ir.var) -> not v.Ir.v_written) fl.Ir.fl_vars
+      && fl.Ir.fl_promoted = [||]
+      && fl.Ir.fl_epilogue = [||])
+  in
+  let ck_loads = ref [] and allocs = ref [] in
+  let scan ~top ops =
+    Array.iter
+      (fun (op : Ir.fop) ->
+        match op with
+        | Ir.Rand _ | Ir.FStCk _ | Ir.IStCk _ -> ok := false
+        | Ir.FLdCk (_, a, _, _) | Ir.ILdCk (_, a, _, _) ->
+          if not (List.mem a !ck_loads) then ck_loads := a :: !ck_loads
+        | Ir.Alloc a ->
+          if top && not (List.mem a !allocs) then allocs := a :: !allocs else ok := false
+        | _ -> ())
+      ops
+  in
+  let rec block ~top (b : Ir.block) =
+    Array.iter
+      (function
+        | Ir.Bops ops -> scan ~top ops
+        | Ir.Bsite sid ->
+          let s = fl.Ir.fl_sites.(sid) in
+          block ~top:false s.Ir.s_then;
+          block ~top:false s.Ir.s_else
+        | Ir.Bloop lid -> block ~top:false fl.Ir.fl_levels.(lid).Ir.l_body)
+      b.Ir.b_items
+  in
+  scan ~top:false fl.Ir.fl_prologue;
+  block ~top:true fl.Ir.fl_levels.(0).Ir.l_body;
+  Array.iteri
+    (fun a (arr : Ir.arr) ->
+      if arr.Ir.a_size <> None && not (List.mem a !allocs) then ok := false)
+    fl.Ir.fl_arrs;
+  (!ok, Array.of_list !ck_loads, Array.of_list (List.rev !allocs))
+
 let no_cell = ref (Value.Vint 0)
 
 let prepare (fl : Ir.fast_loop) : prepared =
@@ -327,6 +395,7 @@ let prepare (fl : Ir.fast_loop) : prepared =
   let na = max 1 (Array.length fl.Ir.fl_arrs) in
   let nc = max 1 (Array.length fl.Ir.fl_cursors) in
   let bulk, aload, bimg = footprint_plan fl in
+  let split_ok, ck_loads, allocs = split_plan fl in
   let lev_cur =
     Array.init nl (fun l ->
         let ids = ref [] in
@@ -416,6 +485,49 @@ let prepare (fl : Ir.fast_loop) : prepared =
     f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
     called = Array.make (Array.length fl.Ir.fl_calls) false;
     code = Array.make 4 None;
+    split_ok;
+    ck_loads;
+    allocs;
+    chunk = false;
+    palloc = Array.make na [||];
+    anext = Array.make na 0;
+    chunks = [||];
+  }
+
+(* A chunk instance of [p]: private register files, scratch that the
+   nest's closures write (cursor positions and data, declared arrays'
+   storage, taken and entry counters, call flags, the root level's trip
+   count, lo bound and cursor deltas), and its own closures; the rest —
+   the plan, the guard's per-entry results and the footprint bitsets —
+   is [p]'s. *)
+let chunk_instance p =
+  let enter_d = Array.copy p.enter_d and exit_d = Array.copy p.exit_d in
+  enter_d.(0) <- Array.copy p.enter_d.(0);
+  exit_d.(0) <- Array.copy p.exit_d.(0);
+  {
+    p with
+    f = Array.copy p.f;
+    n = Array.copy p.n;
+    trip = Array.copy p.trip;
+    llo = Array.copy p.llo;
+    tk = Array.copy p.tk;
+    abase = Array.copy p.abase;
+    afdata = Array.copy p.afdata;
+    aidata = Array.copy p.aidata;
+    cpos = Array.copy p.cpos;
+    cfdata = Array.copy p.cfdata;
+    cidata = Array.copy p.cidata;
+    enter_d;
+    exit_d;
+    lent = Array.copy p.lent;
+    lord = Array.copy p.lord;
+    nord = 0;
+    f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
+    called = Array.copy p.called;
+    code = Array.make 4 None;
+    chunk = true;
+    anext = Array.copy p.anext;
+    chunks = [||];
   }
 
 (* Nest-invariant integer expressions; [Ivar] indexes the var table and is
@@ -593,6 +705,9 @@ let oob p (a : int) (idx : int) (loc : Loc.t) =
    [mark_bulk] marks them at commit. *)
 
 let resolve_fp p st a =
+  (* a chunk instance never resolves: the frames' tables are written by
+     the committing domain only, before the chunks start *)
+  assert (not p.chunk);
   let base = p.abase.(a) in
   let fps =
     List.filter_map
@@ -1034,16 +1149,29 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     let arr = p.fl.Ir.fl_arrs.(a) in
     let name = arr.Ir.a_name and elem_ty = Ir.ty_of_ety arr.Ir.a_ety in
     let curs = p.acur.(a) and alen = p.alen and abase = p.abase in
-    fun () ->
-      let base = (Memory.alloc st.mem ~name ~elem_ty alen.%(a)).Value.base in
+    let bind base (raw : Memory.raw) =
       abase.%(a) <- base;
-      (match Memory.raw st.mem base with
-       | Memory.Rfloat data ->
-         af.%(a) <- data;
-         Array.iter (fun c -> cf.%(c) <- data) curs
-       | Memory.Rint data ->
-         ai.%(a) <- data;
-         Array.iter (fun c -> ci.%(c) <- data) curs);
+      match raw with
+      | Memory.Rfloat data ->
+        af.%(a) <- data;
+        Array.iter (fun c -> cf.%(c) <- data) curs
+      | Memory.Rint data ->
+        ai.%(a) <- data;
+        Array.iter (fun c -> ci.%(c) <- data) curs
+    in
+    if p.chunk then
+      (* a chunk instance: the array its root iteration declares was
+         allocated before the chunks started *)
+      let palloc = p.palloc and anext = p.anext in
+      fun () ->
+        let j = anext.%(a) in
+        anext.%(a) <- j + 1;
+        let base, raw = palloc.%(a).(j) in
+        bind base raw;
+        k ()
+    else fun () ->
+      let base = (Memory.alloc st.mem ~name ~elem_ty alen.%(a)).Value.base in
+      bind base (Memory.raw st.mem base);
       k ()
   | Ir.Called j ->
     let j = valid (Array.length p.called) j in
@@ -1197,6 +1325,264 @@ let cell st env ~global name =
   match if global then Hashtbl.find_opt st.globals name else lookup env name with
   | Some r -> r
   | None -> raise (Bail "binding")
+
+(* ---- parallel root chunks ----
+
+   At [--jobs] > 1 a committed nest may run its root level as contiguous
+   chunks of root iterations, which the committing domain and one pool
+   future per other job claim in order, each on its own chunk instance
+   ([chunk_instance]).
+   The guard splits an entry only when the chunks cannot observe one
+   another ([split_plan], [split_chunks]): no value crosses root
+   iterations through a register, every element a root iteration may
+   store is touched by no other root iteration, and the run's shared
+   state (memory allocation, footprint resolution, the PRNG) is used
+   before the chunks start or not at all.  Merging the chunk instances'
+   counters then gives exactly the serial commit's state ([run_split]). *)
+
+let m_parallel = Obs.Metrics.counter "vm.nests.parallel"
+
+(* Entries whose else-baseline total is below this many statements stay
+   serial.  A parked pool worker starts a spawned future after ~55 us
+   (p50; p90 ~100 us, 2-vCPU host), the time the VM takes for a few
+   thousand statements, so a smaller nest cannot win back a split's
+   fixed cost. *)
+let split_floor = 20_000
+
+(* a cursor is dereferenced only when every level it moves with runs *)
+let accessed p k =
+  let ok = ref true in
+  Array.iteri
+    (fun l e -> if e <> Ir.Iconst 0 && p.trip.(l) = 0 then ok := false)
+    p.fl.Ir.fl_cursors.(k).Ir.c_coefs;
+  !ok
+
+(* Every base a name of the nest stores (the nest's own declared arrays
+   aside: each root iteration declares fresh ones) is touched in blocks
+   no two root iterations share: no checked access loads it, and all its
+   dereferenced cursors move with the root by the same coefficient [r],
+   so root index [v] touches [r*v + [lo, hi]] over the cursors' inner
+   extrema (in base coordinates, offsets included), and consecutive root
+   indices, [r*step] apart, cannot meet when [hi - lo < |r*step|].  The
+   guard's endpoint caps keep this arithmetic exact. *)
+let disjoint_roots p =
+  let arrs = p.fl.Ir.fl_arrs in
+  let na = Array.length arrs and nl = Array.length p.trip in
+  let declared a = arrs.(a).Ir.a_size <> None in
+  let stored a =
+    (not (declared a))
+    && Array.exists Fun.id
+         (Array.init na (fun k ->
+              (not (declared k)) && arrs.(k).Ir.a_stored && p.abase.(k) = p.abase.(a)))
+  in
+  (not (Array.exists stored p.ck_loads))
+  &&
+  let blocks = Hashtbl.create 4 and ok = ref true in
+  for k = 0 to Array.length p.fl.Ir.fl_cursors - 1 do
+    let a = p.carr.(k) in
+    if stored a && accessed p k then begin
+      let coefs = p.ccoef.(k) in
+      let lo = ref p.cpos0.(k) and hi = ref p.cpos0.(k) in
+      for l = 1 to nl - 1 do
+        let coef = coefs.(l) in
+        if coef <> 0 && p.trip.(l) > 0 then begin
+          let x = coef * p.llo.(l)
+          and y = coef * (p.llo.(l) + ((p.trip.(l) - 1) * p.lstep.(l))) in
+          lo := !lo + Int.min x y;
+          hi := !hi + Int.max x y
+        end
+      done;
+      let base = p.abase.(a) in
+      match Hashtbl.find_opt blocks base with
+      | None -> Hashtbl.replace blocks base (coefs.(0), !lo, !hi)
+      | Some (r, lo', hi') ->
+        if r <> coefs.(0) then ok := false
+        else Hashtbl.replace blocks base (r, Int.min lo' !lo, Int.max hi' !hi)
+    end
+  done;
+  !ok
+  && Hashtbl.fold
+       (fun _ (r, lo, hi) acc -> acc && r <> 0 && hi - lo < abs r * p.lstep.(0))
+       blocks true
+
+(* Under a region, the arrays in the order the walker first touches them
+   in the entry, when that order cannot depend on the data: each array's
+   first access on the path through the levels that run lies outside any
+   site arm, so root iteration 0 makes it, in program order.  [None]
+   otherwise. *)
+let first_touch p =
+  let fl = p.fl in
+  let seen = Array.make (Array.length fl.Ir.fl_arrs) false in
+  let order = ref [] and fixed = ref true in
+  let touch ~armed a =
+    if not seen.(a) then begin
+      seen.(a) <- true;
+      if armed then fixed := false else order := a :: !order
+    end
+  in
+  let scan ~armed ops =
+    Array.iter
+      (fun op ->
+        iter_accesses op
+          ~cur:(fun c ~ld:_ -> touch ~armed p.carr.(c))
+          ~ck:(fun a ~ld:_ -> touch ~armed a))
+      ops
+  in
+  let rec block ~armed (b : Ir.block) =
+    Array.iter
+      (function
+        | Ir.Bops ops -> scan ~armed ops
+        | Ir.Bsite sid ->
+          let s = fl.Ir.fl_sites.(sid) in
+          block ~armed:true s.Ir.s_then;
+          block ~armed:true s.Ir.s_else
+        | Ir.Bloop lid ->
+          if p.trip.(lid) > 0 then block ~armed fl.Ir.fl_levels.(lid).Ir.l_body)
+      b.Ir.b_items
+  in
+  scan ~armed:false fl.Ir.fl_prologue;
+  block ~armed:false fl.Ir.fl_levels.(0).Ir.l_body;
+  if !fixed then Some (List.rev !order) else None
+
+(* The per-entry half of the split rules, after the guard: the pool's
+   job count and, under a region, the first-touch order; [None] keeps the
+   entry serial. *)
+let split_chunks p ~marking =
+  let jobs = Util.Pool.default_jobs () in
+  if (not p.split_ok) || jobs < 2 || p.trip.(0) < 2 || p.wbase.(0) < split_floor
+     || not (disjoint_roots p)
+  then None
+  else if not marking then Some (jobs, [])
+  else Option.map (fun order -> (jobs, order)) (first_touch p)
+
+(* Chunk [c] of [n], root iterations [c*t/n, (c+1)*t/n), on chunk
+   instance [q], which starts every chunk from [p]'s state after the
+   guard: [p] itself is left alone until every chunk has finished, so a
+   chunk instance may run any chunk, and a future can run again from the
+   start (a crashed pool worker's claim is rerun elsewhere).  Taken
+   counters and call flags accumulate over the instance's chunks; level
+   entries are counted per chunk, so the levels' first entries are in
+   chunk order. *)
+let run_chunk p st ~mk ~ck ~prof q n c =
+  let t = p.trip.(0) in
+  let first = c * t / n and last = (c + 1) * t / n in
+  let copy src dst = Array.blit src 0 dst 0 (Array.length src) in
+  copy p.f q.f;
+  copy p.n q.n;
+  copy p.cpos0 q.cpos;
+  copy p.cfdata q.cfdata;
+  copy p.cidata q.cidata;
+  copy p.afdata q.afdata;
+  copy p.aidata q.aidata;
+  copy p.abase q.abase;
+  copy p.trip q.trip;
+  copy p.llo q.llo;
+  let step = p.lstep.(0) in
+  let lo = p.llo.(0) + (first * step) and count = last - first in
+  q.trip.(0) <- count;
+  q.llo.(0) <- lo;
+  let cs = p.lev_cur.(0) and en = q.enter_d.(0) and ex = q.exit_d.(0) in
+  for j = 0 to Array.length cs - 1 do
+    let coef = p.ccoef.(cs.(j)).(0) in
+    en.(j) <- coef * lo;
+    ex.(j) <- coef * (lo + (count * step))
+  done;
+  Array.fill q.lent 0 (Array.length q.lent) 0;
+  q.nord <- 0;
+  Array.fill q.anext 0 (Array.length q.anext) first;
+  nest_code q st ~mk ~ck ~prof ()
+
+(* Root iterations per chunk, in else-baseline statements: small enough
+   that the committing domain, which takes chunks until none is left,
+   never waits long for a chunk a late worker started, and large enough
+   that a chunk's set-up (copying [p]'s registers and cursors, about a
+   microsecond) stays below 2 % of it. *)
+let chunk_steps = 8_000
+
+(* The committed nest as chunks of contiguous root iterations, claimed in
+   order from a shared counter by the committing domain and by one future
+   per other pool job, each on its own chunk instance ([chunk_instance]):
+   a job that starts late takes fewer chunks.  The arrays the root body
+   declares are allocated first, root iteration by root iteration in
+   declaration order, as the walker allocates them.  The merge is the
+   serial commit's state: taken counters and level entries are sums, the
+   first-entry level order is the chunks' orders concatenated in chunk
+   order (a level's first entry lies in the first chunk that enters it),
+   call flags are OR'ed, and the declared arrays keep their last root
+   iteration's bases.  A chunk's error is raised once every future has
+   settled, the earliest chunk's: the serial run raises that one, and no
+   chunk instance is still running when the next entry reuses it. *)
+let run_split p st ~mk ~ck ~prof jobs =
+  let t = p.trip.(0) in
+  let n = Int.min t (Int.max jobs (p.wbase.(0) / chunk_steps)) in
+  let arrs = p.fl.Ir.fl_arrs in
+  Array.iter (fun a -> p.palloc.(a) <- Array.make t (-1, Memory.Rint [||])) p.allocs;
+  for j = 0 to t - 1 do
+    Array.iter
+      (fun a ->
+        let arr = arrs.(a) in
+        let elem_ty = Ir.ty_of_ety arr.Ir.a_ety in
+        let base = (Memory.alloc st.mem ~name:arr.Ir.a_name ~elem_ty p.alen.(a)).Value.base in
+        p.palloc.(a).(j) <- (base, Memory.raw st.mem base))
+      p.allocs
+  done;
+  let have = Array.length p.chunks in
+  if have < jobs then
+    p.chunks <- Array.init jobs (fun i -> if i < have then p.chunks.(i) else chunk_instance p);
+  let next = Atomic.make 0 in
+  let errors = Array.make n None in
+  let lents = Array.make n no_i and lords = Array.make n no_i in
+  let work i () =
+    let q = p.chunks.(i) in
+    Array.fill q.tk 0 (Array.length q.tk) 0;
+    Array.fill q.called 0 (Array.length q.called) false;
+    let rec claim () =
+      let c = Atomic.fetch_and_add next 1 in
+      if c < n then begin
+        (match run_chunk p st ~mk ~ck ~prof q n c with
+         | () -> ()
+         | exception e -> errors.(c) <- Some (e, Printexc.get_raw_backtrace ()));
+        if prof then begin
+          lents.(c) <- Array.copy q.lent;
+          lords.(c) <- Array.sub q.lord 0 q.nord
+        end;
+        claim ()
+      end
+    in
+    claim ()
+  in
+  let futs =
+    List.init (jobs - 1) (fun i ->
+        Util.Pool.Fut.spawn (fun () ->
+            Obs.Trace.with_span ~name:"vm-chunks" ~kind:Obs.Trace.Interp_run (fun _ ->
+                work (i + 1) ())))
+  in
+  work 0 ();
+  List.iter Util.Pool.Fut.await_no_help futs;
+  for i = 0 to jobs - 1 do
+    let q = p.chunks.(i) in
+    Array.iteri (fun s x -> p.tk.(s) <- p.tk.(s) + x) q.tk;
+    Array.iteri (fun j b -> if b then p.called.(j) <- true) q.called
+  done;
+  if prof then
+    for c = 0 to n - 1 do
+      Array.iter
+        (fun l ->
+          if p.lent.(l) = 0 then begin
+            p.lord.(p.nord) <- l;
+            p.nord <- p.nord + 1
+          end)
+        lords.(c);
+      Array.iteri (fun l e -> p.lent.(l) <- p.lent.(l) + e) lents.(c)
+    done;
+  Array.iter
+    (fun a ->
+      p.abase.(a) <- fst p.palloc.(a).(t - 1);
+      p.palloc.(a) <- [||])
+    p.allocs;
+  match Array.find_map Fun.id errors with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 let attempt p st env (index : Value.t ref) (acc : loop_acc) =
   let fl = p.fl in
@@ -1458,7 +1844,10 @@ let attempt p st env (index : Value.t ref) (acc : loop_acc) =
   (* 6. the nest's closures for this run, marking mode and checking mode
      (compiled on first use; an invalid register or id in the plan bails
      here) *)
-  let code = nest_code p st ~mk:marking ~ck:(Array.mem true p.cck) ~prof in
+  let ck = Array.mem true p.cck in
+  let code = nest_code p st ~mk:marking ~ck ~prof in
+  (* 7. whether the root level runs as parallel chunks *)
+  let split = split_chunks p ~marking in
   (* ---- commit: from here on the fast path runs the nest to the end ---- *)
   Array.fill p.tk 0 (Array.length p.tk) 0;
   if prof then begin
@@ -1474,11 +1863,30 @@ let attempt p st env (index : Value.t ref) (acc : loop_acc) =
         p.fpw.(a) <- no_marks;
         p.fpr.(a) <- no_marks
       end
-    done
+    done;
+    (* chunks resolve nothing: the frames gain their footprint entries
+       here, in the walker's first-touch order; a declared array is
+       allocated after every active frame began, so it is scratch to all
+       of them *)
+    Option.iter
+      (fun (_, order) ->
+        List.iter
+          (fun a ->
+            if fl.Ir.fl_arrs.(a).Ir.a_size <> None then begin
+              p.fpw.(a) <- no_marks;
+              p.fpr.(a) <- no_marks
+            end
+            else if p.fpw.(a) == no_fp then resolve_fp p st a)
+          order)
+      split
   end;
   let tracing = st.cfg.trace_aliases in
   if tracing then Array.fill p.called 0 (Array.length p.called) false;
-  code ();
+  (match split with
+   | None -> code ()
+   | Some (jobs, _) ->
+     Obs.Metrics.Counter.incr m_parallel;
+     run_split p st ~mk:marking ~ck ~prof jobs);
   if marking then mark_bulk p;
   (* exact totals: baseline plus taken deltas; the overflow
      pre-verification above guarantees none of this unchecked arithmetic

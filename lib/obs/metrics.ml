@@ -188,6 +188,8 @@ let prefixed prefix name =
 let jobs_invariant name =
   not
     (prefixed "pool." name || prefixed "bench.section." name
+    (* planned nests split into parallel chunks only at --jobs > 1 *)
+    || name = "vm.nests.parallel"
     (* daemon traffic telemetry: admission, shedding and rate limiting
        depend on arrival order and machine speed, never on the flow *)
     || prefixed "serve." name

@@ -85,7 +85,8 @@ val jobs_invariant : string -> bool
 (** Whether this instrument's value is deterministic at any [--jobs]
     level and across machine speeds — i.e. safe to print where output
     must be byte-identical ([psaflow --explain]).  False for
-    scheduling-dependent names ([pool.*], single-flight [*.waits]),
+    scheduling-dependent names ([pool.*], single-flight [*.waits],
+    [vm.nests.parallel]),
     daemon traffic telemetry ([serve.*] — arrival-order dependent) and
     all wall-clock ones ([*.seconds] and their histogram expansions,
     [bench.section.*], [pool.idle_ns]). *)

@@ -7,9 +7,7 @@ let count_text text =
 
 let program_loc p = count_text (Pretty.program_to_string p)
 
-let added_loc ~reference ~design = program_loc design - program_loc reference
-
-let added_pct ~reference ~design =
-  let ref_loc = program_loc reference in
-  if ref_loc = 0 then 0.0
-  else float_of_int (added_loc ~reference ~design) /. float_of_int ref_loc *. 100.0
+let added_pct ~reference_loc ~design =
+  if reference_loc = 0 then 0.0
+  else
+    float_of_int (program_loc design - reference_loc) /. float_of_int reference_loc *. 100.0

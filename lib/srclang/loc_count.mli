@@ -7,8 +7,7 @@ val count_text : string -> int
 val program_loc : Ast.program -> int
 (** LOC of the pretty-printed program. *)
 
-val added_loc : reference:Ast.program -> design:Ast.program -> int
-(** [design] LOC minus [reference] LOC (may be negative). *)
-
-val added_pct : reference:Ast.program -> design:Ast.program -> float
-(** Added LOC as a percentage of the reference LOC, the unit Table I uses. *)
+val added_pct : reference_loc:int -> design:Ast.program -> float
+(** [design] LOC minus the reference's [reference_loc] (may be negative),
+    as a percentage of [reference_loc], the unit Table I uses.  A flow
+    counts its reference once ({!program_loc}) for all its designs. *)

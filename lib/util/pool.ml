@@ -434,7 +434,10 @@ let enqueue_spawn thunk =
   wake_all ();
   fut
 
-let await_result fut =
+(* [help]: while a live executor holds the future, run other queued tasks
+   rather than park ([await_no_help] parks, so nothing else lands on the
+   caller's stack) *)
+let await_result ~help fut =
   let ctx = Domain.DLS.get ctx_key in
   let rec loop () =
     (* snapshot before inspecting the future: a completion bumped
@@ -459,7 +462,7 @@ let await_result fut =
       else begin
         (* claimed by a live executor: help with other pending work
            rather than idling, park only when none exists *)
-        (match find_task ctx with
+        (match if help then find_task ctx else None with
          | Some task -> help_run ctx task
          | None -> park snap);
         loop ()
@@ -470,13 +473,16 @@ let await_result fut =
 let reraise (e, bt) = Printexc.raise_with_backtrace e bt
 
 let await fut =
-  match await_result fut with Ok v -> v | Error eb -> reraise eb
+  match await_result ~help:true fut with Ok v -> v | Error eb -> reraise eb
+
+let await_no_help fut =
+  match await_result ~help:false fut with Ok v -> v | Error eb -> reraise eb
 
 (* Settle every future, then surface the first failure in input order —
    the same answer a sequential left-to-right map raises, regardless of
    completion order. *)
 let settle_all futs =
-  let rs = List.map await_result futs in
+  let rs = List.map (await_result ~help:true) futs in
   let rec firsterr = function
     | [] -> ()
     | Ok _ :: tl -> firsterr tl
@@ -507,6 +513,7 @@ module Fut = struct
 
   let spawn = spawn
   let await = await
+  let await_no_help = await_no_help
   let await_all = settle_all
 end
 

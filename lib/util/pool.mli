@@ -92,6 +92,14 @@ module Fut : sig
       by an injected crash.  Re-raises the task's exception with its
       original backtrace. *)
 
+  val await_no_help : 'a t -> 'a
+  (** [await_no_help fut] is {!await} for a caller that must run no
+      other task while it waits: it runs [fut] inline when no domain has
+      claimed it, reclaims it from a crashed claimant, and otherwise
+      parks until it settles.  A planned nest awaits its chunk futures
+      this way, because the interpreter run around it may hold a
+      single-flight claim that a helped task could block on. *)
+
   val await_all : 'a t list -> 'a list
   (** [await_all futs] settles {e every} future, then returns their
       values in order — or re-raises the first failure in list order,

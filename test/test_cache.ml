@@ -152,6 +152,48 @@ let test_disabled_cache_is_passthrough () =
       check "no path when disabled" true
         (Cache.entry_path ~kind:"tint" ~version:1 ~key:"off" = None))
 
+let evict_scans () = Obs.Metrics.Counter.value (Obs.Metrics.counter "cache.evict_scans")
+
+let dir_bytes dir =
+  Array.fold_left
+    (fun acc name -> acc + (Unix.stat (Filename.concat dir name)).Unix.st_size)
+    0 (Sys.readdir dir)
+
+(* The disk tier keeps a running byte total: stores under the cap scan
+   the directory once, at the first store. *)
+let test_eviction_scans_once () =
+  with_cache_dir (fun _ ->
+      let s0 = evict_scans () in
+      for i = 1 to 50 do
+        ignore (Ints.find_or_compute ~key:(Printf.sprintf "scan-%d" i) (fun () -> i))
+      done;
+      checki "50 stores, one scan" 1 (evict_scans () - s0))
+
+(* A store that takes the total past the cap rescans and evicts the
+   oldest-mtime entries down to 3/4 of the cap. *)
+let test_eviction_oldest_first () =
+  with_cache_dir (fun dir ->
+      let path i =
+        Option.get (Cache.entry_path ~kind:"tint" ~version:1 ~key:(Printf.sprintf "age-%d" i))
+      in
+      for i = 1 to 10 do
+        ignore (Ints.find_or_compute ~key:(Printf.sprintf "age-%d" i) (fun () -> i));
+        (* one second apart, so mtime order is store order *)
+        let t = 1_000_000.0 +. float_of_int i in
+        Unix.utimes (path i) t t
+      done;
+      let total = dir_bytes dir in
+      let cap = total + (total / 20) in
+      Cache.set_max_bytes cap;
+      let s0 = evict_scans () in
+      ignore (Ints.find_or_compute ~key:"age-11" (fun () -> 11));
+      checki "the crossing store rescans" 1 (evict_scans () - s0);
+      check "down to 3/4 of the cap" true (dir_bytes dir <= cap * 3 / 4);
+      let alive = List.filter (fun i -> Sys.file_exists (path i)) (List.init 11 (fun i -> i + 1)) in
+      check "some entries evicted" true (List.length alive < 11);
+      check "the oldest went first" true
+        (alive = List.init (List.length alive) (fun k -> 11 - List.length alive + 1 + k)))
+
 let test_eviction_respects_cap () =
   with_cache_dir (fun dir ->
       Cache.set_max_bytes 512;
@@ -283,6 +325,8 @@ let suite =
     Alcotest.test_case "relabelled key is a miss" `Quick test_relabelled_key_is_a_miss;
     Alcotest.test_case "disabled cache is passthrough" `Quick test_disabled_cache_is_passthrough;
     Alcotest.test_case "eviction respects cap" `Quick test_eviction_respects_cap;
+    Alcotest.test_case "eviction scans once under the cap" `Quick test_eviction_scans_once;
+    Alcotest.test_case "eviction past the cap, oldest first" `Quick test_eviction_oldest_first;
     Alcotest.test_case "single-flight dedup" `Quick test_single_flight_dedup;
     Alcotest.test_case "failed compute not cached" `Quick test_failed_compute_is_not_cached;
     Alcotest.test_case "differential off/cold/warm" `Slow test_differential_off_cold_warm;

@@ -125,7 +125,10 @@ let test_hip_rejects_scalar_reduction () =
 let test_hip_loc_grows () =
   let r = hip_design () in
   check "hip adds code" true
-    (Loc_count.added_pct ~reference:(parse base_src) ~design:r.Hip.hip_program > 10.0)
+    (Loc_count.added_pct
+       ~reference_loc:(Loc_count.program_loc (parse base_src))
+       ~design:r.Hip.hip_program
+     > 10.0)
 
 (* ---- SP transforms ---- *)
 
@@ -273,10 +276,10 @@ let test_oneapi_zero_copy () =
 let test_oneapi_loc_exceeds_hip () =
   let hip = hip_design () in
   let one = oneapi_design () in
-  let reference = parse base_src in
+  let reference_loc = Loc_count.program_loc (parse base_src) in
   check "both add code" true
-    (Loc_count.added_pct ~reference ~design:hip.Hip.hip_program > 5.0
-     && Loc_count.added_pct ~reference ~design:one.Oneapi.oneapi_program > 5.0)
+    (Loc_count.added_pct ~reference_loc ~design:hip.Hip.hip_program > 5.0
+     && Loc_count.added_pct ~reference_loc ~design:one.Oneapi.oneapi_program > 5.0)
 
 (* ---- buffers ---- *)
 

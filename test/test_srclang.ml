@@ -568,7 +568,9 @@ let test_loc_count_text () =
 let test_loc_added_pct () =
   let p1 = parse "int main() { return 0; }" in
   let p2 = parse "int f() { return 1; } int main() { return 0; }" in
-  check "added positive" true (Loc_count.added_pct ~reference:p1 ~design:p2 > 0.0)
+  let reference_loc = Loc_count.program_loc p1 in
+  check "added positive" true (Loc_count.added_pct ~reference_loc ~design:p2 > 0.0);
+  check "none added" true (Loc_count.added_pct ~reference_loc ~design:p1 = 0.0)
 
 let suite =
   [
