@@ -125,7 +125,6 @@ let flow_vm_coverage : float option ref = ref None
 let write_json path ~total =
   let open Obs.Json in
   let nums kvs = Obj (List.map (fun (k, v) -> (k, Num v)) kvs) in
-  let s = Cache.stats () in
   let doc =
     Obj
       ([
@@ -153,22 +152,9 @@ let write_json path ~total =
           ~some:(fun c -> [ ("flow_vm_coverage", Num c) ])
           !flow_vm_coverage
       @ [
-          ( "cache",
-            Obj
-              [
-                ("enabled", Bool (Cache.enabled ()));
-                ("mem_hits", int s.Cache.mem_hits);
-                ("disk_hits", int s.Cache.disk_hits);
-                ("misses", int s.Cache.misses);
-                ("waits", int s.Cache.waits);
-                ("errors", int s.Cache.errors);
-                ("corrupt", int s.Cache.corrupt);
-                ("evictions", int s.Cache.evictions);
-                ("bytes_read", int s.Cache.bytes_read);
-                ("bytes_written", int s.Cache.bytes_written);
-              ] );
           (* flat name -> number map via the shared Obs.Metrics.flatten:
-             histograms arrive as .count/.sum/.p50/.p90/.p99 entries *)
+             histograms arrive as .count/.sum/.p50/.p90/.p99 entries, and
+             every cache tier's cache.<kind>.* counters are here *)
           ("metrics", nums (Obs.Metrics.flatten (Obs.Metrics.snapshot ())));
         ])
   in
@@ -184,14 +170,16 @@ let write_json path ~total =
 
 let reports = lazy (Runs.ok_reports (Runs.collect ~quick ()))
 
+let count name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
+
 let run_experiments () =
-  let steps0 = (Machine.exec_stats ()).Machine.exec_steps in
-  let planned0 = Machine.planned_steps () in
+  let steps0 = count "interp.steps" in
+  let planned0 = count "vm.steps.planned" in
   let reports = timed "runs" (fun () -> Lazy.force reports) in
-  let steps = (Machine.exec_stats ()).Machine.exec_steps - steps0 in
+  let steps = count "interp.steps" - steps0 in
   if steps > 0 then
     flow_vm_coverage :=
-      Some (float_of_int (Machine.planned_steps () - planned0) /. float_of_int steps);
+      Some (float_of_int (count "vm.steps.planned" - planned0) /. float_of_int steps);
   if wants "fig5" then
     timed "fig5" (fun () ->
         print_newline ();
@@ -339,7 +327,7 @@ let run_interp_throughput () =
     for _ = 1 to reps do
       List.iter
         (fun (name, config, p) ->
-          let p0 = Machine.planned_steps () in
+          let p0 = count "vm.steps.planned" in
           let r = Machine.run ~config ~backend p in
           let run_steps = r.Machine.counters.Counters.steps in
           steps := !steps + run_steps;
@@ -348,7 +336,7 @@ let run_interp_throughput () =
               Option.value (Hashtbl.find_opt cov name) ~default:(0, 0)
             in
             Hashtbl.replace cov name
-              (planned + (Machine.planned_steps () - p0), total + run_steps)
+              (planned + (count "vm.steps.planned" - p0), total + run_steps)
           end)
         inputs
     done;

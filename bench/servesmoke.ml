@@ -9,8 +9,10 @@
    - an overload burst is shed with 503 without disturbing the daemon
      or the in-flight runs;
    - every finished request leaves a ledger record and a journal file;
-   - SIGTERM drains cleanly (exit 0, socket removed) and a restart
-     still serves the persisted history;
+   - SIGTERM drains cleanly (exit 0, socket removed), and a restart
+     over a store holding damaged records (a declared length of -1, a
+     truncated copy) skips and counts them and still serves the
+     persisted history;
    - a step-budgeted and an unbudgeted request in flight together both
      serve the CLI's bytes.
 
@@ -105,6 +107,16 @@ let flow_state id =
 
 let id_of resp =
   match field resp "id" with Some (Str id) -> id | _ -> fail "no id in %s" (body_of resp)
+
+let flow_ids () =
+  match field (get "/v1/flows") "flows" with
+  | Some (List flows) ->
+    List.filter_map
+      (fun f -> match Obs.Json.member "id" f with Some (Str id) -> Some id | _ -> None)
+      flows
+  | _ -> fail "unparseable /v1/flows body"
+
+let report_of id = body_of (get ("/v1/flows/" ^ id ^ "/report"))
 
 (* Sum of every cache.*.misses counter in a /v1/metrics body. *)
 let cache_misses () =
@@ -256,6 +268,8 @@ let () =
   ok "ledger record and journal present for %s" id1;
 
   (* 5. graceful drain on SIGTERM *)
+  let history = body_of (get "/v1/flows") in
+  let reports = List.map (fun id -> (id, report_of id)) (flow_ids ()) in
   (match term_and_reap () with
   | Unix.WEXITED 0 -> ()
   | Unix.WEXITED n -> fail "daemon exited %d on SIGTERM" n
@@ -263,8 +277,26 @@ let () =
   if Sys.file_exists sock then fail "socket file left behind after drain";
   ok "SIGTERM drained cleanly (exit 0, socket removed)";
 
-  (* 6. restart: the persisted history is still served; with two slots,
-     a budgeted request runs beside an unbudgeted one *)
+  (* 6. restart over a damaged store: a record declaring length -1 and a
+     truncated copy of a real record are skipped and counted, and the
+     persisted history is still served; with two slots, a budgeted
+     request runs beside an unbudgeted one *)
+  let store = Filename.concat dir ".psa-reqs" in
+  let real =
+    In_channel.with_open_bin (Filename.concat store (id1 ^ ".psareq")) In_channel.input_all
+  in
+  let eol = String.index real '\n' in
+  let damage name bytes =
+    Out_channel.with_open_bin (Filename.concat store name) (fun oc ->
+        Out_channel.output_string oc bytes)
+  in
+  (match String.split_on_char ' ' (String.sub real 0 eol) with
+  | [ tag; version; digest; _ ] ->
+    damage "damaged-length.psareq"
+      (String.concat " " [ tag; version; digest; "-1" ]
+      ^ String.sub real eol (String.length real - eol))
+  | _ -> fail "unexpected store record header in %s.psareq" id1);
+  damage "damaged-truncated.psareq" (String.sub real 0 (String.length real / 2));
   let daemon2 =
     spawn_daemon ~max_inflight:2 psaflowd (Filename.concat dir "daemon2.log")
   in
@@ -277,6 +309,15 @@ let () =
   if body_of (get ("/v1/flows/" ^ id1 ^ "/report")) <> served then
     fail "restart serves different report bytes";
   ok "restart serves the persisted history (%s still done, bytes identical)" id1;
+  if body_of (get "/v1/flows") <> history then fail "restart changed the flow list";
+  List.iter
+    (fun (id, report) ->
+      if report_of id <> report then fail "restart serves different bytes for %s" id)
+    reports;
+  ok "restart serves all %d persisted flows, bytes identical" (List.length reports);
+  (match field (get "/v1/metrics") "serve.store.skipped" with
+  | Some (Num n) when n >= 2.0 -> ok "restart skipped %g damaged store records" n
+  | _ -> fail "restart over a damaged store did not report serve.store.skipped >= 2");
   let budgeted =
     {|{"app":"nbody","workload":"quick","client":"smoke","step_budget":1000000000000}|}
   in

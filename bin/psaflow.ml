@@ -22,7 +22,10 @@ let file_arg =
   Arg.(value & flag & info [ "file"; "f" ] ~doc)
 
 let scale_arg =
-  let doc = "Outer-trip extrapolation factor for --file programs (default 1)." in
+  let doc =
+    "Outer-trip extrapolation factor for --file programs (default 1; values \
+     below 1 count as 1)."
+  in
   Arg.(value & opt int 1 & info [ "scale" ] ~doc)
 
 let mode_arg =
@@ -66,7 +69,7 @@ let interp_arg =
 let trace_arg =
   let doc =
     "Record a span trace of the whole command (flow phases, tasks, branch \
-     fan-out, DSE points, interpreter runs, cache lookups, pool items) and \
+     fan-out, DSE points, interpreter runs, cache lookups, pool tasks) and \
      write it to $(docv) as Chrome trace-event JSON; open it in Perfetto or \
      chrome://tracing."
   in
@@ -162,13 +165,6 @@ let finish_journal ~journal ~status ~rec_path =
     | Error msg -> Printf.eprintf "failed to write journal %s: %s\n" jf msg)
   | _ -> ()
 
-(* Exit codes of `psaflow run`: 0 all designs ok, 1 flow failed (or
-   --strict hit a task failure), 2 bad --faults spec, 3 partial (some
-   branch paths pruned, at least one design), 4 none (every path pruned). *)
-let exit_partial = 3
-
-let exit_none = 4
-
 let apply_faults = function
   | None -> Ok ()
   | Some spec -> (
@@ -200,22 +196,17 @@ let apply_interp = function
   | Some b -> Machine.set_default_backend b
   | None -> ()
 
-let print_interp_stats () =
-  let s = Machine.exec_stats () in
-  if s.Machine.exec_runs > 0 then begin
-    (* no wall-clock figures here: --explain is byte-identical at any
-       --jobs level and across reruns; throughput is measured by
-       [bench/main.exe interp] instead *)
-    Printf.printf "\ninterpreter (%s backend): %d runs, %d statements\n"
-      (Machine.backend_name (Machine.default_backend ()))
-      s.Machine.exec_runs s.Machine.exec_steps;
-    if Machine.default_backend () = `Vm && s.Machine.exec_steps > 0 then begin
-      let planned = Machine.planned_steps () in
-      Printf.printf "vm coverage: %d / %d planned statements (%.3f)\n" planned
-        s.Machine.exec_steps
-        (float_of_int planned /. float_of_int s.Machine.exec_steps)
-    end
-  end
+(* The VM's step coverage, from the counts the metrics block prints
+   (the task log's first line already names the backend).  No wall-clock
+   figure appears: --explain is byte-identical at any --jobs level and
+   across reruns, and throughput is measured by [bench/main.exe interp]
+   instead. *)
+let print_vm_coverage () =
+  let count name = Obs.Metrics.Counter.value (Obs.Metrics.counter name) in
+  let steps = count "interp.steps" in
+  if Machine.default_backend () = `Vm && steps > 0 then
+    Printf.printf "\nvm coverage: %.3f of interpreted statements planned\n"
+      (float_of_int (count "vm.steps.planned") /. float_of_int steps)
 
 (* Per-loop plan outcomes for --explain: what the lowering pass decided for
    every for statement in the app, plus any loops whose plan bailed back to
@@ -280,66 +271,32 @@ let print_metrics () =
       metrics
   end
 
-let print_cache_stats () =
+let print_cache_dir () =
   match Cache.dir () with
   | None -> Printf.printf "\ncache disabled\n"
-  | Some dir ->
-    let s = Cache.stats () in
-    (* single-flight waits are omitted: how often two domains raced on a
-       key is a scheduling accident, and this block must stay
-       byte-identical at any --jobs level (bench --json still carries
-       the cache.<kind>.waits counters) *)
-    Printf.printf
-      "\nevaluation cache (%s): %d memory hits, %d disk hits, %d misses, %d \
-       errors%s, %d evictions, %d bytes read, %d bytes written\n"
-      dir s.Cache.mem_hits s.Cache.disk_hits s.Cache.misses s.Cache.errors
-      (if s.Cache.corrupt > 0 then Printf.sprintf ", %d corrupt" s.Cache.corrupt
-       else "")
-      s.Cache.evictions s.Cache.bytes_read s.Cache.bytes_written;
-    List.iter
-      (fun (kind, (k : Cache.stats)) ->
-        if k.Cache.mem_hits + k.Cache.disk_hits + k.Cache.misses > 0 then
-          Printf.printf "  %-6s %4d mem, %4d disk, %4d miss%s\n" kind
-            k.Cache.mem_hits k.Cache.disk_hits k.Cache.misses
-            (if k.Cache.corrupt > 0 then
-               Printf.sprintf ", %d corrupt" k.Cache.corrupt
-             else ""))
-      (Cache.stats_by_kind ())
+  | Some dir -> Printf.printf "\nevaluation cache: %s\n" dir
 
-let find_app slug =
-  match Suite.find slug with
-  | Some app -> Ok app
-  | None ->
-    Error
-      (Printf.sprintf "unknown benchmark %S (try: %s)" slug
-         (String.concat ", " (List.map (fun (a : App.t) -> a.app_slug) Suite.all)))
+(* The flow's source: a suite slug, or with --file a mini-C++ file,
+   resolved by [Request] exactly as the daemon resolves inline sources. *)
+let source_of ~file ~scale arg =
+  if not file then Ok (Request.Builtin arg)
+  else
+    match In_channel.with_open_bin arg In_channel.input_all with
+    | exception Sys_error msg -> Error msg
+    | text ->
+      let name = Filename.remove_extension (Filename.basename arg) in
+      Ok (Request.Inline { name; text; scale })
 
-let app_of_file path ~scale =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    src
-  with
-  | exception Sys_error msg -> Error msg
-  | src ->
-    let slug = Filename.remove_extension (Filename.basename path) in
-    let app =
-      {
-        App.app_name = slug ^ " (user program)";
-        app_slug = slug;
-        app_descr = "user-supplied source: " ^ path;
-        app_source = src;
-        app_eval_overrides = [];
-        app_test_overrides = [];
-        app_outer_scale = scale;
-      }
-    in
-    (* fail early with a readable message on parse/type errors *)
-    (match App.program app with
-     | exception Failure msg -> Error msg
-     | _ -> Ok app)
+let resolve ?(file = false) ?(scale = 1) ~mode ~quick arg =
+  Result.bind (source_of ~file ~scale arg) (fun sp_source ->
+      Request.resolve
+        {
+          Request.sp_source;
+          sp_mode = mode;
+          sp_quick = quick;
+          sp_step_budget = None;
+          sp_jobs_hint = None;
+        })
 
 let emit_designs dir (rep : Engine.report) =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -385,24 +342,17 @@ let run_cmd =
       2
     | Ok () -> (
       with_trace trace @@ fun () ->
-      match (if file then app_of_file slug ~scale else find_app slug) with
+      match resolve ~file ~scale ~mode ~quick slug with
       | Error msg ->
         prerr_endline msg;
         record_failure ~app:slug ~workload:[] ~msg
-      | Ok app ->
-        let workload =
-          if quick then app.App.app_test_overrides else app.App.app_eval_overrides
-        in
+      | Ok (app, workload) ->
         (match Engine.run ~workload ~strict ~mode app with
          | Error msg ->
            Printf.eprintf "flow failed: %s\n" msg;
            record_failure ~app:app.App.app_slug ~workload ~msg
          | Ok rep ->
-           let status =
-             if rep.Engine.rep_failures = [] then 0
-             else if rep.Engine.rep_designs <> [] then exit_partial
-             else exit_none
-           in
+           let status = Request.status_of_report rep in
            (* append before printing: the --explain footer counts this
               run's record too, and printing can no longer change what
               the flow recorded *)
@@ -419,9 +369,9 @@ let run_cmd =
            if explain then begin
              print_newline ();
              print_string (Report.log_text rep);
-             print_interp_stats ();
+             print_vm_coverage ();
              print_vm_plan app;
-             print_cache_stats ();
+             print_cache_dir ();
              print_metrics ();
              (* population size only: counts are a property of the ledger
                 directory, not of this run's scheduling *)
@@ -452,11 +402,11 @@ let run_cmd =
   let exits =
     Cmd.Exit.info 1 ~doc:"the flow failed outright (or $(b,--strict) aborted it)."
     :: Cmd.Exit.info 2 ~doc:"invalid $(b,--faults) specification."
-    :: Cmd.Exit.info exit_partial
+    :: Cmd.Exit.info Request.exit_partial
          ~doc:
            "partial success: task failures pruned some branch paths, but at \
             least one design was produced."
-    :: Cmd.Exit.info exit_none
+    :: Cmd.Exit.info Request.exit_none
          ~doc:"total failure: every branch path was pruned; no design survived."
     :: Cmd.Exit.defaults
   in
@@ -566,14 +516,11 @@ let budget_cmd =
     apply_interp interp;
     apply_cache cache;
     with_trace trace @@ fun () ->
-    match find_app slug with
+    match resolve ~mode:Pipeline.Informed ~quick slug with
     | Error msg ->
       prerr_endline msg;
       1
-    | Ok app ->
-      let workload =
-        if quick then app.App.app_test_overrides else app.App.app_eval_overrides
-      in
+    | Ok (app, workload) ->
       (match Engine.run_budgeted ~workload ~budget app with
        | Error msg ->
          Printf.eprintf "flow failed: %s\n" msg;

@@ -1,41 +1,3 @@
-type stats = {
-  mem_hits : int;
-  disk_hits : int;
-  misses : int;
-  waits : int;
-  errors : int;
-  corrupt : int;
-  evictions : int;
-  bytes_read : int;
-  bytes_written : int;
-}
-
-let zero_stats =
-  {
-    mem_hits = 0;
-    disk_hits = 0;
-    misses = 0;
-    waits = 0;
-    errors = 0;
-    corrupt = 0;
-    evictions = 0;
-    bytes_read = 0;
-    bytes_written = 0;
-  }
-
-let add_stats a b =
-  {
-    mem_hits = a.mem_hits + b.mem_hits;
-    disk_hits = a.disk_hits + b.disk_hits;
-    misses = a.misses + b.misses;
-    waits = a.waits + b.waits;
-    errors = a.errors + b.errors;
-    corrupt = a.corrupt + b.corrupt;
-    evictions = a.evictions + b.evictions;
-    bytes_read = a.bytes_read + b.bytes_read;
-    bytes_written = a.bytes_written + b.bytes_written;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Global configuration and instance registry                          *)
 (* ------------------------------------------------------------------ *)
@@ -64,48 +26,40 @@ let set_max_bytes n = Atomic.set the_max_bytes (max 1 n)
 
 let max_bytes () = Atomic.get the_max_bytes
 
-(* Every [Make] instance registers its stats/reset closures here so the
-   CLIs can report and tests can clear all tiers at once. *)
-let registry : (string * (unit -> stats)) list ref = ref []
-
-let resets : (unit -> unit) list ref = ref []
-
+(* Every [Make] instance registers the hook that drops its in-memory
+   tier, so tests and harnesses can clear all tiers at once. *)
 let mem_clears : (unit -> unit) list ref = ref []
 
 let registry_lock = Mutex.create ()
 
-let with_registry f =
+let clear_memory () =
   Mutex.lock registry_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
-
-let stats () =
-  with_registry (fun () ->
-      List.fold_left (fun acc (_, get) -> add_stats acc (get ())) zero_stats !registry)
-
-let stats_by_kind () =
-  with_registry (fun () ->
-      List.sort compare (List.map (fun (kind, get) -> (kind, get ())) !registry))
-
-let reset_stats () = with_registry (fun () -> List.iter (fun f -> f ()) !resets)
-
-let clear_memory () = with_registry (fun () -> List.iter (fun f -> f ()) !mem_clears)
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock registry_lock)
+    (fun () -> List.iter (fun f -> f ()) !mem_clears)
 
 (* ------------------------------------------------------------------ *)
 (* Disk tier                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One entry per file: a small marshalled header (kind, version, hex key
-   digest, payload digest) followed by the raw payload bytes.  Readers
-   validate every header field and the payload digest; any mismatch,
-   truncation or unmarshalling failure is a miss (and the offender is
-   deleted).  Writes go to a unique temp file in the same directory and
-   are published with an atomic rename, so concurrent processes never
-   observe a half-written entry. *)
+(* One entry per file in the checksummed record format of Obs.Atomic_io,
+   shared with the run ledger and the request store: a text header line
+   (tag, version, payload digest, payload length), then the raw payload
+   bytes.  The tag carries the kind and the key digest, so an entry
+   filed under another key or kind fails the same check as a corrupted
+   one; any failed check is a miss and the offender is deleted.  Writes
+   go to a unique temp file in the same directory and are published with
+   an atomic rename, so concurrent processes never observe a
+   half-written entry. *)
 
 let suffix = ".bin"
 
+let key_hex key = Digest.to_hex (Digest.string key)
+
 let file_name ~kind ~version ~key =
-  Printf.sprintf "%s-v%d-%s%s" kind version (Digest.to_hex (Digest.string key)) suffix
+  Printf.sprintf "%s-v%d-%s%s" kind version (key_hex key) suffix
+
+let tag ~kind ~key = kind ^ ":" ^ key_hex key
 
 let entry_path ~kind ~version ~key =
   Option.map (fun d -> Filename.concat d (file_name ~kind ~version ~key)) (dir ())
@@ -180,76 +134,52 @@ let note_store d written =
         dir_bytes := Some remaining;
         evicted)
 
-type disk_outcome = Hit of string | Miss | Error_miss
+(* a hit is the entry's bytes and the offset of its payload, which
+   unmarshals in place *)
+type disk_outcome = Hit of string * int | Miss | Corrupt
+
+(* Injected cache faults flip the file's last byte (a payload byte, or
+   the header's newline when the payload is empty), so the genuine
+   digest check rejects the entry and the genuine eviction path removes
+   it. *)
+let flip_last bytes =
+  let b = Bytes.of_string bytes in
+  let i = Bytes.length b - 1 in
+  if i >= 0 then Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+  Bytes.to_string b
 
 let disk_find ~kind ~version ~key =
   match entry_path ~kind ~version ~key with
   | None -> Miss
-  | Some path ->
-    (match open_in_bin path with
-     | exception Sys_error _ -> Miss
-     | ic ->
-       let outcome =
-         match
-           let k, v, keyhex, payload_md5 =
-             (input_value ic : string * int * string * Digest.t)
-           in
-           if
-             k <> kind || v <> version
-             || keyhex <> Digest.to_hex (Digest.string key)
-           then raise Exit;
-           let len = in_channel_length ic - pos_in ic in
-           let payload = really_input_string ic len in
-           let payload =
-             (* Injected cache faults flip a payload byte after the read,
-                so the genuine digest check below rejects the entry and
-                the genuine eviction path removes it. *)
-             if Util.Faultsim.fire Util.Faultsim.Cache_site ~site:kind then
-               if len = 0 then raise Exit
-               else begin
-                 let b = Bytes.of_string payload in
-                 Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-                 Bytes.to_string b
-               end
-             else payload
-           in
-           if Digest.string payload <> payload_md5 then raise Exit;
-           payload
-         with
-         | payload -> Hit payload
-         | exception _ -> Error_miss
-       in
-       close_in_noerr ic;
-       (match outcome with
-        | Hit _ ->
-          (* LRU-ish: refresh the entry so eviction removes cold ones first *)
-          (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ())
-        | Error_miss -> ( try Sys.remove path with Sys_error _ -> ())
-        | Miss -> ());
-       outcome)
+  | Some path -> (
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ -> Miss
+    | bytes -> (
+      let bytes =
+        if Util.Faultsim.fire Util.Faultsim.Cache_site ~site:kind then flip_last bytes
+        else bytes
+      in
+      match Obs.Atomic_io.decode_checksummed ~tag:(tag ~kind ~key) ~version bytes with
+      | Ok ofs ->
+        (* LRU-ish: refresh the entry so eviction removes cold ones first *)
+        (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
+        Hit (bytes, ofs)
+      | Error _ ->
+        (try Sys.remove path with Sys_error _ -> ());
+        Corrupt))
 
 (* Returns the number of entries evicted, or -1 on a failed write. *)
 let disk_store ~kind ~version ~key payload =
   match dir () with
   | None -> 0
   | Some d ->
-    (* publication (unique temp file + atomic rename) is the shared
-       Obs.Atomic_io discipline, also used by the run ledger and the
-       trace writer *)
-    let header =
-      Marshal.to_string
-        (kind, version, Digest.to_hex (Digest.string key), Digest.string payload)
-        []
-    in
     (match
        ensure_dir d;
-       Obs.Atomic_io.with_atomic_out
+       Obs.Atomic_io.write_checksummed ~tag:(tag ~kind ~key) ~version
          (Filename.concat d (file_name ~kind ~version ~key))
-         (fun oc ->
-           output_string oc header;
-           output_string oc payload)
+         payload
      with
-     | Ok () -> note_store d (String.length header + String.length payload)
+     | Ok written -> note_store d written
      | Error _ -> -1
      | exception (Sys_error _ | Unix.Unix_error _) -> -1)
 
@@ -278,10 +208,8 @@ module Make (V : SPEC) = struct
 
   let cond = Condition.create ()
 
-  (* Per-kind tallies live in the process-wide metrics registry (one
-     counter per field, named "cache.<kind>.<field>") so `--explain` and
-     bench JSON read cache behaviour through the same API as every other
-     subsystem; [stats] assembles the legacy record from them. *)
+  (* Per-kind tallies live in the process-wide metrics registry, one
+     counter per field, named "cache.<kind>.<field>". *)
   let metric field = Obs.Metrics.counter (Printf.sprintf "cache.%s.%s" V.kind field)
 
   let c_mem_hits = metric "mem_hits"
@@ -302,20 +230,6 @@ module Make (V : SPEC) = struct
 
   let c_bytes_written = metric "bytes_written"
 
-  let stats () =
-    let v = Obs.Metrics.Counter.value in
-    {
-      mem_hits = v c_mem_hits;
-      disk_hits = v c_disk_hits;
-      misses = v c_misses;
-      waits = v c_waits;
-      errors = v c_errors;
-      corrupt = v c_corrupt;
-      evictions = v c_evictions;
-      bytes_read = v c_bytes_read;
-      bytes_written = v c_bytes_written;
-    }
-
   let clear_memory_locked () =
     (* keep Pending slots: waiters are parked on them *)
     let pending =
@@ -332,21 +246,8 @@ module Make (V : SPEC) = struct
     clear_memory_locked ();
     Mutex.unlock lock
 
-  let reset () =
-    Mutex.lock lock;
-    clear_memory_locked ();
-    Mutex.unlock lock;
-    List.iter
-      (fun c -> Obs.Metrics.Counter.set c 0)
-      [
-        c_mem_hits; c_disk_hits; c_misses; c_waits; c_errors; c_corrupt;
-        c_evictions; c_bytes_read; c_bytes_written;
-      ]
-
   let () =
     Mutex.lock registry_lock;
-    registry := (V.kind, stats) :: !registry;
-    resets := reset :: !resets;
     mem_clears := clear_memory :: !mem_clears;
     Mutex.unlock registry_lock
 
@@ -415,11 +316,11 @@ module Make (V : SPEC) = struct
           v
         | `Compute ->
           (match disk_find ~kind:V.kind ~version:V.version ~key with
-           | Hit payload ->
-             (match (Marshal.from_string payload 0 : V.value) with
+           | Hit (bytes, ofs) ->
+             (match (Marshal.from_string bytes ofs : V.value) with
               | v ->
                 Obs.Metrics.Counter.incr c_disk_hits;
-                Obs.Metrics.Counter.add c_bytes_read (String.length payload);
+                Obs.Metrics.Counter.add c_bytes_read (String.length bytes - ofs);
                 (match on_disk_hit with Some f -> f v | None -> ());
                 publish key v;
                 outcome "disk-hit";
@@ -434,7 +335,7 @@ module Make (V : SPEC) = struct
            | Miss ->
              outcome "miss";
              compute_and_store ?to_disk key compute
-           | Error_miss ->
+           | Corrupt ->
              (* corruption-evicted mid-run: count under corrupt, not
                 errors, so hit/miss accounting stays truthful *)
              Obs.Metrics.Counter.incr c_corrupt;

@@ -12,12 +12,14 @@
       block on its result instead of recomputing;
     - a {b persistent on-disk tier} (off by default; enabled via
       {!set_dir}, conventionally [.psa-cache/]) so warm reruns skip
-      recomputation across processes.  Entries are written atomically
-      (temp file + rename), carry the kind/version/key and a payload
-      digest, and anything corrupted or mismatched is treated as a miss.
-      The directory is size-capped with LRU-ish eviction (read hits
-      refresh an entry's mtime; eviction removes oldest-mtime entries
-      first).
+      recomputation across processes.  Entries use the checksummed
+      record format of {!Obs.Atomic_io} (the run ledger's and the
+      request store's): a text header whose tag names the kind and the
+      key digest, the {!SPEC.version}, and the payload's digest and
+      length.  Entries are written atomically (temp file + rename), and
+      anything corrupted or mismatched is treated as a miss.  The
+      directory is size-capped with LRU-ish eviction (read hits refresh
+      an entry's mtime; eviction removes oldest-mtime entries first).
 
     Keys are caller-supplied content strings — callers derive them from a
     canonical binary serialization of whatever the evaluation depends on
@@ -42,30 +44,21 @@
 
     {2 Failure accounting}
 
-    A disk entry that fails its digest or header validation, or that no
+    Every instance counts into the {!Obs.Metrics} registry, one counter
+    per field named [cache.<kind>.<field>]: [mem_hits], [disk_hits],
+    [misses], [waits] (single-flight: blocked on another worker's
+    computation), [errors] (failed disk writes), [corrupt], [evictions],
+    [bytes_read] and [bytes_written] (payload bytes).  The registry is
+    the only reader of these counts.
+
+    A disk entry that fails any header check or its digest, or that no
     longer unmarshals, is {e corruption}: the entry is deleted, the
-    lookup is recomputed, and the per-kind [cache.<kind>.corrupt]
-    counter is incremented — it is never reported as a hit.  [errors]
-    is reserved for failed writes.  Deterministic read corruption can be
-    injected with {!Util.Faultsim} ([--faults cache:<kind>]) to exercise
-    this path. *)
-
-type stats = {
-  mem_hits : int;        (** served from the in-memory tier *)
-  disk_hits : int;       (** served from the on-disk tier *)
-  misses : int;          (** computed by the caller *)
-  waits : int;           (** single-flight: blocked on another worker's computation *)
-  errors : int;          (** failed disk writes *)
-  corrupt : int;         (** corrupted/mismatched disk entries, evicted and recomputed *)
-  evictions : int;       (** disk entries removed by the size cap *)
-  bytes_read : int;      (** payload bytes unmarshalled from disk *)
-  bytes_written : int;   (** payload bytes written to disk *)
-}
-
-val zero_stats : stats
-
-val add_stats : stats -> stats -> stats
-(** Field-wise sum, for aggregating over instances. *)
+    lookup is recomputed, and [cache.<kind>.corrupt] is incremented —
+    it is never reported as a hit.  A header version that disagrees
+    with the file name counts as corruption too.  Deterministic read
+    corruption can be injected with {!Util.Faultsim}
+    ([--faults cache:<kind>]) to exercise this path: it flips a payload
+    byte before the digest check. *)
 
 val set_dir : string option -> unit
 (** Enable ([Some dir]) or disable ([None], the default) the on-disk
@@ -86,15 +79,6 @@ val set_max_bytes : int -> unit
     metric. *)
 
 val max_bytes : unit -> int
-
-val stats : unit -> stats
-(** Aggregate statistics over every cache instance since the last
-    {!reset_stats}. *)
-
-val stats_by_kind : unit -> (string * stats) list
-(** Per-instance statistics, sorted by kind. *)
-
-val reset_stats : unit -> unit
 
 val clear_memory : unit -> unit
 (** Drop the in-memory tier of every instance (testing: forces the next
@@ -135,11 +119,4 @@ module Make (V : SPEC) : sig
       persist and semantically dead on replay; the in-memory tier and
       the returned value are never transformed, so only entries restored
       from disk observe the slimming. *)
-
-  val stats : unit -> stats
-  (** This instance's statistics since the last {!reset}. *)
-
-  val reset : unit -> unit
-  (** Drop the in-memory tier and zero this instance's statistics.  The
-      disk tier is untouched. *)
 end

@@ -3,7 +3,8 @@ module Score = Cache.Make (struct
 
   let kind = "dsept"
 
-  let version = 1
+  (* v2: entries use the Obs.Atomic_io record format *)
+  let version = 2
 end)
 
 module Resources = Cache.Make (struct
@@ -11,7 +12,8 @@ module Resources = Cache.Make (struct
 
   let kind = "dsefr"
 
-  let version = 1
+  (* v2: entries use the Obs.Atomic_io record format *)
+  let version = 2
 end)
 
 (* The context (device spec, kernel features, profile, base params) is
@@ -108,5 +110,3 @@ let resources ~tag ctx eval =
         (fun point ->
           Resources.find_or_compute ~key:(point_key ctx point) (fun () -> eval point))
         point
-
-let stats () = Cache.(add_stats (Score.stats ()) (Resources.stats ()))

@@ -35,6 +35,3 @@ val resources :
   int ->
   Fpga_model.resources
 (** Same for FPGA resource reports (the unroll DSE's doubling loop). *)
-
-val stats : unit -> Cache.stats
-(** Combined counters of both point-cache instances. *)

@@ -7,8 +7,9 @@ module C = Cache.Make (struct
 
   (* v2: Artifact.t gained [art_prov]; older marshalled layouts must miss.
      v3: kernel profiles no longer retain the baseline run's final memory
-     image; v2 entries would splice the ~800 KB images back in. *)
-  let version = 3
+     image; v2 entries would splice the ~800 KB images back in.
+     v4: entries use the Obs.Atomic_io record format. *)
+  let version = 4
 end)
 
 (* Only the expensive task classes are cached: dynamic tasks run the
@@ -176,7 +177,3 @@ let apply (task : Task.t) art =
             in
             Ok (finish Prov.Hit out)
         | exception Task_failed e -> Error e)
-
-let stats () = C.stats ()
-
-let reset () = C.reset ()

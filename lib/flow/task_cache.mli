@@ -33,9 +33,3 @@ val apply : Task.t -> Artifact.t -> (Artifact.t, string) result
 (** {!Task.apply} through the cache.  Uncacheable tasks, and every task
     while the cache is disabled, run directly.  Task errors are never
     cached.  Concurrent applications of the same key single-flight. *)
-
-val stats : unit -> Cache.stats
-(** This instance's counters (see {!Cache.Make}). *)
-
-val reset : unit -> unit
-(** Drop the in-memory tier and zero the counters. *)

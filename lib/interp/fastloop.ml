@@ -184,7 +184,7 @@ let reset_bail_sites () =
    succeeds) *)
 let domain_planned = Domain.DLS.new_key (fun () -> ref 0)
 
-let domain_planned_steps () = !(Domain.DLS.get domain_planned)
+let planned_on_domain () = !(Domain.DLS.get domain_planned)
 
 (* Magnitude caps under which the affine endpoint algebra below is exact
    (no wrap-around): |index|,|bound|,|base|,|offset| <= 2^40 and

@@ -5,9 +5,10 @@
      loops lowered to the typed flat IR and run by Fastloop;
    - [`Ast]: Walker alone, the reference tree-walker.
 
-   Also keeps cumulative execution statistics (runs, interpreted
-   statements, wall-clock seconds) so callers can report interpreter
-   throughput without instrumenting every call site. *)
+   Each completed run is counted into the metrics registry
+   (interp.runs, interp.steps, interp.seconds, vm.steps.planned), so
+   callers report interpreter work by reading those names, without
+   instrumenting every call site. *)
 
 exception Runtime_error = Interp_rt.Runtime_error
 
@@ -84,42 +85,19 @@ let default_backend () = Atomic.get default_backend_ref
 
 let set_default_backend b = Atomic.set default_backend_ref b
 
-(* ---- cumulative execution statistics ---- *)
+(* ---- execution counts, in the metrics registry ---- *)
 
-type exec_stats = { exec_runs : int; exec_steps : int; exec_seconds : float }
-
-(* Backed by the process-wide metrics registry so interpreter throughput
-   shows up next to cache and bench metrics without extra plumbing. *)
 let m_runs = Obs.Metrics.counter "interp.runs"
 
 let m_steps = Obs.Metrics.counter "interp.steps"
 
 let m_seconds = Obs.Metrics.gauge "interp.seconds"
 
-let exec_stats () =
-  {
-    exec_runs = Obs.Metrics.Counter.value m_runs;
-    exec_steps = Obs.Metrics.Counter.value m_steps;
-    exec_seconds = Obs.Metrics.Gauge.value m_seconds;
-  }
-
-let reset_exec_stats () =
-  Obs.Metrics.Counter.set m_runs 0;
-  Obs.Metrics.Counter.set m_steps 0;
-  Obs.Metrics.Gauge.set m_seconds 0.0
-
-let record_run steps seconds =
-  Obs.Metrics.Counter.incr m_runs;
-  Obs.Metrics.Counter.add m_steps steps;
-  Obs.Metrics.Gauge.add m_seconds seconds
-
-(* Statements executed on the VM's planned fast path (process-wide, like
-   exec_stats); planned / exec_steps is the vm.coverage ratio.  Like
-   exec_stats it counts completed runs only: a run's planned steps are
-   added when it returns, so an aborted run moves neither. *)
+(* Statements executed on the VM's planned fast path; planned /
+   interp.steps is the vm.coverage ratio.  Like interp.runs and
+   interp.steps it counts completed runs only: a run's planned steps are
+   added when it returns, so an aborted run moves none of them. *)
 let m_planned = Obs.Metrics.counter "vm.steps.planned"
-
-let planned_steps () = Obs.Metrics.Counter.value m_planned
 
 let plan_bail_sites = Fastloop.bail_sites
 
@@ -148,11 +126,13 @@ let run ?(config = default_config) ?backend (program : Ast.program) : result =
     ~name:"interp-run" ~kind:Obs.Trace.Interp_run
     (fun sp ->
       let t0 = Obs.Monotonic.now_s () in
-      let planned0 = Fastloop.domain_planned_steps () in
+      let planned0 = Fastloop.planned_on_domain () in
       let finish (r : result) =
         let steps = r.counters.Counters.steps in
-        let planned = Fastloop.domain_planned_steps () - planned0 in
-        record_run steps (Obs.Monotonic.now_s () -. t0);
+        let planned = Fastloop.planned_on_domain () - planned0 in
+        Obs.Metrics.Counter.incr m_runs;
+        Obs.Metrics.Counter.add m_steps steps;
+        Obs.Metrics.Gauge.add m_seconds (Obs.Monotonic.now_s () -. t0);
         Obs.Metrics.Counter.add m_planned planned;
         Obs.Trace.add_attr sp "steps" (Obs.Trace.Int steps);
         Obs.Trace.add_attr sp "planned" (Obs.Trace.Int planned);

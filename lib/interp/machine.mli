@@ -86,24 +86,6 @@ val default_backend : unit -> backend
 
 val set_default_backend : backend -> unit
 
-(** Cumulative execution statistics across all {!run} calls (thread-safe). *)
-type exec_stats = {
-  exec_runs : int;      (** completed interpreter runs *)
-  exec_steps : int;     (** total interpreted statements *)
-  exec_seconds : float; (** total wall-clock seconds inside the interpreter *)
-}
-
-val exec_stats : unit -> exec_stats
-
-val reset_exec_stats : unit -> unit
-
-val planned_steps : unit -> int
-(** Statements executed on the VM backend's planned fast path, cumulative
-    across all runs in the process (backed by the [vm.steps.planned]
-    metric).  [planned_steps () / exec_steps] is the VM's step coverage:
-    the fraction of interpreted statements that ran as lowered loop-nest
-    plans rather than on the walker. *)
-
 val plan_bail_sites : unit -> (Loc.t * string) list
 (** Planned loops that fell back to the walker at runtime, as a
     sorted (root location, reason) set — reasons like ["budget"],
@@ -114,7 +96,12 @@ val plan_bail_sites : unit -> (Loc.t * string) list
     schedule-independent. *)
 
 val run : ?config:config -> ?backend:backend -> Ast.program -> result
-(** Execute the program from its entry function.  The request context's
+(** Execute the program from its entry function.  A completed run adds
+    to the [interp.runs], [interp.steps], [interp.seconds] and
+    [vm.steps.planned] metrics ({!Obs.Metrics}); the last counts the
+    statements that ran on the VM's planned fast path, so
+    [vm.steps.planned / interp.steps] is the VM's step coverage.  An
+    aborted run moves none of them.  The request context's
     step budget ({!Util.Reqctx}), when set, caps [max_steps]; a blown
     budget in a flow's branch fan-out prunes that path (exit 3 or 4).
     The cap is absent from memo keys: a capped run that completes is

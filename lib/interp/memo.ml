@@ -1,5 +1,3 @@
-type stats = { hits : int; misses : int }
-
 (* ------------------------------------------------------------------ *)
 (* Canonicalization                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -138,14 +136,9 @@ module C = Cache.Make (struct
 
   let kind = "run"
 
-  let version = 1
+  (* v2: entries use the Obs.Atomic_io record format *)
+  let version = 2
 end)
-
-let stats () =
-  let s = C.stats () in
-  { hits = s.Cache.mem_hits + s.Cache.disk_hits; misses = s.Cache.misses }
-
-let reset () = C.reset ()
 
 let run ?(config = Machine.default_config) ?backend p =
   let backend =

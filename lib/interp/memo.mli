@@ -18,10 +18,11 @@
     statement ids on every lookup, so a hit is structurally equivalent to
     a direct run.
 
-    Thread safety: the table is mutex-guarded and safe to use from
-    {!Util.Pool} workers.  Interpretation happens outside the lock; two
-    domains racing on the same key may both compute it (both get correct
-    results, one insertion wins).
+    Thread safety: lookups go through a {!Cache} instance (kind
+    ["run"]), which is single-flight: two domains requesting the same
+    key at once run one interpretation, and the second blocks on its
+    result.  Its hits and misses are the [cache.run.*] counters of
+    {!Obs.Metrics}.
 
     Sharing caveat: a cached {!Machine.result} is returned to every
     requester, so [result.memory] and [result.counters] are physically
@@ -34,16 +35,6 @@
     replay).  The image is hundreds of KB per entry and no consumer
     reads it from a memoized run; within one process the in-memory tier
     still returns the full result. *)
-
-type stats = { hits : int; misses : int }
-
-val stats : unit -> stats
-(** Cumulative hit/miss counts since the last {!reset}.  [hits] sums the
-    in-memory and on-disk tiers of the underlying {!Cache} instance. *)
-
-val reset : unit -> unit
-(** Empty the in-memory tier and zero the counters (the on-disk tier, if
-    enabled via {!Cache.set_dir}, is untouched). *)
 
 val canonicalize :
   Ast.program -> Ast.program * (int, int) Hashtbl.t * (int, int) Hashtbl.t

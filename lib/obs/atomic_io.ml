@@ -31,49 +31,43 @@ let header ~tag ~version payload =
     (String.length payload)
 
 let write_checksummed ~tag ~version path payload =
-  with_atomic_out path (fun oc ->
-      output_string oc (header ~tag ~version payload);
-      output_string oc payload)
+  let header = header ~tag ~version payload in
+  Result.map
+    (fun () -> String.length header + String.length payload)
+    (with_atomic_out path (fun oc ->
+         output_string oc header;
+         output_string oc payload))
 
 type read_error =
   | Unreadable of string
   | Malformed
   | Wrong_version of int
 
+(* The declared length is checked against the bytes actually present
+   before the digest reads them, so no header can make the reader
+   allocate by its say-so or read past the end. *)
+let decode_checksummed ~tag ~version bytes =
+  match String.index_opt bytes '\n' with
+  | None -> Error Malformed
+  | Some eol -> (
+    let ofs = eol + 1 in
+    let len = String.length bytes - ofs in
+    match String.split_on_char ' ' (String.sub bytes 0 eol) with
+    | [ t; v; digest; declared ] when t = tag && String.length v > 1 && v.[0] = 'v' -> (
+      match int_of_string_opt (String.sub v 1 (String.length v - 1)) with
+      | None -> Error Malformed
+      | Some v when v <> version -> Error (Wrong_version v)
+      | Some _ ->
+        if int_of_string_opt declared = Some len
+           && Digest.to_hex (Digest.substring bytes ofs len) = digest
+        then Ok ofs
+        else Error Malformed)
+    | _ -> Error Malformed)
+
 let read_checksummed ~tag ~version path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error (Unreadable msg)
-  | ic ->
-    let result =
-      match input_line ic with
-      | exception End_of_file -> Error Malformed
-      | line -> (
-        match String.split_on_char ' ' line with
-        | [ t; v; digest; len ]
-          when t = tag
-               && String.length v > 1
-               && v.[0] = 'v'
-               && int_of_string_opt (String.sub v 1 (String.length v - 1)) <> None
-          -> (
-          let v = int_of_string (String.sub v 1 (String.length v - 1)) in
-          if v <> version then Error (Wrong_version v)
-          else
-            match int_of_string_opt len with
-            | None -> Error Malformed
-            | Some len -> (
-              match really_input_string ic len with
-              | exception End_of_file -> Error Malformed
-              | payload ->
-                (* anything after the declared payload is corruption too *)
-                if
-                  (try
-                     ignore (input_char ic);
-                     true
-                   with End_of_file -> false)
-                  || Digest.to_hex (Digest.string payload) <> digest
-                then Error Malformed
-                else Ok payload))
-        | _ -> Error Malformed)
-    in
-    close_in_noerr ic;
-    result
+  | bytes ->
+    Result.map
+      (fun ofs -> String.sub bytes ofs (String.length bytes - ofs))
+      (decode_checksummed ~tag ~version bytes)

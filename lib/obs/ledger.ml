@@ -254,7 +254,7 @@ let append ~dir r =
     match
       Atomic_io.write_checksummed ~tag ~version:schema_version path (payload ^ "\n")
     with
-    | Ok () ->
+    | Ok _ ->
       Metrics.Counter.incr appended;
       Ok path
     | Error e -> Error e)

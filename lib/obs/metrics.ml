@@ -5,8 +5,6 @@ module Counter = struct
 
   let add t n = ignore (Atomic.fetch_and_add t n)
 
-  let set = Atomic.set
-
   let value = Atomic.get
 end
 

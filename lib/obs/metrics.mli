@@ -20,8 +20,6 @@ module Counter : sig
 
   val add : t -> int -> unit
 
-  val set : t -> int -> unit
-
   val value : t -> int
 end
 

@@ -102,7 +102,8 @@ let ensure_dir dir =
 let save ~dir e =
   match ensure_dir dir with
   | () ->
-    Obs.Atomic_io.write_checksummed ~tag ~version (path ~dir e.e_id) (to_json e)
+    Result.map ignore
+      (Obs.Atomic_io.write_checksummed ~tag ~version (path ~dir e.e_id) (to_json e))
   | exception Failure msg -> Error msg
 
 let read_entry file =

@@ -58,8 +58,8 @@ type spec = {
 }
 
 exception Crash of string
-(** Raised inside a pool worker when a [pool] rule fires; {!Pool.map}
-    treats it as a worker death and recovers the lost work items. *)
+(** Raised inside a pool worker when a [pool] rule fires; {!Pool}
+    treats it as a worker death and recomputes the lost future. *)
 
 val parse : string -> (spec, string) result
 (** Parse the {{!section-grammar} spec grammar} above.  The error names

@@ -25,12 +25,12 @@
    parker re-checks it under the lock before sleeping, so wakeups
    cannot be lost.
 
-   Determinism: results are read back in input order ([map] awaits its
-   futures left to right and surfaces the first failure in input
-   order), so scheduling order is never observable in results.  With an
-   effective job count of 1 the pool is never engaged at all —
-   [Fut.spawn] evaluates eagerly and [map] is [List.map] — which is the
-   reference semantics every parallel run must reproduce byte for byte.
+   Determinism: results are read back in input order ([Fut.await_all]
+   awaits its futures left to right and surfaces the first failure in
+   input order), so scheduling order is never observable in results.
+   With an effective job count of 1 the pool is never engaged at all —
+   [Fut.spawn] evaluates eagerly — which is the reference semantics
+   every parallel run must reproduce byte for byte.
 
    Crash recovery: an injected pool fault ([Faultsim.Crash], site
    "pool:worker") fires between claiming a task and computing it.  A
@@ -39,19 +39,14 @@
    detects the dead claimant, re-claims the future, and recomputes it
    without re-firing.  The submitting domain itself survives a fired
    fault: it counts the failure and recomputes immediately.  Both paths
-   increment [pool.worker_failures] and keep [map f xs = List.map f xs]. *)
-
-type t = { size : int }
+   increment [pool.worker_failures] and keep every result identical to
+   the fault-free run. *)
 
 (* The OCaml 5 runtime supports at most 128 live domains; stay a couple
    below so library users can spawn their own. *)
 let hard_cap = 126
 
 let clamp jobs = max 1 (min jobs hard_cap)
-
-let create ~jobs = { size = clamp jobs }
-
-let size t = t.size
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
@@ -270,9 +265,7 @@ let complete fut thunk =
 
 (* Run a claim held by a domain that survives injected crashes (an
    awaiting or helping domain): a fired pool fault counts a worker
-   failure and the task is recomputed on the spot without re-firing —
-   the same recovery a crashed submitter performed in the fork-join
-   pool. *)
+   failure and the task is recomputed on the spot without re-firing. *)
 let run_claim_surviving fut thunk =
   if Faultsim.fire Faultsim.Pool_site ~site:"worker" then
     Obs.Metrics.Counter.incr (m_failures ());
@@ -516,31 +509,3 @@ module Fut = struct
   let await_no_help = await_no_help
   let await_all = settle_all
 end
-
-(* ---- map ---- *)
-
-let map ?pool f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ ->
-    let jobs = match pool with Some p -> p.size | None -> default_jobs () in
-    if jobs <= 1 then List.map f xs
-    else begin
-      ensure_workers (jobs - 1);
-      let n = List.length xs in
-      let traced = Obs.Trace.enabled () in
-      let futs =
-        List.mapi
-          (fun i x ->
-            enqueue_spawn (fun () ->
-                if traced then
-                  Obs.Trace.with_span
-                    ~attrs:[ ("item", Obs.Trace.Int i); ("of", Obs.Trace.Int n) ]
-                    ~name:"pool-item" ~kind:Obs.Trace.Pool
-                    (fun _ -> f x)
-                else f x))
-          xs
-      in
-      settle_all futs
-    end

@@ -11,7 +11,7 @@
     inline, executes {e other} queued tasks (help-first stealing), and
     parks only when no runnable task exists anywhere.  Nested
     parallelism therefore composes: suite runs, branch fan-outs and DSE
-    sweeps all feed the same deques, and an inner [map] issued from a
+    sweeps all feed the same deques, and an inner fan-out issued from a
     worker is serviced by every idle domain instead of degrading to
     sequential execution.
 
@@ -24,13 +24,14 @@
 
     {2 Determinism invariant}
 
-    For a pure [f], the value returned by [map f xs] is the same for
-    every job count: results are read back in input order, the first
-    failure in input order is re-raised (with its original backtrace)
-    after all elements settle, and work-stealing order is never
-    observable in results.  With an effective job count of 1 the
-    scheduler is never engaged — [spawn] evaluates eagerly in program
-    order and [map] is [List.map] — which is the reference semantics.
+    For a pure [f], [Fut.await_all (List.map (fun x -> Fut.spawn (fun
+    () -> f x)) xs)] is [List.map f xs] for every job count: results are
+    read back in input order, the first failure in input order is
+    re-raised (with its original backtrace) after all elements settle,
+    and work-stealing order is never observable in results.  With an
+    effective job count of 1 the scheduler is never engaged — [spawn]
+    evaluates eagerly in program order — which is the reference
+    semantics.
     The rest of the repo relies on this: [psaflow run --jobs N] must
     emit byte-identical reports, [--why] and [--explain] output for
     every [N].  (The [pool.*] metrics themselves are scheduling
@@ -46,28 +47,18 @@
     so the result is byte-identical to the fault-free run.  The
     submitting domain survives a fired fault and recovers the same way.
     Each occurrence increments [pool.worker_failures].  Dead workers
-    are respawned by the next [map]/[spawn] that needs them, never from
-    the crash path, so recovery terminates even under always-firing
-    fault rules. *)
-
-type t
-(** A pool descriptor: a requested degree of parallelism. *)
-
-val create : jobs:int -> t
-(** [create ~jobs] makes a pool that uses at most [jobs] domains
-    (including the caller's).  [jobs] is clamped to [\[1; 126\]]. *)
-
-val size : t -> int
-(** Degree of parallelism the pool was created with (after clamping). *)
+    are respawned by the next [spawn] that needs them, never from the
+    crash path, so recovery terminates even under always-firing fault
+    rules. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 val set_default_jobs : int -> unit
-(** Set the degree of parallelism used when no explicit pool is given,
-    joining surplus worker domains.  Growth back to the new target is
-    lazy (the next [spawn]/[map] that needs workers creates them).  The
-    initial default is [recommended_jobs ()]. *)
+(** Set the degree of parallelism, clamped to [\[1; 126\]] domains
+    (including the caller's), joining surplus worker domains.  Growth
+    back to the new target is lazy (the next [spawn] that needs workers
+    creates them).  The initial default is [recommended_jobs ()]. *)
 
 val default_jobs : unit -> int
 (** Current default degree of parallelism. *)
@@ -105,12 +96,5 @@ module Fut : sig
       values in order — or re-raises the first failure in list order,
       as a sequential left-to-right evaluation would have.  Settling
       everything first keeps side effects (metrics, cache writes) of
-      later elements inside the call, matching the fork-join pool's
-      join-before-raise behavior. *)
+      later elements inside the call. *)
 end
-
-val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map f xs] is [List.map f xs], computed as one spawned future per
-    element awaited in input order (on the default pool when [?pool] is
-    omitted).  Runs sequentially in the calling domain when the list
-    has fewer than two elements or the effective job count is 1. *)

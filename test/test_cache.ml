@@ -23,19 +23,24 @@ let with_cache_dir f =
   let old_cap = Cache.max_bytes () in
   Cache.set_dir (Some dir);
   Cache.clear_memory ();
-  Cache.reset_stats ();
   Fun.protect
     ~finally:(fun () ->
       Cache.set_dir old_dir;
       Cache.set_max_bytes old_cap;
       Cache.clear_memory ();
-      Cache.reset_stats ();
       (match Sys.readdir dir with
        | names ->
          Array.iter (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ()) names;
          (try Unix.rmdir dir with Unix.Unix_error _ -> ())
        | exception Sys_error _ -> ()))
     (fun () -> f dir)
+
+(* Counter growth from here on, read through the metrics registry:
+   [let d = since () in ...; d "cache.tint.misses"]. *)
+let since () =
+  let base = Obs.Metrics.snapshot () in
+  let count = function Some (Obs.Metrics.Count n) -> n | _ -> 0 in
+  fun name -> count (Obs.Metrics.find name) - count (List.assoc_opt name base)
 
 module Ints = Cache.Make (struct
   type value = int
@@ -64,17 +69,17 @@ let compute v () =
 let test_disk_round_trip () =
   with_cache_dir (fun _dir ->
       count := 0;
+      let d = since () in
       checki "computed" 41 (Ints.find_or_compute ~key:"rt" (compute 41));
       checki "memory hit" 41 (Ints.find_or_compute ~key:"rt" (compute 0));
       Cache.clear_memory ();
       checki "disk hit" 41 (Ints.find_or_compute ~key:"rt" (compute 0));
       checki "one computation" 1 !count;
-      let s = Ints.stats () in
-      checki "one miss" 1 s.Cache.misses;
-      checki "one memory hit" 1 s.Cache.mem_hits;
-      checki "one disk hit" 1 s.Cache.disk_hits;
-      check "bytes written" true (s.Cache.bytes_written > 0);
-      check "bytes read" true (s.Cache.bytes_read > 0))
+      checki "one miss" 1 (d "cache.tint.misses");
+      checki "one memory hit" 1 (d "cache.tint.mem_hits");
+      checki "one disk hit" 1 (d "cache.tint.disk_hits");
+      check "bytes written" true (d "cache.tint.bytes_written" > 0);
+      check "bytes read" true (d "cache.tint.bytes_read" > 0))
 
 let entry_path ~version ~key =
   match Cache.entry_path ~kind:"tint" ~version ~key with
@@ -89,6 +94,7 @@ let overwrite path bytes =
 let test_corrupted_entry_is_a_miss () =
   with_cache_dir (fun _dir ->
       count := 0;
+      let d = since () in
       ignore (Ints.find_or_compute ~key:"c" (compute 7));
       let path = entry_path ~version:1 ~key:"c" in
       check "entry exists" true (Sys.file_exists path);
@@ -96,10 +102,9 @@ let test_corrupted_entry_is_a_miss () =
       Cache.clear_memory ();
       checki "recomputed" 7 (Ints.find_or_compute ~key:"c" (compute 7));
       checki "two computations" 2 !count;
-      let s = Ints.stats () in
-      check "corruption counted" true (s.Cache.corrupt >= 1);
-      checki "not a hit, not a write error" 0 s.Cache.errors;
-      checki "no disk hit from the corrupted entry" 0 s.Cache.disk_hits;
+      check "corruption counted" true (d "cache.tint.corrupt" >= 1);
+      checki "not a hit, not a write error" 0 (d "cache.tint.errors");
+      checki "no disk hit from the corrupted entry" 0 (d "cache.tint.disk_hits");
       (* the recompute rewrote a valid entry *)
       Cache.clear_memory ();
       checki "disk hit after rewrite" 7 (Ints.find_or_compute ~key:"c" (compute 0));
@@ -121,14 +126,14 @@ let copy src dst = overwrite dst (In_channel.with_open_bin src In_channel.input_
 let test_version_mismatch_is_a_miss () =
   with_cache_dir (fun _dir ->
       count := 0;
+      let d = since () in
       ignore (Ints.find_or_compute ~key:"v" (compute 11));
       (* masquerade the v1 entry as a v2 one: the header still says v1, so
          the v2 instance must reject it and recompute *)
       copy (entry_path ~version:1 ~key:"v") (entry_path ~version:2 ~key:"v");
       checki "recomputed under v2" 11 (Ints_v2.find_or_compute ~key:"v" (compute 11));
       checki "two computations" 2 !count;
-      check "mismatch counted as corruption" true
-        ((Ints_v2.stats ()).Cache.corrupt >= 1))
+      check "mismatch counted as corruption" true (d "cache.tint.corrupt" >= 1))
 
 let test_relabelled_key_is_a_miss () =
   with_cache_dir (fun _dir ->
@@ -196,6 +201,7 @@ let test_eviction_oldest_first () =
 
 let test_eviction_respects_cap () =
   with_cache_dir (fun dir ->
+      let d = since () in
       Cache.set_max_bytes 512;
       let payload = String.make 200 'x' in
       for i = 1 to 8 do
@@ -206,7 +212,7 @@ let test_eviction_respects_cap () =
                ignore (Digest.string payload);
                i))
       done;
-      check "evictions happened" true ((Ints.stats ()).Cache.evictions > 0);
+      check "evictions happened" true (d "cache.tint.evictions" > 0);
       let total =
         Array.fold_left
           (fun acc name ->
@@ -291,10 +297,12 @@ let test_differential_off_cold_warm () =
       let cold = uninformed_observed () in
       (* drop every memory tier so the warm run must go through the disk *)
       Cache.clear_memory ();
-      Cache.reset_stats ();
+      let d = since () in
       let warm = uninformed_observed () in
-      let s = Cache.stats () in
-      check "warm run hit the disk tier" true (s.Cache.disk_hits > 0);
+      check "warm run hit the disk tier" true
+        (List.exists
+           (fun kind -> d (Printf.sprintf "cache.%s.disk_hits" kind) > 0)
+           [ "run"; "task"; "dsept"; "dsefr" ]);
       checks "cold table = off table" off.ob_table cold.ob_table;
       checks "warm table = off table" off.ob_table warm.ob_table;
       checks "cold decision = off decision" off.ob_decision cold.ob_decision;

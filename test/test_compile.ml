@@ -96,6 +96,11 @@ let outcomes_equal a b =
   | Out_of_steps, Out_of_steps -> true
   | _ -> false
 
+(* interpreter counts, read through the metrics registry *)
+let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
+
+let planned () = counter "vm.steps.planned"
+
 let agree ?(config = Machine.default_config) p =
   outcomes_equal (run_backend `Ast config p) (run_backend `Vm config p)
 
@@ -131,9 +136,9 @@ let flow_config ?(kernel = "knl") () =
    — a pair that only ever compares the walker with itself proves
    nothing about the lowering *)
 let agree_planned ?config p =
-  let before = Machine.planned_steps () in
+  let before = planned () in
   let ok = agree ?config p in
-  ok && Machine.planned_steps () > before
+  ok && planned () > before
 
 (* ---- the five suite applications ---- *)
 
@@ -472,14 +477,15 @@ int main() {
 }|})
 
 let test_exec_stats_accumulate () =
-  Machine.reset_exec_stats ();
+  let seconds () = Obs.Metrics.Gauge.value (Obs.Metrics.gauge "interp.seconds") in
+  let runs0 = counter "interp.runs" and steps0 = counter "interp.steps" in
+  let seconds0 = seconds () in
   let p = parse "int main() { print_int(1 + 2); return 0; }" in
   ignore (Machine.run p);
   ignore (Machine.run ~backend:`Ast p);
-  let s = Machine.exec_stats () in
-  Alcotest.(check int) "two runs recorded" 2 s.Machine.exec_runs;
-  check "steps accumulated" true (s.Machine.exec_steps > 0);
-  check "time accumulated" true (s.Machine.exec_seconds >= 0.0)
+  Alcotest.(check int) "two runs recorded" 2 (counter "interp.runs" - runs0);
+  check "steps accumulated" true (counter "interp.steps" > steps0);
+  check "time accumulated" true (seconds () >= seconds0)
 
 (* vm.steps.planned counts completed runs only, like interp.runs and
    interp.steps: a run that commits a planned nest and then runs out of
@@ -502,25 +508,23 @@ int main() {
   return 0;
 }|}
   in
-  let s0 = Machine.exec_stats () and pl0 = Machine.planned_steps () in
-  let d0 = Fastloop.domain_planned_steps () in
+  let runs0 = counter "interp.runs" and steps0 = counter "interp.steps" in
+  let pl0 = planned () in
+  let d0 = Fastloop.planned_on_domain () in
   (match Machine.run ~config:{ Machine.default_config with max_steps = 5000 } ~backend:`Vm p with
    | _ -> Alcotest.fail "expected the step budget to abort the run"
    | exception Machine.Step_limit_exceeded -> ());
   Alcotest.(check int) "the aborted run committed its planned nest" 4000
-    (Fastloop.domain_planned_steps () - d0);
-  let s1 = Machine.exec_stats () in
-  Alcotest.(check int) "aborted: interp.runs unchanged" s0.Machine.exec_runs s1.Machine.exec_runs;
-  Alcotest.(check int) "aborted: interp.steps unchanged" s0.Machine.exec_steps
-    s1.Machine.exec_steps;
-  Alcotest.(check int) "aborted: vm.steps.planned unchanged" pl0 (Machine.planned_steps ());
+    (Fastloop.planned_on_domain () - d0);
+  Alcotest.(check int) "aborted: interp.runs unchanged" runs0 (counter "interp.runs");
+  Alcotest.(check int) "aborted: interp.steps unchanged" steps0 (counter "interp.steps");
+  Alcotest.(check int) "aborted: vm.steps.planned unchanged" pl0 (planned ());
   let r = Machine.run ~backend:`Vm p in
-  let s2 = Machine.exec_stats () in
-  Alcotest.(check int) "completed: one run" (s1.Machine.exec_runs + 1) s2.Machine.exec_runs;
+  Alcotest.(check int) "completed: one run" (runs0 + 1) (counter "interp.runs");
   Alcotest.(check int) "completed: its steps"
-    (s1.Machine.exec_steps + r.Machine.counters.Counters.steps)
-    s2.Machine.exec_steps;
-  Alcotest.(check int) "completed: its planned steps" 4000 (Machine.planned_steps () - pl0)
+    (steps0 + r.Machine.counters.Counters.steps)
+    (counter "interp.steps");
+  Alcotest.(check int) "completed: its planned steps" 4000 (planned () - pl0)
 
 let test_default_backend_switch () =
   let saved = Machine.default_backend () in
@@ -624,9 +628,9 @@ let test_nest_planned_coverage () =
        (function _, Ir_lower.Planned _ -> true | _ -> false)
        outcomes);
   (* and the VM executes nearly all statements on the planned path *)
-  let before = Machine.planned_steps () in
+  let before = planned () in
   let r = Machine.run ~backend:`Vm p in
-  let planned = Machine.planned_steps () - before in
+  let planned = planned () - before in
   let total = r.Machine.counters.Counters.steps in
   check "planned steps bounded by total" true (planned <= total && planned > 0);
   check "step coverage >= 0.9" true
@@ -1118,21 +1122,21 @@ let test_walk_reuse_budget () =
      bailing entry leaves the walker to raise at its own statement *)
   let p = parse (reentry_src unchanged_trips) in
   let total = (Machine.run ~backend:`Ast p).Machine.counters.Counters.steps in
-  let d0 = Fastloop.domain_planned_steps () in
+  let d0 = Fastloop.planned_on_domain () in
   ignore (Machine.run ~backend:`Vm p);
-  let per_entry = (Fastloop.domain_planned_steps () - d0) / 7 in
+  let per_entry = (Fastloop.planned_on_domain () - d0) / 7 in
   check "the nest runs planned" true (per_entry > 0);
   let cached_bail = ref false in
   for max_steps = 1 to total + 2 do
     let config = { Machine.default_config with max_steps } in
     check (Printf.sprintf "re-entry budget %d" max_steps) true (agree ~config p);
     Fastloop.reset_bail_sites ();
-    let d0 = Fastloop.domain_planned_steps () in
+    let d0 = Fastloop.planned_on_domain () in
     match Machine.run ~config ~backend:`Vm p with
     | _ -> ()
     | exception Machine.Step_limit_exceeded ->
       (* two entries committed, so the third reused their walk *)
-      if Fastloop.domain_planned_steps () - d0 >= 2 * per_entry
+      if Fastloop.planned_on_domain () - d0 >= 2 * per_entry
          && List.exists (fun (_, r) -> r = "budget") (Fastloop.bail_sites ())
       then cached_bail := true
   done;
@@ -1155,9 +1159,9 @@ let inlined ?region_funcs p =
     (Ir_lower.plan ?region_funcs p) []
 
 let agree_mostly_planned ?(config = Machine.default_config) p =
-  let before = Machine.planned_steps () in
+  let before = planned () in
   let ok = agree ~config p in
-  let planned = Machine.planned_steps () - before in
+  let planned = planned () - before in
   let total = (Machine.run ~config ~backend:`Ast p).Machine.counters.Counters.steps in
   ok && 2 * planned > total
 

@@ -178,17 +178,100 @@ let test_corruption_skipped () =
   Out_channel.with_open_bin path3 (fun oc ->
       Out_channel.output_string oc
         (String.sub contents3 0 (String.length contents3 / 2)));
+  (* declared lengths past either end of the file: a reader that trusts
+     them raises Invalid_argument("Bytes.create") or runs out of memory *)
+  List.iter
+    (fun (name, len) ->
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc
+            (Printf.sprintf "psaflow-run v%d %s %s\n{}\n" Obs.Ledger.schema_version
+               (Digest.to_hex (Digest.string "{}\n")) len)))
+    [ ("r9-negative.psarun", "-1"); ("r9-huge.psarun", "999999999999999") ];
   let before = Obs.Metrics.find "ledger.skipped" in
   let recs, skipped = Obs.Ledger.load ~dir in
   check_int "one intact record survives" 1 (List.length recs);
-  check_int "two damaged files skipped" 2 skipped;
+  check_int "four damaged files skipped" 4 skipped;
   (match (before, Obs.Metrics.find "ledger.skipped") with
   | Some (Obs.Metrics.Count b), Some (Obs.Metrics.Count a) ->
-    check_int "ledger.skipped counted the skips" 2 (a - b)
+    check_int "ledger.skipped counted the skips" 4 (a - b)
   | _ -> Alcotest.fail "ledger.skipped counter missing");
   (* a foreign-version record file is skipped the same way *)
   let r2, sk2 = Obs.Ledger.load ~dir in
-  check "load is repeatable" true (List.length r2 = 1 && sk2 = 2)
+  check "load is repeatable" true (List.length r2 = 1 && sk2 = 4)
+
+(* ---- the checksummed record reader is total ---- *)
+
+(* [record] with the payload length its header declares replaced *)
+let with_length record len =
+  let eol = String.index record '\n' in
+  match String.split_on_char ' ' (String.sub record 0 eol) with
+  | [ tag; version; digest; _ ] ->
+    String.concat " " [ tag; version; digest; len ]
+    ^ String.sub record eol (String.length record - eol)
+  | _ -> record
+
+(* Any damage to a valid checksummed record (a truncation, a flipped
+   byte, a rewritten length field) reads back as a classified error or
+   as the original payload: never an exception, never another payload. *)
+type damage =
+  | Truncate of int  (** keep this many per mille of the bytes *)
+  | Flip of int * int  (** per-mille position, xor mask *)
+  | Length of string  (** replacement length field *)
+  | Length_off of int  (** the true length plus this *)
+
+let show_damage = function
+  | Truncate k -> Printf.sprintf "truncate to %d/1000" k
+  | Flip (k, m) -> Printf.sprintf "flip byte at %d/1000 with %#x" k m
+  | Length l -> Printf.sprintf "length field %S" l
+  | Length_off d -> Printf.sprintf "length field off by %d" d
+
+let prop_checksummed_reader_total =
+  let open QCheck.Gen in
+  let damage =
+    oneof
+      [
+        map (fun k -> Truncate k) (0 -- 1000);
+        map2 (fun k m -> Flip (k, m)) (0 -- 999) (1 -- 255);
+        map
+          (fun l -> Length l)
+          (oneofl
+             [
+               "-1"; "0"; "999999999999999"; string_of_int max_int;
+               "99999999999999999999"; "x"; ""; "0x10"; "1_0";
+             ]);
+        map (fun d -> Length_off d) (-3 -- 3);
+      ]
+  in
+  QCheck.Test.make ~count:500 ~name:"checksummed reader: damaged records never raise"
+    (QCheck.make
+       ~print:(fun (payload, d) ->
+         Printf.sprintf "%d-byte payload, %s" (String.length payload) (show_damage d))
+       (pair (string_size (0 -- 200)) damage))
+    (fun (payload, d) ->
+      let dir = fresh_dir () in
+      Unix.mkdir dir 0o755;
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let path = Filename.concat dir "r.psarun" in
+      ignore
+        (Result.get_ok (Obs.Atomic_io.write_checksummed ~tag:"t" ~version:1 path payload));
+      let record = In_channel.with_open_bin path In_channel.input_all in
+      let at k = k * String.length record / 1000 in
+      let damaged =
+        match d with
+        | Truncate k -> String.sub record 0 (at k)
+        | Flip (k, m) ->
+          let b = Bytes.of_string record in
+          let i = at k in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor m));
+          Bytes.to_string b
+        | Length l -> with_length record l
+        | Length_off off ->
+          with_length record (string_of_int (String.length payload + off))
+      in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc damaged);
+      match Obs.Atomic_io.read_checksummed ~tag:"t" ~version:1 path with
+      | Ok p -> p = payload
+      | Error _ -> true)
 
 let test_missing_dir_empty () =
   let dir = fresh_dir () in
@@ -329,6 +412,7 @@ let suite =
       test_stable_across_jobs;
     Alcotest.test_case "corrupt/truncated records skipped, counted" `Quick
       test_corruption_skipped;
+    QCheck_alcotest.to_alcotest prop_checksummed_reader_total;
     Alcotest.test_case "missing dir is an empty ledger" `Quick test_missing_dir_empty;
     Alcotest.test_case "report on empty ledger" `Quick test_report_empty;
     Alcotest.test_case "report reconstructs rates and percentiles" `Quick

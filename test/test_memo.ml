@@ -12,25 +12,34 @@ let small_config =
   { Machine.default_config with
     overrides = App.machine_overrides [ ("N", 8); ("STEPS", 1) ] }
 
+(* Drop every in-memory cache tier, then count the run memo's hits
+   (either tier) and misses from here on, through the metrics registry. *)
+let fresh_memo () =
+  Cache.clear_memory ();
+  let base = Obs.Metrics.snapshot () in
+  let count = function Some (Obs.Metrics.Count n) -> n | _ -> 0 in
+  let d name = count (Obs.Metrics.find name) - count (List.assoc_opt name base) in
+  fun () -> (d "cache.run.mem_hits" + d "cache.run.disk_hits", d "cache.run.misses")
+
 let sorted_stats r =
   ( List.sort compare r.Machine.loop_stats,
     List.sort compare r.Machine.region_stats,
     List.sort compare r.Machine.aliased_funcs )
 
 let test_memo_equals_direct () =
-  Memo.reset ();
+  let counts = fresh_memo () in
   let config = Memo.analysis_config ~config:small_config () in
   let direct = Machine.run ~config nbody_program in
   let first = Memo.run ~config nbody_program in
   let second = Memo.run ~config nbody_program in
   check "miss equals direct run" true (first = direct);
   check "hit equals direct run" true (second = direct);
-  let s = Memo.stats () in
-  checki "one miss" 1 s.Memo.misses;
-  checki "one hit" 1 s.Memo.hits
+  let hits, misses = counts () in
+  checki "one miss" 1 misses;
+  checki "one hit" 1 hits
 
 let test_distinct_configs_do_not_collide () =
-  Memo.reset ();
+  let counts = fresh_memo () in
   let base = Memo.analysis_config ~config:small_config () in
   let r8 = Memo.run ~config:base nbody_program in
   let r16 =
@@ -41,9 +50,9 @@ let test_distinct_configs_do_not_collide () =
   let r_seed = Memo.run ~config:{ base with Machine.seed = 7 } nbody_program in
   let r_plain = Memo.run ~config:{ base with Machine.profile_loops = false } nbody_program in
   ignore r_seed;
-  let s = Memo.stats () in
-  checki "four distinct entries" 4 s.Memo.misses;
-  checki "no spurious hits" 0 s.Memo.hits;
+  let hits, misses = counts () in
+  checki "four distinct entries" 4 misses;
+  checki "no spurious hits" 0 hits;
   check "different workloads differ" true (r8.Machine.output <> r16.Machine.output);
   check "profiling flag respected" true (r_plain.Machine.loop_stats = []);
   check "profiled run has loop stats" true (r8.Machine.loop_stats <> [])
@@ -52,14 +61,14 @@ let test_renumbered_program_hits () =
   (* id-refreshed copies of a program are the same program to the
      interpreter; the memo must serve them from one entry, translating
      the statistics back into the requester's statement ids *)
-  Memo.reset ();
+  let counts = fresh_memo () in
   let config = Memo.analysis_config ~config:small_config () in
   let renumbered = Ast.renumber nbody_program in
   let r1 = Memo.run ~config nbody_program in
   let r2 = Memo.run ~config renumbered in
-  let s = Memo.stats () in
-  checki "second request is a hit" 1 s.Memo.hits;
-  checki "single interpretation" 1 s.Memo.misses;
+  let hits, misses = counts () in
+  checki "second request is a hit" 1 hits;
+  checki "single interpretation" 1 misses;
   check "same observable behaviour" true
     (r1.Machine.output = r2.Machine.output && r1.Machine.ret = r2.Machine.ret);
   (* translated statistics must match a direct run of the renumbered copy *)
@@ -71,7 +80,7 @@ let test_renumbered_program_hits () =
     <> List.sort compare (List.map fst r2.Machine.loop_stats))
 
 let test_exceptions_not_cached () =
-  Memo.reset ();
+  let counts = fresh_memo () in
   let config = { small_config with Machine.max_steps = 10 } in
   let attempt () =
     match Memo.run ~config nbody_program with
@@ -80,8 +89,7 @@ let test_exceptions_not_cached () =
   in
   attempt ();
   attempt ();
-  let s = Memo.stats () in
-  checki "failed runs never hit" 0 s.Memo.hits
+  checki "failed runs never hit" 0 (fst (counts ()))
 
 (* A budget bounds executed statements, not results: an unbudgeted run
    racing a budgeted one on the same key always gets the full result.
@@ -100,9 +108,9 @@ let test_budgeted_leader_releases_waiters () =
   let saved = Util.Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) @@ fun () ->
   Util.Pool.set_default_jobs 4;
-  let waited = ref 0 in
+  let waits0 = waits () in
   for _ = 1 to 5 do
-    Memo.reset ();
+    Cache.clear_memory ();
     let started = Atomic.make false in
     let budgeted =
       Util.Pool.Fut.spawn (fun () ->
@@ -120,10 +128,9 @@ let test_budgeted_leader_releases_waiters () =
       (Memo.run ~config nbody_program = full);
     (match Util.Pool.Fut.await budgeted with
      | Some r -> check "a budgeted replay is the full result" true (r = full)
-     | None -> ());
-    waited := !waited + waits ()
+     | None -> ())
   done;
-  check "the unbudgeted run waited on a budgeted leader" true (!waited > 0)
+  check "the unbudgeted run waited on a budgeted leader" true (waits () > waits0)
 
 (* The memo lookups of each profile task in one traced flow, as
    (branch path, outcome), in recording order per domain track. *)
@@ -163,17 +170,17 @@ let test_flow_run_reuses_interpretations () =
   Fun.protect ~finally:(fun () -> Cache.set_dir old) @@ fun () ->
   List.iter
     (fun ((app : App.t), misses, hits, profiles) ->
-      Memo.reset ();
+      let counts = fresh_memo () in
       Obs.Trace.start ();
       let r =
         Engine.run ~workload:app.App.app_test_overrides ~mode:Pipeline.Uninformed app
       in
       Obs.Trace.stop ();
       (match r with Ok _ -> () | Error e -> Alcotest.fail ("flow failed: " ^ e));
-      let s = Memo.stats () in
+      let got_hits, got_misses = counts () in
       let name = app.App.app_slug in
-      checki (name ^ ": memo misses") misses s.Memo.misses;
-      checki (name ^ ": memo hits") hits s.Memo.hits;
+      checki (name ^ ": memo misses") misses got_misses;
+      checki (name ^ ": memo hits") hits got_hits;
       Alcotest.(check (list (pair string string)))
         (name ^ ": profile lookups") profiles
         (List.sort compare (profile_lookups ())))
@@ -187,13 +194,13 @@ let test_flow_run_reuses_interpretations () =
      ])
 
 let test_backends_do_not_collide () =
-  Memo.reset ();
+  let counts = fresh_memo () in
   let config = Memo.analysis_config ~config:small_config () in
   let ra = Memo.run ~config ~backend:`Ast nbody_program in
   let rv = Memo.run ~config ~backend:`Vm nbody_program in
-  let s = Memo.stats () in
-  checki "each backend keyed separately" 2 s.Memo.misses;
-  checki "no cross-backend hit" 0 s.Memo.hits;
+  let hits, misses = counts () in
+  checki "each backend keyed separately" 2 misses;
+  checki "no cross-backend hit" 0 hits;
   check "backends agree through the cache" true
     (sorted_stats ra = sorted_stats rv && ra.Machine.output = rv.Machine.output)
 

@@ -13,18 +13,18 @@ let checkf = Alcotest.(check (float 1e-9))
 
 let test_counter_and_gauge () =
   let c = Obs.Metrics.counter "test.obs.counter" in
-  Obs.Metrics.Counter.set c 0;
+  let c0 = Obs.Metrics.Counter.value c in
   Obs.Metrics.Counter.incr c;
   Obs.Metrics.Counter.add c 41;
-  checki "counter accumulates" 42 (Obs.Metrics.Counter.value c);
+  checki "counter accumulates" 42 (Obs.Metrics.Counter.value c - c0);
   check "intern returns the same instrument" true
-    (Obs.Metrics.Counter.value (Obs.Metrics.counter "test.obs.counter") = 42);
+    (Obs.Metrics.Counter.value (Obs.Metrics.counter "test.obs.counter") = c0 + 42);
   let g = Obs.Metrics.gauge "test.obs.gauge" in
   Obs.Metrics.Gauge.set g 1.5;
   Obs.Metrics.Gauge.add g 0.25;
   checkf "gauge set+add" 1.75 (Obs.Metrics.Gauge.value g);
   (match Obs.Metrics.find "test.obs.counter" with
-   | Some (Obs.Metrics.Count 42) -> ()
+   | Some (Obs.Metrics.Count n) when n = c0 + 42 -> ()
    | _ -> Alcotest.fail "snapshot value for counter");
   match Obs.Metrics.find "test.obs.gauge" with
   | Some (Obs.Metrics.Value v) -> checkf "snapshot value for gauge" 1.75 v
@@ -111,13 +111,15 @@ let test_spans_under_pool_parallelism () =
   let items = List.init 16 Fun.id in
   let out =
     Obs.Trace.with_span ~name:"fanout" ~kind:Obs.Trace.Flow (fun _ ->
-        Util.Pool.map
-          (fun i ->
-            Obs.Trace.with_span ~name:(Printf.sprintf "item-%d" i)
-              ~kind:Obs.Trace.Task (fun sp ->
-                Obs.Trace.add_attr sp "i" (Obs.Trace.Int i);
-                i * i))
-          items)
+        Util.Pool.Fut.await_all
+          (List.map
+             (fun i ->
+               Util.Pool.Fut.spawn (fun () ->
+                   Obs.Trace.with_span ~name:(Printf.sprintf "item-%d" i)
+                     ~kind:Obs.Trace.Task (fun sp ->
+                       Obs.Trace.add_attr sp "i" (Obs.Trace.Int i);
+                       i * i)))
+             items))
   in
   Obs.Trace.stop ();
   checki "map result intact" 16 (List.length out);
@@ -127,8 +129,7 @@ let test_spans_under_pool_parallelism () =
   match Obs.Trace_json.validate_string (export_string ()) with
   | Error e -> Alcotest.failf "parallel trace invalid: %s" e
   | Ok su ->
-    (* 16 item spans (one per work item, wrapped in pool spans when the
-       pool actually fans out) + the fanout span *)
+    (* 16 item spans (one per future) + the fanout span *)
     checki "task spans" 16
       (try List.assoc "task" su.Obs.Trace_json.su_cats with Not_found -> 0);
     checki "flow spans" 1

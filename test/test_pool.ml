@@ -10,38 +10,46 @@ exception Boom of int
 
 let restore_jobs () = Util.Pool.set_default_jobs (Util.Pool.recommended_jobs ())
 
+(* Run [f] at [--jobs n], restoring the default afterwards. *)
+let with_jobs n f =
+  let saved = Util.Pool.default_jobs () in
+  Util.Pool.set_default_jobs n;
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) f
+
+(* One future per element, awaited in input order. *)
+let fan_out f xs =
+  Util.Pool.Fut.await_all (List.map (fun x -> Util.Pool.Fut.spawn (fun () -> f x)) xs)
+
 let test_map_matches_sequential () =
   let xs = List.init 100 (fun i -> i) in
   let f x = (x * 7) mod 13 in
-  let pool = Util.Pool.create ~jobs:4 in
   Alcotest.(check (list int)) "same results, same order" (List.map f xs)
-    (Util.Pool.map ~pool f xs)
+    (with_jobs 4 (fun () -> fan_out f xs))
 
 let test_map_empty_and_singleton () =
-  let pool = Util.Pool.create ~jobs:4 in
-  Alcotest.(check (list int)) "empty" [] (Util.Pool.map ~pool (fun x -> x) []);
-  Alcotest.(check (list int)) "singleton" [ 9 ]
-    (Util.Pool.map ~pool (fun x -> x + 2) [ 7 ])
+  with_jobs 4 @@ fun () ->
+  Alcotest.(check (list int)) "empty" [] (fan_out (fun x -> x) []);
+  Alcotest.(check (list int)) "singleton" [ 9 ] (fan_out (fun x -> x + 2) [ 7 ])
 
 let test_map_size_one_pool () =
-  let pool = Util.Pool.create ~jobs:1 in
-  checki "clamped size" 1 (Util.Pool.size pool);
+  with_jobs 0 @@ fun () ->
+  checki "clamped size" 1 (Util.Pool.default_jobs ());
   let trace = ref [] in
   let out =
-    Util.Pool.map ~pool
+    fan_out
       (fun x ->
         trace := x :: !trace;
         x * x)
       [ 1; 2; 3 ]
   in
   Alcotest.(check (list int)) "results" [ 1; 4; 9 ] out;
-  (* size-1 pools run in the calling domain, strictly left to right *)
+  (* at one job futures run in the calling domain, strictly left to right *)
   Alcotest.(check (list int)) "sequential order" [ 1; 2; 3 ] (List.rev !trace)
 
 let test_exception_propagates () =
-  let pool = Util.Pool.create ~jobs:4 in
-  match Util.Pool.map ~pool (fun x -> if x = 5 then raise (Boom x) else x)
-          (List.init 10 (fun i -> i))
+  with_jobs 4 @@ fun () ->
+  match
+    fan_out (fun x -> if x = 5 then raise (Boom x) else x) (List.init 10 (fun i -> i))
   with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom 5 -> ()
@@ -49,22 +57,20 @@ let test_exception_propagates () =
 let test_first_exception_wins () =
   (* several elements fail; the smallest-index failure is re-raised, as a
      sequential left-to-right map would surface it *)
-  let pool = Util.Pool.create ~jobs:4 in
+  with_jobs 4 @@ fun () ->
   match
-    Util.Pool.map ~pool
-      (fun x -> if x >= 3 then raise (Boom x) else x)
-      (List.init 10 (fun i -> i))
+    fan_out (fun x -> if x >= 3 then raise (Boom x) else x) (List.init 10 (fun i -> i))
   with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom n -> checki "first failing index" 3 n
 
 let test_nested_maps () =
-  let pool = Util.Pool.create ~jobs:3 in
   let expected = List.init 5 (fun i -> List.init 5 (fun j -> i * j)) in
   let got =
-    Util.Pool.map ~pool
-      (fun i -> Util.Pool.map ~pool (fun j -> i * j) (List.init 5 (fun j -> j)))
-      (List.init 5 (fun i -> i))
+    with_jobs 3 (fun () ->
+        fan_out
+          (fun i -> fan_out (fun j -> i * j) (List.init 5 (fun j -> j)))
+          (List.init 5 (fun i -> i)))
   in
   check "nested parallel maps" true (got = expected)
 
@@ -179,7 +185,7 @@ let test_context_eager () =
   let f = in_budget 5 (fun () -> Util.Pool.Fut.spawn budget) in
   check "eager future sees its spawner's budget" true (Util.Pool.Fut.await f = Some 5);
   check "eager map sees its caller's budget" true
-    (in_budget 6 (fun () -> Util.Pool.map (fun _ -> budget ()) [ 1; 2 ])
+    (in_budget 6 (fun () -> fan_out (fun _ -> budget ()) [ 1; 2 ])
      = [ Some 6; Some 6 ]);
   (match in_budget 7 (fun () -> Util.Pool.Fut.spawn (fun () -> raise (Boom 7))) with
    | _ -> Alcotest.fail "expected Boom"
@@ -260,7 +266,7 @@ let observe (rep : Engine.report) =
    and the shape where work-stealing order must never leak into
    results. *)
 let run_suite_fanout () =
-  Util.Pool.map
+  fan_out
     (fun (app : App.t) ->
       match
         Engine.run ~workload:app.App.app_test_overrides ~mode:Pipeline.Uninformed app

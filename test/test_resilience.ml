@@ -229,10 +229,15 @@ let test_nested_budget_fault_backend_invariant () =
 
 let test_pool_worker_crash_recovered () =
   let crashes0 = counter_value "pool.worker_failures" in
+  let saved = Util.Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) @@ fun () ->
   with_faults "pool:worker@1" (fun () ->
-      let pool = Util.Pool.create ~jobs:4 in
+      Util.Pool.set_default_jobs 4;
       let input = List.init 64 Fun.id in
-      let out = Util.Pool.map ~pool (fun x -> (x * x) + 1) input in
+      let out =
+        Util.Pool.Fut.await_all
+          (List.map (fun x -> Util.Pool.Fut.spawn (fun () -> (x * x) + 1)) input)
+      in
       check "results identical to List.map" true
         (out = List.map (fun x -> (x * x) + 1) input);
       check "worker failure counted" true
@@ -306,13 +311,12 @@ let test_cache_corruption_injected () =
       let compute () = incr count; 17 in
       checki "computed" 17 (Res_cache.find_or_compute ~key:"k" compute);
       Cache.clear_memory ();
-      let corrupt0 = (Res_cache.stats ()).Cache.corrupt in
+      let corrupt0 = counter_value "cache.tres.corrupt" in
       with_faults "cache:tres" (fun () ->
           checki "recomputed past the corrupted read" 17
             (Res_cache.find_or_compute ~key:"k" compute));
       checki "two computations" 2 !count;
-      let s = Res_cache.stats () in
-      check "corruption counted" true (s.Cache.corrupt > corrupt0);
+      check "corruption counted" true (counter_value "cache.tres.corrupt" > corrupt0);
       (* the recompute rewrote the entry; with faults disarmed it serves *)
       Cache.clear_memory ();
       checki "disk hit after rewrite" 17

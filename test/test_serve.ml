@@ -301,11 +301,24 @@ let test_store_corruption_skipped () =
       (match Serve.Store.save ~dir (entry "q000001" Serve.Store.Done) with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "save failed: %s" msg);
-      let oc = open_out (Filename.concat dir "q000000.psareq") in
-      output_string oc "not a checksummed record";
-      close_out oc;
+      let write name text =
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+            Out_channel.output_string oc text)
+      in
+      write "q000000.psareq" "not a checksummed record";
+      (* declared lengths past either end of the file: a reader that
+         trusts them stops psaflowd at start-up with
+         Invalid_argument("Bytes.create") or runs out of memory *)
+      let digest = Digest.to_hex (Digest.string "{}") in
+      write "q000002.psareq" (Printf.sprintf "psareq v1 %s -1\n{}" digest);
+      write "q000003.psareq" (Printf.sprintf "psareq v1 %s 999999999999999\n{}" digest);
+      let skipped () =
+        Obs.Metrics.Counter.value (Obs.Metrics.counter "serve.store.skipped")
+      in
+      let before = skipped () in
       let entries, bad = Serve.Store.load ~dir in
-      check_int "corrupt file skipped" 1 bad;
+      check_int "corrupt files skipped" 3 bad;
+      check_int "serve.store.skipped counted them" 3 (skipped () - before);
       check_int "valid entry still loads" 1 (List.length entries))
 
 let test_store_recover () =
