@@ -5,7 +5,9 @@
    - a served report is byte-identical to `psaflow run` stdout for the
      same spec (CLI run as a separate process);
    - repeat requests for the same kernel are cache splices: the
-     cache.*.misses counters do not move;
+     cache.*.misses and interp.runs counters do not move, and they serve
+     the first request's provenance, which `psaflow run --why` over the
+     same cache prints too;
    - an overload burst is shed with 503 without disturbing the daemon
      or the in-flight runs;
    - every finished request leaves a ledger record and a journal file;
@@ -133,6 +135,11 @@ let cache_misses () =
       0.0 fields
   | _ -> fail "unparseable /v1/metrics body"
 
+let interp_runs () =
+  match field (get "/v1/metrics") "interp.runs" with
+  | Some (Num n) -> n
+  | _ -> fail "no interp.runs in /v1/metrics"
+
 (* ---- subprocesses ---- *)
 
 let spawn_daemon ?(max_inflight = 1) exe log =
@@ -222,12 +229,13 @@ let () =
   end;
   ok "served report is byte-identical to the CLI report (%d bytes)"
     (String.length served);
-  if body_of (get ("/v1/flows/" ^ id1 ^ "/why")) = "" then
-    fail "empty --why provenance";
+  let why = body_of (get ("/v1/flows/" ^ id1 ^ "/why")) in
+  if why = "" then fail "empty --why provenance";
   ok "provenance served";
 
-  (* 2. repeat requests are cache splices: zero new misses *)
-  let misses0 = cache_misses () in
+  (* 2. repeat requests are cache splices: zero new misses, no
+     interpreter run, the same provenance *)
+  let misses0 = cache_misses () and runs0 = interp_runs () in
   let r2 = post "/v1/flows" body and r3 = post "/v1/flows" body in
   if status_of r2 <> 202 || status_of r3 <> 202 then fail "repeat submits rejected";
   let id2 = id_of r2 and id3 = id_of r3 in
@@ -237,9 +245,27 @@ let () =
   if misses1 > misses0 then
     fail "repeat requests recomputed: cache misses %g -> %g" misses0 misses1;
   ok "repeat requests were pure cache splices (misses %g, unchanged)" misses0;
+  let runs1 = interp_runs () in
+  if runs1 <> runs0 then
+    fail "repeat requests ran the interpreter: interp.runs %g -> %g" runs0 runs1;
+  ok "repeat requests ran nothing (interp.runs %g, unchanged)" runs0;
   if body_of (get ("/v1/flows/" ^ id2 ^ "/report")) <> served then
     fail "spliced report differs from the original";
   ok "spliced report bytes identical";
+  List.iter
+    (fun id ->
+      if body_of (get ("/v1/flows/" ^ id ^ "/why")) <> why then
+        fail "%s serves different --why bytes from %s" id id1)
+    [ id2; id3 ];
+  ok "repeat requests serve the first request's --why bytes";
+  let cli_why =
+    run_cli psaflow
+      [ "run"; "nbody"; "--quick"; "--why";
+        "--cache"; Filename.concat dir ".psa-cache"; "--ledger"; "off" ]
+  in
+  if cli_why <> served ^ "\n" ^ why then
+    fail "psaflow run --why differs from the served report and --why";
+  ok "psaflow run --why prints the served report and --why";
 
   (* 3. overload burst: with one inflight slot and a queue of two, an
      8-request burst must shed with 503 and leave the daemon healthy *)

@@ -77,7 +77,7 @@ let trace_arg =
 
 let why_arg =
   let doc =
-    "Print each design's provenance: the ordered tasks (with cache status), \
+    "Print each design's provenance: the ordered tasks, \
      branch decisions with the analysis facts that justified them, and DSE \
      sweeps with their explored point counts."
   in
@@ -85,9 +85,9 @@ let why_arg =
 
 let cache_arg =
   let doc =
-    "Directory of the persistent evaluation cache (interpreter runs, dynamic \
-     tasks, DSE points are content-addressed and replayed on warm runs), or \
-     $(b,off) to disable caching entirely. Default $(b,.psa-cache)."
+    "Directory of the persistent evaluation cache (interpreter runs are \
+     content-addressed and replayed on warm runs), or $(b,off) to disable \
+     caching entirely. Default $(b,.psa-cache)."
   in
   Arg.(value & opt string ".psa-cache" & info [ "cache" ] ~docv:"DIR|off" ~doc)
 

@@ -20,8 +20,6 @@ let set_dir d =
 
 let dir () = Atomic.get the_dir
 
-let enabled () = dir () <> None
-
 let set_max_bytes n = Atomic.set the_max_bytes (max 1 n)
 
 let max_bytes () = Atomic.get the_max_bytes
@@ -269,7 +267,7 @@ module Make (V : SPEC) = struct
     match compute () with
     | v ->
       Obs.Metrics.Counter.incr c_misses;
-      if enabled () then begin
+      if dir () <> None then begin
         (* [to_disk] slims the persisted copy only; the in-memory tier
            and the caller always see the full value *)
         let payload = Marshal.to_string (to_disk v) [] in
@@ -286,7 +284,7 @@ module Make (V : SPEC) = struct
       unclaim key;
       Printexc.raise_with_backtrace e bt
 
-  let find_or_compute ?on_disk_hit ?to_disk ~key compute =
+  let find_or_compute ?to_disk ~key compute =
     Obs.Trace.with_span ~name:("cache:" ^ V.kind) ~kind:Obs.Trace.Cache_lookup
       (fun sp ->
         let outcome o = Obs.Trace.add_attr sp "outcome" (Obs.Trace.Str o) in
@@ -321,7 +319,6 @@ module Make (V : SPEC) = struct
               | v ->
                 Obs.Metrics.Counter.incr c_disk_hits;
                 Obs.Metrics.Counter.add c_bytes_read (String.length bytes - ofs);
-                (match on_disk_hit with Some f -> f v | None -> ());
                 publish key v;
                 outcome "disk-hit";
                 v

@@ -2,14 +2,15 @@
 
     The PSA-flow recomputes the same evaluations over and over: the
     uninformed mode takes every branch path, device branch points evaluate
-    both arms, and bench/experiment harnesses re-run whole suites.  This
-    library gives every such evaluation a shared cache with two tiers:
+    both arms, and bench/experiment harnesses re-run whole suites.  The
+    costly evaluations are interpreter runs, and {!Memo} caches them
+    (kind ["run"]) in two tiers:
 
     - an {b in-memory tier} with single-flight deduplication: when two
       {!Util.Pool} workers request the same [(kind, key)] concurrently
-      (the two arms of a device branch point, neighbouring DSE sweep
-      points, suite runs over the same app), one computes and the others
-      block on its result instead of recomputing;
+      (the two arms of a device branch point, suite runs over the same
+      app), one computes and the others block on its result instead of
+      recomputing;
     - a {b persistent on-disk tier} (off by default; enabled via
       {!set_dir}, conventionally [.psa-cache/]) so warm reruns skip
       recomputation across processes.  Entries use the checksummed
@@ -67,9 +68,6 @@ val set_dir : string option -> unit
 
 val dir : unit -> string option
 
-val enabled : unit -> bool
-(** [dir () <> None]. *)
-
 val set_max_bytes : int -> unit
 (** Size cap for the on-disk tier (default 512 MiB).  The process scans
     the directory at its first store and then adds the size of every
@@ -102,7 +100,6 @@ end
 
 module Make (V : SPEC) : sig
   val find_or_compute :
-    ?on_disk_hit:(V.value -> unit) ->
     ?to_disk:(V.value -> V.value) ->
     key:string ->
     (unit -> V.value) ->
@@ -112,11 +109,10 @@ module Make (V : SPEC) : sig
       requests for the same key block on the first one (single-flight);
       exceptions from the computation propagate to the computing caller,
       are never cached, and release the waiters (which then compute
-      themselves).  [on_disk_hit] runs on the freshly unmarshalled value
-      before it is published to any requester (e.g. to re-reserve AST id
-      ranges).  [to_disk] maps the value just before it is marshalled to
-      the disk tier — use it to drop fields that are expensive to
-      persist and semantically dead on replay; the in-memory tier and
+      themselves).  [to_disk] maps the value just before it is
+      marshalled to the disk tier — use it to drop fields that are
+      expensive to persist and semantically dead on replay, or to put
+      the persisted copy in a canonical order; the in-memory tier and
       the returned value are never transformed, so only entries restored
-      from disk observe the slimming. *)
+      from disk observe the mapping. *)
 end

@@ -99,10 +99,9 @@ let collect ?config ?(unroll_threshold = 64) (p : Ast.program) ~kernel =
               kp_inner = inner;
               kp_no_alias = no_alias;
               (* drop the final memory image: profiles are kept inside
-                 artifacts (and their cached copies) for the lifetime of
-                 a flow, and no consumer reads [memory] — only output,
-                 counters and the loop/region statistics.  The image is
-                 ~800 KB per app and dominated disk-cache writes. *)
+                 artifacts for the lifetime of a flow, and no consumer
+                 reads [memory] — only output, counters and the
+                 loop/region statistics.  The image is ~800 KB per app. *)
               kp_cpu_baseline_result = { result with Machine.memory = Memory.create () };
             }))
 

@@ -8,9 +8,7 @@ type result = {
 let run (spec : Device.gpu_spec) (ks : Kstatic.t) (kp : Kprofile.t) ~base p ~launch_fn =
   let candidates = Search.powers_of_two ~lo:32 ~hi:1024 in
   let eval =
-    Point_cache.scores ~tag:"gpu-blocksize"
-      (spec, Point_cache.stable_ks ~kp ks, Point_cache.stable_kp kp, base)
-      (fun blocksize ->
+    Search.observed ~tag:"gpu-blocksize" (fun blocksize ->
         (Gpu_model.estimate spec ks kp { base with Gpu_model.blocksize })
           .Gpu_model.ge_time_s)
   in

@@ -1,5 +1,21 @@
 type 'p evaluated = { point : 'p; score : float }
 
+let h_point_seconds = Obs.Metrics.histogram "dse.point.seconds"
+
+(* Every model call runs inside a [Dse_point] span, so traces show the
+   sweep shape, and lands in the dse.point.seconds histogram that the
+   run ledger persists. *)
+let observed ~tag eval point =
+  Obs.Trace.with_span
+    ~attrs:[ ("point", Obs.Trace.Int point) ]
+    ~name:tag ~kind:Obs.Trace.Dse_point
+    (fun _ ->
+      let t0 = Obs.Monotonic.now_s () in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Metrics.Histogram.observe h_point_seconds (Obs.Monotonic.now_s () -. t0))
+        (fun () -> eval point))
+
 let sweep_all points ~eval =
   (* one future per point, settled in input order; spawning is cheap
      enough that even 1–2 point sweeps (constant in nested DSE calls) no

@@ -7,6 +7,12 @@
 
 type 'p evaluated = { point : 'p; score : float }
 
+val observed : tag:string -> (int -> 'a) -> int -> 'a
+(** [observed ~tag eval] is [eval], each call run inside a [Dse_point]
+    span named [tag] (e.g. ["gpu-blocksize"]) and timed into the
+    [dse.point.seconds] histogram.  Every strategy calls its device
+    model through it. *)
+
 val sweep : 'p list -> eval:('p -> float) -> 'p evaluated option
 (** Point with minimal finite score; [None] when the space is empty or no
     point evaluates finite. *)

@@ -12,8 +12,7 @@ let run (spec : Device.cpu_spec) (kp : Kprofile.t) p ~kernel =
     else candidates @ [ spec.Device.cores ]
   in
   let eval =
-    Point_cache.scores ~tag:"cpu-threads" (spec, Point_cache.stable_kp kp)
-      (fun threads ->
+    Search.observed ~tag:"cpu-threads" (fun threads ->
         (Cpu_model.openmp spec ~threads kp).Cpu_model.ce_time_s)
   in
   let sweep = Search.sweep_all candidates ~eval in

@@ -10,8 +10,7 @@ let max_unroll = 1024
 let run (spec : Device.fpga_spec) (ks : Kstatic.t) (kp : Kprofile.t) ~zero_copy p
     ~kernel_fn =
   let resources_for =
-    Point_cache.resources ~tag:"fpga-unroll" (spec, Point_cache.stable_ks ~kp ks)
-      (fun unroll ->
+    Search.observed ~tag:"fpga-unroll" (fun unroll ->
         Fpga_model.resources_of spec ks ~unroll)
   in
   let trace = ref [] in

@@ -11,9 +11,10 @@
     field — including the "timing" facts like [art_t_cpu_single], which
     come from deterministic interpretation and analytic device models, not
     wall-clock measurement — is reproducible bit-for-bit, and nothing
-    records scheduling, domain ids, or real time.  This is what lets flow
-    outputs stay byte-identical at any [--jobs] level and lets the
-    evaluation cache replay artifacts safely across runs. *)
+    records scheduling, domain ids, real time, or whether an interpreter
+    run was replayed from the evaluation cache.  This is what lets flow
+    outputs stay byte-identical at any [--jobs] level and at any cache
+    temperature. *)
 
 (** Target-specific design state, filled in along a branch. *)
 type design_state = {

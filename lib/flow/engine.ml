@@ -49,9 +49,18 @@ let assemble_failure (oc : Graph.outcome) (f : Resilience.failure) =
 let assemble_site (oc : Graph.outcome) =
   "assemble/" ^ String.concat "/" (List.map snd oc.Graph.oc_path)
 
-let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
-  flow_span ~phase:"total" ("flow " ^ app.App.app_name) app @@ fun () ->
-  let workload = Option.value workload ~default:app.App.app_eval_overrides in
+(* The target-independent phase every flow starts with: analyse the
+   reference program down to one artifact, let the PSA strategy decide,
+   and read off what design assembly measures against. *)
+type analysis = {
+  an_analysed : Artifact.t;
+  an_decision : Psa.decision;
+  an_baseline_s : float;
+  an_reference_output : string list;
+  an_reference_loc : int;
+}
+
+let analyse ?psa_config ~workload app =
   let art0 = Artifact.create app ~workload in
   let* analysed_outcomes =
     flow_span ~phase:"analyse" "target-independent analysis" app (fun () ->
@@ -76,6 +85,24 @@ let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
     | Some o -> Ok o
     | None -> Error "analysis did not capture the reference output"
   in
+  Ok
+    {
+      an_analysed = analysed;
+      an_decision = decision;
+      an_baseline_s = baseline_s;
+      an_reference_output = reference_output;
+      an_reference_loc = Loc_count.program_loc art0.Artifact.art_program;
+    }
+
+let design_of an ~app oc =
+  Design.of_outcome ~app ~reference_loc:an.an_reference_loc ~baseline_s:an.an_baseline_s
+    ~reference_output:an.an_reference_output oc
+
+let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
+  flow_span ~phase:"total" ("flow " ^ app.App.app_name) app @@ fun () ->
+  let workload = Option.value workload ~default:app.App.app_eval_overrides in
+  let* an = analyse ?psa_config ~workload app in
+  let analysed = an.an_analysed in
   (* The step budget covers the branch fan-out only: a blown budget
      there prunes one path.  The target-independent phase and design
      assembly run uncapped — they have no sibling paths to fall back on.
@@ -94,7 +121,6 @@ let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
         | Some n -> Util.Reqctx.with_step_budget n fanout
         | None -> fanout ())
   in
-  let reference_loc = Loc_count.program_loc art0.Artifact.art_program in
   let* designs, pruned =
     flow_span ~phase:"assemble" "assemble designs" app @@ fun () ->
     let folded =
@@ -102,8 +128,7 @@ let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
         (fun acc oc ->
           let* designs, pruned = acc in
           match
-            Resilience.supervise ~site:(assemble_site oc) (fun () ->
-                Design.of_outcome ~app ~reference_loc ~baseline_s ~reference_output oc)
+            Resilience.supervise ~site:(assemble_site oc) (fun () -> design_of an ~app oc)
           with
           | Ok d -> Ok (d :: designs, pruned)
           | Error f when not strict ->
@@ -120,8 +145,8 @@ let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
       rep_mode = mode;
       rep_workload = workload;
       rep_analysed = analysed;
-      rep_decision = decision;
-      rep_baseline_s = baseline_s;
+      rep_decision = an.an_decision;
+      rep_baseline_s = an.an_baseline_s;
       rep_designs = designs;
       rep_failures = pruned;
     }
@@ -160,25 +185,7 @@ type budget_report = {
 
 let run_budgeted ?psa_config ?workload ?(pricing = Cost.default_pricing) ~budget app =
   let workload = Option.value workload ~default:app.App.app_eval_overrides in
-  let art0 = Artifact.create app ~workload in
-  let* analysed_outcomes = Graph.run Pipeline.target_independent art0 in
-  let* analysed =
-    match analysed_outcomes with
-    | [ oc ] -> Ok oc.Graph.oc_artifact
-    | _ -> Error "target-independent pipeline must produce exactly one artifact"
-  in
-  let* decision = Psa.decide ?config:psa_config analysed in
-  let* baseline_s =
-    match analysed.Artifact.art_t_cpu_single with
-    | Some t -> Ok t
-    | None -> Error "analysis did not produce a CPU baseline"
-  in
-  let* reference_output =
-    match analysed.Artifact.art_reference_output with
-    | Some o -> Ok o
-    | None -> Error "analysis did not capture the reference output"
-  in
-  let reference_loc = Loc_count.program_loc art0.Artifact.art_program in
+  let* an = analyse ?psa_config ~workload app in
   let try_branch branch =
     let select _ =
       Graph.select
@@ -186,15 +193,13 @@ let run_budgeted ?psa_config ?workload ?(pricing = Cost.default_pricing) ~budget
         [ branch ]
     in
     let node = Graph.with_select (Pipeline.branch_a Pipeline.Informed) ~branch:"A" select in
-    match Graph.run node analysed with
+    match Graph.run node an.an_analysed with
     | Error _ -> { at_branch = branch; at_design = None; at_cost = None; at_within = false }
     | Ok outcomes ->
       let designs =
         List.filter_map
           (fun oc ->
-            match
-              Design.of_outcome ~app ~reference_loc ~baseline_s ~reference_output oc
-            with
+            match design_of an ~app oc with
             | Ok d when d.Design.d_feasible && d.Design.d_time_s <> None -> Some d
             | Ok _ | Error _ -> None)
           outcomes
@@ -214,8 +219,8 @@ let run_budgeted ?psa_config ?workload ?(pricing = Cost.default_pricing) ~budget
   (* the informed path first, then the feedback loop revises through the
      remaining branches *)
   let order =
-    decision.Psa.dec_path
-    :: List.filter (fun b -> b <> decision.Psa.dec_path) Psa.path_names
+    an.an_decision.Psa.dec_path
+    :: List.filter (fun b -> b <> an.an_decision.Psa.dec_path) Psa.path_names
   in
   let order = List.filter (fun b -> b <> "none") order in
   let rec search tried = function
@@ -250,5 +255,5 @@ let run_budgeted ?psa_config ?workload ?(pricing = Cost.default_pricing) ~budget
       br_attempts = attempts;
       br_accepted = accepted;
       br_within_budget = (match accepted with Some a -> a.at_within | None -> false);
-      br_baseline_s = baseline_s;
+      br_baseline_s = an.an_baseline_s;
     }

@@ -56,6 +56,35 @@ let concat_results results =
       (List.concat (List.rev ocs), List.concat (List.rev fls)))
     folded
 
+(* Wall-clock of every task application: the population behind the
+   ledger's flow.task.seconds latency percentiles. *)
+let h_task_seconds = Obs.Metrics.histogram "flow.task.seconds"
+
+(* One task application: a [task] span, a latency observation and the
+   provenance step.  Tasks are not cached themselves; the interpreter
+   runs inside them are ({!Memo}). *)
+let apply_task (t : Task.t) art =
+  let t0 = Obs.Monotonic.now_s () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.Histogram.observe h_task_seconds (Obs.Monotonic.now_s () -. t0))
+  @@ fun () ->
+  Obs.Trace.with_span
+    ~attrs:[ ("kind", Obs.Trace.Str (Task.kind_letter t.Task.kind)) ]
+    ~name:t.Task.name ~kind:Obs.Trace.Task
+    (fun _ ->
+      Result.map
+        (fun out ->
+          Artifact.add_prov out
+            (Prov.Stask
+               {
+                 st_name = t.Task.name;
+                 st_kind = Task.kind_letter t.Task.kind;
+                 st_scope = Task.scope_label t.Task.scope;
+                 st_dynamic = t.Task.dynamic;
+               }))
+        (Task.apply t art))
+
 (* Every task application crosses one supervised boundary.  In tolerant
    mode a final failure prunes this artifact's path: the outcome
    disappears from the result, and a terminal [Prov.Sfailed] step is
@@ -67,8 +96,7 @@ let rec run_node ~tolerant node (oc : outcome) :
   match node with
   | Task t -> (
     match
-      Resilience.supervise ~site:(Task.site t) (fun () ->
-          Task_cache.apply t oc.oc_artifact)
+      Resilience.supervise ~site:(Task.site t) (fun () -> apply_task t oc.oc_artifact)
     with
     | Ok art -> Ok ([ { oc with oc_artifact = art } ], [])
     | Error f when tolerant ->

@@ -1,12 +1,9 @@
-type cache_status = Hit | Miss | Bypass
-
 type step =
   | Stask of {
       st_name : string;
       st_kind : string;
       st_scope : string;
       st_dynamic : bool;
-      st_cache : cache_status;
     }
   | Sbranch of {
       sb_name : string;
@@ -27,11 +24,6 @@ type step =
       sf_msg : string;
     }
 
-let cache_status_label = function
-  | Hit -> "cache hit"
-  | Miss -> "cache miss"
-  | Bypass -> "uncached"
-
 let render steps =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -39,10 +31,9 @@ let render steps =
     (fun i step ->
       match step with
       | Stask s ->
-        line "%2d. task   %s [%s%s] scope=%s (%s)" (i + 1) s.st_name s.st_kind
+        line "%2d. task   %s [%s%s] scope=%s" (i + 1) s.st_name s.st_kind
           (if s.st_dynamic then ", dyn" else "")
           s.st_scope
-          (cache_status_label s.st_cache)
       | Sbranch b ->
         line "%2d. branch %s -> %s (offered: %s; selected: %s)" (i + 1) b.sb_name
           b.sb_taken

@@ -2,14 +2,10 @@
 
     Each artifact accrues one step per task application, branch decision
     and DSE sweep on its path; {!Design.t} carries the finished trail and
-    [psaflow --why] renders it.  Steps hold only strings and scalars so
-    they marshal stably into the task cache (see {!Task_cache.project},
-    which blanks the trail out of cache keys). *)
-
-type cache_status =
-  | Hit  (** served from the evaluation cache (memory or disk tier) *)
-  | Miss  (** computed and stored *)
-  | Bypass  (** cache disabled or task class not cached *)
+    [psaflow --why] renders it.  Steps hold only strings and scalars, and
+    none records whether an interpreter run inside a task was replayed
+    from the cache, so a warm [--why] renders the same bytes as a cold
+    one or one with the cache off. *)
 
 type step =
   | Stask of {
@@ -17,7 +13,6 @@ type step =
       st_kind : string;  (** Fig. 4 class letter: A, T, CG, O *)
       st_scope : string;
       st_dynamic : bool;
-      st_cache : cache_status;
     }
   | Sbranch of {
       sb_name : string;  (** branch point, e.g. "A" *)
@@ -40,10 +35,7 @@ type step =
       (** Terminal step of a pruned branch: the task failed after its
           retry budget, so no design was produced on this path.  Recorded
           by tolerant runs ({!Graph.run_tolerant}); never present in a
-          trail that produced a design, and never cached (failed task
-          applications are not stored in the task cache). *)
-
-val cache_status_label : cache_status -> string
+          trail that produced a design. *)
 
 val render : step list -> string
 (** One line per step, stable across runs (no timings, no ids). *)

@@ -43,9 +43,7 @@ let log_text (rep : Engine.report) =
   ^ "\n"
 
 (* Deliberately timing-free: the same seed and flow must render
-   byte-identical text whatever the cache temperature or job count, so
-   only the per-step cache statuses (legitimately run-dependent) vary
-   between cold and warm runs of the same command. *)
+   byte-identical text whatever the cache temperature or job count. *)
 let pruned_label (f : Graph.failure) =
   match f.Graph.fl_path with
   | [] -> f.Graph.fl_failure.Resilience.f_site

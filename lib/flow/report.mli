@@ -13,11 +13,12 @@ val log_text : Engine.report -> string
 
 val why_text : Engine.report -> string
 (** Per-design provenance trails ([psaflow --why]): the active interpreter
-    backend, then ordered tasks with cache status, branch decisions with
-    their reasons, DSE sweeps with point counts.  Pruned paths (if any)
-    follow the designs, each trail ending in its {!Prov.Sfailed} step.
-    Timing-free, so a given flow renders deterministically regardless of
-    parallelism; only cache statuses differ between cold and warm runs. *)
+    backend, then ordered tasks, branch decisions with their reasons, DSE
+    sweeps with point counts.  Pruned paths (if any) follow the designs,
+    each trail ending in its {!Prov.Sfailed} step.  Timing-free and
+    cache-free, so a given flow renders the same bytes at any
+    parallelism and whether its interpreter runs were computed or
+    replayed (cache off, cold or warm). *)
 
 val failures_text : Engine.report -> string
 (** One line per pruned path: where it failed, the failure class,

@@ -32,9 +32,7 @@ val apply : t -> Artifact.t -> (Artifact.t, string) result
 (** Run the task, appending its name to the artifact log on success and
     prefixing it to the error on failure.  This is also the fault
     boundary: an armed {!Util.Faultsim} rule matching the task's
-    {!site} makes the application fail without running it (cached
-    applications that never reach [apply] are not faultable — the cache
-    is authoritative for work it has already validated). *)
+    {!site} makes the application fail without running it. *)
 
 val kind_letter : kind -> string
 (** "A" / "T" / "CG" / "O", the Fig. 4 classification letters. *)

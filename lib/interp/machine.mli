@@ -76,7 +76,7 @@ val interp_version : int
 val backend_name : backend -> string
 
 val backend_tag : backend -> int
-(** The backend's encoding in cache keys (run memo and task cache). *)
+(** The backend's encoding in the run cache's keys ({!Memo}). *)
 
 val backend_of_string : string -> backend option
 

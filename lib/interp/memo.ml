@@ -151,9 +151,19 @@ let run ?(config = Machine.default_config) ?backend p =
     (* the persisted copy drops the final memory image (hundreds of KB
        per entry, nothing downstream reads it from a memoized run); the
        in-memory tier keeps the full result, so only cross-process
-       replays observe an empty [memory] *)
+       replays observe an empty [memory].  It also sorts the statistics
+       by canonical id: the interpreter lists them in hash-table order
+       over the requester's raw ids, which depends on the process's
+       id-allocation history, and the bytes on disk must not. *)
     C.find_or_compute
-      ~to_disk:(fun r -> { r with Machine.memory = Memory.create () })
+      ~to_disk:(fun r ->
+        let by_key (a, _) (b, _) = compare a b in
+        {
+          r with
+          Machine.memory = Memory.create ();
+          loop_stats = List.sort by_key r.Machine.loop_stats;
+          region_stats = List.sort by_key r.Machine.region_stats;
+        })
       ~key
       (fun () -> translate to_canon (Machine.run ~config ~backend p))
   in

@@ -5,7 +5,11 @@
     profiling all execute the identical [(program, config)] pair, and
     ablation/DSE studies re-run whole branches over shared prefixes.  This
     table caches {!Machine.result}s keyed by a canonical form of the pair
-    so each distinct interpretation happens once per process.
+    so each distinct interpretation happens once per process (and, with
+    the disk tier on, once per cache directory).  It is the flow's only
+    cache: tasks and DSE points are recomputed around it, because
+    outside interpreter runs they cost microseconds to milliseconds,
+    less than writing and unmarshalling their results would.
 
     Canonicalization makes the key independent of accidents of program
     identity: expression/statement ids are renumbered in traversal order,
@@ -34,23 +38,11 @@
     memory image ([result.memory] unmarshals empty on a cross-process
     replay).  The image is hundreds of KB per entry and no consumer
     reads it from a memoized run; within one process the in-memory tier
-    still returns the full result. *)
-
-val canonicalize :
-  Ast.program -> Ast.program * (int, int) Hashtbl.t * (int, int) Hashtbl.t
-(** [canonicalize p] rebuilds [p] with expression/statement ids
-    renumbered 1..n in traversal order, dummy source locations, and
-    attributes the interpreter never reads (pragmas, [restrict]/[const])
-    stripped.  Returns [(canon, to_canon, of_canon)] where [to_canon]
-    maps each original statement id to its canonical id and [of_canon]
-    is the inverse.  Two programs the interpreter cannot distinguish
-    canonicalize to equal programs, which is what makes marshalled
-    canonical forms usable as content-addressed cache keys (also reused
-    by the flow-level task cache). *)
-
-val trans_sid : (int, int) Hashtbl.t -> int -> int
-(** Translate a statement id through a {!canonicalize} mapping; ids
-    absent from the map are returned unchanged. *)
+    still returns the full result.  The persisted copy also lists
+    [loop_stats] and [region_stats] in canonical-id order (a direct run
+    lists them in the order of the requester's raw statement ids), so
+    the bytes an entry holds depend only on the canonical program and
+    config, never on how many ids the process minted before. *)
 
 val run :
   ?config:Machine.config -> ?backend:Machine.backend -> Ast.program -> Machine.result

@@ -141,10 +141,6 @@ let load ~dir =
   in
   (entries, !bad)
 
-let find ~dir id =
-  let file = path ~dir id in
-  if Sys.file_exists file then read_entry file else None
-
 let recover ~dir =
   let entries, bad = load ~dir in
   let entries =
@@ -161,19 +157,3 @@ let recover ~dir =
       entries
   in
   (entries, bad)
-
-let fresh_id ~dir =
-  let next =
-    List.fold_left
-      (fun acc f ->
-        let base = Filename.chop_suffix f ".psareq" in
-        match
-          if String.length base > 1 && base.[0] = 'q' then
-            int_of_string_opt (String.sub base 1 (String.length base - 1))
-          else None
-        with
-        | Some n -> max acc (n + 1)
-        | None -> acc)
-      1 (entry_files dir)
-  in
-  Printf.sprintf "q%06d" next

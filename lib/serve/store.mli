@@ -22,7 +22,8 @@
       recovery; a completed report survives any number of restarts.
     - Corrupt/truncated/foreign-version files are skipped and counted,
       never fatal — a damaged store degrades to a smaller history.
-    - Ids are zero-padded and monotonic ({!fresh_id}), so file-name
+    - Ids are zero-padded and monotonic (the server mints them from a
+      counter that resuming advances past the store), so file-name
       order is admission order and id allocation survives restarts. *)
 
 type state =
@@ -57,14 +58,7 @@ val load : dir:string -> entry list * int
 (** All valid entries in id order, plus the skipped-file count.  A
     missing directory is an empty store. *)
 
-val find : dir:string -> string -> entry option
-(** Single-entry lookup by id. *)
-
 val recover : dir:string -> entry list * int
 (** {!load}, rewriting every [Running] entry to [Interrupted] on disk
     first.  The result is the post-rewrite view: callers re-enqueue the
     [Queued]/[Interrupted] entries and leave terminal ones alone. *)
-
-val fresh_id : dir:string -> string
-(** Next unused id ([q000001], [q000002], ...), one past the highest id
-    present in [dir] — monotonic across restarts. *)

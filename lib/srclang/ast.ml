@@ -250,28 +250,3 @@ let renumber p =
       p.pglobals
   in
   { pglobals = globals }
-
-let rec max_id_stmt acc s =
-  let acc = max acc s.sid in
-  let acc =
-    List.fold_left (fold_expr (fun m e -> max m e.eid)) acc (stmt_exprs s)
-  in
-  List.fold_left
-    (fun m b -> List.fold_left max_id_stmt m b)
-    acc (stmt_sub_blocks s)
-
-let max_id p =
-  List.fold_left
-    (fun acc g ->
-      match g with
-      | Gfunc f -> List.fold_left max_id_stmt acc f.fbody
-      | Gdecl d ->
-        List.fold_left
-          (fold_expr (fun m e -> max m e.eid))
-          acc
-          (List.filter_map Fun.id [ d.dinit; d.darray ]))
-    0 p.pglobals
-
-let rec reserve_ids n =
-  let cur = Atomic.get counter in
-  if cur < n && not (Atomic.compare_and_set counter cur n) then reserve_ids n

@@ -148,14 +148,3 @@ val refresh_stmt : stmt -> stmt
 val renumber : program -> program
 (** Assign fresh ids to every node; used after textual round-trips to keep
     ids unique across programs. *)
-
-val max_id : program -> int
-(** Largest statement/expression id appearing in the program (0 when it
-    has none). *)
-
-val reserve_ids : int -> unit
-(** Advance the shared id counter so every future {!fresh_id} exceeds
-    [n].  Used when a program built by another process enters this one
-    (e.g. an artifact loaded from the on-disk evaluation cache): without
-    the reservation, later transforms could mint ids that collide with
-    the loaded program's. *)

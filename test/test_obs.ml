@@ -334,7 +334,7 @@ let test_why_deterministic () =
   Util.Pool.set_default_jobs 4;
   let par = why_of_run Nbody.app in
   checks "--jobs 4 renders the same --why" seq1 par;
-  check "trail mentions the branch decision" true
+  check "trail lists a task and the branch decision" true
     (String.length seq1 > 0
     &&
     let has_sub sub =
@@ -342,7 +342,7 @@ let test_why_deterministic () =
       let rec go i = i + m <= n && (String.sub seq1 i m = sub || go (i + 1)) in
       go 0
     in
-    has_sub "branch" && has_sub "uncached")
+    has_sub "branch" && has_sub ". task   ")
 
 let suite =
   [
