@@ -1,12 +1,3 @@
-type report = (string * bool) list
-
-let analyse ?config p =
-  let config = Memo.analysis_config ?config () in
-  (Memo.run ~config p).aliased_funcs
-
-let no_alias report fname =
-  match List.assoc_opt fname report with Some aliased -> not aliased | None -> false
-
 let mark_restrict p ~fname =
   match Ast.find_func p fname with
   | None -> p

@@ -3,18 +3,10 @@
     Ensures "that pointer arguments do not reference overlapping memory
     locations".  Under the interpreter's memory model every array is a
     distinct base, so the check is exact: two pointer arguments alias iff a
-    call passed them the same base.  Functions proven alias-free get their
-    pointer parameters marked [__restrict__], which the code generators
-    rely on. *)
-
-type report = (string * bool) list
-(** function name -> [true] when some call aliased two pointer arguments *)
-
-val analyse : ?config:Machine.config -> Ast.program -> report
-
-val no_alias : report -> string -> bool
-(** [true] when the function was called and never with aliasing pointers;
-    functions never observed default to [false] (unproven). *)
+    call passed them the same base.  The verdict is read from the kernel
+    profile's alias tracing ([Kprofile.kp_no_alias]); functions proven
+    alias-free get their pointer parameters marked [__restrict__], which
+    the code generators rely on. *)
 
 val mark_restrict : Ast.program -> fname:string -> Ast.program
 (** Set [__restrict__] on every pointer parameter of the function. *)

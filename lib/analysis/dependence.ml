@@ -135,16 +135,15 @@ let set_reduction_pattern (name : string) (rhs : Ast.expr) : reduction_op option
         | _, Var v when v = name && not (Affine.mentions name a) && op <> Ast.Sub ->
           Some rop
         | _, _ -> None))
-  | Call (("fmin" | "fminf"), [ a; b ]) | Call (("fmax" | "fmaxf"), [ a; b ]) ->
-    let is_min =
-      match rhs.edesc with Call (("fmin" | "fminf"), _) -> true | _ -> false
-    in
-    (match a.edesc, b.edesc with
-     | Var v, _ when v = name && not (Affine.mentions name b) ->
-       Some (if is_min then Rmin else Rmax)
-     | _, Var v when v = name && not (Affine.mentions name a) ->
-       Some (if is_min then Rmin else Rmax)
-     | _, _ -> None)
+  | Call (fn, [ a; b ]) ->
+    (match Intrinsic.find fn with
+     | Some { op = Intrinsic.F2 ((Intrinsic.Fmin | Intrinsic.Fmax) as m); _ } ->
+       let rop = if m = Intrinsic.Fmin then Rmin else Rmax in
+       (match a.edesc, b.edesc with
+        | Var v, _ when v = name && not (Affine.mentions name b) -> Some rop
+        | _, Var v when v = name && not (Affine.mentions name a) -> Some rop
+        | _, _ -> None)
+     | _ -> None)
   | _ -> None
 
 type scalar_write = { sw_sid : int; sw_red : reduction_op option }

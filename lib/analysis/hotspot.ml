@@ -36,8 +36,6 @@ let detect ?config p =
   in
   List.sort (fun a b -> compare b.hs_work a.hs_work) candidates
 
-let hottest ?config p = match detect ?config p with [] -> None | h :: _ -> Some h
-
 type extraction = {
   ex_program : Ast.program;
   ex_kernel : string;

@@ -26,8 +26,6 @@ val detect : ?config:Machine.config -> Ast.program -> hotspot list
     nested loops' inclusive work overlaps their parents'.  [config]
     defaults to {!Machine.default_config}; loop profiling is forced on. *)
 
-val hottest : ?config:Machine.config -> Ast.program -> hotspot option
-
 (** Result of outlining a hotspot. *)
 type extraction = {
   ex_program : Ast.program;   (** program with the kernel function added and the loop replaced by a call *)

@@ -26,120 +26,3 @@ let of_region_stats (rs : Machine.region_stats) =
     ai_traffic_bytes = Counters.bytes rs.rs_counters;
     ai_value = (if footprint = 0 then Float.infinity else flops /. float_of_int footprint);
   }
-
-let compute_bound ?(threshold = 5.0) m = m.ai_value > threshold
-
-type static_estimate = {
-  se_flops_per_iter : float;
-  se_bytes_per_iter : float;
-  se_ai_traffic : float;
-}
-
-let default_trip = 16
-
-let special_names =
-  [ "sqrt"; "sqrtf"; "sin"; "sinf"; "cos"; "cosf"; "tan"; "tanf"; "exp"; "expf";
-    "log"; "logf"; "pow"; "powf"; "tanh"; "tanhf"; "erf"; "erff"; "rsqrt"; "rsqrtf" ]
-
-(* flops and bytes of one execution of an expression *)
-let rec expr_cost tenv (e : Ast.expr) : float * float =
-  let children =
-    List.fold_left
-      (fun (f, b) c ->
-        let cf, cb = expr_cost tenv c in
-        (f +. cf, b +. cb))
-      (0.0, 0.0) (Ast.expr_children e)
-  in
-  let fl, by = children in
-  match e.edesc with
-  | Binary ((Add | Sub | Mul), a, b) ->
-    let is_float =
-      try
-        Ast.is_float_ty (Typecheck.expr_ty tenv a)
-        || Ast.is_float_ty (Typecheck.expr_ty tenv b)
-      with Typecheck.Type_error _ -> true
-    in
-    if is_float then (fl +. 1.0, by) else (fl, by)
-  | Binary (Div, a, b) ->
-    let is_float =
-      try
-        Ast.is_float_ty (Typecheck.expr_ty tenv a)
-        || Ast.is_float_ty (Typecheck.expr_ty tenv b)
-      with Typecheck.Type_error _ -> true
-    in
-    if is_float then (fl +. div_weight, by) else (fl, by)
-  | Call (name, _) when List.mem name special_names -> (fl +. special_weight, by)
-  | Index (base, _) ->
-    let bytes =
-      try
-        match Typecheck.expr_ty tenv base with
-        | Ast.Tptr t -> float_of_int (Ast.sizeof t)
-        | _ -> 8.0
-      with Typecheck.Type_error _ -> 8.0
-    in
-    (fl, by +. bytes)
-  | _ -> (fl, by)
-
-let static_estimate ?consts (p : Ast.program) (lm : Query.loop_match) =
-  let consts = match consts with Some c -> c | None -> Consteval.of_program p in
-  let fn = lm.lm_ctx.cx_func in
-  let tenv0 = Typecheck.env_for_func p fn in
-  (* one pass over the body; nested loops multiply by their static trips *)
-  let rec block_cost tenv blk =
-    List.fold_left
-      (fun ((f, b), tenv) s ->
-        let (sf, sb), tenv = stmt_cost tenv s in
-        ((f +. sf, b +. sb), tenv))
-      ((0.0, 0.0), tenv)
-      blk
-    |> fst
-  and stmt_cost tenv (s : Ast.stmt) =
-    match s.sdesc with
-    | Decl d ->
-      let cost =
-        match d.dinit with Some e -> expr_cost tenv e | None -> (0.0, 0.0)
-      in
-      let tenv =
-        Typecheck.bind tenv d.dname
-          (match d.darray with Some _ -> Ast.Tptr d.dty | None -> d.dty)
-      in
-      (cost, tenv)
-    | Assign (lhs, op, rhs) ->
-      let lf, lb = expr_cost tenv lhs in
-      let rf, rb = expr_cost tenv rhs in
-      let extra = match op with Ast.Set -> 0.0 | _ -> 1.0 in
-      (* a store writes the same number of bytes the lhs load counted *)
-      let store_bytes = match lhs.edesc with Ast.Index _ -> lb | _ -> 0.0 in
-      ((lf +. rf +. extra, lb +. rb +. store_bytes), tenv)
-    | Expr_stmt e -> (expr_cost tenv e, tenv)
-    | If (c, b1, b2) ->
-      let cf, cb = expr_cost tenv c in
-      let tf, tb = block_cost tenv b1 in
-      let ef, eb = block_cost tenv b2 in
-      (* weight both arms at half probability *)
-      ((cf +. (0.5 *. (tf +. ef)), cb +. (0.5 *. (tb +. eb))), tenv)
-    | For (h, body) ->
-      let trips =
-        match Dependence.static_trip_count consts h with
-        | Some n -> float_of_int n
-        | None -> float_of_int default_trip
-      in
-      let tenv_body = Typecheck.bind tenv h.index Ast.Tint in
-      let bf, bb = block_cost tenv_body body in
-      ((trips *. bf, trips *. bb), tenv)
-    | While (c, body) ->
-      let cf, cb = expr_cost tenv c in
-      let bf, bb = block_cost tenv body in
-      let trips = float_of_int default_trip in
-      ((trips *. (cf +. bf), trips *. (cb +. bb)), tenv)
-    | Return (Some e) -> (expr_cost tenv e, tenv)
-    | Return None | Break | Continue -> ((0.0, 0.0), tenv)
-    | Scope body -> (block_cost tenv body, tenv)
-  in
-  let tenv = Typecheck.bind tenv0 lm.lm_header.index Ast.Tint in
-  let f, b = block_cost tenv lm.lm_body in
-  {
-    se_flops_per_iter = f;
-    se_bytes_per_iter = b;
-    se_ai_traffic = (if b = 0.0 then Float.infinity else f /. b);
-  }

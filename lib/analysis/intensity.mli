@@ -1,11 +1,12 @@
 (** Arithmetic-intensity analysis (FLOPs per byte).
 
     The informed PSA strategy (Fig. 3) offloads a hotspot only when
-    [FLOPs/B > X]; this module provides both the dynamic measure (from a
-    profiled region's counters and footprint) and a static per-iteration
-    estimate from the AST.
+    [FLOPs/B > X] (X is [Psa.default_config]'s threshold).  The measure
+    is computed from the kernel profile ({!Kprofile}): its region
+    counters and footprint come from the same profiled run as every
+    other dynamic fact of the flow.
 
-    The dynamic measure is footprint-based — operations divided by the
+    The measure is footprint-based — operations divided by the
     *distinct* bytes the region touches — so a kernel that re-reads a small
     working set (N-Body's inner loop) is correctly classified as
     compute-bound.  Expensive operations count at their flop-equivalent
@@ -23,18 +24,3 @@ val flop_equiv : Counters.t -> float
 (** Weighted flops: add/mul 1, div 8, special functions 20. *)
 
 val of_region_stats : Machine.region_stats -> measure
-
-val compute_bound : ?threshold:float -> measure -> bool
-(** [ai_value > threshold] (default [X = 5.0], the paper's tunable). *)
-
-(** Static per-iteration estimate of a loop nest. *)
-type static_estimate = {
-  se_flops_per_iter : float;  (** flop-equivalents per outer iteration (nested loops multiplied by static trips) *)
-  se_bytes_per_iter : float;  (** bytes accessed per outer iteration *)
-  se_ai_traffic : float;      (** flops / bytes, traffic-based *)
-}
-
-val static_estimate :
-  ?consts:Consteval.env -> Ast.program -> Query.loop_match -> static_estimate
-(** Walk the loop body counting operations; inner loops with unknown static
-    trip count are assumed to run [default_trip] = 16 iterations. *)

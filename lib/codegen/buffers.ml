@@ -37,14 +37,3 @@ let length_expr_of_array (p : Ast.program) name =
   match found with
   | Some e when scope_independent p e -> Some e
   | Some _ | None -> None
-
-let lengths_for_params p ~caller ~args =
-  ignore caller;
-  let resolve name =
-    match length_expr_of_array p name with
-    | Some e -> Some (name, e)
-    | None -> None
-  in
-  let resolved = List.map resolve args in
-  if List.for_all Option.is_some resolved then Some (List.filter_map Fun.id resolved)
-  else None

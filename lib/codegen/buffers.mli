@@ -10,9 +10,3 @@
 val length_expr_of_array : Ast.program -> string -> Ast.expr option
 (** Defining size expression of a (global or local) array declaration with
     the given name, if it is scope-independent. *)
-
-val lengths_for_params :
-  Ast.program -> caller:string -> args:string list -> (string * Ast.expr) list option
-(** For each argument name passed to a kernel from [caller], resolve the
-    length expression of the underlying array.  [None] when any pointer
-    argument cannot be resolved. *)

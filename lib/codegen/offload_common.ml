@@ -49,10 +49,6 @@ let resolve_lengths (p : Ast.program) ~kernel params =
          Some (List.filter_map Fun.id resolved)
        else None)
 
-let device_elem_ty = function
-  | Ast.Tdouble | Ast.Tfloat -> Ast.Tfloat
-  | t -> t
-
 let buffer_decl ~vendor (prm : Ast.param) ~len ~dev_name =
   let elem = match prm.Ast.prm_ty with Ast.Tptr t -> t | t -> t in
   Ast.mk_stmt
@@ -72,12 +68,3 @@ let copy_loop ~vendor ~tag ~dst ~src ~len =
     ~pragmas:[ pragma vendor [ tag ] ]
     k ~lo:(ilit 0) ~hi:(Ast.refresh_expr len)
     [ assign (idx2 dst (var k)) (idx2 src (var k)) ]
-
-let written_pointer_params (fn : Ast.func) =
-  let written = Query.writes_in_block fn.Ast.fbody in
-  List.filter
-    (fun (prm : Ast.param) ->
-      match prm.Ast.prm_ty with
-      | Ast.Tptr _ -> List.mem prm.Ast.prm_name written
-      | _ -> false)
-    fn.Ast.fparams

@@ -13,9 +13,6 @@ val resolve_lengths :
   Ast.program -> kernel:string -> Ast.param list -> (string * Ast.expr) list option
 (** Length expression per pointer parameter, resolved via the call site. *)
 
-val device_elem_ty : Ast.ty -> Ast.ty
-(** Demoted device element type: [double] becomes [float]. *)
-
 val buffer_decl :
   vendor:string -> Ast.param -> len:Ast.expr -> dev_name:(string -> string) -> Ast.stmt
 (** [<elem> d_x[len];] annotated [#pragma <vendor> device_buffer]; the SP
@@ -25,6 +22,3 @@ val copy_loop :
   vendor:string -> tag:string -> dst:string -> src:string -> len:Ast.expr -> Ast.stmt
 (** [for (__k...) dst[__k] = src[__k];] annotated
     [#pragma <vendor> <tag>]. *)
-
-val written_pointer_params : Ast.func -> Ast.param list
-(** Pointer parameters the function body writes through. *)

@@ -1,20 +1,8 @@
-let sp_name = function
-  | "sqrt" -> Some "sqrtf"
-  | "rsqrt" -> Some "rsqrtf"
-  | "sin" -> Some "sinf"
-  | "cos" -> Some "cosf"
-  | "tan" -> Some "tanf"
-  | "exp" -> Some "expf"
-  | "log" -> Some "logf"
-  | "pow" -> Some "powf"
-  | "fabs" -> Some "fabsf"
-  | "fmin" -> Some "fminf"
-  | "fmax" -> Some "fmaxf"
-  | "floor" -> Some "floorf"
-  | "ceil" -> Some "ceilf"
-  | "tanh" -> Some "tanhf"
-  | "erf" -> Some "erff"
-  | _ -> None
+let sp_name name =
+  match Intrinsic.find name with
+  | Some ({ op = Intrinsic.F1 _ | Intrinsic.F2 _; single = false; _ } as i) ->
+    Some (Intrinsic.of_op i.op ~single:true).name
+  | Some _ | None -> None
 
 let map_funcs (p : Ast.program) ~fnames f =
   {

@@ -8,8 +8,12 @@ let rewrite_expr (e : Ast.expr) =
   match e.Ast.edesc with
   | Ast.Binary (Ast.Div, one, inner) when is_one one ->
     (match inner.Ast.edesc with
-     | Ast.Call ("sqrt", [ x ]) -> Some { e with Ast.edesc = Ast.Call ("rsqrt", [ x ]) }
-     | Ast.Call ("sqrtf", [ x ]) -> Some { e with Ast.edesc = Ast.Call ("rsqrtf", [ x ]) }
+     | Ast.Call (name, [ x ]) ->
+       (match Intrinsic.find name with
+        | Some { op = Intrinsic.F1 Intrinsic.Sqrt; single; _ } ->
+          let rsqrt = Intrinsic.of_op (Intrinsic.F1 Intrinsic.Rsqrt) ~single in
+          Some { e with Ast.edesc = Ast.Call (rsqrt.name, [ x ]) }
+        | _ -> None)
      | _ -> None)
   | _ -> None
 

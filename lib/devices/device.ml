@@ -159,22 +159,3 @@ let pac_stratix10 =
     fpga_pcie_latency_us = 20.0;
     reconfig_overhead_ms = 0.0;
   }
-
-type target =
-  | Tcpu of cpu_spec
-  | Tgpu of gpu_spec
-  | Tfpga of fpga_spec
-
-let target_name = function
-  | Tcpu c -> c.cpu_name
-  | Tgpu g -> g.gpu_name
-  | Tfpga f -> f.fpga_name
-
-let all_targets =
-  [
-    Tcpu epyc_7543;
-    Tgpu gtx_1080_ti;
-    Tgpu rtx_2080_ti;
-    Tfpga pac_arria10;
-    Tfpga pac_stratix10;
-  ]

@@ -71,13 +71,3 @@ val rtx_2080_ti : gpu_spec
 
 val pac_arria10 : fpga_spec
 val pac_stratix10 : fpga_spec
-
-type target =
-  | Tcpu of cpu_spec           (** multi-thread CPU *)
-  | Tgpu of gpu_spec
-  | Tfpga of fpga_spec
-
-val target_name : target -> string
-
-val all_targets : target list
-(** The five concrete devices of Fig. 4 (CPU, two GPUs, two FPGAs). *)

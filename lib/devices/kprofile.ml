@@ -116,7 +116,3 @@ let scale t k =
       kp_bytes_out = k * t.kp_bytes_out;
       kp_footprint_bytes = k * t.kp_footprint_bytes;
     }
-
-let ops_per_outer_iter t =
-  if t.kp_outer_trips = 0 then 0.0
-  else Intensity.flop_equiv t.kp_counters /. float_of_int t.kp_outer_trips

@@ -3,7 +3,10 @@
 
     Produced by one profiled interpreter run (loop profiling + kernel
     region + alias tracing, {!Memo.analysis_config} with [~kernel]) plus
-    the static dependence verdicts.  Design paths validate their
+    the static dependence verdicts.  It is the flow's only dynamic
+    analysis: the trip counts, data in/out volumes, pointer-alias
+    verdict and the counters behind the arithmetic intensity (Fig. 4's
+    dynamic tasks) are all read from it.  Design paths validate their
     single-precision literals under the same configuration, so profiling
     a design whose canonical program is unchanged since that validation
     replays the validation's run from the memo. *)
@@ -44,9 +47,6 @@ val collect :
 (** Profile the program and assemble the kernel profile: one
     {!Memo.run} under [Memo.analysis_config ?config ~kernel ()].  Fails
     when the kernel has no loop or was never called. *)
-
-val ops_per_outer_iter : t -> float
-(** Weighted flops per outer-loop iteration. *)
 
 val scale : t -> int -> t
 (** Extrapolate the profile to [k] times the outer trip count: counters,

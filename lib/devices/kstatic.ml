@@ -86,12 +86,6 @@ let total_flop_sites o =
   o.sp_addsub + o.sp_mul + o.sp_div + o.sp_sqrt + o.sp_heavy + o.dp_addsub + o.dp_mul
   + o.dp_div + o.dp_sqrt + o.dp_heavy
 
-let sqrt_names = [ "sqrt"; "sqrtf"; "rsqrt"; "rsqrtf" ]
-
-let heavy_names =
-  [ "sin"; "sinf"; "cos"; "cosf"; "tan"; "tanf"; "exp"; "expf"; "log"; "logf";
-    "pow"; "powf"; "tanh"; "tanhf"; "erf"; "erff" ]
-
 (* expression type with a lenient fallback: generated kernels are
    type-correct, but we never want feature extraction to fail *)
 let ty_of tenv e =
@@ -144,16 +138,16 @@ let rec expr_ops ~is_local tenv (e : Ast.expr) : op_counts =
     add_ops children bump
   | Unary (Not, _) -> add_ops children { zero_ops with int_ops = 1 }
   | Call (name, _) ->
-    let single = String.length name > 0 && name.[String.length name - 1] = 'f' && name <> "erf" in
     let bump =
-      if List.mem name sqrt_names then
+      match Intrinsic.find name with
+      | Some { op = Intrinsic.F1 (Intrinsic.Sqrt | Intrinsic.Rsqrt); single; _ } ->
         if single then { zero_ops with sp_sqrt = 1 } else { zero_ops with dp_sqrt = 1 }
-      else if List.mem name heavy_names then
+      | Some { cls = Intrinsic.Special; single; _ } ->
         if single then { zero_ops with sp_heavy = 1 } else { zero_ops with dp_heavy = 1 }
-      else if List.mem name [ "fabs"; "fabsf"; "fmin"; "fminf"; "fmax"; "fmaxf"; "floor"; "floorf"; "ceil"; "ceilf" ]
-      then
+      | Some { cls = Intrinsic.Cheap; single; _ } ->
         if single then { zero_ops with sp_addsub = 1 } else { zero_ops with dp_addsub = 1 }
-      else { zero_ops with int_ops = 1 }
+      | Some { cls = Intrinsic.Int_op | Intrinsic.Uncounted; _ } | None ->
+        { zero_ops with int_ops = 1 }
     in
     add_ops children bump
   | Index (base, _) ->
@@ -287,9 +281,10 @@ let of_kernel ?consts ?(unroll_threshold = 64) ?(require_unroll_pragma = false)
            (Ast.fold_expr
               (fun () e ->
                 match e.Ast.edesc with
-                | Ast.Call (name, _)
-                  when List.mem name sqrt_names || List.mem name heavy_names ->
-                  incr n
+                | Ast.Call (name, _) ->
+                  (match Intrinsic.find name with
+                   | Some { cls = Intrinsic.Special; _ } -> incr n
+                   | _ -> ())
                 | _ -> ())
               () e);
          !n

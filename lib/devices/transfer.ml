@@ -9,8 +9,3 @@ let pcie_gen3 = { link_name = "PCIe Gen3 x16"; bw_gbs = 10.0; latency_us = 10.0 
 let time_s link ~bytes ~transactions =
   (float_of_int bytes /. (link.bw_gbs *. 1e9))
   +. (float_of_int transactions *. link.latency_us *. 1e-6)
-
-let of_datainout link (dio : Datainout.t) =
-  time_s link
-    ~bytes:(dio.dio_bytes_in + dio.dio_bytes_out)
-    ~transactions:(2 * dio.dio_invocations)

@@ -15,7 +15,3 @@ val pcie_gen3 : link
 
 val time_s : link -> bytes:int -> transactions:int -> float
 (** [bytes / bandwidth + transactions * latency]. *)
-
-val of_datainout : link -> Datainout.t -> float
-(** Transfer time of a profiled kernel's in+out traffic (two transactions
-    per invocation: in and out). *)

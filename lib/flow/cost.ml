@@ -19,9 +19,6 @@ let relative_cost ~fpga_s ~gpu_s ~price_ratio =
 let crossover_ratio ~fpga_s ~gpu_s =
   if fpga_s <= 0.0 then Float.infinity else gpu_s /. fpga_s
 
-let within_budget pricing target ~time_s ~budget =
-  monetary_cost pricing target ~time_s <= budget
-
 let cheapest pricing alternatives =
   let costed =
     List.map

@@ -30,9 +30,6 @@ val relative_cost : fpga_s:float -> gpu_s:float -> price_ratio:float -> float
 val crossover_ratio : fpga_s:float -> gpu_s:float -> float
 (** Price ratio [p_fpga/p_gpu] at which both targets cost the same. *)
 
-val within_budget : pricing -> Target.t -> time_s:float -> budget:float -> bool
-(** The branch-point feedback test ("IF cost > budget: revise design"). *)
-
 val cheapest :
   pricing -> (Target.t * float) list -> (Target.t * float * float) option
 (** Given (target, time) alternatives, the one with minimal monetary cost;

@@ -133,10 +133,3 @@ let work t =
   +. float_of_int (t.flops_sp_special + t.flops_dp_special) *. 15.0
   +. float_of_int (t.loads + t.stores) *. 1.0
   +. float_of_int t.branches *. 0.5
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>int_ops=%d flops_sp=%d flops_dp=%d@ loads=%d stores=%d bytes=%d@ \
-     branches=%d calls=%d steps=%d work=%.0f@]"
-    t.int_ops (flops_sp t) (flops_dp t) t.loads t.stores (bytes t) t.branches t.calls
-    t.steps (work t)

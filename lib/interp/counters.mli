@@ -45,8 +45,6 @@ val flops : t -> int
 
 val flops_sp : t -> int
 
-val flops_dp : t -> int
-
 val bytes : t -> int
 (** Bytes loaded plus stored. *)
 
@@ -54,5 +52,3 @@ val work : t -> float
 (** Abstract single-thread CPU cycle estimate: weighted sum of events
     (divisions and special functions cost more; memory operations carry a
     nominal cache-hit latency).  Used to rank hotspots, not as wall-clock. *)
-
-val pp : Format.formatter -> t -> unit

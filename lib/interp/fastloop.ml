@@ -543,27 +543,6 @@ let rec ieval p (e : Ir.iexpr) : int =
   | Ir.Imin (a, b) -> Int.min (ieval p a) (ieval p b)
   | Ir.Imax (a, b) -> Int.max (ieval p a) (ieval p b)
 
-let m1 (m : Ir.m1) (x : float) : float =
-  match m with
-  | Ir.Msqrt -> sqrt x
-  | Ir.Mrsqrt -> 1.0 /. sqrt x
-  | Ir.Msin -> sin x
-  | Ir.Mcos -> cos x
-  | Ir.Mtan -> tan x
-  | Ir.Mexp -> exp x
-  | Ir.Mlog -> log x
-  | Ir.Mtanh -> tanh x
-  | Ir.Merf -> erf_approx x
-  | Ir.Mfabs -> Float.abs x
-  | Ir.Mfloor -> Float.floor x
-  | Ir.Mceil -> Float.ceil x
-
-let m2 (m : Ir.m2) (x : float) (y : float) : float =
-  match m with
-  | Ir.Mpow -> Float.pow x y
-  | Ir.Mfmin -> Float.min x y
-  | Ir.Mfmax -> Float.max x y
-
 (* ---- static cost vectors ----
 
    [nvec]-element vectors: index 0 is steps, 1..15 the counter fields in a
@@ -852,27 +831,27 @@ let cur_mark p st ~mk ~store c (k : code) : code =
       k ()
   end
 
-let math1 s32 (m : Ir.m1) ~single (f : float array) d a (k : code) : code =
+let math1 s32 (m : Intrinsic.fn1) ~single (f : float array) d a (k : code) : code =
   match m, single with
-  | Ir.Msqrt, false -> fun () -> f.%(d) <- sqrt f.%(a); k ()
-  | Ir.Msqrt, true -> fun () -> f.%(d) <- demote s32 (sqrt f.%(a)); k ()
-  | Ir.Mrsqrt, false -> fun () -> f.%(d) <- 1.0 /. sqrt f.%(a); k ()
-  | Ir.Mrsqrt, true -> fun () -> f.%(d) <- demote s32 (1.0 /. sqrt f.%(a)); k ()
-  | Ir.Mexp, false -> fun () -> f.%(d) <- exp f.%(a); k ()
-  | Ir.Mexp, true -> fun () -> f.%(d) <- demote s32 (exp f.%(a)); k ()
-  | Ir.Mlog, false -> fun () -> f.%(d) <- log f.%(a); k ()
-  | Ir.Mlog, true -> fun () -> f.%(d) <- demote s32 (log f.%(a)); k ()
-  | Ir.Mfabs, false -> fun () -> f.%(d) <- Float.abs f.%(a); k ()
-  | Ir.Mfabs, true -> fun () -> f.%(d) <- demote s32 (Float.abs f.%(a)); k ()
-  | _, false -> fun () -> f.%(d) <- m1 m f.%(a); k ()
-  | _, true -> fun () -> f.%(d) <- demote s32 (m1 m f.%(a)); k ()
+  | Intrinsic.Sqrt, false -> fun () -> f.%(d) <- sqrt f.%(a); k ()
+  | Intrinsic.Sqrt, true -> fun () -> f.%(d) <- demote s32 (sqrt f.%(a)); k ()
+  | Intrinsic.Rsqrt, false -> fun () -> f.%(d) <- 1.0 /. sqrt f.%(a); k ()
+  | Intrinsic.Rsqrt, true -> fun () -> f.%(d) <- demote s32 (1.0 /. sqrt f.%(a)); k ()
+  | Intrinsic.Exp, false -> fun () -> f.%(d) <- exp f.%(a); k ()
+  | Intrinsic.Exp, true -> fun () -> f.%(d) <- demote s32 (exp f.%(a)); k ()
+  | Intrinsic.Log, false -> fun () -> f.%(d) <- log f.%(a); k ()
+  | Intrinsic.Log, true -> fun () -> f.%(d) <- demote s32 (log f.%(a)); k ()
+  | Intrinsic.Fabs, false -> fun () -> f.%(d) <- Float.abs f.%(a); k ()
+  | Intrinsic.Fabs, true -> fun () -> f.%(d) <- demote s32 (Float.abs f.%(a)); k ()
+  | _, false -> fun () -> f.%(d) <- Intrinsic.eval1 m f.%(a); k ()
+  | _, true -> fun () -> f.%(d) <- demote s32 (Intrinsic.eval1 m f.%(a)); k ()
 
-let math2 s32 (m : Ir.m2) ~single (f : float array) d a b (k : code) : code =
+let math2 s32 (m : Intrinsic.fn2) ~single (f : float array) d a b (k : code) : code =
   match m, single with
-  | Ir.Mpow, false -> fun () -> f.%(d) <- Float.pow f.%(a) f.%(b); k ()
-  | Ir.Mpow, true -> fun () -> f.%(d) <- demote s32 (Float.pow f.%(a) f.%(b)); k ()
-  | _, false -> fun () -> f.%(d) <- m2 m f.%(a) f.%(b); k ()
-  | _, true -> fun () -> f.%(d) <- demote s32 (m2 m f.%(a) f.%(b)); k ()
+  | Intrinsic.Pow, false -> fun () -> f.%(d) <- Float.pow f.%(a) f.%(b); k ()
+  | Intrinsic.Pow, true -> fun () -> f.%(d) <- demote s32 (Float.pow f.%(a) f.%(b)); k ()
+  | _, false -> fun () -> f.%(d) <- Intrinsic.eval2 m f.%(a) f.%(b); k ()
+  | _, true -> fun () -> f.%(d) <- demote s32 (Intrinsic.eval2 m f.%(a) f.%(b)); k ()
 
 let fcmp (op : Ir.cmpop) (f : float array) (n : int array) d a b (k : code) : code =
   match op with

@@ -312,100 +312,33 @@ let note_alias_bases st fname (bases : int list) =
 
 (* ---- intrinsics ---- *)
 
-let special_fns =
-  [ "sqrt"; "sqrtf"; "sin"; "sinf"; "cos"; "cosf"; "tan"; "tanf"; "exp"; "expf";
-    "log"; "logf"; "pow"; "powf"; "tanh"; "tanhf"; "erf"; "erff"; "rsqrt"; "rsqrtf" ]
-
-let cheap_fns =
-  [ "fabs"; "fabsf"; "fmin"; "fminf"; "fmax"; "fmaxf"; "floor"; "floorf";
-    "ceil"; "ceilf" ]
-
-(* Abramowitz-Stegun 7.1.26 rational approximation *)
-let erf_approx x =
-  let sign = if x < 0.0 then -1.0 else 1.0 in
-  let x = Float.abs x in
-  let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
-  let y =
-    1.0
-    -. (((((1.061405429 *. t -. 1.453152027) *. t +. 1.421413741) *. t
-          -. 0.284496736) *. t +. 0.254829592)
-        *. t *. exp (-.x *. x))
-  in
-  sign *. y
-
 let eval_intrinsic st loc name (args : Value.t list) : Value.t =
-  let f1 () = match args with [ a ] -> Value.to_float a | _ -> runtime_error loc "%s: arity" name in
-  let f2 () =
-    match args with
-    | [ a; b ] -> (Value.to_float a, Value.to_float b)
-    | _ -> runtime_error loc "%s: arity" name
-  in
-  let single = String.length name > 0 && name.[String.length name - 1] = 'f'
-               && name <> "erf" in
-  let ret_float x =
-    if single then Value.Vfloat (Value.Sp, Value.demote x) else Value.Vfloat (Value.Dp, x)
-  in
-  let count () =
-    let prec = if single then Value.Sp else Value.Dp in
-    if List.mem name special_fns then count_flop st prec Cspecial
-    else if List.mem name cheap_fns then count_flop st prec Cadd
-  in
-  match name with
-  | "sqrt" | "sqrtf" -> count (); ret_float (sqrt (f1 ()))
-  | "rsqrt" | "rsqrtf" -> count (); ret_float (1.0 /. sqrt (f1 ()))
-  | "sin" | "sinf" -> count (); ret_float (sin (f1 ()))
-  | "cos" | "cosf" -> count (); ret_float (cos (f1 ()))
-  | "tan" | "tanf" -> count (); ret_float (tan (f1 ()))
-  | "exp" | "expf" -> count (); ret_float (exp (f1 ()))
-  | "log" | "logf" -> count (); ret_float (log (f1 ()))
-  | "tanh" | "tanhf" -> count (); ret_float (tanh (f1 ()))
-  | "erf" | "erff" -> count (); ret_float (erf_approx (f1 ()))
-  | "pow" | "powf" ->
-    count ();
-    let a, b = f2 () in
-    ret_float (Float.pow a b)
-  | "fabs" | "fabsf" -> count (); ret_float (Float.abs (f1 ()))
-  | "floor" | "floorf" -> count (); ret_float (Float.floor (f1 ()))
-  | "ceil" | "ceilf" -> count (); ret_float (Float.ceil (f1 ()))
-  | "fmin" | "fminf" ->
-    count ();
-    let a, b = f2 () in
-    ret_float (Float.min a b)
-  | "fmax" | "fmaxf" ->
-    count ();
-    let a, b = f2 () in
-    ret_float (Float.max a b)
-  | "abs" ->
-    count_int_op st;
-    (match args with
-     | [ a ] -> Value.Vint (Int.abs (Value.to_int a))
-     | _ -> runtime_error loc "abs: arity")
-  | "imin" ->
-    count_int_op st;
-    (match args with
-     | [ a; b ] -> Value.Vint (Int.min (Value.to_int a) (Value.to_int b))
-     | _ -> runtime_error loc "imin: arity")
-  | "imax" ->
-    count_int_op st;
-    (match args with
-     | [ a; b ] -> Value.Vint (Int.max (Value.to_int a) (Value.to_int b))
-     | _ -> runtime_error loc "imax: arity")
-  | "rand01" -> Value.Vfloat (Value.Dp, Util.Prng.uniform st.prng)
-  | "print_int" ->
-    (match args with
-     | [ a ] ->
-       Buffer.add_string st.output (string_of_int (Value.to_int a));
-       Buffer.add_char st.output '\n';
-       Value.Vint 0
-     | _ -> runtime_error loc "print_int: arity")
-  | "print_float" ->
-    (match args with
-     | [ a ] ->
-       Buffer.add_string st.output (Printf.sprintf "%.17g" (Value.to_float a));
-       Buffer.add_char st.output '\n';
-       Value.Vint 0
-     | _ -> runtime_error loc "print_float: arity")
-  | _ -> runtime_error loc "unknown intrinsic %s" name
+  match Intrinsic.find name with
+  | None -> runtime_error loc "unknown intrinsic %s" name
+  | Some i ->
+    let prec = if i.single then Value.Sp else Value.Dp in
+    (match i.cls with
+     | Intrinsic.Special -> count_flop st prec Cspecial
+     | Intrinsic.Cheap -> count_flop st prec Cadd
+     | Intrinsic.Int_op -> count_int_op st
+     | Intrinsic.Uncounted -> ());
+    let ret_float x = Value.Vfloat (prec, if i.single then Value.demote x else x) in
+    let print s =
+      Buffer.add_string st.output s;
+      Buffer.add_char st.output '\n';
+      Value.Vint 0
+    in
+    (match i.op, args with
+     | Intrinsic.F1 f, [ a ] -> ret_float (Intrinsic.eval1 f (Value.to_float a))
+     | Intrinsic.F2 f, [ a; b ] ->
+       ret_float (Intrinsic.eval2 f (Value.to_float a) (Value.to_float b))
+     | Intrinsic.Abs, [ a ] -> Value.Vint (Int.abs (Value.to_int a))
+     | Intrinsic.Imin, [ a; b ] -> Value.Vint (Int.min (Value.to_int a) (Value.to_int b))
+     | Intrinsic.Imax, [ a; b ] -> Value.Vint (Int.max (Value.to_int a) (Value.to_int b))
+     | Intrinsic.Rand01, _ -> Value.Vfloat (Value.Dp, Util.Prng.uniform st.prng)
+     | Intrinsic.Print_int, [ a ] -> print (string_of_int (Value.to_int a))
+     | Intrinsic.Print_float, [ a ] -> print (Printf.sprintf "%.17g" (Value.to_float a))
+     | _ -> runtime_error loc "%s: arity" name)
 
 (* ---- dynamic binary operations ---- *)
 

@@ -58,10 +58,10 @@ val analysis_config :
 (** The one observed interpreter configuration: [config] (default
     {!Machine.default_config}) with [profile_loops] and [trace_aliases]
     both enabled and, given [kernel], an [Rfunc kernel] region added.
-    Without [kernel] it serves the standalone analyses (hotspot, trip
-    count, alias); with it, [Kprofile.collect], [Datainout.analyse]
-    and a design's single-precision-literal validation, whose run a
-    later profile of the same canonical program therefore hits.
+    Without [kernel] it serves hotspot detection; with it,
+    [Kprofile.collect] and a design's single-precision-literal
+    validation, whose run a later profile of the same canonical program
+    therefore hits.
     Observers never change a run's output, counters or memory, so every
     analysis of a program can share one interpretation instead of one
     per analysis. *)

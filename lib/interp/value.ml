@@ -36,10 +36,6 @@ let truth = function
 
 let demote f = Int32.float_of_bits (Int32.bits_of_float f)
 
-let prec_of_ty = function
-  | Ast.Tfloat -> Sp
-  | Ast.Tdouble | Ast.Tint | Ast.Tbool | Ast.Tptr _ | Ast.Tvoid -> Dp
-
 let coerce ty v =
   match ty, v with
   | Ast.Tint, _ -> Vint (to_int v)

@@ -34,6 +34,4 @@ val coerce : Ast.ty -> t -> t
 (** Convert a value to the representation of the given scalar type,
     demoting doubles stored into [float] slots. *)
 
-val prec_of_ty : Ast.ty -> prec
-
 val to_string : t -> string

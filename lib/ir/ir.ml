@@ -72,10 +72,10 @@ type fop =
   | ICmp of cmpop * int * int * int
   | FCmp of cmpop * int * int * int
   | INot of int * int
-  | FMath1 of m1 * int * int
-  | FMath1S of m1 * int * int
-  | FMath2 of m2 * int * int * int
-  | FMath2S of m2 * int * int * int
+  | FMath1 of Intrinsic.fn1 * int * int
+  | FMath1S of Intrinsic.fn1 * int * int
+  | FMath2 of Intrinsic.fn2 * int * int * int
+  | FMath2S of Intrinsic.fn2 * int * int * int
   | Rand of int
   | FLd of int * int
   | FSt of int * int
@@ -107,22 +107,6 @@ type fop =
   | FSubMulS of int * int * int * int
   | Alloc of int
   | Called of int
-
-and m1 =
-  | Msqrt
-  | Mrsqrt
-  | Msin
-  | Mcos
-  | Mtan
-  | Mexp
-  | Mlog
-  | Mtanh
-  | Merf
-  | Mfabs
-  | Mfloor
-  | Mceil
-
-and m2 = Mpow | Mfmin | Mfmax
 
 type counts = {
   mutable k_int_ops : int;
@@ -200,8 +184,6 @@ type fast_loop = {
 }
 
 type plan = (int, fast_loop) Hashtbl.t
-
-let ety_bytes = function Efloat32 -> 4 | Efloat64 -> 8 | Eint -> 4 | Ebool -> 1
 
 let ety_of_ty = function
   | Ast.Tfloat -> Some Efloat32

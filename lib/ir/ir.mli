@@ -157,10 +157,10 @@ type fop =
   | FCmp of cmpop * int * int * int  (** [(op, d, a, b)] over float regs *)
   | INot of int * int  (** d <- 1 - truth(a) *)
   (* math intrinsics, pre-resolved to direct operations *)
-  | FMath1 of m1 * int * int
-  | FMath1S of m1 * int * int
-  | FMath2 of m2 * int * int * int
-  | FMath2S of m2 * int * int * int
+  | FMath1 of Intrinsic.fn1 * int * int
+  | FMath1S of Intrinsic.fn1 * int * int
+  | FMath2 of Intrinsic.fn2 * int * int * int
+  | FMath2S of Intrinsic.fn2 * int * int * int
   | Rand of int  (** float reg <- next PRNG draw *)
   (* memory, affine (bounds elided by the guard) *)
   | FLd of int * int  (** float reg <- farray(cursor) *)
@@ -207,22 +207,6 @@ type fop =
   | Called of int
       (** inlined call site [k] (index into [fl_calls]) ran; only alias
           tracing observes it, and it does nothing otherwise *)
-
-and m1 =
-  | Msqrt
-  | Mrsqrt
-  | Msin
-  | Mcos
-  | Mtan
-  | Mexp
-  | Mlog
-  | Mtanh
-  | Merf
-  | Mfabs
-  | Mfloor
-  | Mceil
-
-and m2 = Mpow | Mfmin | Mfmax
 
 (** {1 Counter deltas}
 
@@ -327,10 +311,6 @@ type fast_loop = {
     so the walker's fallback path still fast-paths them when the outer
     guard declines. *)
 type plan = (int, fast_loop) Hashtbl.t
-
-val ety_bytes : ety -> int
-(** Byte width of an element ([Efloat32] 4, [Efloat64] 8, [Eint] 4,
-    [Ebool] 1), matching [Ast.sizeof]. *)
 
 val ety_of_ty : Ast.ty -> ety option
 (** Scalar element types only; [None] for [void] and pointers. *)

@@ -448,13 +448,15 @@ let rec invariant c (e : expr) : Ir.iexpr * int =
     let x, na = invariant c a in
     let y, nb = invariant c b in
     (imul x y, na + nb + 1)
-  | Call (("imin" | "imax") as name, [ a; b ])
-    when not (Hashtbl.mem c.user_funcs name) ->
-    (* the intrinsic counts one int op after its arguments, like the
-       walker's [eval_intrinsic] *)
-    let x, na = invariant c a in
-    let y, nb = invariant c b in
-    ((if name = "imin" then Ir.Imin (x, y) else Ir.Imax (x, y)), na + nb + 1)
+  | Call (name, [ a; b ]) when not (Hashtbl.mem c.user_funcs name) ->
+    (match Intrinsic.find name with
+     | Some { op = (Intrinsic.Imin | Intrinsic.Imax) as op; _ } ->
+       (* the intrinsic counts one int op after its arguments, like the
+          walker's [eval_intrinsic] *)
+       let x, na = invariant c a in
+       let y, nb = invariant c b in
+       ((if op = Intrinsic.Imin then Ir.Imin (x, y) else Ir.Imax (x, y)), na + nb + 1)
+     | _ -> reject "non-invariant bound")
   | _ -> reject "non-invariant bound"
 
 (* ---- expression lowering ---- *)
@@ -664,75 +666,35 @@ and lcall c name args : lres =
   if Hashtbl.mem c.user_funcs name then reject "user function call in an expression";
   (* intrinsics, pre-resolved, counted as [eval_intrinsic] counts them;
      other arities are not lowered *)
-  let f1 m single cls a =
-    let x = as_float c (lexpr c a) in
+  let fmath (i : Intrinsic.t) ins =
     let d = allocf c in
-    emit c (if single then Ir.FMath1S (m, d, x) else Ir.FMath1 (m, d, x));
-    let p = if single then Ir.Psingle else Ir.Pdouble in
-    kflop c p cls;
+    emit c (ins d);
+    let p = if i.single then Ir.Psingle else Ir.Pdouble in
+    kflop c p (if i.cls = Intrinsic.Special then `Special else `Add);
     Rf (d, p)
   in
-  let f2 m single cls a b =
+  match Intrinsic.find name, args with
+  | Some ({ op = Intrinsic.F1 m; _ } as i), [ a ] ->
+    let x = as_float c (lexpr c a) in
+    fmath i (fun d -> if i.single then Ir.FMath1S (m, d, x) else Ir.FMath1 (m, d, x))
+  | Some ({ op = Intrinsic.F2 m; _ } as i), [ a; b ] ->
     let x = as_float c (lexpr c a) in
     let y = as_float c (lexpr c b) in
-    let d = allocf c in
-    emit c (if single then Ir.FMath2S (m, d, x, y) else Ir.FMath2 (m, d, x, y));
-    let p = if single then Ir.Psingle else Ir.Pdouble in
-    kflop c p cls;
-    Rf (d, p)
-  in
-  match name, args with
-  | "sqrt", [ a ] -> f1 Ir.Msqrt false `Special a
-  | "sqrtf", [ a ] -> f1 Ir.Msqrt true `Special a
-  | "rsqrt", [ a ] -> f1 Ir.Mrsqrt false `Special a
-  | "rsqrtf", [ a ] -> f1 Ir.Mrsqrt true `Special a
-  | "sin", [ a ] -> f1 Ir.Msin false `Special a
-  | "sinf", [ a ] -> f1 Ir.Msin true `Special a
-  | "cos", [ a ] -> f1 Ir.Mcos false `Special a
-  | "cosf", [ a ] -> f1 Ir.Mcos true `Special a
-  | "tan", [ a ] -> f1 Ir.Mtan false `Special a
-  | "tanf", [ a ] -> f1 Ir.Mtan true `Special a
-  | "exp", [ a ] -> f1 Ir.Mexp false `Special a
-  | "expf", [ a ] -> f1 Ir.Mexp true `Special a
-  | "log", [ a ] -> f1 Ir.Mlog false `Special a
-  | "logf", [ a ] -> f1 Ir.Mlog true `Special a
-  | "tanh", [ a ] -> f1 Ir.Mtanh false `Special a
-  | "tanhf", [ a ] -> f1 Ir.Mtanh true `Special a
-  | "erf", [ a ] -> f1 Ir.Merf false `Special a
-  | "erff", [ a ] -> f1 Ir.Merf true `Special a
-  | "fabs", [ a ] -> f1 Ir.Mfabs false `Add a
-  | "fabsf", [ a ] -> f1 Ir.Mfabs true `Add a
-  | "floor", [ a ] -> f1 Ir.Mfloor false `Add a
-  | "floorf", [ a ] -> f1 Ir.Mfloor true `Add a
-  | "ceil", [ a ] -> f1 Ir.Mceil false `Add a
-  | "ceilf", [ a ] -> f1 Ir.Mceil true `Add a
-  | "pow", [ a; b ] -> f2 Ir.Mpow false `Special a b
-  | "powf", [ a; b ] -> f2 Ir.Mpow true `Special a b
-  | "fmin", [ a; b ] -> f2 Ir.Mfmin false `Add a b
-  | "fminf", [ a; b ] -> f2 Ir.Mfmin true `Add a b
-  | "fmax", [ a; b ] -> f2 Ir.Mfmax false `Add a b
-  | "fmaxf", [ a; b ] -> f2 Ir.Mfmax true `Add a b
-  | "abs", [ a ] ->
+    fmath i (fun d -> if i.single then Ir.FMath2S (m, d, x, y) else Ir.FMath2 (m, d, x, y))
+  | Some { op = Intrinsic.Abs; _ }, [ a ] ->
     let x = as_int c (lexpr c a) in
     let d = alloci c in
     emit c (Ir.IAbs (d, x));
     kint c;
     Ri (d, false)
-  | "imin", [ a; b ] ->
+  | Some { op = (Intrinsic.Imin | Intrinsic.Imax) as op; _ }, [ a; b ] ->
     let x = as_int c (lexpr c a) in
     let y = as_int c (lexpr c b) in
     let d = alloci c in
-    emit c (Ir.IMin (d, x, y));
+    emit c (if op = Intrinsic.Imin then Ir.IMin (d, x, y) else Ir.IMax (d, x, y));
     kint c;
     Ri (d, false)
-  | "imax", [ a; b ] ->
-    let x = as_int c (lexpr c a) in
-    let y = as_int c (lexpr c b) in
-    let d = alloci c in
-    emit c (Ir.IMax (d, x, y));
-    kint c;
-    Ri (d, false)
-  | "rand01", [] ->
+  | Some { op = Intrinsic.Rand01; _ }, [] ->
     (* no counters; one PRNG draw, in program order *)
     let d = allocf c in
     emit c (Ir.Rand d);
@@ -1490,7 +1452,7 @@ let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop list) : Ir.fop list =
       List.rev_append acc (Ir.FMulAccSt (cu, a, b) :: tl)
     | Ir.FDiv (x, o, a) :: tl when o < nf && one_regs.(o) && a <> o ->
       List.rev_append acc (Ir.FRecip (x, a) :: tl)
-    | Ir.FMath1 (Ir.Msqrt, t, a) :: Ir.FRecip (x, q) :: tl
+    | Ir.FMath1 (Intrinsic.Sqrt, t, a) :: Ir.FRecip (x, q) :: tl
       when q = t && temp t ->
       List.rev_append acc (Ir.FRsqrt (x, a) :: tl)
     | Ir.FMov (d, r) :: (op2 :: tl as rest) when temp d -> (

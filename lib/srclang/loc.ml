@@ -6,4 +6,3 @@ let make ~file ~line ~col = { file; line; col }
 
 let to_string t = Printf.sprintf "%s:%d:%d" t.file t.line t.col
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -9,5 +9,3 @@ val make : file:string -> line:int -> col:int -> t
 
 val to_string : t -> string
 (** ["file:line:col"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -189,11 +189,6 @@ let rec stmt_to_buf buf level (s : stmt) =
 
 and block_to_buf buf level (b : block) = List.iter (stmt_to_buf buf level) b
 
-let stmt_to_string ?(indent = 0) s =
-  let buf = Buffer.create 128 in
-  stmt_to_buf buf indent s;
-  Buffer.contents buf
-
 let block_to_string ?(indent = 0) b =
   let buf = Buffer.create 256 in
   block_to_buf buf indent b;

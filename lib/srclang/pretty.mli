@@ -9,8 +9,6 @@
 
 val expr_to_string : Ast.expr -> string
 
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
-
 val block_to_string : ?indent:int -> Ast.block -> string
 
 val func_to_string : Ast.func -> string

@@ -6,43 +6,6 @@ exception Type_error of error
 
 type fsig = { sig_ret : ty; sig_args : ty list }
 
-let d = Tdouble
-and f32 = Tfloat
-and i = Tint
-
-let intrinsics =
-  let m1 name = (name, { sig_ret = d; sig_args = [ d ] }) in
-  let m1f name = (name, { sig_ret = f32; sig_args = [ f32 ] }) in
-  let m2 name = (name, { sig_ret = d; sig_args = [ d; d ] }) in
-  let m2f name = (name, { sig_ret = f32; sig_args = [ f32; f32 ] }) in
-  [
-    m1 "sqrt"; m1f "sqrtf";
-    m1 "sin"; m1f "sinf";
-    m1 "cos"; m1f "cosf";
-    m1 "tan"; m1f "tanf";
-    m1 "exp"; m1f "expf";
-    m1 "log"; m1f "logf";
-    m1 "fabs"; m1f "fabsf";
-    m1 "floor"; m1f "floorf";
-    m1 "ceil"; m1f "ceilf";
-    m1 "tanh"; m1f "tanhf";
-    m1 "erf"; m1f "erff";
-    m1 "rsqrt"; m1f "rsqrtf";
-    m2 "pow"; m2f "powf";
-    m2 "fmin"; m2f "fminf";
-    m2 "fmax"; m2f "fmaxf";
-    ("abs", { sig_ret = i; sig_args = [ i ] });
-    ("imin", { sig_ret = i; sig_args = [ i; i ] });
-    ("imax", { sig_ret = i; sig_args = [ i; i ] });
-    ("rand01", { sig_ret = d; sig_args = [] });
-    ("print_int", { sig_ret = Tvoid; sig_args = [ i ] });
-    ("print_float", { sig_ret = Tvoid; sig_args = [ d ] });
-  ]
-
-let intrinsic_sig name = List.assoc_opt name intrinsics
-
-let is_intrinsic name = intrinsic_sig name <> None
-
 module Smap = Map.Make (String)
 
 type env = { vars : ty Smap.t; fsigs : fsig Smap.t }
@@ -84,7 +47,10 @@ let lookup_var env name = Smap.find_opt name env.vars
 let lookup_func env name =
   match Smap.find_opt name env.fsigs with
   | Some s -> Some s
-  | None -> intrinsic_sig name
+  | None ->
+    Option.map
+      (fun (i : Intrinsic.t) -> { sig_ret = i.ret; sig_args = i.args })
+      (Intrinsic.find name)
 
 let is_numeric = function
   | Tint | Tfloat | Tdouble -> true
@@ -276,12 +242,6 @@ let check_program p =
         with Type_error e -> errors := e :: !errors))
     p.pglobals;
   match List.rev !errors with [] -> Ok () | es -> Error es
-
-let check_exn p =
-  match check_program p with
-  | Ok () -> ()
-  | Error (e :: _) -> raise (Type_error e)
-  | Error [] -> ()
 
 (* ---- free variables ---- *)
 

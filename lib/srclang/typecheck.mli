@@ -12,17 +12,6 @@ exception Type_error of error
 
 type fsig = { sig_ret : Ast.ty; sig_args : Ast.ty list }
 
-val intrinsics : (string * fsig) list
-(** Built-in functions available to source programs: double and
-    single-precision math ([sqrt]/[sqrtf], [sin], [cos], [exp], [log],
-    [pow], [fabs], [fmin], [fmax], [floor], [tanh], [erf], ...), integer
-    [abs]/[imin]/[imax], the deterministic [rand01()] generator and
-    [print_int]/[print_float] output. *)
-
-val intrinsic_sig : string -> fsig option
-
-val is_intrinsic : string -> bool
-
 type env
 (** Typing environment: globals, function signatures, local scope. *)
 
@@ -37,7 +26,7 @@ val bind : env -> string -> Ast.ty -> env
 val lookup_var : env -> string -> Ast.ty option
 
 val lookup_func : env -> string -> fsig option
-(** User-defined functions first, then intrinsics. *)
+(** User-defined functions first, then {!Intrinsic}s. *)
 
 val expr_ty : env -> Ast.expr -> Ast.ty
 (** Type of an expression. @raise Type_error on ill-typed expressions. *)
@@ -45,9 +34,6 @@ val expr_ty : env -> Ast.expr -> Ast.ty
 val check_program : Ast.program -> (unit, error list) result
 (** Check every function body; collects all errors instead of stopping at
     the first. *)
-
-val check_exn : Ast.program -> unit
-(** Like {!check_program} but raises the first error. *)
 
 val free_vars_block : Ast.block -> string list
 (** Variables read or written in the block but not declared inside it, in

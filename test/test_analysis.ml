@@ -225,16 +225,18 @@ let test_dep_disjoint_strided_writes () =
   let v = loop_verdict "for (int i = 0; i < n; i++) { a[2 * i] = 1.0; a[2 * i + 1] = 2.0; }" in
   check "odd/even writes parallel" true v.Dependence.parallel
 
-(* ---- trip count analysis ---- *)
+(* ---- trip count analysis: loop statistics of the profiled run ---- *)
 
 let test_tripcount_dynamic () =
   let p = parse "int main() { int s = 0; for (int i = 0; i < 12; i++) { s += i; } return s; }" in
-  let infos = Tripcount.analyse p in
-  match infos with
-  | [ info ] ->
-    checki "iterations" 12 info.Tripcount.tc_iterations;
-    checki "entries" 1 info.Tripcount.tc_entries;
-    check "static agrees" true (info.Tripcount.tc_static = Some 12)
+  let result = Memo.run ~config:(Memo.analysis_config ()) p in
+  match Query.loops p with
+  | [ lm ] ->
+    let stats = Option.get (Machine.find_loop_stats result lm.Query.lm_stmt.Ast.sid) in
+    checki "iterations" 12 stats.Machine.ls_iterations;
+    checki "entries" 1 stats.Machine.ls_entries;
+    check "static agrees" true
+      (Dependence.static_trip_count (Consteval.of_program p) lm.Query.lm_header = Some 12)
   | _ -> Alcotest.fail "one loop expected"
 
 (* ---- hotspot ---- *)
@@ -305,48 +307,36 @@ let test_intensity_flop_equiv () =
   c.Counters.flops_dp_special <- 1;
   Alcotest.(check (float 1e-9)) "weighted" 38.0 (Intensity.flop_equiv c)
 
-let test_intensity_compute_bound () =
-  let rs counters bytes =
-    { Machine.rs_invocations = 1; rs_counters = counters; rs_traffic = [];
-      rs_bytes_in = bytes; rs_bytes_out = 0 }
-  in
-  let c = Counters.create () in
-  c.Counters.flops_dp_mul <- 1000;
-  let m = Intensity.of_region_stats (rs c 10) in
-  check "high AI compute bound" true (Intensity.compute_bound m);
-  let m2 = Intensity.of_region_stats (rs c 10000) in
-  check "low AI memory bound" false (Intensity.compute_bound m2)
-
-let test_intensity_static_estimate () =
-  let p = parse "void f(double* a, double* b, int n) { for (int i = 0; i < n; i++) { a[i] = b[i] * 2.0 + 1.0; } }" in
-  let lm = List.hd (Query.loops p) in
-  let est = Intensity.static_estimate p lm in
-  check "flops per iter" true (est.Intensity.se_flops_per_iter >= 2.0);
-  check "bytes per iter" true (est.Intensity.se_bytes_per_iter >= 16.0)
-
-(* ---- data in/out ---- *)
+(* ---- data in/out and aliasing: the kernel profile ---- *)
 
 let dio_src =
   "void knl(double* src, double* dst, int n) { for (int i = 0; i < n; i++) { dst[i] = src[i]; } }\n\
    int main() { double a[32]; double b[32]; for (int i = 0; i < 32; i++) { a[i] = 1.0; } knl(a, b, 32); print_float(b[5]); return 0; }"
 
+let dio_profile p =
+  match Kprofile.collect p ~kernel:"knl" with
+  | Ok kp -> kp
+  | Error e -> Alcotest.fail e
+
 let test_datainout () =
-  let dio = Datainout.analyse (parse dio_src) ~kernel:"knl" in
-  checki "in bytes" 256 dio.Datainout.dio_bytes_in;
-  checki "out bytes" 256 dio.Datainout.dio_bytes_out;
-  checki "invocations" 1 dio.Datainout.dio_invocations
+  let kp = dio_profile (parse dio_src) in
+  checki "in bytes" 256 kp.Kprofile.kp_bytes_in;
+  checki "out bytes" 256 kp.Kprofile.kp_bytes_out;
+  checki "invocations" 1 kp.Kprofile.kp_invocations
 
 let test_transfer_time () =
-  let dio = Datainout.analyse (parse dio_src) ~kernel:"knl" in
-  let t = Datainout.transfer_time dio ~bandwidth_bytes_per_s:1e9 ~latency_s:0.0 in
+  let kp = dio_profile (parse dio_src) in
+  let link = { Transfer.link_name = "1 GB/s"; bw_gbs = 1.0; latency_us = 0.0 } in
+  let t =
+    Transfer.time_s link
+      ~bytes:(kp.Kprofile.kp_bytes_in + kp.Kprofile.kp_bytes_out)
+      ~transactions:(2 * kp.Kprofile.kp_invocations)
+  in
   Alcotest.(check (float 1e-12)) "512B at 1GB/s" 5.12e-07 t
-
-(* ---- alias ---- *)
 
 let test_alias_mark_restrict () =
   let p = parse dio_src in
-  let report = Alias.analyse p in
-  check "no alias observed" true (Alias.no_alias report "knl");
+  check "no alias observed" true (dio_profile p).Kprofile.kp_no_alias;
   let p = Alias.mark_restrict p ~fname:"knl" in
   let fn = Option.get (Ast.find_func p "knl") in
   check "pointers restrict" true
@@ -442,8 +432,6 @@ let suite =
     Alcotest.test_case "hotspot scalar write rejected" `Quick test_hotspot_extract_scalar_write_rejected;
     Alcotest.test_case "hotspot globals not params" `Quick test_hotspot_extract_globals_not_params;
     Alcotest.test_case "intensity flop equiv" `Quick test_intensity_flop_equiv;
-    Alcotest.test_case "intensity compute bound" `Quick test_intensity_compute_bound;
-    Alcotest.test_case "intensity static estimate" `Quick test_intensity_static_estimate;
     Alcotest.test_case "data in/out" `Quick test_datainout;
     Alcotest.test_case "transfer time" `Quick test_transfer_time;
     Alcotest.test_case "alias mark restrict" `Quick test_alias_mark_restrict;

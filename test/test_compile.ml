@@ -476,7 +476,7 @@ int main() {
   return 0;
 }|})
 
-let test_exec_stats_accumulate () =
+let test_run_metrics_accumulate () =
   let seconds () = Obs.Metrics.Gauge.value (Obs.Metrics.gauge "interp.seconds") in
   let runs0 = counter "interp.runs" and steps0 = counter "interp.steps" in
   let seconds0 = seconds () in
@@ -2121,6 +2121,67 @@ int main() {
       ("ternary past the end", "b[i] = (i > 5) ? a[i + 3] : a[i];");
     ]
 
+(* ---- every float intrinsic of the table ----
+
+   Each float function, double and single, is called once per iteration
+   of [knl]'s nest (the single ones on a float copy of the inputs), over
+   inputs at every function's edges: negative, signed zeros, NaN, both
+   infinities, huge, tiny and exp-overflowing magnitudes.  Two-argument
+   functions pair each input with the mirrored one.  Every result is
+   stored and printed, so output, memory, counters and loop stats must
+   match with the nest planned under the flow-shaped config. *)
+
+let every_intrinsic_src () =
+  let fns =
+    List.filter
+      (fun (i : Intrinsic.t) ->
+        match i.Intrinsic.op with Intrinsic.F1 _ | Intrinsic.F2 _ -> true | _ -> false)
+      Intrinsic.all
+  in
+  let inputs =
+    [ "-2.5"; "0.0"; "-0.0"; "0.0 / 0.0"; "1.0 / 0.0"; "-1.0 / 0.0"; "1e300"; "-1e30";
+      "1e-300"; "0.75"; "3.0"; "710.0"; "-710.0"; "100.5" ]
+  in
+  let call k (i : Intrinsic.t) =
+    let x = if i.Intrinsic.single then "xf" else "x" in
+    let args =
+      match i.Intrinsic.op with
+      | Intrinsic.F2 _ -> Printf.sprintf "%s[i], %s[N - 1 - i]" x x
+      | _ -> Printf.sprintf "%s[i]" x
+    in
+    Printf.sprintf "    y[%d * N + i] = %s(%s);" k i.Intrinsic.name args
+  in
+  Printf.sprintf
+    {|
+const int N = %d;
+const int M = %d;
+void knl(double* x, float* xf, double* y) {
+  for (int i = 0; i < N; i++) {
+%s
+  }
+}
+int main() {
+  double x[N];
+  float xf[N];
+  double y[M * N];
+%s
+  for (int i = 0; i < N; i++) { xf[i] = (float)x[i]; }
+  knl(x, xf, y);
+  for (int k = 0; k < M * N; k++) { print_float(y[k]); }
+  return 0;
+}|}
+    (List.length inputs) (List.length fns)
+    (String.concat "\n" (List.mapi call fns))
+    (String.concat "\n" (List.mapi (Printf.sprintf "  x[%d] = %s;") inputs))
+
+let test_every_intrinsic () =
+  let p = parse (every_intrinsic_src ()) in
+  check "knl nest planned" true
+    (match List.assoc_opt (knl_nest p).Ast.sloc (Ir_lower.plan_report p) with
+     | Some (Ir_lower.Planned _) -> true
+     | _ -> false);
+  check "every intrinsic (flow-profiled)" true (agree_planned ~config:(flow_config ()) p)
+
 let suite =
   [
     Alcotest.test_case "suite apps fully profiled" `Quick test_suite_apps;
@@ -2138,7 +2199,7 @@ let suite =
     Alcotest.test_case "step counts identical" `Quick test_step_count_identical;
     Alcotest.test_case "recursion" `Quick test_recursion;
     Alcotest.test_case "prng stream order" `Quick test_prng_stream;
-    Alcotest.test_case "exec stats accumulate" `Quick test_exec_stats_accumulate;
+    Alcotest.test_case "run metrics accumulate" `Quick test_run_metrics_accumulate;
     Alcotest.test_case "planned steps counted per run" `Quick test_planned_counted_per_run;
     Alcotest.test_case "default backend switch" `Quick test_default_backend_switch;
     Alcotest.test_case "fault report backend-invariant" `Slow
@@ -2152,6 +2213,7 @@ let suite =
     Alcotest.test_case "profiled budget sweep" `Quick test_profiled_budget_sweep;
     Alcotest.test_case "clamped loop bounds" `Quick test_clamped_bounds;
     Alcotest.test_case "sp fused ops special values" `Quick test_sp_fused_special_values;
+    Alcotest.test_case "every intrinsic special values" `Quick test_every_intrinsic;
     Alcotest.test_case "cost walk reuse" `Quick test_walk_reuse;
     Alcotest.test_case "cost walk reuse budget sweep" `Quick test_walk_reuse_budget;
     Alcotest.test_case "planned call coercions" `Quick test_call_coercions;

@@ -365,13 +365,6 @@ let test_cost_relative_and_crossover () =
   Alcotest.(check (float 1e-12)) "crossover" 2.0
     (Cost.crossover_ratio ~fpga_s:1.0 ~gpu_s:2.0)
 
-let test_cost_budget () =
-  let target = Target.Omp { threads = 32 } in
-  check "within" true
-    (Cost.within_budget Cost.default_pricing target ~time_s:1.0 ~budget:1.0);
-  check "over" false
-    (Cost.within_budget Cost.default_pricing target ~time_s:1e6 ~budget:0.01)
-
 let test_cost_cheapest () =
   let omp = Target.Omp { threads = 32 } in
   let gpu = Target.Gpu { spec = Device.rtx_2080_ti; params = Gpu_model.default_params } in
@@ -381,6 +374,15 @@ let test_cost_cheapest () =
 
 (* ---- budget feedback (Fig. 3's cost evaluation loop) ---- *)
 
+(* the branch-point feedback test: an attempt is within budget exactly
+   when its monetary cost is at most the budget *)
+let check_within_rule (br : Engine.budget_report) =
+  List.iter
+    (fun (a : Engine.attempt) ->
+      check "within iff cost <= budget" a.Engine.at_within
+        (match a.Engine.at_cost with Some c -> c <= br.Engine.br_budget | None -> false))
+    br.Engine.br_attempts
+
 let test_budget_generous_keeps_decision () =
   let app = Kmeans.app in
   match
@@ -389,6 +391,7 @@ let test_budget_generous_keeps_decision () =
   | Error e -> Alcotest.fail e
   | Ok br ->
     check "within budget" true br.Engine.br_within_budget;
+    check_within_rule br;
     checki "first attempt accepted" 1 (List.length br.Engine.br_attempts);
     (match br.Engine.br_accepted with
      | Some a -> checks "keeps informed branch" "cpu" a.Engine.at_branch
@@ -400,6 +403,7 @@ let test_budget_zero_falls_through () =
   | Error e -> Alcotest.fail e
   | Ok br ->
     check "over budget" false br.Engine.br_within_budget;
+    check_within_rule br;
     check "tried every branch" true (List.length br.Engine.br_attempts >= 3);
     (match br.Engine.br_accepted with
      | Some a ->
@@ -721,7 +725,6 @@ let suite =
     Alcotest.test_case "graph to dot" `Quick test_graph_to_dot;
     Alcotest.test_case "cost monetary" `Quick test_cost_monetary;
     Alcotest.test_case "cost relative/crossover" `Quick test_cost_relative_and_crossover;
-    Alcotest.test_case "cost budget" `Quick test_cost_budget;
     Alcotest.test_case "cost cheapest" `Quick test_cost_cheapest;
     Alcotest.test_case "budget generous" `Slow test_budget_generous_keeps_decision;
     Alcotest.test_case "budget zero falls through" `Slow test_budget_zero_falls_through;

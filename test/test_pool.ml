@@ -20,7 +20,7 @@ let with_jobs n f =
 let fan_out f xs =
   Util.Pool.Fut.await_all (List.map (fun x -> Util.Pool.Fut.spawn (fun () -> f x)) xs)
 
-let test_map_matches_sequential () =
+let test_futures_match_sequential () =
   let xs = List.init 100 (fun i -> i) in
   let f x = (x * 7) mod 13 in
   Alcotest.(check (list int)) "same results, same order" (List.map f xs)
@@ -31,7 +31,7 @@ let test_map_empty_and_singleton () =
   Alcotest.(check (list int)) "empty" [] (fan_out (fun x -> x) []);
   Alcotest.(check (list int)) "singleton" [ 9 ] (fan_out (fun x -> x + 2) [ 7 ])
 
-let test_map_size_one_pool () =
+let test_one_job_in_order () =
   with_jobs 0 @@ fun () ->
   checki "clamped size" 1 (Util.Pool.default_jobs ());
   let trace = ref [] in
@@ -348,9 +348,9 @@ let prop_parallel_run_equals_sequential =
 
 let suite =
   [
-    ("pool map matches sequential map", `Quick, test_map_matches_sequential);
+    ("futures match a sequential map", `Quick, test_futures_match_sequential);
     ("pool map on empty/singleton lists", `Quick, test_map_empty_and_singleton);
-    ("pool of size 1 runs sequentially", `Quick, test_map_size_one_pool);
+    ("one job runs futures in order", `Quick, test_one_job_in_order);
     ("exceptions propagate to the submitter", `Quick, test_exception_propagates);
     ("first failure in input order wins", `Quick, test_first_exception_wins);
     ("nested maps neither deadlock nor reorder", `Quick, test_nested_maps);

@@ -18,10 +18,38 @@ let check = Alcotest.(check bool)
      }
 
    Expressions are double-valued, built from x[i], i, literals and locals;
-   square roots and divisions are guarded so evaluation is total. *)
+   intrinsic arguments and divisions are guarded so evaluation is total. *)
 
 module Gen = struct
   open QCheck.Gen
+
+  (* a float intrinsic drawn from the table at one precision, its argument
+     folded into [0.5, 4.5] and a second argument clamped to [-2, 2], so
+     every function stays finite:
+     [f(fmin(fabs(a), 4.0) + 0.5 [, fmax(fmin(b, 2.0), -2.0)])] *)
+  let intrinsic ~single sub =
+    let name op = (Intrinsic.of_op op ~single).Intrinsic.name in
+    let lit v = if single then v ^ "f" else v in
+    let pos a =
+      Printf.sprintf "(%s(%s(%s), %s) + %s)" (name (Intrinsic.F2 Intrinsic.Fmin))
+        (name (Intrinsic.F1 Intrinsic.Fabs)) a (lit "4.0") (lit "0.5")
+    in
+    let clamp b =
+      Printf.sprintf "%s(%s(%s, %s), %s)" (name (Intrinsic.F2 Intrinsic.Fmax))
+        (name (Intrinsic.F2 Intrinsic.Fmin)) b (lit "2.0") (lit "-2.0")
+    in
+    let fns =
+      List.filter
+        (fun (i : Intrinsic.t) ->
+          i.Intrinsic.single = single
+          && match i.Intrinsic.op with Intrinsic.F1 _ | Intrinsic.F2 _ -> true | _ -> false)
+        Intrinsic.all
+    in
+    oneofl fns >>= fun i ->
+    match i.Intrinsic.op with
+    | Intrinsic.F2 _ ->
+      map2 (fun a b -> Printf.sprintf "%s(%s, %s)" i.Intrinsic.name (pos a) (clamp b)) sub sub
+    | _ -> map (fun a -> Printf.sprintf "%s(%s)" i.Intrinsic.name (pos a)) sub
 
   (* [iv] is the loop index variable the leaves may read — "i" at the
      outer level, "jK" inside a generated inner loop *)
@@ -46,7 +74,7 @@ module Gen = struct
               (oneofl [ "+"; "-"; "*" ])
               (expr ?iv locals (depth - 1))
               (expr ?iv locals (depth - 1)) );
-          (1, map (fun a -> Printf.sprintf "sqrt(fabs(%s) + 1.0)" a) (expr ?iv locals (depth - 1)));
+          (2, intrinsic ~single:false (expr ?iv locals (depth - 1)));
           ( 1,
             map2
               (fun a b -> Printf.sprintf "(%s / (fabs(%s) + 1.0))" a b)
@@ -144,7 +172,7 @@ module Gen = struct
   (* ---- the single-precision variant ----
 
      The same shapes over float arrays and locals, with [f] literals,
-     [(float)] casts, [sqrtf]/[fabsf], ternaries, and float targets (locals
+     [(float)] casts, single-precision intrinsics, ternaries, and float targets (locals
      and [+=] into the float array) assigned double expressions — a
      [(double)] operand or a double literal makes the whole expression
      double, demoted on the store — so random programs reach demotion and
@@ -172,7 +200,7 @@ module Gen = struct
               (fun op a b -> Printf.sprintf "(%s %s %s)" a op b)
               (oneofl [ "+"; "-"; "*" ])
               sub sub );
-          (1, map (fun a -> Printf.sprintf "sqrtf(fabsf(%s) + 1.0f)" a) sub);
+          (2, intrinsic ~single:true sub);
           (1, map2 (fun a b -> Printf.sprintf "(%s / (fabsf(%s) + 1.0f))" a b) sub sub);
           (1, map (fun a -> Printf.sprintf "(float)(%s * 0.75)" a) sub);
         ]
@@ -183,7 +211,7 @@ module Gen = struct
     oneof
       [
         map2 (fun a b -> Printf.sprintf "((double)%s * 0.5 + %s)" a b) e e;
-        map (fun a -> Printf.sprintf "sqrt(fabs((double)%s) + 1.0)" a) e;
+        intrinsic ~single:false (map (Printf.sprintf "(double)%s") e);
         map2 (fun a b -> Printf.sprintf "(%s - (double)%s / 3.0)" a b) e e;
       ]
 
