@@ -18,17 +18,18 @@ bench-quick:
 	dune exec bench/main.exe -- --quick --json bench.json
 
 # regression gate: re-run the quick bench and diff against the committed
-# seed baseline (fails on >20% regression in any section or in
-# interpreter throughput, if the vm backend drops below 20x the seed
-# walker or the walker of the same run, or on a per-app vm coverage floor)
+# seed baseline (fails on >20% regression in any section above the 0.05 s
+# noise floor or >10% in either backend's interpreter throughput, or if
+# the vm backend drops below 20x the seed walker or the walker of the
+# same run).  The VM step-coverage floors are cases of `dune runtest`.
 bench-compare: bench-quick
 	dune exec bench/compare.exe -- bench.json BENCH_seed.json
 
 # cache-effectiveness gate: a cold quick bench populates a fresh cache,
 # then a warm rerun must cut the combined runs+ablation time >= 2x and
 # actually serve entries from the disk tier.  Only the gated sections
-# run: interpreter throughput and the micro section (bound by Bechamel's
-# time quota) are cache-independent.
+# run: the interp section's runs bypass the cache, so its time is
+# cache-independent.
 bench-warm-cold:
 	rm -rf .psa-cache bench-cold.json bench-warm.json
 	dune exec bench/main.exe -- runs ablation --quick --json bench-cold.json

@@ -1,5 +1,6 @@
 (* Compare two bench JSON dumps (written by main.exe --json) and fail on
-   performance regressions.
+   performance regressions.  This is the one differ of bench timings:
+   bench runs leave no ledger record, so `psaflow diff` never sees them.
 
    Usage: compare.exe CURRENT.json BASELINE.json
           compare.exe --warm-cold COLD.json WARM.json
@@ -21,25 +22,19 @@
 
    Gates (first form):
    - every wall-clock section present in both files may regress by at
-     most 20% (lower is better);
+     most 20% (lower is better); sections under 0.05 s on both sides are
+     scheduling noise and never fail;
    - every "statements_per_sec" entry present in both files may regress
      by at most 10% per backend (higher is better);
    - the current vm-backend throughput must be at least 20x the baseline
      walker throughput (the committed seed's "ast" entry is the reference
      tree walker on the recording host) and at least 20x the walker
      throughput measured in the same run (the superinstruction VM's
-     reason to exist on the DSE hot path; host speed cancels out);
-   - per-app VM step coverage ("vm_coverage": planned statements / total
-     statements on the evaluation workloads) must hold absolute floors on
-     the loop-nest apps — AdPredictor >= 0.9, K-Means >= 0.9, N-Body >=
-     0.99, Bezier >= 0.99 — and no app may drop more than 0.02 below its
-     baseline coverage;
-   - flow-level VM coverage ("flow_vm_coverage": planned statements /
-     interpreted statements over the "runs" section's five uninformed
-     flows, profiled analysis runs included) must hold an absolute floor
-     and may drop at most 0.02 below the baseline's, when the baseline
-     recorded it.  Skipped when the current file has no such key (a warm
-     cache interpreted nothing).
+     reason to exist on the DSE hot path; host speed cancels out).
+
+   The VM's step-coverage floors are exact statement counts, not
+   timings, so they are test cases (test/test_coverage.ml), not gates
+   here.
 
    Exit status 1 on any violation, 0 otherwise. *)
 
@@ -77,24 +72,6 @@ let throughput_tolerance = 0.10
 (* sections this fast are dominated by scheduling noise; report but never
    gate on them *)
 let section_floor_s = 0.05
-
-(* absolute per-app floors for VM step coverage: the loop-nest lowering's
-   reason to exist is keeping these apps' hot loops on the planned path *)
-let coverage_floors =
-  [ ("AdPredictor", 0.90);
-    ("K-Means Classification", 0.90);
-    ("N-Body Simulation", 0.99);
-    ("Bezier Surface Generation", 0.99)
-  ]
-
-(* coverage is deterministic, so any drop is a real planning regression;
-   the small slack only absorbs workload-mix changes between revisions *)
-let coverage_slack = 0.02
-
-(* flow-level coverage floor: 0.9705 measured (at --jobs 1, 2 and 4) once
-   HIP launch loops inlined their per-thread body calls, minus
-   [coverage_slack] *)
-let flow_coverage_floor = 0.9505
 
 let failures = ref 0
 
@@ -142,8 +119,8 @@ let print_meta () =
 
 (* ---- warm/cold cache-effectiveness gate ---- *)
 
-(* the sections whose work the cache replays: [micro] runs for as long as
-   Bechamel's quota, cached or not *)
+(* the sections whose work the cache replays: [interp] runs uncached
+   Machine.run calls, so the cache cannot speed it up *)
 let warm_cold_sections = [ "runs"; "ablation" ]
 
 let warm_cold_speedup = 2.0
@@ -203,8 +180,8 @@ let run_warm_cold cold_path warm_path =
 
 (* ---- parallel-speedup gate ---- *)
 
-(* micro and interp are single-domain by construction, so the scheduler
-   gate only sums the sections that fan out over the pool *)
+(* interp is single-domain by construction, so the scheduler gate only
+   sums the sections that fan out over the pool *)
 let jobs_sections = [ "runs"; "ablation" ]
 
 let jobs_speedup = 1.8
@@ -330,52 +307,7 @@ let run_regressions current_path baseline_path =
     | _ -> ()
   in
   vm_over "the seed walker" (List.assoc_opt "ast" base_tp);
-  vm_over "the walker of this run" (List.assoc_opt "ast" cur_tp);
-  (* VM step coverage: absolute floors on the loop-nest apps ... *)
-  let cur_cov =
-    Option.fold ~none:[] ~some:num_members (member "vm_coverage" current)
-  in
-  if cur_cov <> [] then begin
-    List.iter
-      (fun (name, floor) ->
-        match List.assoc_opt name cur_cov with
-        | None -> report "vm coverage is missing app %S" name
-        | Some c ->
-          if c < floor then
-            report "vm coverage %-26s %.3f (needs >= %.2f)" name c floor
-          else Printf.printf "ok    vm coverage %-26s %.3f (>= %.2f)\n" name c floor)
-      coverage_floors;
-    (* ... and no regression against the recorded baseline for any app *)
-    let base_cov =
-      Option.fold ~none:[] ~some:num_members (member "vm_coverage" baseline)
-    in
-    List.iter
-      (fun (name, base_c) ->
-        match List.assoc_opt name cur_cov with
-        | None -> report "vm coverage dropped app %S (baseline %.3f)" name base_c
-        | Some cur_c ->
-          if cur_c < base_c -. coverage_slack then
-            report "vm coverage %-26s %.3f -> %.3f (limit -%.2f)" name base_c cur_c
-              coverage_slack
-          else if not (List.mem_assoc name coverage_floors) then
-            Printf.printf "ok    vm coverage %-26s %.3f -> %.3f\n" name base_c cur_c)
-      base_cov
-  end;
-  (* flow-level VM coverage: what the flows' own (profiled) runs execute
-     planned, gated absolutely and against the baseline when it has one *)
-  match top current "flow_vm_coverage" with
-  | None ->
-    print_endline "skip  flow vm coverage not recorded (no statements interpreted)"
-  | Some c ->
-    if c < flow_coverage_floor then
-      report "flow vm coverage %.3f (needs >= %.3f)" c flow_coverage_floor
-    else Printf.printf "ok    flow vm coverage %.3f (>= %.3f)\n" c flow_coverage_floor;
-    (match top baseline "flow_vm_coverage" with
-     | None -> print_endline "skip  baseline has no flow vm coverage"
-     | Some b ->
-       if c < b -. coverage_slack then
-         report "flow vm coverage %.3f -> %.3f (limit -%.2f)" b c coverage_slack
-       else Printf.printf "ok    flow vm coverage %.3f -> %.3f\n" b c)
+  vm_over "the walker of this run" (List.assoc_opt "ast" cur_tp)
 
 let () =
   (match Sys.argv with

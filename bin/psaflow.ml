@@ -582,20 +582,13 @@ let report_cmd =
   let doc =
     "Aggregate a run ledger: population by kind/app/status, failure \
      taxonomy, cache hit rates, latency percentiles, interpreter \
-     throughput and mean section timings — reconstructed purely from \
+     throughput and resilience counts — reconstructed purely from \
      persisted records, nothing rerun."
   in
   Cmd.v (Cmd.info "report" ~doc) Term.(const run $ ledger_pos 0 "Ledger")
 
-let tol_arg =
-  let doc =
-    "Relative growth tolerance for mean section times (a 0.05 s absolute \
-     noise floor always applies)."
-  in
-  Arg.(value & opt float 0.20 & info [ "tol" ] ~docv:"FRACTION" ~doc)
-
 let diff_ledger_cmd =
-  let run a b tol =
+  let run a b =
     match (Obs.Ledger.load_path a, Obs.Ledger.load_path b) with
     | Error msg, _ | _, Error msg ->
       prerr_endline msg;
@@ -603,16 +596,14 @@ let diff_ledger_cmd =
     | Ok pa, Ok pb ->
       warn_skipped (snd pa);
       warn_skipped (snd pb);
-      let text, regression =
-        Obs.Ledger_report.diff ~tol ~label_a:a ~label_b:b pa pb
-      in
+      let text, regression = Obs.Ledger_report.diff ~label_a:a ~label_b:b pa pb in
       print_string text;
       if regression then 1 else 0
   in
   let doc =
-    "Compare two ledgers (B against baseline A): per-metric deltas with \
-     thresholds and a regression verdict. Exits 1 on regression — wire it \
-     into CI."
+    "Compare two ledgers (B against baseline A): mean best-design speedup, \
+     cache hit rate and failure taxonomy, with a regression verdict. Exits 1 \
+     on regression — wire it into CI."
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"B regresses against A."
@@ -620,7 +611,7 @@ let diff_ledger_cmd =
     :: Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "diff" ~doc ~exits)
-    Term.(const run $ ledger_pos 0 "Baseline A" $ ledger_pos 1 "Candidate B" $ tol_arg)
+    Term.(const run $ ledger_pos 0 "Baseline A" $ ledger_pos 1 "Candidate B")
 
 let stats_cmd =
   let run path =

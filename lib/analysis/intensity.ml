@@ -1,10 +1,4 @@
-type measure = {
-  ai_flop_equiv : float;
-  ai_raw_flops : int;
-  ai_footprint_bytes : int;
-  ai_traffic_bytes : int;
-  ai_value : float;
-}
+type measure = { ai_value : float }
 
 let div_weight = 8.0
 
@@ -18,11 +12,8 @@ let flop_equiv (c : Counters.t) =
 
 let of_region_stats (rs : Machine.region_stats) =
   let footprint = rs.rs_bytes_in + rs.rs_bytes_out in
-  let flops = flop_equiv rs.rs_counters in
   {
-    ai_flop_equiv = flops;
-    ai_raw_flops = Counters.flops rs.rs_counters;
-    ai_footprint_bytes = footprint;
-    ai_traffic_bytes = Counters.bytes rs.rs_counters;
-    ai_value = (if footprint = 0 then Float.infinity else flops /. float_of_int footprint);
+    ai_value =
+      (if footprint = 0 then Float.infinity
+       else flop_equiv rs.rs_counters /. float_of_int footprint);
   }

@@ -13,11 +13,7 @@
     weight (a division or transcendental is many adds). *)
 
 type measure = {
-  ai_flop_equiv : float;   (** weighted floating-point work *)
-  ai_raw_flops : int;      (** unweighted flop count *)
-  ai_footprint_bytes : int;(** distinct bytes touched (in + out) *)
-  ai_traffic_bytes : int;  (** total bytes moved by loads/stores *)
-  ai_value : float;        (** flop-equivalents per footprint byte *)
+  ai_value : float;  (** flop-equivalents per footprint byte (in + out) *)
 }
 
 val flop_equiv : Counters.t -> float

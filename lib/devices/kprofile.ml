@@ -1,7 +1,6 @@
 type inner_loop = {
   il_sid : int;
   il_static_trips : int option;
-  il_avg_trips : float;
   il_iters_per_outer : float;
   il_fully_unrollable : bool;
   il_fp_reduction : bool;
@@ -53,13 +52,6 @@ let collect ?config ?(unroll_threshold = 64) (p : Ast.program) ~kernel =
               (fun (lm : Query.loop_match) ->
                 let v = Dependence.analyse_loop ~consts p lm in
                 let stats = Machine.find_loop_stats result lm.lm_stmt.sid in
-                let avg =
-                  match stats with
-                  | Some s when s.Machine.ls_entries > 0 ->
-                    float_of_int s.Machine.ls_iterations
-                    /. float_of_int s.Machine.ls_entries
-                  | Some _ | None -> 0.0
-                in
                 let per_outer =
                   match stats with
                   | Some s when outer_trips > 0 ->
@@ -69,7 +61,6 @@ let collect ?config ?(unroll_threshold = 64) (p : Ast.program) ~kernel =
                 {
                   il_sid = lm.lm_stmt.sid;
                   il_static_trips = Dependence.static_trip_count consts lm.lm_header;
-                  il_avg_trips = avg;
                   il_iters_per_outer = per_outer;
                   il_fully_unrollable =
                     Dependence.fully_unrollable ~threshold:unroll_threshold consts lm;

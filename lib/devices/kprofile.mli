@@ -14,7 +14,6 @@
 type inner_loop = {
   il_sid : int;
   il_static_trips : int option;
-  il_avg_trips : float;              (** dynamic iterations per entry *)
   il_iters_per_outer : float;        (** total iterations per outer-loop iteration
                                          (captures the whole nest below this loop) *)
   il_fully_unrollable : bool;        (** static trips under the unroll threshold *)

@@ -68,16 +68,7 @@ let gpu_branch ?(drop = "") ?(fixed_blocksize = false) () =
               {
                 Gpu_model.blocksize = 256;
                 pinned = Hip.is_pinned art.Artifact.art_program ~manage_fn:ds.Artifact.ds_manage_fn;
-                shared_tiling =
-                  (match Ast.find_func art.Artifact.art_program body with
-                   | Some fn ->
-                     List.exists
-                       (fun (lm : Query.loop_match) ->
-                         List.exists
-                           (fun (pr : Ast.pragma) -> List.mem "shared_tiling" pr.Ast.pargs)
-                           lm.lm_stmt.Ast.pragmas)
-                       (Query.loops_in_func fn)
-                   | None -> false);
+                shared_tiling = Tasks.has_shared_tiling art.Artifact.art_program ~body_fn:body;
               }
             in
             let e = Gpu_model.estimate Device.rtx_2080_ti ks kp params in

@@ -11,20 +11,11 @@ type report = {
   rep_failures : Graph.failure list;
 }
 
-(* Each phase also records its wall-clock into a flow.phase.<slug>.seconds
-   gauge — the per-phase section timings persisted in ledger records.
-   Gauges hold the most recent run's value; the ledger snapshots them at
-   record time, one record per run. *)
-let flow_span ~phase name app f =
-  let g = Obs.Metrics.gauge ("flow.phase." ^ phase ^ ".seconds") in
+let flow_span name app f =
   Obs.Trace.with_span
     ~attrs:[ ("app", Obs.Trace.Str app.App.app_name) ]
     ~name ~kind:Obs.Trace.Flow
-    (fun _ ->
-      let t0 = Obs.Monotonic.now_s () in
-      Fun.protect
-        ~finally:(fun () -> Obs.Metrics.Gauge.set g (Obs.Monotonic.now_s () -. t0))
-        f)
+    (fun _ -> f ())
 
 (* An assemble-phase failure (design validation, feasibility modelling)
    prunes its outcome exactly as a task failure would: record a terminal
@@ -63,7 +54,7 @@ type analysis = {
 let analyse ?psa_config ~workload app =
   let art0 = Artifact.create app ~workload in
   let* analysed_outcomes =
-    flow_span ~phase:"analyse" "target-independent analysis" app (fun () ->
+    flow_span "target-independent analysis" app (fun () ->
         Graph.run Pipeline.target_independent art0)
   in
   let* analysed =
@@ -72,8 +63,7 @@ let analyse ?psa_config ~workload app =
     | _ -> Error "target-independent pipeline must produce exactly one artifact"
   in
   let* decision =
-    flow_span ~phase:"decide" "psa decide" app (fun () ->
-        Psa.decide ?config:psa_config analysed)
+    flow_span "psa decide" app (fun () -> Psa.decide ?config:psa_config analysed)
   in
   let* baseline_s =
     match analysed.Artifact.art_t_cpu_single with
@@ -99,7 +89,7 @@ let design_of an ~app oc =
     ~reference_output:an.an_reference_output oc
 
 let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
-  flow_span ~phase:"total" ("flow " ^ app.App.app_name) app @@ fun () ->
+  flow_span ("flow " ^ app.App.app_name) app @@ fun () ->
   let workload = Option.value workload ~default:app.App.app_eval_overrides in
   let* an = analyse ?psa_config ~workload app in
   let analysed = an.an_analysed in
@@ -116,13 +106,13 @@ let run ?psa_config ?workload ?(strict = false) ?step_budget ~mode app =
         (Graph.run_tolerant node analysed)
   in
   let* outcomes, pruned =
-    flow_span ~phase:"fanout" "branch fan-out" app (fun () ->
+    flow_span "branch fan-out" app (fun () ->
         match step_budget with
         | Some n -> Util.Reqctx.with_step_budget n fanout
         | None -> fanout ())
   in
   let* designs, pruned =
-    flow_span ~phase:"assemble" "assemble designs" app @@ fun () ->
+    flow_span "assemble designs" app @@ fun () ->
     let folded =
       List.fold_left
         (fun acc oc ->

@@ -55,6 +55,8 @@ let meta ~cmdline =
     m_unix_time = Unix.gettimeofday ();
   }
 
+(* current meta, backend, IR version and metrics snapshot, but no
+   designs or failures: the base the two constructors below extend *)
 let base ~kind ~app ~mode ~workload ~status ~cmdline =
   {
     Obs.Ledger.r_meta = meta ~cmdline;

@@ -18,18 +18,6 @@ val git_rev : string
 val meta : cmdline:string -> Obs.Ledger.meta
 (** Provenance for a record assembled now. *)
 
-val base :
-  kind:string ->
-  app:string ->
-  mode:string ->
-  workload:(string * int) list ->
-  status:int ->
-  cmdline:string ->
-  Obs.Ledger.record
-(** A record with current meta, backend, IR version and metrics snapshot
-    but no designs or failures — the bench suite's record shape, and the
-    base the other constructors extend. *)
-
 val of_report :
   ?kind:string ->
   cmdline:string -> status:int -> mode:Pipeline.mode -> Engine.report ->

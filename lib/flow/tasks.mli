@@ -55,6 +55,11 @@ val profile_gpu_design : Task.t
 (** Dynamic: executes the generated design to obtain its kernel profile,
     static features and functional output. *)
 
+val has_shared_tiling : Ast.program -> body_fn:string -> bool
+(** Whether "Introduce Shared Mem Buf" staged a loop of the HIP body
+    [body_fn] through shared-memory tiles (its [shared_tiling] pragma):
+    the GPU model's [shared_tiling] parameter. *)
+
 val gpu_blocksize_dse : Device.gpu_spec -> Task.t
 (** Device-specific (branch C): picks the blocksize minimising the modelled
     time on the given GPU and pins the target. *)

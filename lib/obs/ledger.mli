@@ -1,10 +1,10 @@
-(** Persistent run ledger: one structured record per flow/bench execution.
+(** Persistent run ledger: one structured record per flow execution.
 
-    Every [psaflow run]/[bench] execution appends a {!record} to a ledger
-    directory ([.psa-runs/] by default) so observability survives the
-    process: [psaflow report]/[diff]/[stats] reconstruct hit rates,
-    latency percentiles and failure breakdowns purely from prior runs'
-    records, with nothing rerun.
+    Every [psaflow run] and every request [psaflowd] serves appends a
+    {!record} to a ledger directory ([.psa-runs/] by default) so
+    observability survives the process: [psaflow report]/[diff]/[stats]
+    reconstruct hit rates, latency percentiles and failure breakdowns
+    purely from prior runs' records, with nothing rerun.
 
     {2 Entry discipline}
 
@@ -58,8 +58,8 @@ type meta = {
 
 (** Jobs-invariant description of what the run computed. *)
 type stable = {
-  s_kind : string;  (** ["run"] or ["bench"] *)
-  s_app : string;  (** app slug; ["suite"] for bench records *)
+  s_kind : string;  (** ["run"] or ["serve"] *)
+  s_app : string;  (** app slug *)
   s_mode : string;
   s_workload : (string * int) list;
   s_backend : string;

@@ -72,21 +72,6 @@ let weighted_pct recs base p =
   in
   if den = 0.0 then None else Some (num /. den)
 
-let section_names recs = middle_names recs ~prefix:"bench.section." ~suffix:""
-
-let mean_section recs name =
-  let vs =
-    List.filter_map
-      (fun r ->
-        match metric r ("bench.section." ^ name) with
-        | Some v when is_real v -> Some v
-        | _ -> None)
-      recs
-  in
-  match vs with
-  | [] -> None
-  | _ -> Some (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
-
 (* fastest feasible+valid design of a record, if any *)
 let best_design r =
   List.filter
@@ -184,16 +169,6 @@ let report (recs, skipped) =
     if retries > 0.0 || tfail > 0.0 then
       Buffer.add_string buf
         (pf "resilience: retries=%.0f task-failures=%.0f\n" retries tfail);
-    (match section_names recs with
-    | [] -> ()
-    | sections ->
-      Buffer.add_string buf "sections (mean s):\n";
-      List.iter
-        (fun s ->
-          match mean_section recs s with
-          | Some v -> Buffer.add_string buf (pf "  %-16s %.3f\n" s v)
-          | None -> ())
-        sections);
     Buffer.contents buf
   end
 
@@ -201,7 +176,7 @@ let report (recs, skipped) =
 
 let pct_change a b = (b -. a) /. a *. 100.0
 
-let diff ?(tol = 0.20) ~label_a ~label_b (ra, ska) (rb, skb) =
+let diff ~label_a ~label_b (ra, ska) (rb, skb) =
   let buf = Buffer.create 1024 in
   let regression = ref false in
   let flag cond = if cond then regression := true in
@@ -213,29 +188,6 @@ let diff ?(tol = 0.20) ~label_a ~label_b (ra, ska) (rb, skb) =
     (Buffer.contents buf, false)
   end
   else begin
-    (* section wall-clock: relative growth beyond tol, with an absolute
-       noise floor so microscopic sections cannot trip the gate *)
-    let sections =
-      List.sort_uniq compare (section_names ra @ section_names rb)
-    in
-    if sections <> [] then begin
-      Buffer.add_string buf (pf "sections (mean s, tol %.0f%%):\n" (tol *. 100.0));
-      List.iter
-        (fun s ->
-          match (mean_section ra s, mean_section rb s) with
-          | Some a, Some b ->
-            let regressed = b -. a > Float.max (tol *. a) 0.05 in
-            flag regressed;
-            Buffer.add_string buf
-              (pf "  %-16s A=%.3f B=%.3f  %+.1f%%  %s\n" s a b (pct_change a b)
-                 (if regressed then "REGRESSION" else "ok"))
-          | Some a, None ->
-            Buffer.add_string buf (pf "  %-16s A=%.3f B=absent\n" s a)
-          | None, Some b ->
-            Buffer.add_string buf (pf "  %-16s A=absent B=%.3f\n" s b)
-          | None, None -> ())
-        sections
-    end;
     (match (mean_best_speedup ra, mean_best_speedup rb) with
     | Some a, Some b when a > 0.0 ->
       let regressed = b < a *. 0.9 in

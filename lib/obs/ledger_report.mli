@@ -10,12 +10,11 @@ val report : Ledger.record list * int -> string
 (** Aggregate one ledger: population by kind/app, status breakdown,
     failure taxonomy, per-kind cache hit rates, count-weighted latency
     percentiles (p50/p90/p99 over persisted histogram summaries), interp
-    throughput and mean section timings.  The [int] is the skipped-file
+    throughput and resilience counts.  The [int] is the skipped-file
     count from {!Ledger.load}.  An empty ledger yields a one-line
     report, not an error. *)
 
 val diff :
-  ?tol:float ->
   label_a:string ->
   label_b:string ->
   Ledger.record list * int ->
@@ -23,12 +22,12 @@ val diff :
   string * bool
 (** [diff a b] compares two ledger populations (B is the candidate).
     Returns the textual comparison and a regression verdict, [true] when
-    B regresses versus A: a mean section time grew by more than [tol]
-    (relative, default [0.20]) beyond a [0.05] s noise floor, the mean
-    best-design speedup dropped by more than 10%, or B exhibits a
-    failure (class, site) pair absent from A.  Metric deltas within
-    threshold are reported but do not trip the verdict — CI gates on the
-    boolean (nonzero exit), humans read the text. *)
+    B regresses versus A: the mean best-design speedup dropped by more
+    than 10%, or B exhibits a failure (class, site) pair absent from A.
+    The cache hit rate is reported but does not trip the verdict — CI
+    gates on the boolean (nonzero exit), humans read the text.  Wall-clock
+    times are not compared here: bench timings are diffed by
+    [bench/compare.exe] alone. *)
 
 val stats : Ledger.record list * int -> string
 (** Per-population table: one row per (app, mode) with record count,

@@ -185,7 +185,7 @@ let prefixed prefix name =
 
 let jobs_invariant name =
   not
-    (prefixed "pool." name || prefixed "bench.section." name
+    (prefixed "pool." name
     (* planned nests split into parallel chunks only at --jobs > 1 *)
     || name = "vm.nests.parallel"
     (* daemon traffic telemetry: admission, shedding and rate limiting

@@ -87,7 +87,7 @@ val jobs_invariant : string -> bool
     [vm.nests.parallel]),
     daemon traffic telemetry ([serve.*] — arrival-order dependent) and
     all wall-clock ones ([*.seconds] and their histogram expansions,
-    [bench.section.*], [pool.idle_ns]). *)
+    [pool.idle_ns]). *)
 
 val find : string -> value option
 

@@ -10,9 +10,8 @@
     for a given spec regardless of thread interleaving.
 
     The harness is process-global and off by default; when disarmed,
-    {!fire} is a single atomic load.  It is armed from the CLIs
-    ([psaflow run --faults SPEC], [bench/main.exe --faults SPEC]) and from
-    tests, never in library code.
+    {!fire} is a single atomic load.  It is armed from the CLI
+    ([psaflow run --faults SPEC]) and from tests, never in library code.
 
     {2 Spec grammar}
 

@@ -306,26 +306,32 @@ let test_diff_regression () =
     {
       base with
       Obs.Ledger.r_stable = { base.Obs.Ledger.r_stable with s_failures = [] };
-      r_metrics = [ ("bench.section.runs", 1.0) ];
     }
   in
   (* identical populations: no regression *)
   let _, reg = Obs.Ledger_report.diff ~label_a:"A" ~label_b:"B" ([ ok ], 0) ([ ok ], 0) in
   check "identical ledgers do not regress" false reg;
-  (* 2x slower section: regression *)
-  let slow = { ok with Obs.Ledger.r_metrics = [ ("bench.section.runs", 2.0) ] } in
-  let text, reg =
-    Obs.Ledger_report.diff ~label_a:"A" ~label_b:"B" ([ ok ], 0) ([ slow ], 0)
+  (* the best design's speedup halves: regression *)
+  let slower =
+    {
+      ok with
+      Obs.Ledger.r_stable =
+        {
+          ok.Obs.Ledger.r_stable with
+          s_designs =
+            List.map
+              (fun (d : Obs.Ledger.design) ->
+                { d with ds_speedup = Option.map (fun s -> s /. 2.0) d.ds_speedup })
+              ok.Obs.Ledger.r_stable.s_designs;
+        };
+    }
   in
-  check "2x slower section regresses" true reg;
+  let text, reg =
+    Obs.Ledger_report.diff ~label_a:"A" ~label_b:"B" ([ ok ], 0) ([ slower ], 0)
+  in
+  check "halved best speedup regresses" true reg;
   check "verdict line names the regression" true
     (contains ~needle:"verdict: REGRESSION" text);
-  (* within tolerance: no regression *)
-  let near = { ok with Obs.Ledger.r_metrics = [ ("bench.section.runs", 1.04) ] } in
-  let _, reg =
-    Obs.Ledger_report.diff ~label_a:"A" ~label_b:"B" ([ ok ], 0) ([ near ], 0)
-  in
-  check "growth within tolerance passes" false reg;
   (* a failure (class, site) pair absent from A: regression *)
   let failed =
     {

@@ -6,6 +6,7 @@ let () =
       ("srclang", Test_srclang.suite);
       ("interp", Test_interp.suite);
       ("compile", Test_compile.suite);
+      ("coverage", Test_coverage.suite);
       ("split", Test_split.suite);
       ("memo", Test_memo.suite);
       ("cache", Test_cache.suite);
