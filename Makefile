@@ -13,9 +13,11 @@ test: check
 bench:
 	dune exec bench/main.exe
 
-# fast perf smoke run; leaves a machine-readable trajectory in bench.json
+# fast perf smoke run; leaves a machine-readable trajectory in bench.json.
+# The cache is off, so every section times flow work, not replays of a
+# warm .psa-cache.
 bench-quick:
-	dune exec bench/main.exe -- --quick --json bench.json
+	dune exec bench/main.exe -- --quick --cache off --json bench.json
 
 # regression gate: re-run the quick bench and diff against the committed
 # seed baseline (fails on >20% regression in any section above the 0.05 s

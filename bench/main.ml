@@ -185,7 +185,7 @@ let run_interp_throughput () =
       List.iter
         (fun (config, p) ->
           let r = Machine.run ~config ~backend p in
-          steps := !steps + r.Machine.counters.Counters.steps)
+          steps := !steps + r.Machine.counters.(Counters.steps))
         inputs
     done;
     let dt = Obs.Monotonic.now_s () -. t0 in

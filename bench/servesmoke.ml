@@ -13,7 +13,8 @@
    - every finished request leaves a ledger record and a journal file;
    - SIGTERM drains cleanly (exit 0, socket removed), and a restart
      over a store holding damaged records (a declared length of -1, a
-     truncated copy) skips and counts them and still serves the
+     truncated copy) and a valid record with a foreign id skips and
+     counts them, writes nothing outside the store and still serves the
      persisted history;
    - a step-budgeted and an unbudgeted request in flight together both
      serve the CLI's bytes.
@@ -303,10 +304,11 @@ let () =
   if Sys.file_exists sock then fail "socket file left behind after drain";
   ok "SIGTERM drained cleanly (exit 0, socket removed)";
 
-  (* 6. restart over a damaged store: a record declaring length -1 and a
-     truncated copy of a real record are skipped and counted, and the
-     persisted history is still served; with two slots, a budgeted
-     request runs beside an unbudgeted one *)
+  (* 6. restart over a damaged store: a record declaring length -1, a
+     truncated copy of a real record and a checksum-valid copy whose id
+     is "../escaped" are skipped and counted, recovery writes nothing
+     outside the store, and the persisted history is still served; with
+     two slots, a budgeted request runs beside an unbudgeted one *)
   let store = Filename.concat dir ".psa-reqs" in
   let real =
     In_channel.with_open_bin (Filename.concat store (id1 ^ ".psareq")) In_channel.input_all
@@ -323,6 +325,29 @@ let () =
       ^ String.sub real eol (String.length real - eol))
   | _ -> fail "unexpected store record header in %s.psareq" id1);
   damage "damaged-truncated.psareq" (String.sub real 0 (String.length real / 2));
+  let escaped = Filename.concat dir "escaped.psareq" in
+  (match
+     Result.map Obs.Json.parse
+       (Obs.Atomic_io.read_checksummed ~tag:"psareq" ~version:1
+          (Filename.concat store (id1 ^ ".psareq")))
+   with
+  | Ok (Ok (Obj fields)) ->
+    let fields =
+      List.map
+        (function
+          | "id", _ -> ("id", Obs.Json.Str "../escaped")
+          | "state", _ -> ("state", Obs.Json.Str "running")
+          | field -> field)
+        fields
+    in
+    (match
+       Obs.Atomic_io.write_checksummed ~tag:"psareq" ~version:1
+         (Filename.concat store "foreign-id.psareq")
+         (Obs.Json.to_string (Obj fields))
+     with
+    | Ok _ -> ()
+    | Error msg -> fail "cannot plant a foreign-id record: %s" msg)
+  | _ -> fail "cannot read back %s.psareq" id1);
   let daemon2 =
     spawn_daemon ~max_inflight:2 psaflowd (Filename.concat dir "daemon2.log")
   in
@@ -342,8 +367,10 @@ let () =
     reports;
   ok "restart serves all %d persisted flows, bytes identical" (List.length reports);
   (match field (get "/v1/metrics") "serve.store.skipped" with
-  | Some (Num n) when n >= 2.0 -> ok "restart skipped %g damaged store records" n
-  | _ -> fail "restart over a damaged store did not report serve.store.skipped >= 2");
+  | Some (Num n) when n >= 3.0 -> ok "restart skipped %g damaged store records" n
+  | _ -> fail "restart over a damaged store did not report serve.store.skipped >= 3");
+  if Sys.file_exists escaped then fail "restart wrote %s outside the store" escaped;
+  ok "restart wrote nothing outside the store";
   let budgeted =
     {|{"app":"nbody","workload":"quick","client":"smoke","step_budget":1000000000000}|}
   in

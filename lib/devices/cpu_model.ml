@@ -7,14 +7,13 @@ type estimate = {
 }
 
 let compute_cycles (spec : Device.cpu_spec) (c : Counters.t) =
-  let f = float_of_int in
-  (f (c.flops_sp_add + c.flops_dp_add + c.flops_sp_mul + c.flops_dp_mul)
-   *. spec.cyc_per_flop_addmul)
-  +. (f (c.flops_sp_div + c.flops_dp_div) *. spec.cyc_per_flop_div)
-  +. (f (c.flops_sp_special + c.flops_dp_special) *. spec.cyc_per_flop_special)
-  +. (f c.int_ops *. spec.cyc_per_int_op)
-  +. (f (c.loads + c.stores) *. spec.cyc_per_mem_op)
-  +. (f c.branches *. 0.5)
+  let f = float_of_int and flops = Counters.flops_of c in
+  (f (flops Counters.Add + flops Counters.Mul) *. spec.cyc_per_flop_addmul)
+  +. (f (flops Counters.Div) *. spec.cyc_per_flop_div)
+  +. (f (flops Counters.Special) *. spec.cyc_per_flop_special)
+  +. (f c.(Counters.int_ops) *. spec.cyc_per_int_op)
+  +. (f (c.(Counters.loads) + c.(Counters.stores)) *. spec.cyc_per_mem_op)
+  +. (f c.(Counters.branches) *. 0.5)
 
 let time_of_counters (spec : Device.cpu_spec) counters ~footprint_bytes ~threads
     ~parallel_regions =

@@ -88,14 +88,16 @@ let estimate (spec : Device.gpu_spec) (ks : Kstatic.t) (kp : Kprofile.t)
     let dp_rate = sp_rate *. spec.dp_ratio in
     let sfu_rate = cycle_rate *. f spec.sfu_per_sm in
     let int_rate = sp_rate /. 2.0 in
+    let sp cls = c.(Counters.flop ~single:true cls)
+    and dp cls = c.(Counters.flop ~single:false cls) in
     let compute_s =
-      (f (c.flops_sp_add + c.flops_sp_mul) /. sp_rate)
-      +. (f c.flops_sp_div /. (sfu_rate /. 2.0))
-      +. (f c.flops_sp_special /. sfu_rate)
-      +. (f (c.flops_dp_add + c.flops_dp_mul) /. dp_rate)
-      +. (f c.flops_dp_div /. (dp_rate /. 4.0))
-      +. (f c.flops_dp_special /. (dp_rate /. 4.0))
-      +. (f c.int_ops /. int_rate)
+      (f (sp Counters.Add + sp Counters.Mul) /. sp_rate)
+      +. (f (sp Counters.Div) /. (sfu_rate /. 2.0))
+      +. (f (sp Counters.Special) /. sfu_rate)
+      +. (f (dp Counters.Add + dp Counters.Mul) /. dp_rate)
+      +. (f (dp Counters.Div) /. (dp_rate /. 4.0))
+      +. (f (dp Counters.Special) /. (dp_rate /. 4.0))
+      +. (f c.(Counters.int_ops) /. int_rate)
     in
     (* register spills: live state beyond 255 registers round-trips through
        local memory (the paper's Rush Larsen saturation effect) *)

@@ -32,9 +32,7 @@ let features_of ?(psa_config = Psa.default_config) (art : Artifact.t) =
         kp.Kprofile.kp_inner
     in
     let c = kp.Kprofile.kp_counters in
-    let specials =
-      float_of_int (c.Counters.flops_sp_special + c.Counters.flops_dp_special)
-    in
+    let specials = float_of_int (Counters.flops_of c Counters.Special) in
     let flops = float_of_int (Counters.flops c) in
     Ok
       {

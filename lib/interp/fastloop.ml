@@ -29,7 +29,7 @@
    (counters are added after the run, but counter state is unobservable on
    aborted runs — only the raise identity is).  The step budget is
    pre-checked against the statically largest possible total, so the
-   post-run [consume_steps] can never raise.  Arrays the nest declares are
+   post-run step charge can never exhaust it.  Arrays the nest declares are
    allocated after commit, by each execution of their declaration, so the
    walker's allocation order and memory image are kept.
 
@@ -61,7 +61,7 @@ type prepared = {
   (* per-site scratch: taken counter, max executions, cost delta vector *)
   tk : int array;
   cntmax : int array;
-  dsite : int array array;
+  dsite : Counters.t array;
   (* the cost walk (guard phases 3 and 3b: [cntmax] and [dsite] above,
      [lvec] and [lmult] below) was computed for trip counts [wtrip]:
      re-entries with the same trip counts reuse it.  [wbase] is the nest's
@@ -69,9 +69,9 @@ type prepared = {
      commit scratch. *)
   mutable wvalid : bool;
   wtrip : int array;
-  mutable wbase : int array;
+  mutable wbase : Counters.t;
   mutable wmax : int;
-  tot : int array;
+  tot : Counters.t;
   (* the array resolution below matches the pointers currently in the
      frame, so re-entries with unchanged pointers can skip phases 4/4b *)
   mutable avalid : bool;
@@ -101,7 +101,7 @@ type prepared = {
      largest entry count (per nest entry, from the cost walk), then the
      entries this run made and the order levels were first entered in *)
   lsites : int array array;
-  lvec : int array array;
+  lvec : Counters.t array;
   lmult : int array;
   lent : int array;
   lord : int array;
@@ -208,9 +208,6 @@ let cmul x y =
     if ax > ccap / ay then raise (Bail "overflow");
     x * y
   end
-
-(* length of a cost vector: steps and the 15 counter fields *)
-let nvec = 16
 
 let no_f : float array = [||]
 let no_i : int array = [||]
@@ -429,12 +426,12 @@ let prepare (fl : Ir.fast_loop) : prepared =
     lstep = Array.make nl 1;
     tk = Array.make ns 0;
     cntmax = Array.make ns 0;
-    dsite = Array.init ns (fun _ -> Array.make nvec 0);
+    dsite = Array.init ns (fun _ -> Counters.create ());
     wvalid = false;
     wtrip = Array.make nl 0;
     wbase = no_i;
     wmax = 0;
-    tot = Array.make nvec 0;
+    tot = Counters.create ();
     avalid = false;
     abase = Array.make na (-1);
     aoff = Array.make na 0;
@@ -545,36 +542,15 @@ let rec ieval p (e : Ir.iexpr) : int =
 
 (* ---- static cost vectors ----
 
-   [nvec]-element vectors: index 0 is steps, 1..15 the counter fields in a
-   fixed order (see [apply_totals]).  All cost-walk arithmetic is checked
-   against [ccap] so the combination with runtime taken counters below is
-   provably exact. *)
-
-let vec_of_block (b : Ir.block) =
-  let c = b.Ir.b_cnt in
-  [|
-    b.Ir.b_steps;
-    c.Ir.k_int_ops;
-    c.Ir.k_sp_add;
-    c.Ir.k_sp_mul;
-    c.Ir.k_sp_div;
-    c.Ir.k_sp_special;
-    c.Ir.k_dp_add;
-    c.Ir.k_dp_mul;
-    c.Ir.k_dp_div;
-    c.Ir.k_dp_special;
-    c.Ir.k_loads;
-    c.Ir.k_stores;
-    c.Ir.k_bytes_loaded;
-    c.Ir.k_bytes_stored;
-    c.Ir.k_branches;
-    c.Ir.k_calls;
-  |]
+   Cost vectors are {!Counters.t}: the blocks' static costs, their
+   combinations and the totals added into the live counters.  All
+   cost-walk arithmetic is checked against [ccap] so the combination with
+   runtime taken counters below is provably exact. *)
 
 let ivec ~ints ~brs =
-  let v = Array.make nvec 0 in
-  v.(1) <- ints;
-  v.(14) <- brs;
+  let v = Counters.create () in
+  v.(Counters.int_ops) <- ints;
+  v.(Counters.branches) <- brs;
   v
 
 let vadd_into a b = Array.iteri (fun i x -> a.(i) <- cadd a.(i) x) b
@@ -588,8 +564,8 @@ let vscale k v = Array.map (fun x -> cmul k x) v
    is the statically largest number of times [b] can run per nest entry.
    Loop trip counts are the per-entry constants already computed in
    [p.trip]. *)
-let rec eval_block p (b : Ir.block) (mult : int) : int array =
-  let v = vec_of_block b in
+let rec eval_block p (b : Ir.block) (mult : int) : Counters.t =
+  let v = Counters.copy b.Ir.b_cnt in
   Array.iter
     (fun (it : Ir.bitem) ->
       match it with
@@ -621,46 +597,26 @@ let rec eval_block p (b : Ir.block) (mult : int) : int array =
     b.Ir.b_items;
   v
 
-(* Batched counter update at commit: static baseline plus per-site taken
-   deltas, scaled into the live counters.  Mirrors the per-operation
-   count_* calls of the reference backends. *)
-let apply_totals (t : Counters.t) (tot : int array) =
-  t.Counters.int_ops <- t.Counters.int_ops + tot.(1);
-  t.Counters.flops_sp_add <- t.Counters.flops_sp_add + tot.(2);
-  t.Counters.flops_sp_mul <- t.Counters.flops_sp_mul + tot.(3);
-  t.Counters.flops_sp_div <- t.Counters.flops_sp_div + tot.(4);
-  t.Counters.flops_sp_special <- t.Counters.flops_sp_special + tot.(5);
-  t.Counters.flops_dp_add <- t.Counters.flops_dp_add + tot.(6);
-  t.Counters.flops_dp_mul <- t.Counters.flops_dp_mul + tot.(7);
-  t.Counters.flops_dp_div <- t.Counters.flops_dp_div + tot.(8);
-  t.Counters.flops_dp_special <- t.Counters.flops_dp_special + tot.(9);
-  t.Counters.loads <- t.Counters.loads + tot.(10);
-  t.Counters.stores <- t.Counters.stores + tot.(11);
-  t.Counters.bytes_loaded <- t.Counters.bytes_loaded + tot.(12);
-  t.Counters.bytes_stored <- t.Counters.bytes_stored + tot.(13);
-  t.Counters.branches <- t.Counters.branches + tot.(14);
-  t.Counters.calls <- t.Counters.calls + tot.(15)
-
 (* The exact total over one stretch of the nest: a baseline plus, for
    every site in [sites], its taken count times its delta.  [bound_total]
    is the overflow pre-verification of the same sum — the baseline and
    the sites' maximum counts, in absolute value, all checked — so the
    unchecked arithmetic of [add_taken] after commit cannot wrap. *)
-let bound_total p (base : int array) (sites : int array) =
-  for i = 0 to nvec - 1 do
+let bound_total p (base : Counters.t) (sites : int array) =
+  for i = 0 to Counters.length - 1 do
     let acc = ref (abs base.(i)) in
     Array.iter
       (fun s -> acc := cadd !acc (cmul p.cntmax.(s) (abs p.dsite.(s).(i))))
       sites
   done
 
-let add_taken p (tot : int array) (sites : int array) =
+let add_taken p (tot : Counters.t) (sites : int array) =
   Array.iter
     (fun s ->
       let tks = p.tk.(s) in
       if tks > 0 then begin
         let d = p.dsite.(s) in
-        for i = 0 to nvec - 1 do
+        for i = 0 to Counters.length - 1 do
           tot.(i) <- tot.(i) + (tks * d.(i))
         done
       end)
@@ -1287,13 +1243,11 @@ let account_levels p st =
       a.la_entries <- a.la_entries + e;
       a.la_iterations <- a.la_iterations + (e * p.trip.(l));
       let tot = p.tot and v = p.lvec.(l) in
-      for i = 0 to nvec - 1 do
+      for i = 0 to Counters.length - 1 do
         tot.(i) <- e * v.(i)
       done;
       add_taken p tot p.lsites.(l);
-      let c = a.la_counters in
-      c.Counters.steps <- c.Counters.steps + tot.(0);
-      apply_totals c tot
+      Counters.add_into a.la_counters tot
     end
   done
 
@@ -1428,7 +1382,8 @@ let first_touch p =
    entry serial. *)
 let split_chunks p ~marking =
   let jobs = Util.Pool.default_jobs () in
-  if (not p.split_ok) || jobs < 2 || p.trip.(0) < 2 || p.wbase.(0) < split_floor
+  if (not p.split_ok) || jobs < 2 || p.trip.(0) < 2
+     || p.wbase.(Counters.steps) < split_floor
      || not (disjoint_roots p)
   then None
   else if not marking then Some (jobs, [])
@@ -1493,7 +1448,7 @@ let chunk_steps = 8_000
    chunk instance is still running when the next entry reuses it. *)
 let run_split p st ~mk ~ck ~prof jobs =
   let t = p.trip.(0) in
-  let n = Int.min t (Int.max jobs (p.wbase.(0) / chunk_steps)) in
+  let n = Int.min t (Int.max jobs (p.wbase.(Counters.steps) / chunk_steps)) in
   let arrs = p.fl.Ir.fl_arrs in
   Array.iter (fun a -> p.palloc.(a) <- Array.make t (-1, Memory.Rint [||])) p.allocs;
   for j = 0 to t - 1 do
@@ -1639,9 +1594,9 @@ let attempt p st env (index : Value.t ref) (acc : loop_acc) =
       (ivec ~ints:(2 + root.Ir.l_hi_ops + root.Ir.l_step_ops) ~brs:1);
     let base_v = vscale t0 body_once in
     vadd_into base_v (ivec ~ints:(1 + root.Ir.l_hi_ops) ~brs:1);
-    let max_steps = ref base_v.(0) in
+    let max_steps = ref base_v.(Counters.steps) in
     for s = 0 to nsites - 1 do
-      let ds = p.dsite.(s).(0) in
+      let ds = p.dsite.(s).(Counters.steps) in
       if ds > 0 then max_steps := cadd !max_steps (cmul p.cntmax.(s) ds)
     done;
     if st.steps_left <= !max_steps then raise (Bail "budget");
@@ -1869,14 +1824,15 @@ let attempt p st env (index : Value.t ref) (acc : loop_acc) =
   if marking then mark_bulk p;
   (* exact totals: baseline plus taken deltas; the overflow
      pre-verification above guarantees none of this unchecked arithmetic
-     can wrap, and the budget pre-check that consume_steps cannot raise *)
+     can wrap, and the budget pre-check that [steps_left] stays positive *)
   let tot = p.tot in
-  Array.blit p.wbase 0 tot 0 nvec;
+  Array.blit p.wbase 0 tot 0 Counters.length;
   add_taken p tot p.lsites.(0);
-  if tot.(0) > 0 then consume_steps st tot.(0);
-  apply_totals st.counters tot;
+  let steps = tot.(Counters.steps) in
+  st.steps_left <- st.steps_left - steps;
+  Counters.add_into st.counters tot;
   let dp = Domain.DLS.get domain_planned in
-  dp := !dp + tot.(0);
+  dp := !dp + steps;
   acc.la_iterations <- acc.la_iterations + p.trip.(0);
   if prof then account_levels p st;
   (* alias tracing: the walker notes every call of an inlined callee; its

@@ -128,7 +128,7 @@ let run ?(config = default_config) ?backend (program : Ast.program) : result =
       let t0 = Obs.Monotonic.now_s () in
       let planned0 = Fastloop.planned_on_domain () in
       let finish (r : result) =
-        let steps = r.counters.Counters.steps in
+        let steps = r.counters.(Counters.steps) in
         let planned = Fastloop.planned_on_domain () - planned0 in
         Obs.Metrics.Counter.incr m_runs;
         Obs.Metrics.Counter.add m_steps steps;

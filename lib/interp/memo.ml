@@ -136,8 +136,12 @@ module C = Cache.Make (struct
 
   let kind = "run"
 
-  (* v2: entries use the Obs.Atomic_io record format *)
-  let version = 2
+  (* v2: entries use the Obs.Atomic_io record format; v3: a result's
+     counters are the Counters.t int vector, not a record of named
+     fields, so a v2 payload would unmarshal as the wrong type.  The
+     version is part of the entry's file name, so a v2 entry reads as a
+     miss. *)
+  let version = 3
 end)
 
 let run ?(config = Machine.default_config) ?backend p =

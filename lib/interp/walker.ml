@@ -40,7 +40,7 @@ let rec eval_expr st env (e : expr) : Value.t =
     let va = eval_expr st env a in
     (match va with
      | Value.Vint n -> count_int_op st; Value.Vint (-n)
-     | Value.Vfloat (p, f) -> count_flop st p Cadd; Value.Vfloat (p, -.f)
+     | Value.Vfloat (p, f) -> count_flop st p fl_add; Value.Vfloat (p, -.f)
      | Value.Vbool _ | Value.Vptr _ -> runtime_error e.eloc "negating non-number")
   | Unary (Not, a) ->
     let va = eval_expr st env a in
@@ -62,7 +62,7 @@ let rec eval_expr st env (e : expr) : Value.t =
     let vargs = List.map (eval_expr st env) args in
     (match Hashtbl.find_opt st.func_table name with
      | Some fn ->
-       st.counters.calls <- st.counters.calls + 1;
+       count st Counters.calls 1;
        (match call_function st fn vargs with
         | Some v -> v
         | None -> Value.Vint 0)

@@ -108,44 +108,7 @@ type fop =
   | Alloc of int
   | Called of int
 
-type counts = {
-  mutable k_int_ops : int;
-  mutable k_sp_add : int;
-  mutable k_sp_mul : int;
-  mutable k_sp_div : int;
-  mutable k_sp_special : int;
-  mutable k_dp_add : int;
-  mutable k_dp_mul : int;
-  mutable k_dp_div : int;
-  mutable k_dp_special : int;
-  mutable k_loads : int;
-  mutable k_stores : int;
-  mutable k_bytes_loaded : int;
-  mutable k_bytes_stored : int;
-  mutable k_branches : int;
-  mutable k_calls : int;
-}
-
-let zero_counts () =
-  {
-    k_int_ops = 0;
-    k_sp_add = 0;
-    k_sp_mul = 0;
-    k_sp_div = 0;
-    k_sp_special = 0;
-    k_dp_add = 0;
-    k_dp_mul = 0;
-    k_dp_div = 0;
-    k_dp_special = 0;
-    k_loads = 0;
-    k_stores = 0;
-    k_bytes_loaded = 0;
-    k_bytes_stored = 0;
-    k_branches = 0;
-    k_calls = 0;
-  }
-
-type block = { b_items : bitem array; b_steps : int; b_cnt : counts }
+type block = { b_items : bitem array; b_cnt : Counters.t }
 
 and bitem = Bops of fop array | Bsite of int | Bloop of int
 

@@ -208,44 +208,17 @@ type fop =
       (** inlined call site [k] (index into [fl_calls]) ran; only alias
           tracing observes it, and it does nothing otherwise *)
 
-(** {1 Counter deltas}
-
-    Mirror of the interpreter's hardware-model counters ([Counters.t]
-    minus [steps], which the step budget accounts separately).  Computed
-    statically per block so the executing backend can batch a whole
-    nest's worth of counting into one update per entry: the static block
-    deltas are combined with per-level trip counts and per-site taken
-    counters by the guard's cost walk. *)
-type counts = {
-  mutable k_int_ops : int;
-  mutable k_sp_add : int;
-  mutable k_sp_mul : int;
-  mutable k_sp_div : int;
-  mutable k_sp_special : int;
-  mutable k_dp_add : int;
-  mutable k_dp_mul : int;
-  mutable k_dp_div : int;
-  mutable k_dp_special : int;
-  mutable k_loads : int;
-  mutable k_stores : int;
-  mutable k_bytes_loaded : int;
-  mutable k_bytes_stored : int;
-  mutable k_branches : int;
-  mutable k_calls : int;
-      (** calls of user functions: one per inlined call, counted after its
-          arguments like the walker's [calls] *)
-}
-
-val zero_counts : unit -> counts
-
 (** {1 Lowered loop nests}
 
-    A planned nest is a tree of {!block}s.  A block's [b_cnt]/[b_steps]
-    are the {e static} cost of running the block once: straight-line ops,
+    A planned nest is a tree of {!block}s.  A block's [b_cnt] is the
+    {e static} cost of running the block once, in the interpreter's
+    counter layout ({!Counters.t}, steps included): straight-line ops,
     each statement's own step, each site's branch + condition cost, and
     each inner [For]'s own step — but {e not} site arms (dynamic, covered
-    by taken counters) or loop iterations (covered by trip counts). *)
-type block = { b_items : bitem array; b_steps : int; b_cnt : counts }
+    by taken counters) or loop iterations (covered by trip counts).
+    Computed statically per block so the executing backend can batch a
+    whole nest's worth of counting into one update per entry. *)
+type block = { b_items : bitem array; b_cnt : Counters.t }
 
 (** One item of a block: a straight-line instruction run, a control-flow
     site (index into [fl_sites]), or an inner loop (index into

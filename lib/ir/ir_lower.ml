@@ -140,8 +140,7 @@ type lctx = {
   (* the block currently under construction *)
   mutable cur : Ir.fop list;  (* reversed pending straight-line run *)
   mutable items : Ir.bitem list;  (* reversed *)
-  mutable cnt : Ir.counts;
-  mutable steps : int;
+  mutable cnt : Counters.t;
   (* nest-wide tables *)
   mutable nlevels : int;
   lvls : (int, Ir.level) Hashtbl.t;
@@ -188,21 +187,13 @@ let emit c op = c.cur <- op :: c.cur
    can be lowered mid-expression (ternaries) and closed in any order that
    respects nesting. *)
 
-type openblk = {
-  ob_cur : Ir.fop list;
-  ob_items : Ir.bitem list;
-  ob_cnt : Ir.counts;
-  ob_steps : int;
-}
+type openblk = { ob_cur : Ir.fop list; ob_items : Ir.bitem list; ob_cnt : Counters.t }
 
 let open_block c =
-  let ob =
-    { ob_cur = c.cur; ob_items = c.items; ob_cnt = c.cnt; ob_steps = c.steps }
-  in
+  let ob = { ob_cur = c.cur; ob_items = c.items; ob_cnt = c.cnt } in
   c.cur <- [];
   c.items <- [];
-  c.cnt <- Ir.zero_counts ();
-  c.steps <- 0;
+  c.cnt <- Counters.create ();
   ob
 
 let flush_ops c =
@@ -213,17 +204,10 @@ let flush_ops c =
 
 let close_block c ob =
   flush_ops c;
-  let b =
-    {
-      Ir.b_items = Array.of_list (List.rev c.items);
-      b_steps = c.steps;
-      b_cnt = c.cnt;
-    }
-  in
+  let b = { Ir.b_items = Array.of_list (List.rev c.items); b_cnt = c.cnt } in
   c.cur <- ob.ob_cur;
   c.items <- ob.ob_items;
   c.cnt <- ob.ob_cnt;
-  c.steps <- ob.ob_steps;
   b
 
 let with_block c f =
@@ -346,31 +330,26 @@ let getcursor c aid (coefs : (int * Ir.iexpr) list) base ~loc =
 
 (* counter-delta helpers; mirror Interp_rt.count_int_op / count_flop /
    count_load / count_store *)
-let kint c = c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + 1
+let kadd c i k = c.cnt.(i) <- c.cnt.(i) + k
 
-let kbranch c = c.cnt.Ir.k_branches <- c.cnt.Ir.k_branches + 1
+let kint c = kadd c Counters.int_ops 1
 
-let kflop c (p : Ir.prec) cls =
-  let t = c.cnt in
-  match p, cls with
-  | Ir.Psingle, `Add -> t.Ir.k_sp_add <- t.Ir.k_sp_add + 1
-  | Ir.Psingle, `Mul -> t.Ir.k_sp_mul <- t.Ir.k_sp_mul + 1
-  | Ir.Psingle, `Div -> t.Ir.k_sp_div <- t.Ir.k_sp_div + 1
-  | Ir.Psingle, `Special -> t.Ir.k_sp_special <- t.Ir.k_sp_special + 1
-  | Ir.Pdouble, `Add -> t.Ir.k_dp_add <- t.Ir.k_dp_add + 1
-  | Ir.Pdouble, `Mul -> t.Ir.k_dp_mul <- t.Ir.k_dp_mul + 1
-  | Ir.Pdouble, `Div -> t.Ir.k_dp_div <- t.Ir.k_dp_div + 1
-  | Ir.Pdouble, `Special -> t.Ir.k_dp_special <- t.Ir.k_dp_special + 1
+let kbranch c = kadd c Counters.branches 1
+
+let kflop c (p : Ir.prec) cls = kadd c (Counters.flop ~single:(p = Ir.Psingle) cls) 1
+
+let cls_of_bop = function
+  | Add | Sub -> Counters.Add
+  | Mul -> Counters.Mul
+  | _ -> Counters.Div
 
 let kload c (ety : Ir.ety) =
-  c.cnt.Ir.k_loads <- c.cnt.Ir.k_loads + 1;
-  c.cnt.Ir.k_bytes_loaded <-
-    c.cnt.Ir.k_bytes_loaded + Ast.sizeof (Ir.ty_of_ety ety)
+  kadd c Counters.loads 1;
+  kadd c Counters.bytes_loaded (Ast.sizeof (Ir.ty_of_ety ety))
 
 let kstore c (ety : Ir.ety) =
-  c.cnt.Ir.k_stores <- c.cnt.Ir.k_stores + 1;
-  c.cnt.Ir.k_bytes_stored <-
-    c.cnt.Ir.k_bytes_stored + Ast.sizeof (Ir.ty_of_ety ety)
+  kadd c Counters.stores 1;
+  kadd c Counters.bytes_stored (Ast.sizeof (Ir.ty_of_ety ety))
 
 (* ---- affine index extraction ----
 
@@ -515,10 +494,10 @@ let rec lexpr c (e : expr) : lres =
      | Ri (_, true) ->
        reject "negating a boolean"  (* the walker raises "negating non-number" *)
      | Rf (r, p) ->
-       (* walker Neg of a float: count_flop p Cadd, no demotion *)
+       (* walker Neg of a float: count_flop p Add, no demotion *)
        let d = allocf c in
        emit c (Ir.FNeg (d, r));
-       kflop c p `Add;
+       kflop c p Counters.Add;
        Rf (d, p))
   | Unary (Not, a) ->
     (* walker Not: operand truth, count_int_op, logical negation *)
@@ -658,7 +637,7 @@ and lbinary c e op a b : lres =
         | Mul, Ir.Psingle -> emit c (Ir.FMulS (d, x, y))
         | Div, Ir.Psingle -> emit c (Ir.FDivS (d, x, y))
         | _ -> assert false);
-       kflop c p (match op with Add | Sub -> `Add | Mul -> `Mul | _ -> `Div);
+       kflop c p (cls_of_bop op);
        Rf (d, p)
      | _ -> reject "unsupported operator")
 
@@ -670,7 +649,7 @@ and lcall c name args : lres =
     let d = allocf c in
     emit c (ins d);
     let p = if i.single then Ir.Psingle else Ir.Pdouble in
-    kflop c p (if i.cls = Intrinsic.Special then `Special else `Add);
+    kflop c p (if i.cls = Intrinsic.Special then Counters.Special else Counters.Add);
     Rf (d, p)
   in
   match Intrinsic.find name, args with
@@ -747,7 +726,7 @@ and lindex c (e : expr) base idx : lres =
   let r =
     match affine c idx with
     | Some (coefs, bse, nops) ->
-      c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
+      kadd c Counters.int_ops nops;
       load_affine (getcursor c aid coefs bse ~loc:e.eloc)
     | None ->
       let ii = as_int c (lexpr c idx) in
@@ -787,8 +766,6 @@ and lcast c ty a : lres =
   | Tptr _ | Tvoid -> reject "unsupported cast"
 
 (* ---- statement lowering ---- *)
-
-let cls_of_bop = function Add | Sub -> `Add | Mul -> `Mul | _ -> `Div
 
 let binop_of_assign = function
   | AddEq -> Add
@@ -838,7 +815,7 @@ let ldecl c ~added (d : decl) =
      let size, nops =
        try invariant c size_e with Reject _ -> reject "non-invariant array size"
      in
-     c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
+     kadd c Counters.int_ops nops;
      let ma =
        { ma_name = d.dname; ma_global = false; ma_ety = ety; ma_stored = false;
          ma_size = Some size }
@@ -977,7 +954,7 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
     in
     (match affine c idx with
      | Some (coefs, bse, nops) ->
-       c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
+       kadd c Counters.int_ops nops;
        let cur = getcursor c aid coefs bse ~loc:lhs.eloc in
        (match ety with
         | Ir.Efloat32 -> emit c (Ir.FStDem (cur, src))
@@ -1004,7 +981,7 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
        let ld, st =
          match affine c idx with
          | Some (coefs, bse, nops) ->
-           c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
+           kadd c Counters.int_ops nops;
            let cur = getcursor c aid coefs bse ~loc:lhs.eloc in
            ( (fun d -> emit c (Ir.FLd (d, cur))),
              fun srcr ->
@@ -1044,7 +1021,7 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
        let ld, st =
          match affine c idx with
          | Some (coefs, bse, nops) ->
-           c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
+           kadd c Counters.int_ops nops;
            let cur = getcursor c aid coefs bse ~loc:lhs.eloc in
            ( (fun d -> emit c (Ir.ILd (d, cur))),
              fun srcr -> emit c (Ir.ISt (cur, srcr)) )
@@ -1100,7 +1077,7 @@ let collect_info ~(funcs : (string, func) Hashtbl.t) body =
    carry their own counts). *)
 let rec lstmt c ~added (s : stmt) =
   if Hashtbl.mem c.region_set s.sid then reject "observation region";
-  c.steps <- c.steps + 1;
+  kadd c Counters.steps 1;
   match s.sdesc with
   | Decl d -> ldecl c ~added d
   | Assign (lhs, op, rhs) ->
@@ -1165,7 +1142,7 @@ and linline c (fn : func) args =
         | ty -> ((prm.prm_name, Slocal (coerced c ty (lexpr c arg))) :: binds, ptrs))
       ([], []) fn.fparams args
   in
-  c.cnt.Ir.k_calls <- c.cnt.Ir.k_calls + 1;
+  kadd c Counters.calls 1;
   let k = c.ncalls in
   c.ncalls <- k + 1;
   c.calls <- { Ir.k_func = fn.fname; k_ptrs = Array.of_list (List.rev ptrs) } :: c.calls;
@@ -1181,7 +1158,7 @@ and linline c (fn : func) args =
   c.sym <- callee_sym;
   c.in_callee <- true;
   lblock c body;
-  c.steps <- c.steps + ret_steps;
+  kadd c Counters.steps ret_steps;
   c.env <- env;
   c.all_locals <- all_locals;
   c.sym <- sym;
@@ -1489,8 +1466,7 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
       pro = [];
       cur = [];
       items = [];
-      cnt = Ir.zero_counts ();
-      steps = 0;
+      cnt = Counters.create ();
       nlevels = 1;
       lvls = Hashtbl.create 4;
       lidx = Hashtbl.create 4;

@@ -13,7 +13,7 @@
     walker does, so memory images and allocation order stay identical.
     A statement call [f(args);] is inlined: the arguments are lowered left
     to right in the caller's scope and the call is counted
-    ([Ir.counts.k_calls]); by-value parameters get fresh registers holding
+    ([Counters.calls]); by-value parameters get fresh registers holding
     the arguments converted as [Value.coerce] converts, pointer parameters
     bind to the caller's array operands (plain pointer variables bound
     outside the nest); the body is lowered in its own scope — its

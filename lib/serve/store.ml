@@ -106,15 +106,25 @@ let save ~dir e =
       (Obs.Atomic_io.write_checksummed ~tag ~version (path ~dir e.e_id) (to_json e))
   | exception Failure msg -> Error msg
 
+(* An id as the server mints it: [q] and decimal digits. *)
+let is_id s =
+  String.length s > 1
+  && s.[0] = 'q'
+  && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub s 1 (String.length s - 1))
+
+(* A record is trusted only under its own id: the server reads the id's
+   digits and rewrites the record at [path ~dir id], so a foreign id
+   could stop it or send a write outside the store. *)
 let read_entry file =
-  match Obs.Atomic_io.read_checksummed ~tag ~version file with
-  | Ok payload -> (
-    match of_json (String.trim payload) with
-    | Ok e -> Some e
-    | Error _ ->
-      Obs.Metrics.Counter.incr skipped;
-      None)
-  | Error _ ->
+  let entry =
+    match Obs.Atomic_io.read_checksummed ~tag ~version file with
+    | Ok payload -> Result.to_option (of_json (String.trim payload))
+    | Error _ -> None
+  in
+  let stem = Filename.remove_extension (Filename.basename file) in
+  match entry with
+  | Some e when is_id e.e_id && e.e_id = stem -> Some e
+  | Some _ | None ->
     Obs.Metrics.Counter.incr skipped;
     None
 

@@ -21,7 +21,10 @@
     - Terminal records ({!Done}, {!Failed}) are never rewritten by
       recovery; a completed report survives any number of restarts.
     - Corrupt/truncated/foreign-version files are skipped and counted,
-      never fatal — a damaged store degrades to a smaller history.
+      never fatal — a damaged store degrades to a smaller history.  So
+      is a record whose id is not [q] and digits, or not its own file
+      name: the server parses the id's digits and rewrites the record
+      under the id's name.
     - Ids are zero-padded and monotonic (the server mints them from a
       counter that resuming advances past the store), so file-name
       order is admission order and id allocation survives restarts. *)

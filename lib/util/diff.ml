@@ -67,13 +67,3 @@ let unified ?(context = 2) ~old_text new_text =
     done;
     Buffer.contents buf
   end
-
-let stats old_text new_text =
-  List.fold_left
-    (fun (add, drop) op ->
-      match op with
-      | Keep _ -> (add, drop)
-      | Add _ -> (add + 1, drop)
-      | Drop _ -> (add, drop + 1))
-    (0, 0)
-    (diff_lines (split old_text) (split new_text))

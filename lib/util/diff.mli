@@ -17,6 +17,3 @@ val unified : ?context:int -> old_text:string -> string -> string
 (** [unified ~old_text new_text]: classic unified format with [context]
     lines (default 2) around each hunk; the empty string when the texts
     are equal. *)
-
-val stats : string -> string -> int * int
-(** (added, removed) line counts between two texts. *)

@@ -4,8 +4,6 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators" (OOPSLA 2014). *)
 let int64 t =
@@ -15,34 +13,6 @@ let int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int t bound =
-  assert (bound > 0);
-  let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (int64 t) mask) in
-  v mod bound
-
 let uniform t =
   let v = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float v *. (1.0 /. 9007199254740992.0)
-
-let float t x = uniform t *. x
-
-let gaussian t =
-  let rec draw () =
-    let u1 = uniform t in
-    if u1 <= 1e-300 then draw () else u1
-  in
-  let u1 = draw () and u2 = uniform t in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let split t =
-  let s = int64 t in
-  { state = s }

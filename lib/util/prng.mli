@@ -1,7 +1,8 @@
 (** Deterministic pseudo-random number generation.
 
     A small splitmix64-based generator used wherever the reproduction needs
-    randomness (workload generation, property-test seeds).  Keeping our own
+    randomness (the interpreted programs' [rand01()], fault-injection
+    draws, retry back-off jitter).  Keeping our own
     generator guarantees experiments are bit-reproducible across runs and
     OCaml versions, unlike [Stdlib.Random] whose algorithm may change. *)
 
@@ -11,26 +12,8 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state so two streams can diverge. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
-
-val float : t -> float -> float
-(** [float t x] is uniform in [\[0, x)]. *)
-
 val uniform : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val gaussian : t -> float
-(** Standard normal via Box-Muller. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val split : t -> t
-(** [split t] derives an independent generator, advancing [t]. *)

@@ -1,35 +1,8 @@
-let mean a =
-  let n = Array.length a in
-  if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
-
-let geomean a =
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    Array.iter (fun x -> acc := !acc +. log x) a;
-    exp (!acc /. float_of_int n)
-  end
-
-let stddev a =
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else begin
-    let m = mean a in
-    let acc = ref 0.0 in
-    Array.iter (fun x -> acc := !acc +. ((x -. m) ** 2.0)) a;
-    sqrt (!acc /. float_of_int n)
-  end
-
-let sorted a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
-
 let percentile a p =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.percentile: empty";
-  let b = sorted a in
+  let b = Array.copy a in
+  Array.sort compare b;
   if n = 1 then b.(0)
   else begin
     let rank = p /. 100.0 *. float_of_int (n - 1) in
@@ -37,31 +10,4 @@ let percentile a p =
     let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     (b.(lo) *. (1.0 -. frac)) +. (b.(hi) *. frac)
-  end
-
-let median a = percentile a 50.0
-
-let minimum a = Array.fold_left min a.(0) a
-let maximum a = Array.fold_left max a.(0) a
-
-let argmin key l =
-  let better acc x =
-    match acc with
-    | None -> Some (x, key x)
-    | Some (_, k) ->
-      let kx = key x in
-      if kx < k then Some (x, kx) else acc
-  in
-  Option.map fst (List.fold_left better None l)
-
-let argmax key l = argmin (fun x -> -.key x) l
-
-let clamp ~lo ~hi x = Float.min hi (Float.max lo x)
-
-let round_sig n x =
-  if x = 0.0 || not (Float.is_finite x) then x
-  else begin
-    let magnitude = Float.floor (Float.log10 (Float.abs x)) in
-    let factor = 10.0 ** (float_of_int (n - 1) -. magnitude) in
-    Float.round (x *. factor) /. factor
   end

@@ -1,29 +1,4 @@
-(** Small statistics helpers used by analyses, DSE and experiment reports. *)
-
-val mean : float array -> float
-(** Arithmetic mean; 0 on the empty array. *)
-
-val geomean : float array -> float
-(** Geometric mean of positive values; 0 on the empty array. *)
-
-val stddev : float array -> float
-(** Population standard deviation. *)
-
-val median : float array -> float
-(** Median (does not mutate the input). *)
+(** Percentiles of a sample. *)
 
 val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [\[0,100\]], linear interpolation. *)
-
-val minimum : float array -> float
-val maximum : float array -> float
-
-val argmin : ('a -> float) -> 'a list -> 'a option
-(** Element minimising the key, [None] on empty input. *)
-
-val argmax : ('a -> float) -> 'a list -> 'a option
-
-val clamp : lo:float -> hi:float -> float -> float
-
-val round_sig : int -> float -> float
-(** [round_sig n x] rounds [x] to [n] significant digits. *)

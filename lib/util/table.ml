@@ -1,11 +1,9 @@
 type align = Left | Right | Center
 
-type row = Cells of string list | Separator
-
 type t = {
   headers : string list;
   mutable aligns : align array;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ~headers =
@@ -16,9 +14,7 @@ let set_aligns t aligns =
     (fun i a -> if i < Array.length t.aligns then t.aligns.(i) <- a)
     aligns
 
-let add_row t cells = t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+let add_row t cells = t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -40,7 +36,7 @@ let render t =
       cells
   in
   measure t.headers;
-  List.iter (function Cells c -> measure c | Separator -> ()) t.rows;
+  List.iter measure t.rows;
   let rule =
     "+"
     ^ String.concat "+" (Array.to_list (Array.map (fun w -> String.make (w + 2) '-') widths))
@@ -59,11 +55,7 @@ let render t =
   addl rule;
   addl (line (fun _ -> Center) t.headers);
   addl rule;
-  List.iter
-    (function
-      | Cells c -> addl (line (fun i -> t.aligns.(i)) c)
-      | Separator -> addl rule)
-    (List.rev t.rows);
+  List.iter (fun c -> addl (line (fun i -> t.aligns.(i)) c)) (List.rev t.rows);
   addl rule;
   Buffer.contents buf
 

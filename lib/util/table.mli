@@ -16,9 +16,6 @@ val set_aligns : t -> align list -> unit
 val add_row : t -> string list -> unit
 (** Append a row. Rows shorter than the header are padded with [""]. *)
 
-val add_separator : t -> unit
-(** Append a horizontal rule between row groups. *)
-
 val render : t -> string
 (** Render with unicode-free ASCII box drawing. *)
 

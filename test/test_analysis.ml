@@ -302,9 +302,9 @@ let test_hotspot_extract_globals_not_params () =
 
 let test_intensity_flop_equiv () =
   let c = Counters.create () in
-  c.Counters.flops_dp_add <- 10;
-  c.Counters.flops_dp_div <- 1;
-  c.Counters.flops_dp_special <- 1;
+  c.(Counters.flop ~single:false Counters.Add) <- 10;
+  c.(Counters.flop ~single:false Counters.Div) <- 1;
+  c.(Counters.flop ~single:false Counters.Special) <- 1;
   Alcotest.(check (float 1e-9)) "weighted" 38.0 (Intensity.flop_equiv c)
 
 (* ---- data in/out and aliasing: the kernel profile ---- *)
@@ -386,7 +386,7 @@ let test_scalarize_reduces_memory_traffic () =
   let p' = Scalarize.apply p ~loop_sid:inner.Query.lm_stmt.Ast.sid in
   let r1 = Machine.run p and r2 = Machine.run p' in
   check "fewer stores after scalarisation" true
-    (r2.Machine.counters.Counters.stores < r1.Machine.counters.Counters.stores)
+    (r2.Machine.counters.(Counters.stores) < r1.Machine.counters.(Counters.stores))
 
 let test_scalarize_no_candidates_noop () =
   let p = parse dio_src in

@@ -440,8 +440,8 @@ let test_step_count_identical () =
         }
       in
       let p = App.program app in
-      let sa = (Machine.run ~config ~backend:`Ast p).Machine.counters.Counters.steps in
-      let sv = (Machine.run ~config ~backend:`Vm p).Machine.counters.Counters.steps in
+      let sa = (Machine.run ~config ~backend:`Ast p).Machine.counters.(Counters.steps) in
+      let sv = (Machine.run ~config ~backend:`Vm p).Machine.counters.(Counters.steps) in
       Alcotest.(check int) (app.App.app_slug ^ " steps (vm)") sa sv)
     Suite.all
 
@@ -522,7 +522,7 @@ int main() {
   let r = Machine.run ~backend:`Vm p in
   Alcotest.(check int) "completed: one run" (runs0 + 1) (counter "interp.runs");
   Alcotest.(check int) "completed: its steps"
-    (steps0 + r.Machine.counters.Counters.steps)
+    (steps0 + r.Machine.counters.(Counters.steps))
     (counter "interp.steps");
   Alcotest.(check int) "completed: its planned steps" 4000 (planned () - pl0)
 
@@ -631,7 +631,7 @@ let test_nest_planned_coverage () =
   let before = planned () in
   let r = Machine.run ~backend:`Vm p in
   let planned = planned () - before in
-  let total = r.Machine.counters.Counters.steps in
+  let total = r.Machine.counters.(Counters.steps) in
   check "planned steps bounded by total" true (planned <= total && planned > 0);
   check "step coverage >= 0.9" true
     (float_of_int planned >= 0.9 *. float_of_int total)
@@ -645,7 +645,7 @@ let test_nest_budget_bail_parity () =
      bail-then-complete on the walker with all counters observable *)
   let p = parse nest_src in
   let total =
-    (Machine.run ~backend:`Ast p).Machine.counters.Counters.steps
+    (Machine.run ~backend:`Ast p).Machine.counters.(Counters.steps)
   in
   for max_steps = 1 to 100 do
     let config = { Machine.default_config with max_steps } in
@@ -890,7 +890,7 @@ int main() {
 }|}
   in
   let pk = parse src_kernel in
-  let total = (Machine.run ~backend:`Ast pk).Machine.counters.Counters.steps in
+  let total = (Machine.run ~backend:`Ast pk).Machine.counters.(Counters.steps) in
   List.iter
     (fun max_steps ->
       let config = { (flow_config ()) with max_steps } in
@@ -1121,7 +1121,7 @@ let test_walk_reuse_budget () =
      the budget check runs on every entry, cached walk or not, and a
      bailing entry leaves the walker to raise at its own statement *)
   let p = parse (reentry_src unchanged_trips) in
-  let total = (Machine.run ~backend:`Ast p).Machine.counters.Counters.steps in
+  let total = (Machine.run ~backend:`Ast p).Machine.counters.(Counters.steps) in
   let d0 = Fastloop.planned_on_domain () in
   ignore (Machine.run ~backend:`Vm p);
   let per_entry = (Fastloop.planned_on_domain () - d0) / 7 in
@@ -1162,7 +1162,7 @@ let agree_mostly_planned ?(config = Machine.default_config) p =
   let before = planned () in
   let ok = agree ~config p in
   let planned = planned () - before in
-  let total = (Machine.run ~config ~backend:`Ast p).Machine.counters.Counters.steps in
+  let total = (Machine.run ~config ~backend:`Ast p).Machine.counters.(Counters.steps) in
   ok && 2 * planned > total
 
 let call_case name p =
@@ -1395,7 +1395,7 @@ let test_call_budget_sweep () =
   List.iter
     (fun (label, base) ->
       let total =
-        (Machine.run ~config:base ~backend:`Ast p).Machine.counters.Counters.steps
+        (Machine.run ~config:base ~backend:`Ast p).Machine.counters.(Counters.steps)
       in
       for max_steps = 1 to total + 2 do
         let config = { base with Machine.max_steps } in
@@ -2016,7 +2016,7 @@ let test_decl_budget_sweep () =
       List.iter
         (fun (label, base) ->
           let total =
-            (Machine.run ~config:base ~backend:`Ast p).Machine.counters.Counters.steps
+            (Machine.run ~config:base ~backend:`Ast p).Machine.counters.(Counters.steps)
           in
           for max_steps = 1 to total + 2 do
             let config = { base with Machine.max_steps } in

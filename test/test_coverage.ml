@@ -37,7 +37,7 @@ let test_app_coverage ((app : App.t), floor) () =
   let r = Machine.run ~config ~backend:`Vm (App.program app) in
   check_floor
     (app.App.app_slug ^ " evaluation workload")
-    ~floor ~planned:(planned () - p0) ~total:r.Machine.counters.Counters.steps
+    ~floor ~planned:(planned () - p0) ~total:r.Machine.counters.(Counters.steps)
 
 (* The five uninformed quick flows, profiled analysis runs included.  No
    disk tier and an empty memory tier, so every run interprets.  The

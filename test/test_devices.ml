@@ -111,8 +111,8 @@ let test_cpu_threads_monotone () =
 let test_cpu_dram_roofline () =
   (* a footprint beyond the LLC must add a memory term *)
   let c = Counters.create () in
-  c.Counters.bytes_loaded <- 1_000_000_000;
-  c.Counters.loads <- 125_000_000;
+  c.(Counters.bytes_loaded) <- 1_000_000_000;
+  c.(Counters.loads) <- 125_000_000;
   let small =
     Cpu_model.time_of_counters Device.epyc_7543 c ~footprint_bytes:1024 ~threads:1
       ~parallel_regions:0

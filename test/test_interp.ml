@@ -121,25 +121,26 @@ let test_erf_accuracy () =
 let test_counters_flops () =
   let r = run "int main() { double x = 1.5 * 2.0 + 1.0; print_float(x); return 0; }" in
   let c = r.Machine.counters in
-  checki "one dp mul" 1 c.Counters.flops_dp_mul;
-  checki "one dp add" 1 c.Counters.flops_dp_add
+  checki "one dp mul" 1 c.(Counters.flop ~single:false Counters.Mul);
+  checki "one dp add" 1 c.(Counters.flop ~single:false Counters.Add)
 
 let test_counters_sp_vs_dp () =
   let r = run "int main() { float x = 1.5f * 2.0f; double y = 1.5 * 2.0; print_float((double)x + y); return 0; }" in
   let c = r.Machine.counters in
-  checki "sp mul" 1 c.Counters.flops_sp_mul;
-  checki "dp mul" 1 c.Counters.flops_dp_mul
+  checki "sp mul" 1 c.(Counters.flop ~single:true Counters.Mul);
+  checki "dp mul" 1 c.(Counters.flop ~single:false Counters.Mul)
 
 let test_counters_loads_stores () =
   let r = run "int main() { double a[8]; for (int i = 0; i < 8; i++) { a[i] = 1.0; } double s = 0.0; for (int i = 0; i < 8; i++) { s += a[i]; } print_float(s); return 0; }" in
   let c = r.Machine.counters in
-  checki "stores" 8 c.Counters.stores;
-  checki "loads" 8 c.Counters.loads;
-  checki "bytes stored" 64 c.Counters.bytes_stored
+  checki "stores" 8 c.(Counters.stores);
+  checki "loads" 8 c.(Counters.loads);
+  checki "bytes stored" 64 c.(Counters.bytes_stored)
 
 let test_counters_specials () =
   let r = run "int main() { print_float(exp(1.0) + sqrt(4.0)); return 0; }" in
-  checki "two dp specials" 2 r.Machine.counters.Counters.flops_dp_special
+  checki "two dp specials" 2
+    r.Machine.counters.(Counters.flop ~single:false Counters.Special)
 
 let test_loop_stats () =
   let config = { Machine.default_config with profile_loops = true } in
@@ -286,20 +287,20 @@ let test_output_order () =
 
 let test_counters_scale () =
   let c = Counters.create () in
-  c.Counters.flops_dp_add <- 3;
-  c.Counters.bytes_loaded <- 10;
+  c.(Counters.flop ~single:false Counters.Add) <- 3;
+  c.(Counters.bytes_loaded) <- 10;
   let s = Counters.scale c 4 in
-  checki "flops scaled" 12 s.Counters.flops_dp_add;
-  checki "bytes scaled" 40 s.Counters.bytes_loaded
+  checki "flops scaled" 12 s.(Counters.flop ~single:false Counters.Add);
+  checki "bytes scaled" 40 s.(Counters.bytes_loaded)
 
 let test_counters_diff_add () =
   let a = Counters.create () and b = Counters.create () in
-  a.Counters.loads <- 10;
-  b.Counters.loads <- 4;
+  a.(Counters.loads) <- 10;
+  b.(Counters.loads) <- 4;
   let d = Counters.diff a b in
-  checki "diff" 6 d.Counters.loads;
+  checki "diff" 6 d.(Counters.loads);
   Counters.add_into b d;
-  checki "add_into" 10 b.Counters.loads
+  checki "add_into" 10 b.(Counters.loads)
 
 let test_value_demote () =
   check "demote rounds" true (Value.demote 0.1 <> 0.1);

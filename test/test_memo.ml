@@ -103,7 +103,7 @@ let test_budgeted_leader_releases_waiters () =
       overrides = App.machine_overrides [ ("N", 256); ("STEPS", 4) ] }
   in
   let full = Machine.run ~config nbody_program in
-  let budget = full.Machine.counters.Counters.steps / 2 in
+  let budget = full.Machine.counters.(Counters.steps) / 2 in
   let waits () = Obs.Metrics.Counter.value (Obs.Metrics.counter "cache.run.waits") in
   let saved = Util.Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) @@ fun () ->

@@ -672,6 +672,94 @@ let test_server_resume () =
             (status_of (post sock "/v1/flows" {|{"app":"nbody"}|}));
           wait_for "new run" (fun () -> terminal sock "q000004")))
 
+(* A checksum-valid record whose [id] field is [id], published as [file]
+   in the store [dir]: what a bug, a hand edit or another program could
+   leave there. *)
+let plant ~dir ~file ~id ~state =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let json =
+    Obs.Json.(
+      to_string
+        (Obj
+           [
+             ("id", Str id);
+             ("received", Num 1754650000.5);
+             ("client", Str "mallory");
+             ("spec", Str (Serve.Codec.to_json quick_spec));
+             ("state", Str state);
+             ("status", int (-1));
+             ("error", Str "");
+             ("report", Str "");
+             ("why", Str "");
+             ("ledger", Str "");
+           ]))
+  in
+  match
+    Obs.Atomic_io.write_checksummed ~tag:"psareq" ~version:1
+      (Filename.concat dir file) json
+  with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "plant failed: %s" msg
+
+let store_skipped () =
+  Obs.Metrics.Counter.value (Obs.Metrics.counter "serve.store.skipped")
+
+(* An empty id used to stop the daemon at start-up: resume parsed the
+   digits after its first byte (Invalid_argument from String.sub).  A
+   record is trusted only under its own id, [q] and digits, so this one,
+   one whose id is not its file name and one whose id is not digits are
+   all skipped and counted, and none of them runs. *)
+let test_server_foreign_ids () =
+  with_dir (fun dir ->
+      let store = Filename.concat dir "reqs" in
+      plant ~dir:store ~file:"q000001.psareq" ~id:"" ~state:"queued";
+      (match Serve.Store.save ~dir:store (entry "q000002" Serve.Store.Done) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "save failed: %s" msg);
+      plant ~dir:store ~file:"q000003.psareq" ~id:"q000009" ~state:"queued";
+      plant ~dir:store ~file:"q0x10.psareq" ~id:"q0x10" ~state:"queued";
+      (* checked before the daemon starts: one that dies in [resume] has
+         already bound its socket, and a request to it would never return *)
+      let entries, bad = Serve.Store.load ~dir:store in
+      check_int "foreign records skipped" 3 bad;
+      check "only the valid record loads" true
+        (List.map (fun e -> e.Serve.Store.e_id) entries = [ "q000002" ]);
+      let before = store_skipped () in
+      let ran = Atomic.make 0 in
+      let runner _spec =
+        Atomic.incr ran;
+        failing_outcome
+      in
+      with_server ~runner dir (fun sock ->
+          check "daemon starts" true
+            (contains ~needle:"\"ok\":true" (body_of (get sock "/healthz")));
+          check_int "the daemon skips and counts them" 3 (store_skipped () - before);
+          check_str "the valid record is still served" "done" (flow_state sock "q000002");
+          let listed = body_of (get sock "/v1/flows") in
+          check "no foreign id is listed" false
+            (contains ~needle:"q000009" listed || contains ~needle:"q0x10" listed);
+          let r = post sock "/v1/flows" {|{"app":"nbody"}|} in
+          check_int "new request accepted" 202 (status_of r);
+          check "its id follows the valid record" true
+            (contains ~needle:"q000003" (body_of r));
+          wait_for "new run" (fun () -> terminal sock "q000003");
+          check_int "only the new request ran" 1 (Atomic.get ran)))
+
+(* Recovery rewrites a [running] record as [interrupted], at the path its
+   id names, even with resume off: an id of ["../escaped"] used to put
+   that write outside the store. *)
+let test_server_foreign_id_write () =
+  with_dir (fun dir ->
+      let store = Filename.concat dir "reqs" in
+      plant ~dir:store ~file:"q000001.psareq" ~id:"../escaped" ~state:"running";
+      let before = store_skipped () in
+      with_server ~resume:false ~runner:(fun _ -> failing_outcome) dir (fun sock ->
+          check "daemon starts" true
+            (contains ~needle:"\"ok\":true" (body_of (get sock "/healthz")));
+          check "nothing is written outside the store" false
+            (Sys.file_exists (Filename.concat dir "escaped.psareq"));
+          check_int "the record is skipped and counted" 1 (store_skipped () - before)))
+
 (* Budgeted and unbudgeted requests share the scheduler: each request's
    budget travels with its own futures, so dispatch never holds one back
    for another.  Each runner keeps its slot until both kinds have
@@ -749,6 +837,10 @@ let suite =
     Alcotest.test_case "server end-to-end" `Slow test_server_e2e;
     Alcotest.test_case "server rate limit" `Quick test_server_rate_limit;
     Alcotest.test_case "server resume after crash" `Quick test_server_resume;
+    Alcotest.test_case "server skips store records with a foreign id" `Quick
+      test_server_foreign_ids;
+    Alcotest.test_case "store recovery never writes outside the store" `Quick
+      test_server_foreign_id_write;
     Alcotest.test_case "server overlaps budgeted requests" `Quick
       test_server_overlaps_budgeted;
   ]

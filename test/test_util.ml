@@ -1,8 +1,7 @@
-(* Tests for the util library: PRNG, statistics, tables. *)
+(* Tests for the util library: PRNG, percentiles, tables, diffs. *)
 
 let check = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 1e-9))
-let checki = Alcotest.(check int)
 
 let test_prng_deterministic () =
   let a = Util.Prng.create 7 and b = Util.Prng.create 7 in
@@ -21,13 +20,6 @@ let test_prng_uniform_range () =
     check "uniform in [0,1)" true (u >= 0.0 && u < 1.0)
   done
 
-let test_prng_int_bound () =
-  let t = Util.Prng.create 4 in
-  for _ = 1 to 1000 do
-    let n = Util.Prng.int t 17 in
-    check "int in bound" true (n >= 0 && n < 17)
-  done
-
 let test_prng_uniform_mean () =
   let t = Util.Prng.create 5 in
   let n = 20000 in
@@ -38,64 +30,18 @@ let test_prng_uniform_mean () =
   let mean = !sum /. float_of_int n in
   check "mean near 0.5" true (Float.abs (mean -. 0.5) < 0.01)
 
-let test_prng_gaussian_moments () =
-  let t = Util.Prng.create 6 in
-  let n = 20000 in
-  let xs = Array.init n (fun _ -> Util.Prng.gaussian t) in
-  let mean = Util.Stats.mean xs in
-  let sd = Util.Stats.stddev xs in
-  check "gaussian mean ~0" true (Float.abs mean < 0.03);
-  check "gaussian sd ~1" true (Float.abs (sd -. 1.0) < 0.03)
-
-let test_prng_shuffle_permutation () =
-  let t = Util.Prng.create 8 in
-  let a = Array.init 50 Fun.id in
-  Util.Prng.shuffle t a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 50 Fun.id) sorted
-
-let test_prng_split_independent () =
-  let t = Util.Prng.create 9 in
-  let u = Util.Prng.split t in
-  check "split streams differ" false (Util.Prng.int64 t = Util.Prng.int64 u)
-
-let test_stats_mean () = checkf "mean" 2.0 (Util.Stats.mean [| 1.0; 2.0; 3.0 |])
-let test_stats_mean_empty () = checkf "mean of empty" 0.0 (Util.Stats.mean [||])
-
-let test_stats_geomean () =
-  checkf "geomean of 1,2,4" 2.0 (Util.Stats.geomean [| 1.0; 2.0; 4.0 |]);
-  checkf "geomean of empty" 0.0 (Util.Stats.geomean [||])
-
-let test_stats_median_odd () = checkf "median odd" 3.0 (Util.Stats.median [| 5.0; 1.0; 3.0 |])
+(* the median is the 50th percentile *)
+let test_stats_median_odd () =
+  checkf "median odd" 3.0 (Util.Stats.percentile [| 5.0; 1.0; 3.0 |] 50.0)
 
 let test_stats_median_even () =
-  checkf "median even" 2.5 (Util.Stats.median [| 1.0; 2.0; 3.0; 4.0 |])
+  checkf "median even" 2.5 (Util.Stats.percentile [| 1.0; 2.0; 3.0; 4.0 |] 50.0)
 
 let test_stats_percentile () =
   let a = [| 10.0; 20.0; 30.0; 40.0; 50.0 |] in
   checkf "p0" 10.0 (Util.Stats.percentile a 0.0);
   checkf "p100" 50.0 (Util.Stats.percentile a 100.0);
   checkf "p50" 30.0 (Util.Stats.percentile a 50.0)
-
-let test_stats_stddev () =
-  checkf "stddev" 2.0 (Util.Stats.stddev [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |])
-
-let test_stats_argmin_argmax () =
-  let l = [ 3; 1; 4; 1; 5 ] in
-  checki "argmin" 1 (Option.get (Util.Stats.argmin float_of_int l));
-  checki "argmax" 5 (Option.get (Util.Stats.argmax float_of_int l));
-  check "argmin empty" true (Util.Stats.argmin float_of_int [] = None)
-
-let test_stats_clamp () =
-  checkf "clamp low" 0.0 (Util.Stats.clamp ~lo:0.0 ~hi:1.0 (-5.0));
-  checkf "clamp high" 1.0 (Util.Stats.clamp ~lo:0.0 ~hi:1.0 5.0);
-  checkf "clamp mid" 0.5 (Util.Stats.clamp ~lo:0.0 ~hi:1.0 0.5)
-
-let test_stats_round_sig () =
-  checkf "round 3 sig" 123.0 (Util.Stats.round_sig 3 123.456);
-  checkf "round small" 0.00123 (Util.Stats.round_sig 3 0.0012345);
-  checkf "round zero" 0.0 (Util.Stats.round_sig 3 0.0)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -120,15 +66,6 @@ let test_table_alignment () =
   (* the short value must be right-aligned: "|    7 |" *)
   check "right aligned" true (List.exists (fun l -> l = "|    7 |") lines)
 
-let test_table_separator () =
-  let t = Util.Table.create ~headers:[ "x" ] in
-  Util.Table.add_row t [ "1" ];
-  Util.Table.add_separator t;
-  Util.Table.add_row t [ "2" ];
-  let lines = String.split_on_char '\n' (Util.Table.render t) in
-  let rules = List.filter (fun l -> String.length l > 0 && l.[0] = '+') lines in
-  Alcotest.(check int) "separator adds a rule" 4 (List.length rules)
-
 (* ---- diff ---- *)
 
 let test_diff_equal_texts () =
@@ -140,11 +77,6 @@ let test_diff_add_drop () =
     (List.mem (Util.Diff.Keep "a") ops && List.mem (Util.Diff.Keep "c") ops);
   check "drops b" true (List.mem (Util.Diff.Drop "b") ops);
   check "adds x" true (List.mem (Util.Diff.Add "x") ops)
-
-let test_diff_stats () =
-  let add, drop = Util.Diff.stats "a\nb\nc" "a\nc\nd\ne" in
-  checki "added" 2 add;
-  checki "removed" 1 drop
 
 let test_diff_unified_format () =
   let u = Util.Diff.unified ~old_text:"one\ntwo\nthree\nfour\nfive" "one\ntwo\nTHREE\nfour\nfive" in
@@ -177,44 +109,23 @@ let qcheck_percentile_bounds =
     (fun (l, p) ->
       let a = Array.of_list l in
       let v = Util.Stats.percentile a p in
-      v >= Util.Stats.minimum a -. 1e-9 && v <= Util.Stats.maximum a +. 1e-9)
-
-let qcheck_prng_int_bound =
-  QCheck.Test.make ~name:"prng int respects bound" ~count:500
-    QCheck.(pair small_int (int_range 1 1000))
-    (fun (seed, bound) ->
-      let t = Util.Prng.create seed in
-      let v = Util.Prng.int t bound in
-      v >= 0 && v < bound)
+      v >= Array.fold_left Float.min a.(0) a -. 1e-9
+      && v <= Array.fold_left Float.max a.(0) a +. 1e-9)
 
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng seeds differ" `Quick test_prng_seeds_differ;
     Alcotest.test_case "prng uniform range" `Quick test_prng_uniform_range;
-    Alcotest.test_case "prng int bound" `Quick test_prng_int_bound;
     Alcotest.test_case "prng uniform mean" `Quick test_prng_uniform_mean;
-    Alcotest.test_case "prng gaussian moments" `Quick test_prng_gaussian_moments;
-    Alcotest.test_case "prng shuffle permutation" `Quick test_prng_shuffle_permutation;
-    Alcotest.test_case "prng split independent" `Quick test_prng_split_independent;
-    Alcotest.test_case "stats mean" `Quick test_stats_mean;
-    Alcotest.test_case "stats mean empty" `Quick test_stats_mean_empty;
-    Alcotest.test_case "stats geomean" `Quick test_stats_geomean;
     Alcotest.test_case "stats median odd" `Quick test_stats_median_odd;
     Alcotest.test_case "stats median even" `Quick test_stats_median_even;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
-    Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
-    Alcotest.test_case "stats argmin/argmax" `Quick test_stats_argmin_argmax;
-    Alcotest.test_case "stats clamp" `Quick test_stats_clamp;
-    Alcotest.test_case "stats round_sig" `Quick test_stats_round_sig;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table alignment" `Quick test_table_alignment;
-    Alcotest.test_case "table separator" `Quick test_table_separator;
     Alcotest.test_case "diff equal texts" `Quick test_diff_equal_texts;
     Alcotest.test_case "diff add/drop" `Quick test_diff_add_drop;
-    Alcotest.test_case "diff stats" `Quick test_diff_stats;
     Alcotest.test_case "diff unified format" `Quick test_diff_unified_format;
     QCheck_alcotest.to_alcotest qcheck_diff_reconstructs;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
-    QCheck_alcotest.to_alcotest qcheck_prng_int_bound;
   ]
