@@ -1,13 +1,24 @@
 (** Lowering pass: select canonical counted [for] loop nests and compile
     them to {!Ir.fast_loop} plans for the VM backend.
 
-    A loop nest is plannable when every level's bounds are nest-invariant
-    integer expressions (literals, unassigned outer int scalars, and
-    [+]/[-]/[*]/negation/[imin]/[imax] over those), its body contains only statically
+    A loop nest is plannable when every level's bounds are affine integer
+    expressions (literals, unassigned outer int scalars, the indexes of
+    enclosing levels with no [if] between, names holding such a form, and
+    [+]/[-]/[*]/negation/[imin]/[imax] over those; a lo bound linear in
+    the indexes, a hi bound that does not read its own level's index, a
+    nest-invariant step), its body contains only statically
     typed statements the flat IR can express — declarations, assignments,
     expression statements, [if] statements, inner [for] loops, scopes,
     statement calls of leaf user functions — and all array accesses go
     through plain outer pointer variables or arrays the nest declares.
+    An int local declared once and never assigned, and an int by-value
+    parameter of an inlined callee never assigned, stand for the affine
+    form they were set from (a HIP body's [int i = 0 + __tid;] is the
+    launch index), so accesses through them are cursors.  When the root
+    body ends in [if (i < E)] with no else arm, [i] the root index plus
+    an invariant, [E] invariant and nothing with an effect, a site or a
+    level before it, the guard clamps the root's trip count
+    ([Ir.clamp]).
     An array declaration [T a\[n\];] needs a nest-invariant size [n]; each
     execution allocates a fresh zeroed array ([Ir.fop.Alloc]), as the
     walker does, so memory images and allocation order stay identical.

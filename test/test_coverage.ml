@@ -54,6 +54,27 @@ let test_flow_coverage () =
   check_floor "five uninformed quick flows" ~floor:0.9505 ~planned:(planned () - p0)
     ~total:(steps () - s0)
 
+(* N-Body's uninformed evaluation flow at --jobs 2 with the cache off:
+   its HIP launch loops plan as whole nests, so fewer than 1,000 of its
+   statements run on the walker (53,544 did while each thread's tile
+   loop ran there) *)
+let test_nbody_flow_residue () =
+  Cache.set_dir None;
+  Cache.clear_memory ();
+  let saved = Util.Pool.default_jobs () in
+  Util.Pool.set_default_jobs 2;
+  let p0 = planned () and s0 = steps () in
+  Fun.protect
+    ~finally:(fun () -> Util.Pool.set_default_jobs saved)
+    (fun () ->
+      match Engine.run ~mode:Pipeline.Uninformed Nbody.app with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "flow failed: %s" msg);
+  let planned = planned () - p0 and total = steps () - s0 in
+  if total - planned >= 1_000 then
+    Alcotest.failf "N-Body evaluation flow: %d of %d statements on the walker (%d planned)"
+      (total - planned) total planned
+
 let suite =
   List.map
     (fun ((app : App.t), floor) ->
@@ -62,4 +83,7 @@ let suite =
         `Quick
         (test_app_coverage (app, floor)))
     app_floors
-  @ [ Alcotest.test_case "vm coverage quick flows" `Quick test_flow_coverage ]
+  @ [
+      Alcotest.test_case "vm coverage quick flows" `Quick test_flow_coverage;
+      Alcotest.test_case "vm residue N-Body eval flow" `Quick test_nbody_flow_residue;
+    ]

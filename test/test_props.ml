@@ -324,6 +324,76 @@ module Gen = struct
            "void leaf(int i, double s, float h, double m, double* x, double* y) {\n%s\n}\n"
            (String.concat "\n" lines))
       [ call ]
+
+  (* [stmt], or an inner level running from the root index to a clamp of
+     it, so its trip count differs per root iteration *)
+  let tri_stmt idx locals =
+    let j = Printf.sprintf "j%d" idx in
+    frequency
+      [
+        (3, stmt idx locals);
+        ( 2,
+          map2
+            (fun inner lim ->
+              ( Printf.sprintf "for (int %s = i; %s < imin(i + %d, N); %s++) { y[i] += %s; }"
+                  j j lim j inner,
+                None ))
+            (expr ~iv:j locals 2) (2 -- 8) );
+      ]
+
+  (* ---- the HIP launch shape ----
+
+     The codegen's per-thread launch: [knl]'s loop over [__tid] calls
+     [body] once per thread, and [body] indexes through
+     [int i = C + __tid;] under a guard [if (i < E)] (or [<=]) that wraps
+     the rest.  [C] >= 0, and [E] falls below, at or above the last
+     thread's index.  The statements of [body] optionally end with a tile
+     level: [tile] staged under [if (jj + t < M)], then read by a level
+     from [jj] to [imin(jj + T, M)], [M] not a multiple of [T]. *)
+
+  let tile_level =
+    map3
+      (fun t m inner ->
+        Printf.sprintf
+          "for (int jj = 0; jj < %d; jj += %d) {\n\
+           double tile[%d];\n\
+           for (int t = 0; t < %d; t++) { if (jj + t < %d) { tile[t] = x[jj + t]; } }\n\
+           for (int j = jj; j < imin(jj + %d, %d); j++) { y[i] += tile[j - jj] * %s; }\n\
+           }"
+          m t t t m t m inner)
+      (oneofl [ 3; 4; 8 ])
+      (oneofl [ 5; 10; 13 ])
+      (expr ~iv:"j" [] 1)
+
+  let hip_program =
+    body_of stmt >>= fun lines ->
+    opt tile_level >>= fun tile ->
+    0 -- 3 >>= fun c ->
+    oneofl [ -5; -1; 0; 1; 4 ] >>= fun d ->
+    oneofl [ "<"; "<=" ] >|= fun cmp ->
+    Printf.sprintf
+      "const int N = 16;\n\
+       void body(int __tid, double* x, double* y) {\n\
+       int i = %d + __tid;\n\
+       if (i %s N + %d) {\n\
+       %s\n\
+       }\n\
+       }\n\
+       void knl(double* x, double* y) {\n\
+       for (int __tid = 0; __tid < N; __tid++) { body(__tid, x, y); }\n\
+       }\n\
+       int main() {\n\
+       double x[N + 24];\n\
+       double y[N + 24];\n\
+       for (int i = 0; i < N + 24; i++) { x[i] = rand01() + 0.5; y[i] = 0.0; }\n\
+       knl(x, y);\n\
+       knl(x, y);\n\
+       double checksum = 0.0;\n\
+       for (int i = 0; i < N + 24; i++) { checksum += y[i]; }\n\
+       print_float(checksum);\n\
+       return 0; }"
+      c cmp (c + d)
+      (String.concat "\n" (lines @ Option.to_list tile))
 end
 
 let arbitrary_program = QCheck.make Gen.program ~print:Fun.id
@@ -341,6 +411,14 @@ let arbitrary_sp_kernel =
 
 (* kernels whose loop calls a leaf helper per iteration *)
 let arbitrary_leaf_kernel = QCheck.make ~print:Fun.id Gen.leaf_program
+
+(* HIP-shaped launch loops *)
+let arbitrary_hip_kernel = QCheck.make ~print:Fun.id Gen.hip_program
+
+(* kernels with inner levels bounded by the root index *)
+let arbitrary_tri_kernel =
+  QCheck.make ~print:Fun.id
+    (QCheck.Gen.map (Gen.dp_shape ~kernel:true) (Gen.body_of Gen.tri_stmt))
 
 let parse = Parser.parse_program
 

@@ -448,11 +448,16 @@ let test_request_budget_no_leak () =
 
 (* ---------------- server end-to-end ---------------- *)
 
-let http_round sock_path text =
+(* One request and its whole response.  A read that waits [timeout]
+   seconds fails the case with the request line and the bytes received so
+   far, so a daemon that accepts connections nobody serves cannot hang
+   the run. *)
+let http_round ?(timeout = 30.0) sock_path text =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
       Unix.connect fd (Unix.ADDR_UNIX sock_path);
       ignore (Unix.write_substring fd text 0 (String.length text));
       let buf = Buffer.create 1024 in
@@ -463,6 +468,10 @@ let http_round sock_path text =
         | n ->
           Buffer.add_subbytes buf chunk 0 n;
           drain ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.failf "no response within %g s to %S; received %S" timeout
+            (List.hd (String.split_on_char '\r' text))
+            (Buffer.contents buf)
         | exception Unix.Unix_error _ -> ()
       in
       drain ();
@@ -502,6 +511,32 @@ let wait_for ?(timeout = 10.0) what pred =
     end
   in
   loop ()
+
+(* A listener that accepts connections and never answers, the state a
+   daemon that died in [resume] leaves behind: the client's read gives up
+   after its timeout and fails the case, naming the request *)
+let test_http_round_timeout () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let sock = Filename.concat dir "silent.sock" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      rm_rf dir)
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_UNIX sock);
+      Unix.listen lfd 4;
+      match http_round ~timeout:0.2 sock "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" with
+      | resp -> Alcotest.failf "a silent listener answered %S" resp
+      | exception e ->
+        let msg = Printexc.to_string e in
+        let has sub =
+          let n = String.length sub in
+          let rec at i = i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1)) in
+          at 0
+        in
+        check "the failure names the request" true (has "GET /healthz"))
 
 (* Run [f sock] against a live in-process daemon, then drain it and
    check the drain was clean.  The runner is injected so tests control
@@ -834,6 +869,8 @@ let suite =
       test_request_budget_prunes;
     Alcotest.test_case "request budget never leaks across requests" `Slow
       test_request_budget_no_leak;
+    Alcotest.test_case "client read times out on a silent listener" `Quick
+      test_http_round_timeout;
     Alcotest.test_case "server end-to-end" `Slow test_server_e2e;
     Alcotest.test_case "server rate limit" `Quick test_server_rate_limit;
     Alcotest.test_case "server resume after crash" `Quick test_server_resume;
