@@ -5,10 +5,9 @@
    whole nest here —
    unboxed register files, the nest's ops compiled once per run into
    threaded closures, batched step/counter accounting with per-site taken
-   counters, a cost walk reused while the trip counts stay the same, bounds
-   checks verified once at the endpoints of every level — or returns
-   [false] without any observable effect, in which case the walker runs
-   the loop itself.
+   counters from a cost walk on every entry, bounds checks verified once
+   at the endpoints of every level — or returns [false] without any
+   observable effect, in which case the walker runs the loop itself.
 
    Profiled runs stay on this path too.  Under [profile_loops] the inner
    levels' [loop_stats] are derived at commit from per-level entry counts,
@@ -45,10 +44,9 @@ type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
    config are fixed for its lifetime. *)
 type prepared = {
   fl : Ir.fast_loop;
-  (* per entry, the walker's cells of the external names: per fl_vars
-     entry, and per fl_arrs entry (unused for declared arrays) *)
+  (* per entry, the walker's cells of the external scalars, per fl_vars
+     entry *)
   vcell : Value.t ref array;
-  acell : Value.t ref array;
   (* register files and per-entry scratch, reused across entries *)
   f : float array;
   n : int array;
@@ -57,11 +55,10 @@ type prepared = {
   (* per level (static): its bounds read enclosing indexes
      ([Ir.level]), some level's bounds read its index (the cost walk runs
      its iterations one by one), and the site whose arm it sits in (-1:
-     the root body); [rect]: no level's bounds read an index *)
+     the root body) *)
   lnr : bool array;
   lenum : bool array;
   lparent : int array;
-  rect : bool;
   (* per-entry level scratch: trip count (the root's: the iterations the
      clamp keeps), lo (for a level whose bounds read indexes: the
      invariant part of lo, and its per-level coefficients), step; and
@@ -91,21 +88,11 @@ type prepared = {
   selse : Counters.t array;
   sparent : int array;
   sorder : int array;
-  (* the cost walk (guard phases 3 and 3b: the per-site arrays above,
-     [lvec], [lnent], [lnit] and [lmult] below) was computed for the trip
-     counts [wtrip] (the root's without the clamp).  Re-entries of a
-     rectangular nest with the same trip counts reuse it; a nest whose
-     bounds read indexes walks on every entry.  [wbase] is the nest's
-     else-baseline total, [wmax] its largest possible step count; [tot] is
-     commit scratch. *)
-  mutable wvalid : bool;
-  wtrip : int array;
+  (* the entry's cost walk (guard phases 3 and 3b) fills the per-site
+     arrays above and [lvec], [lnent], [lnit] and [lmult] below; [wbase]
+     is the nest's else-baseline total; [tot] is commit scratch *)
   mutable wbase : Counters.t;
-  mutable wmax : int;
   tot : Counters.t;
-  (* the array resolution below matches the pointers currently in the
-     frame, so re-entries with unchanged pointers can skip phases 4/4b *)
-  mutable avalid : bool;
   (* per-array resolution: base id, pointer offset, length, name, raw data *)
   abase : int array;
   aoff : int array;
@@ -157,12 +144,10 @@ type prepared = {
   (* bulk marking (static, see [footprint_plan]): per array, whether its
      marks land at commit, whether the nest loads it ([a_stored]: stores
      it), and a bulk array's distinct (cursor, enclosing levels) images;
-     whether the resolved bases give a bulk array a namesake of the other
-     role (cached with the resolution); per cursor, its entry position *)
+     per cursor, its entry position *)
   bulk : bool array;
   aload : bool array;
   bimg : (int * int array) list array;
-  mutable conflict : bool;
   cpos0 : int array;
   (* per cursor: its accesses may be checked one by one (every one of
      them lies in a site arm), and this entry checks them (its endpoints
@@ -286,10 +271,10 @@ let bound_reads (lv : Ir.level) =
 
    An array's footprint marks can wait for commit when every access to it
    is a cursor access on the nest's unconditional path (outside any site
-   arm, the prologue and the epilogue) and the nest only loads it or only
-   stores it.  Each such access then runs once for every combination of
-   its enclosing levels' indices whenever all of them run, so the
-   elements it touches are its cursor's image over those levels, and the
+   arm) and the nest only loads it or only stores it.  Each such access
+   then runs once for every combination of its enclosing levels' indices
+   whenever all of them run, so the elements it touches are its cursor's
+   image over those levels, and the
    marks cannot depend on the order of the accesses ([mark_bulk]).  A
    read-modify-write accumulation counts as a load and a store; a checked
    access, and an access under a level whose bounds read indexes (its
@@ -301,8 +286,8 @@ let iter_accesses (op : Ir.fop) ~(cur : int -> ld:bool -> unit)
     ~(ck : int -> ld:bool -> unit) =
   match op with
   | Ir.FLd (_, c) | Ir.ILd (_, c) | Ir.FLdSub (_, c, _) | Ir.FLdMul (_, c, _)
-  | Ir.FLdAdd (_, c, _) | Ir.FLdSubS (_, c, _) | Ir.FLdMulS (_, c, _)
-  | Ir.FLdAddS (_, c, _) | Ir.FAccSt (c, _) | Ir.FMulAccSt (c, _, _) ->
+  | Ir.FLdMulS (_, c, _) | Ir.FLdAddS (_, c, _) | Ir.FAccSt (c, _)
+  | Ir.FMulAccSt (c, _, _) ->
     cur c ~ld:true
   | Ir.FLdSub2 (_, c1, c2) | Ir.FLdSub2S (_, c1, c2) ->
     cur c1 ~ld:true;
@@ -316,8 +301,8 @@ let iter_accesses (op : Ir.fop) ~(cur : int -> ld:bool -> unit)
   | Ir.IAdd _ | Ir.ISub _ | Ir.IMul _ | Ir.INeg _ | Ir.IDivZ _ | Ir.IModZ _
   | Ir.IAbs _ | Ir.IMin _ | Ir.IMax _ | Ir.ICmp _ | Ir.FCmp _ | Ir.INot _
   | Ir.FMath1 _ | Ir.FMath1S _ | Ir.FMath2 _ | Ir.FMath2S _ | Ir.Rand _
-  | Ir.FMulAdd _ | Ir.FAddMul _ | Ir.FSubMul _ | Ir.FRecip _ | Ir.FRsqrt _
-  | Ir.FMulAddS _ | Ir.FAddMulS _ | Ir.FSubMulS _ | Ir.Alloc _ | Ir.Called _ ->
+  | Ir.FAddMul _ | Ir.FSubMul _ | Ir.FRecip _ | Ir.FRsqrt _ | Ir.FAddMulS _
+  | Ir.FSubMulS _ | Ir.Alloc _ | Ir.Called _ ->
     ()
 
 (* Per array: bulk-marked, loaded, and (bulk arrays only) the
@@ -344,7 +329,7 @@ let footprint_plan (fl : Ir.fast_loop) =
                 (fun lv e ->
                   if e <> Ir.Iconst 0 && not (List.mem lv chain) then moves_outside := true)
                 cu.Ir.c_coefs;
-              if armed || chain = [] || !moves_outside
+              if armed || !moves_outside
                  || List.exists (fun l -> bound_reads fl.Ir.fl_levels.(l) <> []) chain
               then ok.(a) <- false
               else if not (List.mem (c, chain) imgs.(a)) then
@@ -369,8 +354,6 @@ let footprint_plan (fl : Ir.fast_loop) =
           block ~chain:(lid :: chain) ~armed fl.Ir.fl_levels.(lid).Ir.l_body)
       b.Ir.b_items
   in
-  scan ~chain:[] ~armed:false fl.Ir.fl_prologue;
-  scan ~chain:[] ~armed:false fl.Ir.fl_epilogue;
   block ~chain:[ 0 ] ~armed:false fl.Ir.fl_levels.(0).Ir.l_body;
   (* an array the nest declares has no base before its [Alloc], so the
      guard's role check cannot see it: it marks per access (into no frame,
@@ -404,22 +387,16 @@ let rec block_sites (fl : Ir.fast_loop) (b : Ir.block) acc =
 (* The static half of the split rules ([split_chunks] checks the rest per
    entry): no PRNG draw, whose stream order is the iteration order; no
    checked store, whose index the guard cannot bound; no written external
-   scalar and no promoted cell, so no value crosses root iterations
-   through a register (scalar reductions, floating-point ones included,
-   stay serial); and no array declared in a site arm, so every
-   declaration runs a fixed number of times per root iteration and its
-   arrays can be allocated in the walker's order before the chunks
-   start.  A declared array is private to the root iteration that
-   declares it: its name is in scope only inside that iteration.
-   Returns the verdict, the arrays loaded by checked accesses and the
-   declared arrays. *)
+   scalar, so no value crosses root iterations through a register
+   (scalar reductions, floating-point ones included, stay serial); and
+   no array declared in a site arm, so every declaration runs a fixed
+   number of times per root iteration and its arrays can be allocated in
+   the walker's order before the chunks start.  A declared array is
+   private to the root iteration that declares it: its name is in scope
+   only inside that iteration.  Returns the verdict, the arrays loaded by
+   checked accesses and the declared arrays. *)
 let split_plan (fl : Ir.fast_loop) =
-  let ok =
-    ref
-      (Array.for_all (fun (v : Ir.var) -> not v.Ir.v_written) fl.Ir.fl_vars
-      && fl.Ir.fl_promoted = [||]
-      && fl.Ir.fl_epilogue = [||])
-  in
+  let ok = ref (Array.for_all (fun (v : Ir.var) -> not v.Ir.v_written) fl.Ir.fl_vars) in
   let ck_loads = ref [] and allocs = ref [] in
   let scan ~armed ops =
     Array.iter
@@ -443,7 +420,6 @@ let split_plan (fl : Ir.fast_loop) =
         | Ir.Bloop lid -> block ~armed fl.Ir.fl_levels.(lid).Ir.l_body)
       b.Ir.b_items
   in
-  scan ~armed:true fl.Ir.fl_prologue;
   block ~armed:false fl.Ir.fl_levels.(0).Ir.l_body;
   (!ok, Array.of_list !ck_loads, Array.of_list (List.rev !allocs))
 
@@ -518,18 +494,9 @@ let prepare (fl : Ir.fast_loop) : prepared =
           fl.Ir.fl_cursors;
         Array.of_list (List.rev !ids))
   in
-  (* cursors accessed by the prologue or epilogue run unconditionally *)
-  let moved = Array.make nc false in
-  Array.iter
-    (fun op ->
-      iter_accesses op
-        ~cur:(fun c ~ld:_ -> if c < nc then moved.(c) <- true)
-        ~ck:(fun _ ~ld:_ -> ()))
-    (Array.append fl.Ir.fl_prologue fl.Ir.fl_epilogue);
   {
     fl;
     vcell = Array.make (Array.length fl.Ir.fl_vars) no_cell;
-    acell = Array.make na no_cell;
     f = Array.make (max 1 fl.Ir.fl_nf) 0.0;
     n = Array.make (max 1 fl.Ir.fl_ni) 0;
     iregs =
@@ -540,7 +507,6 @@ let prepare (fl : Ir.fast_loop) : prepared =
     lnr;
     lenum;
     lparent;
-    rect = not (Array.exists Fun.id lnr);
     trip = Array.make nl 0;
     llo = Array.make nl 0;
     lcoef = Array.init nl (fun _ -> Array.make nl 0);
@@ -559,12 +525,8 @@ let prepare (fl : Ir.fast_loop) : prepared =
     selse = Array.make ns no_i;
     sparent;
     sorder;
-    wvalid = false;
-    wtrip = Array.make nl 0;
     wbase = no_i;
-    wmax = 0;
     tot = Counters.create ();
-    avalid = false;
     abase = Array.make na (-1);
     aoff = Array.make na 0;
     alen = Array.make na 0;
@@ -609,13 +571,10 @@ let prepare (fl : Ir.fast_loop) : prepared =
     bulk;
     aload;
     bimg;
-    conflict = false;
     cpos0 = Array.make nc 0;
     ckok =
       Array.init nc (fun k ->
-          k < Array.length fl.Ir.fl_cursors
-          && fl.Ir.fl_cursors.(k).Ir.c_arm <> None
-          && not moved.(k));
+          k < Array.length fl.Ir.fl_cursors && fl.Ir.fl_cursors.(k).Ir.c_arm <> None);
     cck = Array.make nc false;
     f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
     called = Array.make (Array.length fl.Ir.fl_calls) false;
@@ -951,8 +910,8 @@ let[@inline] demote (s : f32) x =
 
 (* ---- closure-threaded execution ----
 
-   On a nest's first commit in a run, its prologue, levels, sites, ops and
-   epilogue are compiled into closures, one per op, each ending in a tail
+   On a nest's first commit in a run, its prologue, levels, sites and ops
+   are compiled into closures, one per op, each ending in a tail
    call of its successor; every later entry of the run runs the same
    closures.  Everything that does not change between entries is resolved
    while compiling — register, cursor, array and site ids, the comparison
@@ -1241,13 +1200,6 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     let d = fr d and c = cu c and b = fr b in
     let k = cur_mark p st ~mk ~store:false c k in
     fun () -> f.%(d) <- cf.%(c).(cpos.%(c)) *. f.%(b); k ()
-  | Ir.FLdAdd (d, c, b) ->
-    let d = fr d and c = cu c and b = fr b in
-    let k = cur_mark p st ~mk ~store:false c k in
-    fun () -> f.%(d) <- cf.%(c).(cpos.%(c)) +. f.%(b); k ()
-  | Ir.FMulAdd (d, a, b, c) ->
-    let d = fr d and a = fr a and b = fr b and c = fr c in
-    fun () -> f.%(d) <- (f.%(a) *. f.%(b)) +. f.%(c); k ()
   | Ir.FAddMul (d, c, a, b) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
     fun () -> f.%(d) <- f.%(c) +. (f.%(a) *. f.%(b)); k ()
@@ -1274,10 +1226,6 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
       let q = cf.%(c) and i = cpos.%(c) in
       q.(i) <- q.(i) +. (f.%(a) *. f.%(b));
       k ()
-  | Ir.FLdSubS (d, c, b) ->
-    let d = fr d and c = cu c and b = fr b in
-    let k = cur_mark p st ~mk ~store:false c k in
-    fun () -> f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) -. f.%(b)); k ()
   | Ir.FLdSub2S (d, c1, c2) ->
     let d = fr d and c1 = cu c1 and c2 = cu c2 in
     let k = cur_mark p st ~mk ~store:false c1 (cur_mark p st ~mk ~store:false c2 k) in
@@ -1292,9 +1240,6 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     let d = fr d and c = cu c and b = fr b in
     let k = cur_mark p st ~mk ~store:false c k in
     fun () -> f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) +. f.%(b)); k ()
-  | Ir.FMulAddS (d, a, b, c) ->
-    let d = fr d and a = fr a and b = fr b and c = fr c in
-    fun () -> f.%(d) <- demote s32 (demote s32 (f.%(a) *. f.%(b)) +. f.%(c)); k ()
   | Ir.FAddMulS (d, c, a, b) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
     fun () -> f.%(d) <- demote s32 (f.%(c) +. demote s32 (f.%(a) *. f.%(b))); k ()
@@ -1473,7 +1418,7 @@ and level_code p st ~mk ~ck ~prof lid (k : code) : code =
     done;
     k ()
 
-(* The whole nest, prologue to epilogue, in marking mode [mk] and, when
+(* The whole nest, prologue first, in marking mode [mk] and, when
    [ck], with the per-access cursor checks ([cur_checks]); compiled on the
    modes' first commit in the run.  Entries that check no cursor run the
    variant without checks. *)
@@ -1484,8 +1429,7 @@ let nest_code p st ~mk ~ck ~prof =
   | None ->
     let fl = p.fl in
     let c =
-      ops_code p st ~mk ~ck fl.Ir.fl_prologue
-        (level_code p st ~mk ~ck ~prof 0 (ops_code p st ~mk ~ck fl.Ir.fl_epilogue ret))
+      ops_code p st ~mk ~ck fl.Ir.fl_prologue (level_code p st ~mk ~ck ~prof 0 ret)
     in
     p.code.(slot) <- Some c;
     c
@@ -1870,15 +1814,9 @@ let attempt p st env (index : Value.t ref) (acc : loop_acc) =
   let nl = Array.length levels in
   let nsites = Array.length fl.Ir.fl_sites in
   (* 0. profiling: the caller accounts the root level through [acc]; inner
-     levels' loop_stats are derived at commit.  Footprints are marked only
-     where the walker accesses memory, so a nest whose loads or cells the
-     lowering moved out of the body cannot run under a region (plans for
-     region-profiled runs are built without code motion). *)
+     levels' loop_stats are derived at commit *)
   let prof = st.cfg.profile_loops && nl > 1 in
   let marking = st.active_regions <> [] in
-  if marking
-     && (Array.length fl.Ir.fl_hoisted > 0 || Array.length fl.Ir.fl_promoted > 0)
-  then raise (Bail "code motion");
   (* 1. bind the external scalars to the walker's cells and load them;
      a value of another representation than the lowering assumed
      (precision included) declines the nest *)
@@ -1947,80 +1885,49 @@ let attempt p st env (index : Value.t ref) (acc : loop_acc) =
      note_entry p 0 root_lo p.trip.(0));
   (* 3. cost walk: static baseline (all sites take their else arm) plus
      per-site deltas and max execution counts; all checked arithmetic.
-     For a rectangular nest it depends only on the plan and the trip
-     counts, so an entry with the trip counts of the last completed walk
-     reuses it; a walk is marked valid only once 3b has passed, so a bail
-     partway through leaves no half-written walk behind.  The budget must
-     survive the statically largest possible total, checked on every
-     entry; otherwise the walker runs the loop and raises
-     Step_limit_exceeded at the exact offending statement. *)
-  let same_trips =
-    p.rect && p.wvalid && p.wtrip.(0) = p.full
-    &&
-    let same = ref true in
+     The budget must survive the statically largest possible total;
+     otherwise the walker runs the loop and raises Step_limit_exceeded at
+     the exact offending statement. *)
+  Array.fill p.ncnt 0 (Array.length p.ncnt) 0;
+  Array.fill p.sdone 0 (Array.length p.sdone) false;
+  Array.fill p.lnent 0 nl 0;
+  Array.fill p.lnit 0 nl 0;
+  Array.iter (fun v -> Array.fill v 0 Counters.length 0) p.lvec;
+  let root = levels.(0) in
+  let base_v = walk_level p 0 ~lo:root_lo ~trip:p.full ~f:1 in
+  vadd_into base_v (ivec ~ints:(1 + root.Ir.l_hi_ops) ~brs:1);
+  (* a site runs at most as often per nest entry as its arm allows (the
+     root body: once) times its executions per arm execution; parents
+     come first *)
+  Array.iter
+    (fun s ->
+      let par = p.sparent.(s) in
+      p.cntmax.(s) <- cmul (if par < 0 then 1 else p.cntmax.(par)) p.ncnt.(s))
+    p.sorder;
+  Array.iteri (fun l par -> p.lmult.(l) <- (if par < 0 then 1 else p.cntmax.(par))) p.lparent;
+  let max_steps = ref base_v.(Counters.steps) in
+  for s = 0 to nsites - 1 do
+    let ds = p.dsite.(s).(Counters.steps) in
+    if ds > 0 then max_steps := cadd !max_steps (cmul p.cntmax.(s) ds)
+  done;
+  if st.steps_left <= !max_steps then raise (Bail "budget");
+  (* 3b. overflow pre-verification: bound the absolute value of every
+     per-field total the commit phase will compute — the nest's, and under
+     profiling every inner level's loop_stats total — so the unchecked
+     arithmetic there is provably exact.  The root's subtree holds every
+     site. *)
+  bound_total p base_v p.lsites.(0);
+  if prof then
     for l = 1 to nl - 1 do
-      if p.trip.(l) <> p.wtrip.(l) then same := false
+      bound_total p (vscale p.lmult.(l) p.lvec.(l)) p.lsites.(l)
     done;
-    !same
-  in
-  if same_trips then begin
-    if st.steps_left <= p.wmax then raise (Bail "budget")
-  end
-  else begin
-    p.wvalid <- false;
-    Array.fill p.ncnt 0 (Array.length p.ncnt) 0;
-    Array.fill p.sdone 0 (Array.length p.sdone) false;
-    Array.fill p.lnent 0 nl 0;
-    Array.fill p.lnit 0 nl 0;
-    Array.iter (fun v -> Array.fill v 0 Counters.length 0) p.lvec;
-    let root = levels.(0) in
-    let base_v = walk_level p 0 ~lo:root_lo ~trip:p.full ~f:1 in
-    vadd_into base_v (ivec ~ints:(1 + root.Ir.l_hi_ops) ~brs:1);
-    (* a site runs at most as often per nest entry as its arm allows
-       (the root body: once) times its executions per arm execution;
-       parents come first *)
-    Array.iter
-      (fun s ->
-        let par = p.sparent.(s) in
-        p.cntmax.(s) <- cmul (if par < 0 then 1 else p.cntmax.(par)) p.ncnt.(s))
-      p.sorder;
-    Array.iteri
-      (fun l par -> p.lmult.(l) <- (if par < 0 then 1 else p.cntmax.(par)))
-      p.lparent;
-    let max_steps = ref base_v.(Counters.steps) in
-    for s = 0 to nsites - 1 do
-      let ds = p.dsite.(s).(Counters.steps) in
-      if ds > 0 then max_steps := cadd !max_steps (cmul p.cntmax.(s) ds)
-    done;
-    if st.steps_left <= !max_steps then raise (Bail "budget");
-    (* 3b. overflow pre-verification: bound the absolute value of every
-       per-field total the commit phase will compute — the nest's, and
-       under profiling every inner level's loop_stats total — so the
-       unchecked arithmetic there is provably exact.  The root's subtree
-       holds every site. *)
-    bound_total p base_v p.lsites.(0);
-    if prof then
-      for l = 1 to nl - 1 do
-        bound_total p (vscale p.lmult.(l) p.lvec.(l)) p.lsites.(l)
-      done;
-    Array.blit p.trip 0 p.wtrip 0 nl;
-    p.wtrip.(0) <- p.full;
-    p.wbase <- base_v;
-    p.wmax <- !max_steps;
-    p.wvalid <- true
-  end;
+  p.wbase <- base_v;
   (* 4. resolve arrays: exact element type, raw storage, name for errors.
-     [Memory] bases are append-only — an entry's storage is written
-     exactly once, at allocation — so a resolution stays valid for as
-     long as the frame holds the same base+offset pointer.  Re-entries
-     with unchanged pointers (the common case for a nest entered many
-     times) skip the accessor calls and the alias re-checks entirely.
-     An array the nest declares gets its length here (its offset stays
-     0) and its base and storage from each [Alloc]; until then its base
-     is -1, which no resolved base equals. *)
+     An array the nest declares gets its length here (its offset stays 0)
+     and its base and storage from each [Alloc]; until then its base is
+     -1, which no resolved base equals. *)
   let arrs = fl.Ir.fl_arrs in
   let na = Array.length arrs in
-  let same = ref p.avalid in
   for k = 0 to na - 1 do
     let a = arrs.(k) in
     match a.Ir.a_size with
@@ -2033,71 +1940,36 @@ let attempt p st env (index : Value.t ref) (acc : loop_acc) =
       p.alen.(k) <- n;
       p.aname.(k) <- a.Ir.a_name
     | None ->
-      let r = cell st env ~global:a.Ir.a_global a.Ir.a_name in
-      p.acell.(k) <- r;
-      (match !r with
+      (match !(cell st env ~global:a.Ir.a_global a.Ir.a_name) with
        | Value.Vptr ptr ->
-         if ptr.Value.base <> p.abase.(k) || ptr.Value.offset <> p.aoff.(k) then
-           same := false
+         let base = ptr.Value.base in
+         if Memory.elem_ty st.mem base <> Ir.ty_of_ety a.Ir.a_ety then
+           raise (Bail "types");
+         let off = ptr.Value.offset in
+         if off < -cap || off > cap then raise (Bail "bounds");
+         p.abase.(k) <- base;
+         p.aoff.(k) <- off;
+         p.alen.(k) <- Memory.length st.mem base;
+         p.aname.(k) <- Memory.name st.mem base;
+         (match Memory.raw st.mem base with
+          | Memory.Rfloat data -> p.afdata.(k) <- data
+          | Memory.Rint data -> p.aidata.(k) <- data)
        | _ -> raise (Bail "binding"))
   done;
-  if not !same then begin
-    p.avalid <- false;
-    for k = 0 to na - 1 do
-      let a = arrs.(k) in
-      match a.Ir.a_size, !(p.acell.(k)) with
-      | Some _, _ -> ()
-      | None, Value.Vptr ptr ->
-        let base = ptr.Value.base in
-        if Memory.elem_ty st.mem base <> Ir.ty_of_ety a.Ir.a_ety then
-          raise (Bail "types");
-        let off = ptr.Value.offset in
-        if off < -cap || off > cap then raise (Bail "bounds");
-        p.abase.(k) <- base;
-        p.aoff.(k) <- off;
-        p.alen.(k) <- Memory.length st.mem base;
-        p.aname.(k) <- Memory.name st.mem base;
-        (match Memory.raw st.mem base with
-         | Memory.Rfloat data -> p.afdata.(k) <- data
-         | Memory.Rint data -> p.aidata.(k) <- data)
-      | None, _ -> raise (Bail "binding")
-    done;
-    (* 4b. alias re-checks for the code-motion the lowering performed on
-       statically distinct names: hoisted loads must not alias any stored
-       array, promoted cells must not alias any other accessed array.
-       The verdict depends only on the resolved bases, so it is part of
-       the cached resolution. *)
-    Array.iter
-      (fun h ->
-        let bh = p.abase.(h) in
-        for k = 0 to na - 1 do
-          if arrs.(k).Ir.a_stored && p.abase.(k) = bh then raise (Bail "alias")
-        done)
-      fl.Ir.fl_hoisted;
-    Array.iter
-      (fun pr ->
-        let bp = p.abase.(pr) in
-        for k = 0 to na - 1 do
-          if k <> pr && p.abase.(k) = bp then raise (Bail "alias")
-        done)
-      fl.Ir.fl_promoted;
-    (* 4c. bulk marking needs every base the nest marks as only read to
-       be stored by none of its arrays, and every base it marks as only
-       written to be loaded by none: two names for one base (aliased
-       pointer arguments) can break that *)
-    p.conflict <- false;
+  (* 4b. bulk marking needs every base the nest marks as only read to be
+     stored by none of its arrays, and every base it marks as only written
+     to be loaded by none: two names for one base (aliased pointer
+     arguments) can break that *)
+  if marking then
     Array.iteri
       (fun a bulk ->
         if bulk then
           for k = 0 to na - 1 do
             if p.abase.(k) = p.abase.(a)
                && (if p.aload.(a) then arrs.(k).Ir.a_stored else p.aload.(k))
-            then p.conflict <- true
+            then raise (Bail "alias")
           done)
       p.bulk;
-    p.avalid <- true
-  end;
-  if marking && p.conflict then raise (Bail "alias");
   (* 5. cursors: evaluate the affine coefficients and bound every
      position a cursor reaches; in-bounds extrema imply every reached
      access is in bounds.  The position is pos0 plus per-level terms

@@ -4,11 +4,12 @@
    The walker offers each planned [For] to its nest (Fastloop); loops the
    lowering rejects — and any planned loop whose runtime guard declines
    (aliasing, step budget, overflow) — run on the walker itself, so the
-   backend is observably identical to the walker on every program.  Runs
-   with observation regions are planned without code motion, so
-   footprints are marked only where the walker accesses memory; a call of
-   an [Rfunc] region is never inlined into a nest, so the region opens and
-   closes around every call as in the walker. *)
+   backend is observably identical to the walker on every program.  A
+   plan keeps every access where the source performs it, so footprints
+   are marked where the walker accesses memory; regions change the plan
+   only in what they keep out of nests: a nest holding an [Rstmt]
+   region, and a call of an [Rfunc] region, which is never inlined, so
+   the region opens and closes around every call as in the walker. *)
 
 let plan_of (cfg : Interp_rt.config) (p : Ast.program) : Ir.plan =
   let regions = cfg.Interp_rt.regions in
@@ -22,7 +23,7 @@ let plan_of (cfg : Interp_rt.config) (p : Ast.program) : Ir.plan =
       (function Interp_rt.Rfunc f -> Some f | Interp_rt.Rstmt _ -> None)
       regions
   in
-  Ir_lower.plan ~region_sids ~region_funcs ~motion:(regions = []) p
+  Ir_lower.plan ~region_sids ~region_funcs p
 
 let run (config : Interp_rt.config) (p : Ast.program) : Interp_rt.result =
   Walker.run ~plan:(plan_of config p) config p

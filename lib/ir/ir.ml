@@ -1,4 +1,4 @@
-let version = 7
+let version = 8
 
 type prec = Psingle | Pdouble
 
@@ -91,19 +91,15 @@ type fop =
   | FLdSub of int * int * int
   | FLdSub2 of int * int * int
   | FLdMul of int * int * int
-  | FLdAdd of int * int * int
-  | FMulAdd of int * int * int * int
   | FAddMul of int * int * int * int
   | FSubMul of int * int * int * int
   | FRecip of int * int
   | FRsqrt of int * int
   | FAccSt of int * int
   | FMulAccSt of int * int * int
-  | FLdSubS of int * int * int
   | FLdSub2S of int * int * int
   | FLdMulS of int * int * int
   | FLdAddS of int * int * int
-  | FMulAddS of int * int * int * int
   | FAddMulS of int * int * int * int
   | FSubMulS of int * int * int * int
   | Alloc of int
@@ -144,11 +140,8 @@ type fast_loop = {
   fl_calls : call array;
   fl_clamp : clamp option;
   fl_prologue : fop array;
-  fl_epilogue : fop array;
   fl_nf : int;
   fl_ni : int;
-  fl_hoisted : int array;
-  fl_promoted : int array;
 }
 
 type plan = (int, fast_loop) Hashtbl.t

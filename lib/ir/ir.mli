@@ -25,7 +25,8 @@ val version : int
     statement calls to leaf user functions, 6 since nests declare arrays
     and check cursors of site arms per access, 7 since level bounds may
     depend on enclosing indexes ({!iexpr.Ilev}) and a guard may clamp
-    the root ({!clamp}). *)
+    the root ({!clamp}), 8 since no access moves out of the nest and four
+    fused shapes are gone. *)
 
 (** {1 Scalar bindings} *)
 
@@ -118,7 +119,7 @@ type cmpop = Clt | Cle | Cgt | Cge | Ceq | Cne
     error.  [ICmp]/[FCmp] materialise comparison results as 0/1 ints
     (each modelled as one integer op, like the walker).  The fused
     superinstructions at the end collapse the opcode pairs that dominate
-    the suite's counter profile (load-sub, mul-add chains, and
+    the suite's counter profile (load-arith, add/sub of a product, and
     read-modify-write accumulations), in double and in single precision.
     Fusion runs after the static counter deltas are computed, so it never
     changes accounting.  An [FDem] that directly follows the op producing
@@ -184,23 +185,18 @@ type fop =
   | FLdSub of int * int * int  (** dst <- farray(cur) -. freg *)
   | FLdSub2 of int * int * int  (** dst <- farray(cur1) -. farray(cur2) *)
   | FLdMul of int * int * int  (** dst <- farray(cur) *. freg *)
-  | FLdAdd of int * int * int  (** dst <- farray(cur) +. freg *)
-  | FMulAdd of int * int * int * int  (** [(d, a, b, c)]: d <- a *. b +. c *)
   | FAddMul of int * int * int * int  (** [(d, c, a, b)]: d <- c +. a *. b *)
   | FSubMul of int * int * int * int  (** [(d, c, a, b)]: d <- c -. a *. b *)
   | FRecip of int * int  (** d <- 1.0 /. a *)
   | FRsqrt of int * int  (** d <- 1.0 /. sqrt a *)
   | FAccSt of int * int  (** farray(cur) <- farray(cur) +. freg *)
   | FMulAccSt of int * int * int  (** farray(cur) <- farray(cur) +. a *. b *)
-  (* single-precision superinstructions: the same shapes over the [...S]
-     arithmetic, demoting after every step exactly as the unfused
-     sequence does ([dem] is the 32-bit round trip) *)
-  | FLdSubS of int * int * int  (** dst <- dem (farray(cur) -. freg) *)
+  (* single-precision superinstructions over the [...S] arithmetic,
+     demoting after every step exactly as the unfused sequence does
+     ([dem] is the 32-bit round trip) *)
   | FLdSub2S of int * int * int  (** dst <- dem (farray(cur1) -. farray(cur2)) *)
   | FLdMulS of int * int * int  (** dst <- dem (farray(cur) *. freg) *)
   | FLdAddS of int * int * int  (** dst <- dem (farray(cur) +. freg) *)
-  | FMulAddS of int * int * int * int
-      (** [(d, a, b, c)]: d <- dem (dem (a *. b) +. c) *)
   | FAddMulS of int * int * int * int
       (** [(d, c, a, b)]: d <- dem (c +. dem (a *. b)) *)
   | FSubMulS of int * int * int * int
@@ -279,13 +275,10 @@ type call = { k_func : string; k_ptrs : int array }
 type clamp = { k_site : int; k_base : iexpr; k_bound : iexpr; k_cle : bool }
 
 (** One canonical loop nest lowered to the flat IR.  The root level's
-    body executes once per outer iteration; [fl_prologue] (hoisted
-    constants and nest-invariant loads) once per entry after the guard
-    commits, and [fl_epilogue] (write-backs of register-promoted array
-    cells) once on normal exit.  [fl_hoisted] and [fl_promoted] name the
-    arrays whose loads/cells were moved out of the nest; the guard
-    re-checks at runtime that their bases do not alias any conflicting
-    access before using the fast path. *)
+    body executes once per outer iteration, and [fl_prologue] (the
+    nest's float and int constants, nothing else) once per entry after
+    the guard commits.  Every access stays where the source performs
+    it. *)
 type fast_loop = {
   fl_sid : int;  (** statement id of the root [For] *)
   fl_loc : Loc.t;  (** source location of the root [For] (diagnostics) *)
@@ -297,11 +290,8 @@ type fast_loop = {
   fl_calls : call array;  (** inlined call sites, in program order *)
   fl_clamp : clamp option;
   fl_prologue : fop array;
-  fl_epilogue : fop array;
   fl_nf : int;  (** float register file size *)
   fl_ni : int;  (** int register file size *)
-  fl_hoisted : int array;  (** arrs with loads hoisted into the prologue *)
-  fl_promoted : int array;  (** arrs register-promoted across the nest *)
 }
 
 (** Plan for a whole program: lowered nests keyed by [For] statement id.

@@ -1268,7 +1268,7 @@ and llevel c (s : stmt) (h : for_header) body =
     };
   c.items <- Ir.Bloop lid :: c.items
 
-(* ---- optimisation: hoisting, promotion, superinstruction fusion ---- *)
+(* ---- superinstruction fusion ---- *)
 
 (* destination of a single-precision op: every value it writes is already
    demoted, so demoting it again is the identity *)
@@ -1276,21 +1276,21 @@ let single_dest (op : Ir.fop) =
   match op with
   | FDem (x, _) | FAddS (x, _, _) | FSubS (x, _, _) | FMulS (x, _, _)
   | FDivS (x, _, _) | FMath1S (_, x, _) | FMath2S (_, x, _, _)
-  | FLdSubS (x, _, _) | FLdSub2S (x, _, _) | FLdMulS (x, _, _)
-  | FLdAddS (x, _, _) | FMulAddS (x, _, _, _) | FAddMulS (x, _, _, _)
-  | FSubMulS (x, _, _, _) ->
+  | FLdSub2S (x, _, _) | FLdMulS (x, _, _) | FLdAddS (x, _, _)
+  | FAddMulS (x, _, _, _) | FSubMulS (x, _, _, _) ->
     Some x
   | _ -> None
 
-(* float-register def/use counting over all sections; used to identify
-   single-definition single-use temporaries that fusion may absorb *)
+(* float-register def/use counting over the prologue and every block;
+   used to identify single-definition single-use temporaries that fusion
+   may absorb *)
 let fcounts nf ops_list =
   let defs = Array.make (max nf 1) 0 in
   let uses = Array.make (max nf 1) 0 in
   let d r = defs.(r) <- defs.(r) + 1 in
   let u r = uses.(r) <- uses.(r) + 1 in
   List.iter
-    (List.iter (fun (op : Ir.fop) ->
+    (Array.iter (fun (op : Ir.fop) ->
          match op with
          | FConst (x, _) | Rand x | FLdSub2 (x, _, _) | FLdSub2S (x, _, _) -> d x
          | FMov (x, a) | FDem (x, a) | FNeg (x, a)
@@ -1312,12 +1312,11 @@ let fcounts nf ops_list =
            (* dest is an int register; both operands are float uses *)
            u a;
            u b
-         | FLdSub (x, _, b) | FLdMul (x, _, b) | FLdAdd (x, _, b)
-         | FLdSubS (x, _, b) | FLdMulS (x, _, b) | FLdAddS (x, _, b) ->
+         | FLdSub (x, _, b) | FLdMul (x, _, b) | FLdMulS (x, _, b) | FLdAddS (x, _, b) ->
            d x;
            u b
-         | FMulAdd (x, a, b, e) | FAddMul (x, e, a, b) | FSubMul (x, e, a, b)
-         | FMulAddS (x, a, b, e) | FAddMulS (x, e, a, b) | FSubMulS (x, e, a, b) ->
+         | FAddMul (x, e, a, b) | FSubMul (x, e, a, b) | FAddMulS (x, e, a, b)
+         | FSubMulS (x, e, a, b) ->
            d x;
            u a;
            u b;
@@ -1369,14 +1368,10 @@ let subst_use (op : Ir.fop) d r : Ir.fop option =
     | FRsqrt (x, a) -> FRsqrt (x, sh a)
     | FLdSub (x, cu, b) -> FLdSub (x, cu, sh b)
     | FLdMul (x, cu, b) -> FLdMul (x, cu, sh b)
-    | FLdAdd (x, cu, b) -> FLdAdd (x, cu, sh b)
-    | FMulAdd (x, a, b, e) -> FMulAdd (x, sh a, sh b, sh e)
     | FAddMul (x, e, a, b) -> FAddMul (x, sh e, sh a, sh b)
     | FSubMul (x, e, a, b) -> FSubMul (x, sh e, sh a, sh b)
-    | FLdSubS (x, cu, b) -> FLdSubS (x, cu, sh b)
     | FLdMulS (x, cu, b) -> FLdMulS (x, cu, sh b)
     | FLdAddS (x, cu, b) -> FLdAddS (x, cu, sh b)
-    | FMulAddS (x, a, b, e) -> FMulAddS (x, sh a, sh b, sh e)
     | FAddMulS (x, e, a, b) -> FAddMulS (x, sh e, sh a, sh b)
     | FSubMulS (x, e, a, b) -> FSubMulS (x, sh e, sh a, sh b)
     | FAccSt (cu, a) -> FAccSt (cu, sh a)
@@ -1411,15 +1406,11 @@ let retarget (op : Ir.fop) d r : Ir.fop option =
   | FLdSub (x, a, b) when x = d -> Some (FLdSub (r, a, b))
   | FLdSub2 (x, a, b) when x = d -> Some (FLdSub2 (r, a, b))
   | FLdMul (x, a, b) when x = d -> Some (FLdMul (r, a, b))
-  | FLdAdd (x, a, b) when x = d -> Some (FLdAdd (r, a, b))
-  | FMulAdd (x, a, b, e) when x = d -> Some (FMulAdd (r, a, b, e))
   | FAddMul (x, e, a, b) when x = d -> Some (FAddMul (r, e, a, b))
   | FSubMul (x, e, a, b) when x = d -> Some (FSubMul (r, e, a, b))
-  | FLdSubS (x, a, b) when x = d -> Some (FLdSubS (r, a, b))
   | FLdSub2S (x, a, b) when x = d -> Some (FLdSub2S (r, a, b))
   | FLdMulS (x, a, b) when x = d -> Some (FLdMulS (r, a, b))
   | FLdAddS (x, a, b) when x = d -> Some (FLdAddS (r, a, b))
-  | FMulAddS (x, a, b, e) when x = d -> Some (FMulAddS (r, a, b, e))
   | FAddMulS (x, e, a, b) when x = d -> Some (FAddMulS (r, e, a, b))
   | FSubMulS (x, e, a, b) when x = d -> Some (FSubMulS (r, e, a, b))
   | FRecip (x, a) when x = d -> Some (FRecip (r, a))
@@ -1442,84 +1433,80 @@ let fold_dem (op1 : Ir.fop) t r : Ir.fop option =
 (* Fusion never crosses a PRNG draw, a checked access, or a zero-checked
    division (only adjacent ops merge, and none of those opcodes appear in
    any pattern), so memory/effect/raise order is preserved exactly.  Fused
-   arithmetic keeps operand order — a*b+c stays (a*b)+c with the same
+   arithmetic keeps operand order — c+a*b stays c+(a*b) with the same
    rounding — so results are bit-identical to the unfused sequence.  The
    single-precision forms demote after every step the unfused ops demote
    after.  An [FDem] of the single-use result of the op just before it is
    dropped when that op is single-precision (demotion is idempotent, so the
    op writes the [FDem]'s destination instead) and folded into the op's
    [...S] form when it is a double op (that op followed by the demotion).
-   [scan_fuse] applies at most one rewrite per call; the caller recomputes
-   global def/use counts between rewrite sweeps. *)
-let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop list) : Ir.fop list =
+
+   One left-to-right pass per block, with def/use counts taken once
+   before it.  A rewrite absorbs only temporaries ([temp]: one definition
+   and one use, both among the matched ops), so every other register
+   keeps its counts, except the prologue's 1.0, which an [FRecip] stops
+   using.  A pattern spans at most three ops, so after a rewrite only the
+   scan's steps from two ops back on can go another way, and the scan
+   steps back that far.  [acc] holds the ops behind the scan, last first,
+   as the steps that passed them: one op, or an op and the [FMov] a
+   failed retarget passes with it, whose step starts at the op.  The
+   pass thus ends where rewriting the leftmost match, with counts taken
+   afresh, until none is left would — unless an [FRecip] leaves the 1.0
+   a temporary, which changes how far a failed retarget of an [FMov]
+   from it steps. *)
+let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop array) : Ir.fop array =
   let rec scan acc (ops : Ir.fop list) =
+    let fused op tl = back acc (op :: tl) 0 in
     match ops with
     | op1 :: Ir.FDem (r, t) :: tl when temp t && fold_dem op1 t r <> None ->
-      List.rev_append acc (Option.get (fold_dem op1 t r) :: tl)
+      fused (Option.get (fold_dem op1 t r)) tl
     | Ir.FLd (t1, c1) :: Ir.FLd (t2, c2) :: Ir.FSub (x, a, b) :: tl
       when a = t1 && b = t2 && t1 <> t2 && temp t1 && temp t2 ->
-      List.rev_append acc (Ir.FLdSub2 (x, c1, c2) :: tl)
+      fused (Ir.FLdSub2 (x, c1, c2)) tl
     | Ir.FLd (t1, c1) :: Ir.FLd (t2, c2) :: Ir.FSubS (x, a, b) :: tl
       when a = t1 && b = t2 && t1 <> t2 && temp t1 && temp t2 ->
-      List.rev_append acc (Ir.FLdSub2S (x, c1, c2) :: tl)
+      fused (Ir.FLdSub2S (x, c1, c2)) tl
     | Ir.FLd (t, cu) :: Ir.FAdd (x, a, b) :: Ir.FSt (cu2, r) :: tl
       when a = t && cu2 = cu && temp t && temp x && x = r && b <> t ->
-      List.rev_append acc (Ir.FAccSt (cu, b) :: tl)
-    | Ir.FLd (t, cu) :: Ir.FSub (x, a, b) :: tl when a = t && temp t && b <> t
-      ->
-      List.rev_append acc (Ir.FLdSub (x, cu, b) :: tl)
-    | Ir.FLd (t, cu) :: Ir.FAdd (x, a, b) :: tl when a = t && temp t && b <> t
-      ->
-      List.rev_append acc (Ir.FLdAdd (x, cu, b) :: tl)
-    | Ir.FLd (t, cu) :: Ir.FMul (x, a, b) :: tl when a = t && temp t && b <> t
-      ->
-      List.rev_append acc (Ir.FLdMul (x, cu, b) :: tl)
-    | Ir.FLd (t, cu) :: Ir.FSubS (x, a, b) :: tl when a = t && temp t && b <> t
-      ->
-      List.rev_append acc (Ir.FLdSubS (x, cu, b) :: tl)
-    | Ir.FLd (t, cu) :: Ir.FAddS (x, a, b) :: tl when a = t && temp t && b <> t
-      ->
-      List.rev_append acc (Ir.FLdAddS (x, cu, b) :: tl)
-    | Ir.FLd (t, cu) :: Ir.FMulS (x, a, b) :: tl when a = t && temp t && b <> t
-      ->
-      List.rev_append acc (Ir.FLdMulS (x, cu, b) :: tl)
-    | Ir.FMul (t, a, b) :: Ir.FAdd (x, p, q) :: tl
-      when p = t && temp t && q <> t ->
-      List.rev_append acc (Ir.FMulAdd (x, a, b, q) :: tl)
-    | Ir.FMul (t, a, b) :: Ir.FAdd (x, p, q) :: tl
-      when q = t && temp t && p <> t ->
-      List.rev_append acc (Ir.FAddMul (x, p, a, b) :: tl)
-    | Ir.FMul (t, a, b) :: Ir.FSub (x, p, q) :: tl
-      when q = t && temp t && p <> t ->
-      List.rev_append acc (Ir.FSubMul (x, p, a, b) :: tl)
-    | Ir.FMulS (t, a, b) :: Ir.FAddS (x, p, q) :: tl
-      when p = t && temp t && q <> t ->
-      List.rev_append acc (Ir.FMulAddS (x, a, b, q) :: tl)
-    | Ir.FMulS (t, a, b) :: Ir.FAddS (x, p, q) :: tl
-      when q = t && temp t && p <> t ->
-      List.rev_append acc (Ir.FAddMulS (x, p, a, b) :: tl)
-    | Ir.FMulS (t, a, b) :: Ir.FSubS (x, p, q) :: tl
-      when q = t && temp t && p <> t ->
-      List.rev_append acc (Ir.FSubMulS (x, p, a, b) :: tl)
+      fused (Ir.FAccSt (cu, b)) tl
+    | Ir.FLd (t, cu) :: Ir.FSub (x, a, b) :: tl when a = t && temp t && b <> t ->
+      fused (Ir.FLdSub (x, cu, b)) tl
+    | Ir.FLd (t, cu) :: Ir.FMul (x, a, b) :: tl when a = t && temp t && b <> t ->
+      fused (Ir.FLdMul (x, cu, b)) tl
+    | Ir.FLd (t, cu) :: Ir.FAddS (x, a, b) :: tl when a = t && temp t && b <> t ->
+      fused (Ir.FLdAddS (x, cu, b)) tl
+    | Ir.FLd (t, cu) :: Ir.FMulS (x, a, b) :: tl when a = t && temp t && b <> t ->
+      fused (Ir.FLdMulS (x, cu, b)) tl
+    | Ir.FMul (t, a, b) :: Ir.FAdd (x, p, q) :: tl when q = t && temp t && p <> t ->
+      fused (Ir.FAddMul (x, p, a, b)) tl
+    | Ir.FMul (t, a, b) :: Ir.FSub (x, p, q) :: tl when q = t && temp t && p <> t ->
+      fused (Ir.FSubMul (x, p, a, b)) tl
+    | Ir.FMulS (t, a, b) :: Ir.FAddS (x, p, q) :: tl when q = t && temp t && p <> t ->
+      fused (Ir.FAddMulS (x, p, a, b)) tl
+    | Ir.FMulS (t, a, b) :: Ir.FSubS (x, p, q) :: tl when q = t && temp t && p <> t ->
+      fused (Ir.FSubMulS (x, p, a, b)) tl
     | Ir.FMul (t, a, b) :: Ir.FAccSt (cu, q) :: tl when q = t && temp t ->
-      List.rev_append acc (Ir.FMulAccSt (cu, a, b) :: tl)
+      fused (Ir.FMulAccSt (cu, a, b)) tl
     | Ir.FDiv (x, o, a) :: tl when o < nf && one_regs.(o) && a <> o ->
-      List.rev_append acc (Ir.FRecip (x, a) :: tl)
-    | Ir.FMath1 (Intrinsic.Sqrt, t, a) :: Ir.FRecip (x, q) :: tl
-      when q = t && temp t ->
-      List.rev_append acc (Ir.FRsqrt (x, a) :: tl)
+      fused (Ir.FRecip (x, a)) tl
+    | Ir.FMath1 (Intrinsic.Sqrt, t, a) :: Ir.FRecip (x, q) :: tl when q = t && temp t ->
+      fused (Ir.FRsqrt (x, a)) tl
     | Ir.FMov (d, r) :: (op2 :: tl as rest) when temp d -> (
       match subst_use op2 d r with
-      | Some op2' -> List.rev_append acc (op2' :: tl)
-      | None -> scan (Ir.FMov (d, r) :: acc) rest)
+      | Some op2' -> fused op2' tl
+      | None -> scan ([ Ir.FMov (d, r) ] :: acc) rest)
     | op1 :: Ir.FMov (r, d) :: tl when temp d -> (
       match retarget op1 d r with
-      | Some op1' -> List.rev_append acc (op1' :: tl)
-      | None -> scan (Ir.FMov (r, d) :: op1 :: acc) tl)
-    | op :: tl -> scan (op :: acc) tl
-    | [] -> List.rev acc
+      | Some op1' -> fused op1' tl
+      | None -> scan ([ op1; Ir.FMov (r, d) ] :: acc) tl)
+    | op :: tl -> scan ([ op ] :: acc) tl
+    | [] -> List.concat (List.rev acc)
+  and back acc ops n =
+    match acc with
+    | step :: acc when n < 2 -> back acc (step @ ops) (n + List.length step)
+    | _ -> scan acc ops
   in
-  scan [] ops
+  Array.of_list (scan [] (Array.to_list ops))
 
 (* ---- whole-nest lowering ---- *)
 
@@ -1542,7 +1529,7 @@ let clamp_candidate user_funcs (body : block) =
      | None -> None)
   | rest -> guard rest
 
-let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt)
+let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set (s : stmt)
     (h : for_header) (body : block) : Ir.fast_loop =
   let assigned, all_locals = collect_info ~funcs:user_funcs body in
   let c =
@@ -1655,133 +1642,11 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
   let sites = Array.of_list (List.rev c.sites) in
   let arrs = Array.of_list (List.rev c.arrs) in
   let cursors = Array.of_list (List.rev c.cursors) in
-  let zero_coef cu =
-    let _, coefs, _, _ = cursors.(cu) in
-    coefs = []
-  in
-  let arr_of cu =
-    let a, _, _, _ = cursors.(cu) in
-    a
-  in
-  (* tree traversal helpers: every level/site block is referenced exactly
-     once, so in-place array updates rewrite the whole nest *)
-  let rewrite_tree (f : Ir.fop array -> Ir.fop array) =
-    let rec blk (b : Ir.block) : Ir.block =
-      { b with Ir.b_items = Array.map item b.Ir.b_items }
-    and item (it : Ir.bitem) : Ir.bitem =
-      match it with
-      | Ir.Bops ops -> Ir.Bops (f ops)
-      | Ir.Bsite sid ->
-        let st = sites.(sid) in
-        let s_then = blk st.Ir.s_then in
-        let s_else = blk st.Ir.s_else in
-        sites.(sid) <- { st with Ir.s_then; s_else };
-        it
-      | Ir.Bloop lid ->
-        let lv = levels.(lid) in
-        levels.(lid) <- { lv with Ir.l_body = blk lv.Ir.l_body };
-        it
-    in
-    let lv0 = levels.(0) in
-    levels.(0) <- { lv0 with Ir.l_body = blk lv0.Ir.l_body }
-  in
-  let iter_tree_ops (f : Ir.fop array -> unit) =
-    let rec blk (b : Ir.block) = Array.iter item b.Ir.b_items
-    and item = function
-      | Ir.Bops ops -> f ops
-      | Ir.Bsite sid ->
-        blk sites.(sid).Ir.s_then;
-        blk sites.(sid).Ir.s_else
-      | Ir.Bloop lid -> blk levels.(lid).Ir.l_body
-    in
-    blk levels.(0).Ir.l_body
-  in
-  let pro = ref (List.rev c.pro) in
-  let epi = ref [] in
-  (* Code motion (skipped when [motion] is off): values cannot tell a moved
-     access from one at its original site, but region footprints can — a
-     hoisted load or promoted cell is touched once per entry even when its
-     site sits under a zero-trip level or in an untaken arm.
-
-     hoist: loads through invariant (all-zero-coefficient) cursors of
-     arrays never stored move to the prologue (guard re-checks no aliasing
-     store can clobber them); their counter costs stay at the original
-     site, so accounting is unchanged.  Arrays the nest declares are new
-     on every execution of their declaration, so neither they nor their
-     cells move. *)
-  let hoisted = Hashtbl.create 4 in
-  if motion then
-    rewrite_tree (fun ops ->
-        let kept =
-          List.filter_map
-            (fun (op : Ir.fop) ->
-              match op with
-              | (FLd (_, cu) | ILd (_, cu))
-                when zero_coef cu
-                     && (not arrs.(arr_of cu).ma_stored)
-                     && arrs.(arr_of cu).ma_size = None ->
-                pro := !pro @ [ op ];
-                Hashtbl.replace hoisted (arr_of cu) ();
-                None
-              | _ -> Some op)
-            (Array.to_list ops)
-        in
-        Array.of_list kept);
-  (* promote: an array cell addressed only through one invariant cursor
-     becomes a register, loaded on entry and stored back on exit (guard
-     re-checks its base is distinct from every other accessed base).  The
-     unconditional epilogue store is unobservable even if the storing arm
-     never ran: it writes back the originally loaded bits. *)
-  let cursor_uses = Array.make (max c.ncursors 1) 0 in
-  let ck_arrs = Hashtbl.create 4 in
-  iter_tree_ops
-    (Array.iter (fun (op : Ir.fop) ->
-         match op with
-         | FLd (_, cu) | FSt (cu, _) | FStDem (cu, _) | ILd (_, cu)
-         | ISt (cu, _) | IStB (cu, _) ->
-           cursor_uses.(cu) <- cursor_uses.(cu) + 1
-         | FLdCk (_, a, _, _) | FStCk (a, _, _, _) | ILdCk (_, a, _, _)
-         | IStCk (a, _, _, _) ->
-           Hashtbl.replace ck_arrs a ()
-         | _ -> ()));
-  let promoted = ref [] in
-  let promoted_regs = ref [] in
-  Array.iteri
-    (fun aid (ma : marr) ->
-      if motion && ma.ma_stored && ma.ma_size = None && not (Hashtbl.mem ck_arrs aid)
-      then begin
-        let cus = ref [] in
-        Array.iteri
-          (fun cu (a, _, _, _) ->
-            if a = aid && cursor_uses.(cu) > 0 then cus := cu :: !cus)
-          cursors;
-        match !cus with
-        | [ cu ] when zero_coef cu ->
-          let isf =
-            match ma.ma_ety with
-            | Ir.Efloat32 | Ir.Efloat64 -> true
-            | _ -> false
-          in
-          let reg = if isf then allocf c else alloci c in
-          pro := !pro @ [ (if isf then Ir.FLd (reg, cu) else Ir.ILd (reg, cu)) ];
-          epi := !epi @ [ (if isf then Ir.FSt (cu, reg) else Ir.ISt (cu, reg)) ];
-          rewrite_tree
-            (Array.map (fun (op : Ir.fop) : Ir.fop ->
-                 match op with
-                 | FLd (d, cu') when cu' = cu -> FMov (d, reg)
-                 | FSt (cu', sr) when cu' = cu -> FMov (reg, sr)
-                 | FStDem (cu', sr) when cu' = cu -> FDem (reg, sr)
-                 | ILd (d, cu') when cu' = cu -> IMov (d, reg)
-                 | ISt (cu', sr) when cu' = cu -> IMov (reg, sr)
-                 | IStB (cu', sr) when cu' = cu -> ItoB (reg, sr)
-                 | _ -> op));
-          promoted := aid :: !promoted;
-          if isf then promoted_regs := reg :: !promoted_regs
-        | _ -> ()
-      end)
-    arrs;
-  (* fusion: fixpoint over the whole tree; def/use counts are global, so a
-     temp absorbed in one block can never still be referenced in another *)
+  let pro = Array.of_list (List.rev c.pro) in
+  (* fusion: def/use counts over the whole nest, so a temporary absorbed
+     in one block is referenced in no other; external names' registers
+     live on across entries and are never temporaries.  Every block is
+     one level's body or one site's arm. *)
   let external_regs = Array.make (max c.nf 1) false in
   List.iter
     (fun mv ->
@@ -1789,32 +1654,38 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
       | Ir.Kfloat _ -> external_regs.(mv.mv_reg) <- true
       | _ -> ())
     c.vars;
-  List.iter (fun r -> external_regs.(r) <- true) !promoted_regs;
   let one_regs = Array.make (max c.nf 1) false in
-  List.iter
+  Array.iter
     (fun (op : Ir.fop) ->
       match op with
       | FConst (r, v) when v = 1.0 -> one_regs.(r) <- true
       | _ -> ())
-    !pro;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let all = ref [ !pro; !epi ] in
-    iter_tree_ops (fun ops -> all := Array.to_list ops :: !all);
-    let defs, uses = fcounts c.nf !all in
-    let temp d =
-      d < c.nf && (not external_regs.(d)) && defs.(d) = 1 && uses.(d) = 1
+    pro;
+  let runs (b : Ir.block) =
+    Array.fold_right
+      (fun it acc -> match it with Ir.Bops ops -> ops :: acc | _ -> acc)
+      b.Ir.b_items []
+  in
+  let defs, uses =
+    fcounts c.nf
+      ((pro :: List.concat_map (fun (lv : Ir.level) -> runs lv.Ir.l_body) (Array.to_list levels))
+      @ List.concat_map
+          (fun (st : Ir.site) -> runs st.Ir.s_then @ runs st.Ir.s_else)
+          (Array.to_list sites))
+  in
+  let temp d = d < c.nf && (not external_regs.(d)) && defs.(d) = 1 && uses.(d) = 1 in
+  let fuse (b : Ir.block) =
+    let item : Ir.bitem -> Ir.bitem = function
+      | Bops ops -> Bops (scan_fuse ~nf:c.nf ~temp ~one_regs ops)
+      | it -> it
     in
-    rewrite_tree (fun ops ->
-        let l = Array.to_list ops in
-        let l' = scan_fuse ~nf:c.nf ~temp ~one_regs l in
-        if l' <> l then begin
-          changed := true;
-          Array.of_list l'
-        end
-        else ops)
-  done;
+    { b with Ir.b_items = Array.map item b.Ir.b_items }
+  in
+  Array.iteri (fun l (lv : Ir.level) -> levels.(l) <- { lv with Ir.l_body = fuse lv.Ir.l_body }) levels;
+  Array.iteri
+    (fun k (st : Ir.site) ->
+      sites.(k) <- { st with Ir.s_then = fuse st.Ir.s_then; s_else = fuse st.Ir.s_else })
+    sites;
   {
     Ir.fl_sid = s.sid;
     fl_loc = s.sloc;
@@ -1850,13 +1721,9 @@ let plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion (s : stmt
         cursors;
     fl_calls = Array.of_list (List.rev c.calls);
     fl_clamp = c.clamp;
-    fl_prologue = Array.of_list !pro;
-    fl_epilogue = Array.of_list !epi;
+    fl_prologue = pro;
     fl_nf = c.nf;
     fl_ni = c.ni;
-    fl_hoisted =
-      Array.of_list (Hashtbl.fold (fun k () acc -> k :: acc) hoisted []);
-    fl_promoted = Array.of_list !promoted;
   }
 
 (* ---- program walk ---- *)
@@ -1866,8 +1733,8 @@ type outcome = Planned of { levels : int; sites : int } | Unplannable of string
 let decl_binding_ty (d : decl) =
   match d.darray with Some _ -> Tptr d.dty | None -> d.dty
 
-let plan_with ?(region_sids = []) ?(region_funcs = []) ?(motion = true)
-    ~(note : stmt -> outcome -> unit) (p : program) : Ir.plan =
+let plan_with ?(region_sids = []) ?(region_funcs = []) ~(note : stmt -> outcome -> unit)
+    (p : program) : Ir.plan =
   let tbl : Ir.plan = Hashtbl.create 16 in
   (match Typecheck.check_program p with
    | Error _ ->
@@ -1919,8 +1786,7 @@ let plan_with ?(region_sids = []) ?(region_funcs = []) ?(motion = true)
                 env
               | For (h, body) ->
                 (match
-                   plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set ~motion s
-                     h body
+                   plan_loop ~env ~genv ~user_funcs ~region_funcs ~region_set s h body
                  with
                  | fl ->
                    Hashtbl.replace tbl s.sid fl;
@@ -1944,8 +1810,8 @@ let plan_with ?(region_sids = []) ?(region_funcs = []) ?(motion = true)
        (funcs p));
   tbl
 
-let plan ?region_sids ?region_funcs ?motion (p : program) : Ir.plan =
-  plan_with ?region_sids ?region_funcs ?motion ~note:(fun _ _ -> ()) p
+let plan ?region_sids ?region_funcs (p : program) : Ir.plan =
+  plan_with ?region_sids ?region_funcs ~note:(fun _ _ -> ()) p
 
 let plan_report ?region_sids ?region_funcs (p : program) : (Loc.t * outcome) list =
   let acc = ref [] in

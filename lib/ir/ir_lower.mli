@@ -64,23 +64,16 @@ type outcome =
   | Planned of { levels : int; sites : int }
   | Unplannable of string
 
-val plan :
-  ?region_sids:int list ->
-  ?region_funcs:string list ->
-  ?motion:bool ->
-  Ast.program ->
-  Ir.plan
-(** [plan ~region_sids ~region_funcs ~motion p] typechecks [p] and builds
+val plan : ?region_sids:int list -> ?region_funcs:string list -> Ast.program -> Ir.plan
+(** [plan ~region_sids ~region_funcs p] typechecks [p] and builds
     fast-loop plans for every plannable [for] nest, keyed by the root [For]
     statement id.  Loops whose body contains a statement in [region_sids]
     ([Rstmt] observation regions) are not planned, since a region that
     starts and ends inside a nest needs per-statement granularity; nor are
     loops that call a function in [region_funcs] ([Rfunc] regions), whose
-    region opens and closes on every call.
-    [motion] (default [true]) enables hoisting nest-invariant loads into
-    the prologue and promoting invariant cells to registers; runs with
-    observation regions plan with [~motion:false], so every access marks
-    footprints exactly where and when the walker performs it.  Inner loops
+    region opens and closes on every call.  Every access stays at its
+    source position, so under a region it marks footprints exactly where
+    and when the walker performs it.  Inner loops
     of a planned nest also get independent entries of their own, so the
     walker's fallback still fast-paths them when the outer guard
     declines.  Programs that fail {!Typecheck.check_program} produce an

@@ -764,7 +764,7 @@ int main() {
   return 0;
 }|}
 
-let motion_src =
+let untouched_src =
   {|
 const int N = 6;
 void knl(double* a, double* b, double* c, double* d, double* e, int m) {
@@ -792,41 +792,12 @@ int main() {
   return 0;
 }|}
 
-let test_profiled_code_motion () =
-  (* unprofiled, the lowering hoists the invariant loads of [b] and [d]
-     and promotes the cells of [c] and [e]; their only accesses sit under
-     a zero-trip level or in a never-taken arm, so the walker's region
-     traffic has no entry for any of them *)
-  let p = parse motion_src in
-  let moved =
-    Hashtbl.fold
-      (fun _ (fl : Ir.fast_loop) acc ->
-        acc + Array.length fl.Ir.fl_hoisted + Array.length fl.Ir.fl_promoted)
-      (Ir_lower.plan p) 0
-  in
-  check "lowering moves accesses when unprofiled" true (moved >= 4);
-  check "no code motion when planned for regions" true
-    (Hashtbl.fold
-       (fun _ (fl : Ir.fast_loop) ok ->
-         ok && fl.Ir.fl_hoisted = [||] && fl.Ir.fl_promoted = [||])
-       (Ir_lower.plan ~motion:false p) true);
-  profiled_case "hoisted and promoted accesses never performed" motion_src;
-  (* a plan with moved accesses handed to a region run anyway: the guard
-     refuses it, so the walker keeps the footprints exact *)
-  let rt =
-    Walker.run ~plan:(Ir_lower.plan p)
-      { Interp_rt.default_config with regions = [ Interp_rt.Rfunc "knl" ] }
-      p
-  in
-  Alcotest.(check (list string))
-    "guard refuses code motion under a region" [ "a" ]
-    (match List.assoc_opt (Interp_rt.Rfunc "knl") rt.Interp_rt.region_stats with
-     | Some rs ->
-       List.map
-         (fun (t : Interp_rt.array_traffic) -> t.Interp_rt.at_name)
-         rs.Interp_rt.rs_traffic
-     | None -> []);
-  let r = Machine.run ~config:(flow_config ()) ~backend:`Vm p in
+let test_profiled_untouched () =
+  (* the only accesses of [b], [c], [d] and [e] sit under a zero-trip
+     level or in a never-taken arm, so the walker's region traffic has no
+     entry for any of them *)
+  profiled_case "accesses under a zero-trip level or an untaken arm" untouched_src;
+  let r = Machine.run ~config:(flow_config ()) ~backend:`Vm (parse untouched_src) in
   match Machine.find_region_stats r (Machine.Rfunc "knl") with
   | None -> Alcotest.fail "kernel region missing"
   | Some rs ->
@@ -837,7 +808,7 @@ let test_profiled_code_motion () =
 let test_profiled_reentered_region () =
   (* the region function runs several times on overlapping and disjoint
      arrays: footprints reset per invocation, traffic accumulates, and
-     re-entries reuse the nest's cached array resolution *)
+     every re-entry resolves the arrays its frame points at *)
   profiled_case "region function entered several times"
     {|
 const int N = 8;
@@ -956,9 +927,9 @@ int main() {
 
    Every single-precision fused op and every [FDem] fold, fed NaN, ±inf,
    subnormals, ±FLT_MAX and products above FLT_MAX: the fused forms must
-   demote after every step the unfused sequence demotes after (an [FMulAddS]
-   whose product overflows to inf before the add is not the double sum
-   demoted once). *)
+   demote after every step the unfused sequence demotes after (an
+   [FAddMulS] whose product overflows to inf before the add is not the
+   double sum demoted once). *)
 
 let sp_fused_src =
   let init arr vals =
@@ -1034,47 +1005,119 @@ let nest_ops (fl : Ir.fast_loop) =
   blk fl.Ir.fl_levels.(0).Ir.l_body;
   !acc
 
+(* every op of every nest [p] plans *)
+let plan_ops p = Hashtbl.fold (fun _ fl acc -> nest_ops fl @ acc) (Ir_lower.plan p) []
+
+let emitted ops name pred = check (name ^ " emitted") true (List.exists pred ops)
+
 let test_sp_fused_special_values () =
   let p = parse sp_fused_src in
-  List.iter
-    (fun motion ->
-      let ops =
-        Hashtbl.fold (fun _ fl acc -> nest_ops fl @ acc) (Ir_lower.plan ~motion p) []
-      in
-      let has name pred = check (name ^ " emitted") true (List.exists pred ops) in
-      has "FLdSubS" (function Ir.FLdSubS _ -> true | _ -> false);
-      has "FLdSub2S" (function Ir.FLdSub2S _ -> true | _ -> false);
-      has "FLdMulS" (function Ir.FLdMulS _ -> true | _ -> false);
-      has "FLdAddS" (function Ir.FLdAddS _ -> true | _ -> false);
-      has "FMulAddS" (function Ir.FMulAddS _ -> true | _ -> false);
-      has "FAddMulS" (function Ir.FAddMulS _ -> true | _ -> false);
-      has "FSubMulS" (function Ir.FSubMulS _ -> true | _ -> false);
-      has "FMulS from FMul + FDem" (function Ir.FMulS _ -> true | _ -> false);
-      has "FDivS from FDiv + FDem" (function Ir.FDivS _ -> true | _ -> false);
-      has "FAddS from FAdd + FDem" (function Ir.FAddS _ -> true | _ -> false);
-      has "FSubS from FSub + FDem" (function Ir.FSubS _ -> true | _ -> false);
-      has "FMath1S from FMath1 + FDem" (function Ir.FMath1S _ -> true | _ -> false);
-      has "FMath2S from FMath2 + FDem" (function Ir.FMath2S _ -> true | _ -> false);
-      check "every FDem elided or folded" false
-        (List.exists
-           (function
-             | Ir.FDem _ | Ir.FMul _ | Ir.FDiv _ | Ir.FAdd _ | Ir.FSub _ | Ir.FMath1 _
-             | Ir.FMath2 _ ->
-               true
-             | _ -> false)
-           ops))
-    [ true; false ];
+  let ops = plan_ops p in
+  let has = emitted ops in
+  has "FLdSub2S" (function Ir.FLdSub2S _ -> true | _ -> false);
+  has "FLdMulS" (function Ir.FLdMulS _ -> true | _ -> false);
+  has "FLdAddS" (function Ir.FLdAddS _ -> true | _ -> false);
+  has "FAddMulS" (function Ir.FAddMulS _ -> true | _ -> false);
+  has "FSubMulS" (function Ir.FSubMulS _ -> true | _ -> false);
+  has "FMulS from FMul + FDem" (function Ir.FMulS _ -> true | _ -> false);
+  has "FDivS from FDiv + FDem" (function Ir.FDivS _ -> true | _ -> false);
+  has "FAddS from FAdd + FDem" (function Ir.FAddS _ -> true | _ -> false);
+  has "FSubS from FSub + FDem" (function Ir.FSubS _ -> true | _ -> false);
+  has "FMath1S from FMath1 + FDem" (function Ir.FMath1S _ -> true | _ -> false);
+  has "FMath2S from FMath2 + FDem" (function Ir.FMath2S _ -> true | _ -> false);
+  check "every FDem elided or folded" false
+    (List.exists
+       (function
+         | Ir.FDem _ | Ir.FMul _ | Ir.FDiv _ | Ir.FAdd _ | Ir.FSub _ | Ir.FMath1 _
+         | Ir.FMath2 _ ->
+           true
+         | _ -> false)
+       ops);
   check "special values (unprofiled)" true (agree_planned p);
   check "special values (flow-profiled)" true (agree_planned ~config:(flow_config ()) p)
 
-(* ---- cost walk reused across re-entries ----
+(* ---- double-precision superinstructions ----
 
-   The guard's cost walk is cached per nest, keyed on the trip vector.
-   [knl] is called from a [while] loop (never planned), so its nest is
-   entered once per call: with the same trip counts every time, and with
-   both bounds read from arguments that change between calls (repeats,
-   a zero-trip inner level, a return to earlier trips).  Profiled, so the
-   per-level loop_stats derived from the cached walk are compared too. *)
+   Every double-precision fused op, fed NaN, ±inf, signed zeros,
+   subnormals and values near DBL_MAX.  Two of them form only from
+   another fused op, one rewrite after the other: [x[i] += a[i] * b[i]]
+   is an [FAccSt] first and then, with the product before it, one
+   [FMulAccSt]; [1.0 / sqrt(a[i])] is an [FRecip] first and then, with
+   the square root before it, one [FRsqrt]. *)
+
+let dp_fused_src =
+  let init arr vals =
+    String.concat "\n"
+      (List.mapi (fun i v -> Printf.sprintf "  %s[%d] = %s;" arr i v) vals)
+  in
+  Printf.sprintf
+    {|
+const int N = 8;
+const int K = 7;
+void knl(double* x, double* a, double* b, double* o) {
+  for (int i = 0; i < N; i++) {
+    double p = a[i] * 2.0;
+    double q = b[i] - p;
+    double s = a[i] - b[i];
+    double g = s + p * q;
+    double h = s - p * q;
+    double v = 1.0 / q;
+    double w = 1.0 / sqrt(a[i]);
+    x[i] += a[i] * b[i];
+    o[i * K] = p; o[i * K + 1] = q; o[i * K + 2] = s; o[i * K + 3] = g;
+    o[i * K + 4] = h; o[i * K + 5] = v; o[i * K + 6] = w;
+  }
+}
+int main() {
+  double x[N];
+  double a[N];
+  double b[N];
+  double o[56];
+  double qnan = 0.0 / 0.0;
+  double pinf = 1.0 / 0.0;
+%s
+%s
+%s
+  knl(x, a, b, o);
+  print_float(o[3] + o[12] + x[5]);
+  return 0;
+}|}
+    (init "x" [ "1.0"; "pinf"; "-0.0"; "qnan"; "1.0e308"; "2.5"; "-1.0e-310"; "0.0" ])
+    (init "a"
+       [ "qnan"; "pinf"; "-pinf"; "1.0e-310"; "1.7976931348623157e308"; "0.0"; "-0.0"; "4.0" ])
+    (init "b" [ "2.0"; "pinf"; "qnan"; "-1.0e-310"; "1.0e308"; "-0.0"; "0.0"; "-8.0" ])
+
+let test_dp_fused_special_values () =
+  let p = parse dp_fused_src in
+  let ops = plan_ops p in
+  let has = emitted ops in
+  has "FLdSub" (function Ir.FLdSub _ -> true | _ -> false);
+  has "FLdSub2" (function Ir.FLdSub2 _ -> true | _ -> false);
+  has "FLdMul" (function Ir.FLdMul _ -> true | _ -> false);
+  has "FAddMul" (function Ir.FAddMul _ -> true | _ -> false);
+  has "FSubMul" (function Ir.FSubMul _ -> true | _ -> false);
+  has "FRecip" (function Ir.FRecip _ -> true | _ -> false);
+  let count pred = List.length (List.filter pred ops) in
+  Alcotest.(check int)
+    "x[i] += a[i] * b[i] is one FMulAccSt" 1
+    (count (function Ir.FMulAccSt _ -> true | _ -> false));
+  Alcotest.(check int)
+    "1.0 / sqrt(a[i]) is one FRsqrt" 1
+    (count (function Ir.FRsqrt _ -> true | _ -> false));
+  Alcotest.(check int)
+    "no FAccSt left" 0
+    (count (function Ir.FAccSt _ -> true | _ -> false));
+  check "special values (unprofiled)" true (agree_planned p);
+  check "special values (flow-profiled)" true (agree_planned ~config:(flow_config ()) p)
+
+(* ---- cost walk on re-entry ----
+
+   The guard walks a nest's costs on every entry.  [knl] is called from a
+   [while] loop (never planned), so its nest is entered once per call:
+   with the same trip counts every time, and with both bounds read from
+   arguments that change between calls (repeats, a zero-trip inner level,
+   a return to earlier trips).  Profiled, so the per-level loop_stats
+   derived from each entry's walk are compared too. *)
 
 let reentry_src calls =
   Printf.sprintf
@@ -1107,7 +1150,7 @@ int main() {
 
 let unchanged_trips = List.init 7 (fun _ -> (6, 3))
 
-let test_walk_reuse () =
+let test_walk_reentry () =
   let same = parse (reentry_src unchanged_trips) in
   check "unchanged trips (unprofiled)" true (agree_planned same);
   check "unchanged trips (profiled)" true (agree_planned ~config:(flow_config ()) same);
@@ -1117,17 +1160,17 @@ let test_walk_reuse () =
   check "changing trips (unprofiled)" true (agree_planned changing);
   check "changing trips (profiled)" true (agree_planned ~config:(flow_config ()) changing)
 
-let test_walk_reuse_budget () =
+let test_walk_reentry_budget () =
   (* every budget, with the nest entered seven times on the same trips:
-     the budget check runs on every entry, cached walk or not, and a
-     bailing entry leaves the walker to raise at its own statement *)
+     the budget check runs on every entry, and a bailing entry leaves the
+     walker to raise at its own statement *)
   let p = parse (reentry_src unchanged_trips) in
   let total = (Machine.run ~backend:`Ast p).Machine.counters.(Counters.steps) in
   let d0 = Fastloop.planned_on_domain () in
   ignore (Machine.run ~backend:`Vm p);
   let per_entry = (Fastloop.planned_on_domain () - d0) / 7 in
   check "the nest runs planned" true (per_entry > 0);
-  let cached_bail = ref false in
+  let late_bail = ref false in
   for max_steps = 1 to total + 2 do
     let config = { Machine.default_config with max_steps } in
     check (Printf.sprintf "re-entry budget %d" max_steps) true (agree ~config p);
@@ -1136,12 +1179,12 @@ let test_walk_reuse_budget () =
     match Machine.run ~config ~backend:`Vm p with
     | _ -> ()
     | exception Machine.Step_limit_exceeded ->
-      (* two entries committed, so the third reused their walk *)
+      (* two entries committed before a later one bailed *)
       if Fastloop.planned_on_domain () - d0 >= 2 * per_entry
          && List.exists (fun (_, r) -> r = "budget") (Fastloop.bail_sites ())
-      then cached_bail := true
+      then late_bail := true
   done;
-  check "a budget bail on an entry that reuses the cached walk" true !cached_bail
+  check "a budget bail on an entry after two committed ones" true !late_bail
 
 (* ---- planned calls: leaf user functions inlined into nests ----
 
@@ -2327,14 +2370,15 @@ let suite =
     Alcotest.test_case "nest budget-bail parity" `Quick test_nest_budget_bail_parity;
     Alcotest.test_case "profiled zero-trip level" `Quick test_profiled_zero_trip;
     Alcotest.test_case "profiled levels in arms" `Quick test_profiled_arms;
-    Alcotest.test_case "profiled code motion" `Quick test_profiled_code_motion;
+    Alcotest.test_case "profiled accesses never run" `Quick test_profiled_untouched;
     Alcotest.test_case "profiled region re-entry" `Quick test_profiled_reentered_region;
     Alcotest.test_case "profiled budget sweep" `Quick test_profiled_budget_sweep;
     Alcotest.test_case "clamped loop bounds" `Quick test_clamped_bounds;
     Alcotest.test_case "sp fused ops special values" `Quick test_sp_fused_special_values;
+    Alcotest.test_case "dp fused ops special values" `Quick test_dp_fused_special_values;
     Alcotest.test_case "every intrinsic special values" `Quick test_every_intrinsic;
-    Alcotest.test_case "cost walk reuse" `Quick test_walk_reuse;
-    Alcotest.test_case "cost walk reuse budget sweep" `Quick test_walk_reuse_budget;
+    Alcotest.test_case "cost walk re-entry" `Quick test_walk_reentry;
+    Alcotest.test_case "cost walk re-entry budget sweep" `Quick test_walk_reentry_budget;
     Alcotest.test_case "planned call coercions" `Quick test_call_coercions;
     Alcotest.test_case "planned call globals" `Quick test_call_globals;
     Alcotest.test_case "planned call guarded" `Quick test_call_guarded;

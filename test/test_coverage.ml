@@ -9,6 +9,16 @@ let planned () = counter "vm.steps.planned"
 
 let steps () = counter "interp.steps"
 
+(* No planned nest may decline at runtime: every bail site recorded since
+   [Fastloop.reset_bail_sites] fails the case, each printed *)
+let check_no_bails what =
+  match Machine.plan_bail_sites () with
+  | [] -> ()
+  | sites ->
+    Alcotest.failf "%s: planned nests declined at runtime: %s" what
+      (String.concat "; "
+         (List.map (fun (loc, reason) -> Loc.to_string loc ^ " " ^ reason) sites))
+
 let check_floor what ~floor ~planned ~total =
   let c = if total = 0 then 0.0 else float_of_int planned /. float_of_int total in
   if c < floor then
@@ -42,25 +52,28 @@ let test_app_coverage ((app : App.t), floor) () =
 (* The five uninformed quick flows, profiled analysis runs included.  No
    disk tier and an empty memory tier, so every run interprets.  The
    floor is 0.9705 (measured once HIP launch loops inlined their
-   per-thread body calls) minus 0.02. *)
+   per-thread body calls) minus 0.02, and no planned nest declines. *)
 let test_flow_coverage () =
   Cache.set_dir None;
   Cache.clear_memory ();
+  Fastloop.reset_bail_sites ();
   let p0 = planned () and s0 = steps () in
   let results = Runs.collect ~quick:true () in
   List.iter
     (function Ok _ -> () | Error msg -> Alcotest.failf "flow failed: %s" msg)
     results;
   check_floor "five uninformed quick flows" ~floor:0.9505 ~planned:(planned () - p0)
-    ~total:(steps () - s0)
+    ~total:(steps () - s0);
+  check_no_bails "five uninformed quick flows"
 
 (* N-Body's uninformed evaluation flow at --jobs 2 with the cache off:
    its HIP launch loops plan as whole nests, so fewer than 1,000 of its
    statements run on the walker (53,544 did while each thread's tile
-   loop ran there) *)
+   loop ran there), and no planned nest declines *)
 let test_nbody_flow_residue () =
   Cache.set_dir None;
   Cache.clear_memory ();
+  Fastloop.reset_bail_sites ();
   let saved = Util.Pool.default_jobs () in
   Util.Pool.set_default_jobs 2;
   let p0 = planned () and s0 = steps () in
@@ -73,7 +86,8 @@ let test_nbody_flow_residue () =
   let planned = planned () - p0 and total = steps () - s0 in
   if total - planned >= 1_000 then
     Alcotest.failf "N-Body evaluation flow: %d of %d statements on the walker (%d planned)"
-      (total - planned) total planned
+      (total - planned) total planned;
+  check_no_bails "N-Body evaluation flow"
 
 let suite =
   List.map
