@@ -38,8 +38,6 @@
 
 open Interp_rt
 
-type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (* A prepared nest lives for one run ([runner]), so the run's state and
    config are fixed for its lifetime. *)
 type prepared = {
@@ -154,7 +152,6 @@ type prepared = {
      fall outside the array) *)
   ckok : bool array;
   cck : bool array;
-  f32 : f32;  (* scratch cell for single-precision demotion *)
   called : bool array;  (* per inlined call site: ran this entry (alias tracing) *)
   (* the nest compiled to closures, per footprint-marking mode (off, on)
      and cursor-checking mode (off, on) *)
@@ -576,7 +573,6 @@ let prepare (fl : Ir.fast_loop) : prepared =
       Array.init nc (fun k ->
           k < Array.length fl.Ir.fl_cursors && fl.Ir.fl_cursors.(k).Ir.c_arm <> None);
     cck = Array.make nc false;
-    f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
     called = Array.make (Array.length fl.Ir.fl_calls) false;
     code = Array.make 4 None;
     split_ok;
@@ -621,7 +617,6 @@ let chunk_instance p =
     lent = Array.copy p.lent;
     lord = Array.copy p.lord;
     nord = 0;
-    f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
     called = Array.copy p.called;
     code = Array.make 4 None;
     chunk = true;
@@ -900,14 +895,6 @@ let mark_bulk p =
           imgs)
     p.bimg
 
-(* [Value.demote] inline: a store to a float32 cell and a load back are
-   the same two conversions (cvtsd2ss/cvtss2sd, round-to-nearest) as its
-   [Int32] bit round trip, without the two C calls.  The cell belongs to
-   the prepared nest, so domains never share it. *)
-let[@inline] demote (s : f32) x =
-  Bigarray.Array1.unsafe_set s 0 x;
-  Bigarray.Array1.unsafe_get s 0
-
 (* ---- closure-threaded execution ----
 
    On a nest's first commit in a run, its prologue, levels, sites and ops
@@ -968,27 +955,53 @@ let cur_mark p st ~mk ~store c (k : code) : code =
       k ()
   end
 
-let math1 s32 (m : Intrinsic.fn1) ~single (f : float array) d a (k : code) : code =
+(* One closure per float function and precision, each calling its
+   implementation directly: an unboxed C call ([sqrt], [sin], ...,
+   [Intrinsic.demote]), inline arithmetic, or [Intrinsic.erf_into] on the
+   register file, so no call boxes its operands or its result.  Each
+   computes what [Intrinsic.eval1]/[eval2] does. *)
+let math1 (m : Intrinsic.fn1) ~single (f : float array) d a (k : code) : code =
   match m, single with
   | Intrinsic.Sqrt, false -> fun () -> f.%(d) <- sqrt f.%(a); k ()
-  | Intrinsic.Sqrt, true -> fun () -> f.%(d) <- demote s32 (sqrt f.%(a)); k ()
+  | Intrinsic.Sqrt, true -> fun () -> f.%(d) <- Intrinsic.demote (sqrt f.%(a)); k ()
   | Intrinsic.Rsqrt, false -> fun () -> f.%(d) <- 1.0 /. sqrt f.%(a); k ()
-  | Intrinsic.Rsqrt, true -> fun () -> f.%(d) <- demote s32 (1.0 /. sqrt f.%(a)); k ()
+  | Intrinsic.Rsqrt, true -> fun () -> f.%(d) <- Intrinsic.demote (1.0 /. sqrt f.%(a)); k ()
+  | Intrinsic.Sin, false -> fun () -> f.%(d) <- sin f.%(a); k ()
+  | Intrinsic.Sin, true -> fun () -> f.%(d) <- Intrinsic.demote (sin f.%(a)); k ()
+  | Intrinsic.Cos, false -> fun () -> f.%(d) <- cos f.%(a); k ()
+  | Intrinsic.Cos, true -> fun () -> f.%(d) <- Intrinsic.demote (cos f.%(a)); k ()
+  | Intrinsic.Tan, false -> fun () -> f.%(d) <- tan f.%(a); k ()
+  | Intrinsic.Tan, true -> fun () -> f.%(d) <- Intrinsic.demote (tan f.%(a)); k ()
   | Intrinsic.Exp, false -> fun () -> f.%(d) <- exp f.%(a); k ()
-  | Intrinsic.Exp, true -> fun () -> f.%(d) <- demote s32 (exp f.%(a)); k ()
+  | Intrinsic.Exp, true -> fun () -> f.%(d) <- Intrinsic.demote (exp f.%(a)); k ()
   | Intrinsic.Log, false -> fun () -> f.%(d) <- log f.%(a); k ()
-  | Intrinsic.Log, true -> fun () -> f.%(d) <- demote s32 (log f.%(a)); k ()
+  | Intrinsic.Log, true -> fun () -> f.%(d) <- Intrinsic.demote (log f.%(a)); k ()
+  | Intrinsic.Tanh, false -> fun () -> f.%(d) <- tanh f.%(a); k ()
+  | Intrinsic.Tanh, true -> fun () -> f.%(d) <- Intrinsic.demote (tanh f.%(a)); k ()
+  | Intrinsic.Erf, false -> fun () -> Intrinsic.erf_into f d a; k ()
+  | Intrinsic.Erf, true ->
+    fun () ->
+      Intrinsic.erf_into f d a;
+      f.%(d) <- Intrinsic.demote f.%(d);
+      k ()
   | Intrinsic.Fabs, false -> fun () -> f.%(d) <- Float.abs f.%(a); k ()
-  | Intrinsic.Fabs, true -> fun () -> f.%(d) <- demote s32 (Float.abs f.%(a)); k ()
-  | _, false -> fun () -> f.%(d) <- Intrinsic.eval1 m f.%(a); k ()
-  | _, true -> fun () -> f.%(d) <- demote s32 (Intrinsic.eval1 m f.%(a)); k ()
+  | Intrinsic.Fabs, true -> fun () -> f.%(d) <- Intrinsic.demote (Float.abs f.%(a)); k ()
+  | Intrinsic.Floor, false -> fun () -> f.%(d) <- Float.floor f.%(a); k ()
+  | Intrinsic.Floor, true -> fun () -> f.%(d) <- Intrinsic.demote (Float.floor f.%(a)); k ()
+  | Intrinsic.Ceil, false -> fun () -> f.%(d) <- Float.ceil f.%(a); k ()
+  | Intrinsic.Ceil, true -> fun () -> f.%(d) <- Intrinsic.demote (Float.ceil f.%(a)); k ()
 
-let math2 s32 (m : Intrinsic.fn2) ~single (f : float array) d a b (k : code) : code =
+let math2 (m : Intrinsic.fn2) ~single (f : float array) d a b (k : code) : code =
   match m, single with
   | Intrinsic.Pow, false -> fun () -> f.%(d) <- Float.pow f.%(a) f.%(b); k ()
-  | Intrinsic.Pow, true -> fun () -> f.%(d) <- demote s32 (Float.pow f.%(a) f.%(b)); k ()
-  | _, false -> fun () -> f.%(d) <- Intrinsic.eval2 m f.%(a) f.%(b); k ()
-  | _, true -> fun () -> f.%(d) <- demote s32 (Intrinsic.eval2 m f.%(a) f.%(b)); k ()
+  | Intrinsic.Pow, true ->
+    fun () -> f.%(d) <- Intrinsic.demote (Float.pow f.%(a) f.%(b)); k ()
+  | Intrinsic.Fmin, false -> fun () -> f.%(d) <- Float.min f.%(a) f.%(b); k ()
+  | Intrinsic.Fmin, true ->
+    fun () -> f.%(d) <- Intrinsic.demote (Float.min f.%(a) f.%(b)); k ()
+  | Intrinsic.Fmax, false -> fun () -> f.%(d) <- Float.max f.%(a) f.%(b); k ()
+  | Intrinsic.Fmax, true ->
+    fun () -> f.%(d) <- Intrinsic.demote (Float.max f.%(a) f.%(b)); k ()
 
 let fcmp (op : Ir.cmpop) (f : float array) (n : int array) d a b (k : code) : code =
   match op with
@@ -1010,7 +1023,7 @@ let icmp (op : Ir.cmpop) (n : int array) d a b (k : code) : code =
 
 (* [op] compiled in front of [k]; [mk]: footprint marking on *)
 let op_code p st ~mk (op : Ir.fop) (k : code) : code =
-  let f = p.f and n = p.n and s32 = p.f32 in
+  let f = p.f and n = p.n in
   let cpos = p.cpos and cf = p.cfdata and ci = p.cidata and fpw = p.fpw in
   let af = p.afdata and ai = p.aidata in
   let fr = valid (Array.length f) and ir = valid (Array.length n) in
@@ -1042,7 +1055,7 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     fun () -> n.%(d) <- (if n.%(a) <> 0 then 1 else 0); k ()
   | Ir.FDem (d, a) ->
     let d = fr d and a = fr a in
-    fun () -> f.%(d) <- demote s32 f.%(a); k ()
+    fun () -> f.%(d) <- Intrinsic.demote f.%(a); k ()
   | Ir.FAdd (d, a, b) ->
     let d = fr d and a = fr a and b = fr b in
     fun () -> f.%(d) <- f.%(a) +. f.%(b); k ()
@@ -1060,16 +1073,16 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     fun () -> f.%(d) <- -.f.%(a); k ()
   | Ir.FAddS (d, a, b) ->
     let d = fr d and a = fr a and b = fr b in
-    fun () -> f.%(d) <- demote s32 (f.%(a) +. f.%(b)); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (f.%(a) +. f.%(b)); k ()
   | Ir.FSubS (d, a, b) ->
     let d = fr d and a = fr a and b = fr b in
-    fun () -> f.%(d) <- demote s32 (f.%(a) -. f.%(b)); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (f.%(a) -. f.%(b)); k ()
   | Ir.FMulS (d, a, b) ->
     let d = fr d and a = fr a and b = fr b in
-    fun () -> f.%(d) <- demote s32 (f.%(a) *. f.%(b)); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (f.%(a) *. f.%(b)); k ()
   | Ir.FDivS (d, a, b) ->
     let d = fr d and a = fr a and b = fr b in
-    fun () -> f.%(d) <- demote s32 (f.%(a) /. f.%(b)); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (f.%(a) /. f.%(b)); k ()
   | Ir.IAdd (d, a, b) ->
     let d = ir d and a = ir a and b = ir b in
     fun () -> n.%(d) <- n.%(a) + n.%(b); k ()
@@ -1116,10 +1129,10 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
   | Ir.INot (d, a) ->
     let d = ir d and a = ir a in
     fun () -> n.%(d) <- (if n.%(a) <> 0 then 0 else 1); k ()
-  | Ir.FMath1 (m, d, a) -> math1 s32 m ~single:false f (fr d) (fr a) k
-  | Ir.FMath1S (m, d, a) -> math1 s32 m ~single:true f (fr d) (fr a) k
-  | Ir.FMath2 (m, d, a, b) -> math2 s32 m ~single:false f (fr d) (fr a) (fr b) k
-  | Ir.FMath2S (m, d, a, b) -> math2 s32 m ~single:true f (fr d) (fr a) (fr b) k
+  | Ir.FMath1 (m, d, a) -> math1 m ~single:false f (fr d) (fr a) k
+  | Ir.FMath1S (m, d, a) -> math1 m ~single:true f (fr d) (fr a) k
+  | Ir.FMath2 (m, d, a, b) -> math2 m ~single:false f (fr d) (fr a) (fr b) k
+  | Ir.FMath2S (m, d, a, b) -> math2 m ~single:true f (fr d) (fr a) (fr b) k
   | Ir.Rand d ->
     let d = fr d in
     let prng = st.prng in
@@ -1135,7 +1148,7 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
   | Ir.FStDem (c, s) ->
     let c = cu c and s = fr s in
     let k = cur_mark p st ~mk ~store:true c k in
-    fun () -> cf.%(c).(cpos.%(c)) <- demote s32 f.%(s); k ()
+    fun () -> cf.%(c).(cpos.%(c)) <- Intrinsic.demote f.%(s); k ()
   | Ir.ILd (d, c) ->
     let d = ir d and c = cu c in
     let k = cur_mark p st ~mk ~store:false c k in
@@ -1159,7 +1172,7 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     let a = ar a and i = ir i and s = fr s in
     if p.adem.(a) then fun () ->
       let idx = checked_index p n a i loc in
-      af.%(a).(idx) <- demote s32 f.%(s);
+      af.%(a).(idx) <- Intrinsic.demote f.%(s);
       if mk && marks fpw a then mark_wr p st a idx;
       k ()
     else fun () ->
@@ -1230,22 +1243,22 @@ let op_code p st ~mk (op : Ir.fop) (k : code) : code =
     let d = fr d and c1 = cu c1 and c2 = cu c2 in
     let k = cur_mark p st ~mk ~store:false c1 (cur_mark p st ~mk ~store:false c2 k) in
     fun () ->
-      f.%(d) <- demote s32 (cf.%(c1).(cpos.%(c1)) -. cf.%(c2).(cpos.%(c2)));
+      f.%(d) <- Intrinsic.demote (cf.%(c1).(cpos.%(c1)) -. cf.%(c2).(cpos.%(c2)));
       k ()
   | Ir.FLdMulS (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
     let k = cur_mark p st ~mk ~store:false c k in
-    fun () -> f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) *. f.%(b)); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (cf.%(c).(cpos.%(c)) *. f.%(b)); k ()
   | Ir.FLdAddS (d, c, b) ->
     let d = fr d and c = cu c and b = fr b in
     let k = cur_mark p st ~mk ~store:false c k in
-    fun () -> f.%(d) <- demote s32 (cf.%(c).(cpos.%(c)) +. f.%(b)); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (cf.%(c).(cpos.%(c)) +. f.%(b)); k ()
   | Ir.FAddMulS (d, c, a, b) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
-    fun () -> f.%(d) <- demote s32 (f.%(c) +. demote s32 (f.%(a) *. f.%(b))); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (f.%(c) +. Intrinsic.demote (f.%(a) *. f.%(b))); k ()
   | Ir.FSubMulS (d, c, a, b) ->
     let d = fr d and a = fr a and b = fr b and c = fr c in
-    fun () -> f.%(d) <- demote s32 (f.%(c) -. demote s32 (f.%(a) *. f.%(b))); k ()
+    fun () -> f.%(d) <- Intrinsic.demote (f.%(c) -. Intrinsic.demote (f.%(a) *. f.%(b))); k ()
   | Ir.Alloc a ->
     let a = ar a in
     let arr = p.fl.Ir.fl_arrs.(a) in
@@ -1703,8 +1716,9 @@ let prealloc p st =
 (* The committed nest as chunks of contiguous root iterations, claimed in
    order from a shared counter by the committing domain and by one future
    per other pool job, each on its own chunk instance ([chunk_instance]):
-   a job that starts late takes fewer chunks.  The arrays the nest
-   declares are allocated first ([prealloc]).  Under a region, root
+   a job that starts late takes fewer chunks, and one that starts after
+   the last claim returns at once, with no [vm-chunks] span.  The arrays
+   the nest declares are allocated first ([prealloc]).  Under a region, root
    iteration 0 runs first, alone on the committing domain, and resolves
    the frames' footprint entries in the walker's first-touch order; the
    rest splits only if that left no array the nest accesses unresolved
@@ -1776,8 +1790,9 @@ let run_split p st ~mk ~ck ~prof jobs =
     let futs =
       List.init (jobs - 1) (fun i ->
           Util.Pool.Fut.spawn (fun () ->
-              Obs.Trace.with_span ~name:"vm-chunks" ~kind:Obs.Trace.Interp_run (fun _ ->
-                  work (i + 1) ())))
+              if Atomic.get next < n then
+                Obs.Trace.with_span ~name:"vm-chunks" ~kind:Obs.Trace.Interp_run (fun _ ->
+                    work (i + 1) ())))
     in
     work 0 ();
     List.iter Util.Pool.Fut.await_no_help futs;

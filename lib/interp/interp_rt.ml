@@ -318,7 +318,7 @@ let eval_intrinsic st loc name (args : Value.t list) : Value.t =
      | Intrinsic.Cheap -> count_flop st prec fl_add
      | Intrinsic.Int_op -> count_int_op st
      | Intrinsic.Uncounted -> ());
-    let ret_float x = Value.Vfloat (prec, if i.single then Value.demote x else x) in
+    let ret_float x = Value.Vfloat (prec, if i.single then Intrinsic.demote x else x) in
     let print s =
       Buffer.add_string st.output s;
       Buffer.add_char st.output '\n';
@@ -354,7 +354,7 @@ let eval_binop st loc op va vb : Value.t =
     | Some p ->
       count_flop st p slots;
       let r = float_case (Value.to_float va) (Value.to_float vb) in
-      Value.Vfloat (p, (if p = Value.Sp then Value.demote r else r))
+      Value.Vfloat (p, (if p = Value.Sp then Intrinsic.demote r else r))
     | None ->
       count_int_op st;
       Value.Vint (int_case (Value.to_int va) (Value.to_int vb))
@@ -402,7 +402,7 @@ let cast_like (old : Value.t) (v : Value.t) : Value.t =
   match old with
   | Value.Vint _ -> Value.Vint (Value.to_int v)
   | Value.Vbool _ -> Value.Vbool (Value.truth v)
-  | Value.Vfloat (Value.Sp, _) -> Value.Vfloat (Value.Sp, Value.demote (Value.to_float v))
+  | Value.Vfloat (Value.Sp, _) -> Value.Vfloat (Value.Sp, Intrinsic.demote (Value.to_float v))
   | Value.Vfloat (Value.Dp, _) -> Value.Vfloat (Value.Dp, Value.to_float v)
   | Value.Vptr _ -> v
 

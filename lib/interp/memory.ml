@@ -69,7 +69,7 @@ let load t ptr i =
 let store t ptr i v =
   let e, idx = check t ptr i in
   match e.storage, e.ety with
-  | Sfloat a, Ast.Tfloat -> a.(idx) <- Value.demote (Value.to_float v)
+  | Sfloat a, Ast.Tfloat -> a.(idx) <- Intrinsic.demote (Value.to_float v)
   | Sfloat a, _ -> a.(idx) <- Value.to_float v
   | Sint a, Ast.Tbool -> a.(idx) <- (if Value.truth v then 1 else 0)
   | Sint a, _ -> a.(idx) <- Value.to_int v

@@ -34,13 +34,11 @@ let truth = function
   | Vfloat (_, f) -> f <> 0.0
   | Vptr _ -> invalid_arg "Value.truth: pointer"
 
-let demote f = Int32.float_of_bits (Int32.bits_of_float f)
-
 let coerce ty v =
   match ty, v with
   | Ast.Tint, _ -> Vint (to_int v)
   | Ast.Tbool, _ -> Vbool (truth v)
-  | Ast.Tfloat, _ -> Vfloat (Sp, demote (to_float v))
+  | Ast.Tfloat, _ -> Vfloat (Sp, Intrinsic.demote (to_float v))
   | Ast.Tdouble, _ -> Vfloat (Dp, to_float v)
   | Ast.Tptr _, Vptr p -> Vptr p
   | Ast.Tptr _, _ -> invalid_arg "Value.coerce: non-pointer to pointer"

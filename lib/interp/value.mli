@@ -3,7 +3,9 @@
     Floating-point values carry their precision so the event counters can
     distinguish single- from double-precision work — the PSA-flow's
     "Employ SP Math Fns / SP Numeric Literals" transforms matter to the GPU
-    and FPGA models precisely because SP arithmetic is cheaper. *)
+    and FPGA models precisely because SP arithmetic is cheaper.  The float
+    of a [Vfloat (Sp, _)] is always one that {!Intrinsic.demote} leaves
+    unchanged. *)
 
 type prec = Sp | Dp
 
@@ -27,11 +29,8 @@ val to_int : t -> int
 val truth : t -> bool
 (** C truthiness of bools and ints. *)
 
-val demote : float -> float
-(** Round a float to single precision (through 32-bit representation). *)
-
 val coerce : Ast.ty -> t -> t
 (** Convert a value to the representation of the given scalar type,
-    demoting doubles stored into [float] slots. *)
+    rounding doubles stored into [float] slots ({!Intrinsic.demote}). *)
 
 val to_string : t -> string

@@ -30,7 +30,7 @@ let rec eval_expr st env (e : expr) : Value.t =
   match e.edesc with
   | Int_lit n -> Value.Vint n
   | Float_lit (f, single) ->
-    if single then Value.Vfloat (Value.Sp, Value.demote f) else Value.Vfloat (Value.Dp, f)
+    if single then Value.Vfloat (Value.Sp, Intrinsic.demote f) else Value.Vfloat (Value.Dp, f)
   | Bool_lit b -> Value.Vbool b
   | Var v ->
     (match lookup env v with

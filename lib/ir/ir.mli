@@ -31,8 +31,8 @@ val version : int
 (** {1 Scalar bindings} *)
 
 (** Floating-point precision of a register or operation.  Single-precision
-    results are demoted through a 32-bit round trip exactly like
-    [Value.demote]. *)
+    results are rounded by {!Intrinsic.demote}, the primitive the walker
+    uses. *)
 type prec = Psingle | Pdouble
 
 (** Static kind of an external scalar variable captured by a loop.
@@ -125,7 +125,8 @@ type cmpop = Clt | Cle | Cgt | Cge | Ceq | Cne
     changes accounting.  An [FDem] that directly follows the op producing
     its single-use operand is dropped when that op is single-precision
     (its result is already demoted, and demotion is idempotent) and folded
-    into the op's [...S] form when it is a double op. *)
+    into the op's [...S] form when it is a double op ([FLdSub2] and
+    [FLdMul] included). *)
 type fop =
   (* constants and moves *)
   | FConst of int * float

@@ -31,10 +31,6 @@ exception Reject of string
 
 let reject r = raise (Reject r)
 
-(* Value.demote lives in lib/interp, which depends on this library; the
-   round trip is replicated bit-for-bit. *)
-let demote32 f = Int32.float_of_bits (Int32.bits_of_float f)
-
 (* ---- integer index expressions ---- *)
 
 (* Smart constructors fold constants and units.  All identities hold in the
@@ -503,7 +499,7 @@ let rec lexpr c (e : expr) : lres =
   match e.edesc with
   | Int_lit k -> Ri (const_i c k, false)
   | Bool_lit b -> Ri (const_i c (if b then 1 else 0), true)
-  | Float_lit (x, true) -> Rf (const_f c (demote32 x), Ir.Psingle)
+  | Float_lit (x, true) -> Rf (const_f c (Intrinsic.demote x), Ir.Psingle)
   | Float_lit (x, false) -> Rf (const_f c x, Ir.Pdouble)
   | Var v -> lvar c v
   | Unary (Neg, a) ->
@@ -1428,6 +1424,8 @@ let fold_dem (op1 : Ir.fop) t r : Ir.fop option =
     | FDiv (x, a, b) when x = t -> Some (FDivS (r, a, b))
     | FMath1 (m, x, a) when x = t -> Some (FMath1S (m, r, a))
     | FMath2 (m, x, a, b) when x = t -> Some (FMath2S (m, r, a, b))
+    | FLdSub2 (x, c1, c2) when x = t -> Some (FLdSub2S (r, c1, c2))
+    | FLdMul (x, cu, b) when x = t -> Some (FLdMulS (r, cu, b))
     | _ -> None
 
 (* Fusion never crosses a PRNG draw, a checked access, or a zero-checked

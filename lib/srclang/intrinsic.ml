@@ -8,8 +8,10 @@ type cls = Special | Cheap | Int_op | Uncounted
 
 type t = { name : string; op : op; args : Ast.ty list; ret : Ast.ty; single : bool; cls : cls }
 
+external demote : float -> float = "psa_demote_byte" "psa_demote" [@@unboxed] [@@noalloc]
+
 (* Abramowitz-Stegun 7.1.26 rational approximation *)
-let erf_approx x =
+let[@inline] erf x =
   let sign = if x < 0.0 then -1.0 else 1.0 in
   let x = Float.abs x in
   let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
@@ -21,6 +23,8 @@ let erf_approx x =
   in
   sign *. y
 
+let erf_into (r : float array) d a = r.(d) <- erf r.(a)
+
 let eval1 f x =
   match f with
   | Sqrt -> sqrt x
@@ -31,7 +35,7 @@ let eval1 f x =
   | Exp -> exp x
   | Log -> log x
   | Tanh -> tanh x
-  | Erf -> erf_approx x
+  | Erf -> erf x
   | Fabs -> Float.abs x
   | Floor -> Float.floor x
   | Ceil -> Float.ceil x

@@ -4,7 +4,9 @@
     checker, its precision and single/double twin for the
     single-precision transforms, the hardware-counter class both
     interpreter backends charge for one call, and, for the 30 float
-    functions, the one evaluation the walker and the VM share. *)
+    functions, the one evaluation the walker and the VM share.  Single
+    precision's rounding rule ({!demote}) lives here too, for both
+    backends and the lowering's literals. *)
 
 (** One-argument float functions. *)
 type fn1 = Sqrt | Rsqrt | Sin | Cos | Tan | Exp | Log | Tanh | Erf | Fabs | Floor | Ceil
@@ -55,3 +57,17 @@ val eval1 : fn1 -> float -> float
 (** At double precision; single-precision callers demote the result. *)
 
 val eval2 : fn2 -> float -> float -> float
+
+external demote : float -> float = "psa_demote_byte" "psa_demote" [@@unboxed] [@@noalloc]
+(** Round to single precision and back: C's [(double)(float)x], to
+    nearest with ties to even, NaN payloads kept as the conversion keeps
+    them.  Every single-precision result and store of both backends goes
+    through it.  Natively an unboxed call that allocates nothing;
+    idempotent. *)
+
+val erf_into : float array -> int -> int -> unit
+(** [erf_into r d a] sets [r.(d)] to [eval1 Erf r.(a)], the one copy of
+    the Abramowitz-Stegun 7.1.26 approximation that [erf]/[erff]
+    evaluate.  It works on a register file because a float-returning
+    call into another module boxes its argument and its result (no
+    cross-module inlining under [-opaque]); this one boxes neither. *)

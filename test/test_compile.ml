@@ -931,11 +931,28 @@ int main() {
    [FAddMulS] whose product overflows to inf before the add is not the
    double sum demoted once). *)
 
+(* the inputs of the single-precision cases, per array *)
+let sp_specials =
+  [
+    ( "x",
+      [ "qnan"; "pinf"; "-pinf"; "1.0e-40"; "3.4028235e38"; "-3.4028235e38"; "3.0e38"; "-0.0";
+        "1.5e-45"; "1.0e20" ] );
+    ("y", [ "2.0"; "-pinf"; "qnan"; "1.0e-40"; "2.0"; "0.5"; "2.0"; "0.0"; "1.0e-5"; "1.0e20" ]);
+    ( "w",
+      [ "-3.0e38"; "pinf"; "1.0"; "-1.0e-40"; "-3.4028235e38"; "qnan"; "-3.0e38"; "-0.0";
+        "1.0e-45"; "-1.0e30" ] );
+    ( "z",
+      [ "1.0e39"; "-1.0e39"; "1.0e-50"; "qnan"; "pinf"; "3.5e38"; "-3.5e38"; "0.0"; "1.0e-45";
+        "2.0" ] );
+  ]
+
+let init_specials () =
+  String.concat "\n"
+    (List.concat_map
+       (fun (arr, vals) -> List.mapi (fun i v -> Printf.sprintf "  %s[%d] = %s;" arr i v) vals)
+       sp_specials)
+
 let sp_fused_src =
-  let init arr vals =
-    String.concat "\n"
-      (List.mapi (fun i v -> Printf.sprintf "  %s[%d] = %s;" arr i v) vals)
-  in
   Printf.sprintf
     {|
 const int N = 10;
@@ -970,24 +987,44 @@ int main() {
   double qnan = 0.0 / 0.0;
   double pinf = 1.0 / 0.0;
 %s
-%s
-%s
-%s
   knl(x, y, w, z, o);
   print_float(o[4] + o[17]);
   return 0;
 }|}
-    (init "x"
-       [ "qnan"; "pinf"; "-pinf"; "1.0e-40"; "3.4028235e38"; "-3.4028235e38"; "3.0e38";
-         "-0.0"; "1.5e-45"; "1.0e20" ])
-    (init "y"
-       [ "2.0"; "-pinf"; "qnan"; "1.0e-40"; "2.0"; "0.5"; "2.0"; "0.0"; "1.0e-5"; "1.0e20" ])
-    (init "w"
-       [ "-3.0e38"; "pinf"; "1.0"; "-1.0e-40"; "-3.4028235e38"; "qnan"; "-3.0e38"; "-0.0";
-         "1.0e-45"; "-1.0e30" ])
-    (init "z"
-       [ "1.0e39"; "-1.0e39"; "1.0e-50"; "qnan"; "pinf"; "3.5e38"; "-3.5e38"; "0.0";
-         "1.0e-45"; "2.0" ])
+    (init_specials ())
+
+(* Double arrays read into float locals, as the oneAPI zero-copy designs
+   do: a difference of two loads and a load times a register, each
+   demoted once, plan as [FLdSub2S] and [FLdMulS] with no [FDem] left,
+   over the same inputs unrounded *)
+let sp_of_dp_src =
+  Printf.sprintf
+    {|
+const int N = 10;
+const int K = 4;
+void knl(double* x, double* y, double* w, double* z, double* o) {
+  for (int i = 0; i < N; i++) {
+    float a = x[i] - y[i];
+    float b = w[i] - z[i];
+    float c = z[i] * 0.5;
+    float d = w[i] * 2.0;
+    o[i * K] = a; o[i * K + 1] = b; o[i * K + 2] = c; o[i * K + 3] = d;
+  }
+}
+int main() {
+  double x[N];
+  double y[N];
+  double w[N];
+  double z[N];
+  double o[40];
+  double qnan = 0.0 / 0.0;
+  double pinf = 1.0 / 0.0;
+%s
+  knl(x, y, w, z, o);
+  print_float(o[1] + o[6]);
+  return 0;
+}|}
+    (init_specials ())
 
 (* every op of a nest, arms and inner levels included *)
 let nest_ops (fl : Ir.fast_loop) =
@@ -1032,6 +1069,19 @@ let test_sp_fused_special_values () =
          | Ir.FMath2 _ ->
            true
          | _ -> false)
+       ops);
+  check "special values (unprofiled)" true (agree_planned p);
+  check "special values (flow-profiled)" true (agree_planned ~config:(flow_config ()) p)
+
+let test_sp_of_dp_loads () =
+  let p = parse sp_of_dp_src in
+  let ops = plan_ops p in
+  let count pred = List.length (List.filter pred ops) in
+  check "two FLdSub2S" true (count (function Ir.FLdSub2S _ -> true | _ -> false) = 2);
+  check "two FLdMulS" true (count (function Ir.FLdMulS _ -> true | _ -> false) = 2);
+  check "no FDem, FLdSub2 or FLdMul left" false
+    (List.exists
+       (function Ir.FDem _ | Ir.FLdSub2 _ | Ir.FLdMul _ -> true | _ -> false)
        ops);
   check "special values (unprofiled)" true (agree_planned p);
   check "special values (flow-profiled)" true (agree_planned ~config:(flow_config ()) p)
@@ -2336,13 +2386,64 @@ int main() {
     (String.concat "\n" (List.mapi call fns))
     (String.concat "\n" (List.mapi (Printf.sprintf "  x[%d] = %s;") inputs))
 
+(* One float function's calls in a planned nest, [N] of them: run at two
+   trip counts over the same arrays, the minor words the longer run adds
+   per extra call are what one planned call allocates *)
+let words_per_call (i : Intrinsic.t) =
+  let x = if i.Intrinsic.single then "xf" else "x" in
+  let args =
+    match i.Intrinsic.op with
+    | Intrinsic.F2 _ -> Printf.sprintf "%s[i], %s[M - 1 - i]" x x
+    | _ -> Printf.sprintf "%s[i]" x
+  in
+  let p =
+    parse
+      (Printf.sprintf
+         {|
+const int M = 4096;
+const int N = 16;
+void knl(double* x, float* xf, double* y) {
+  for (int i = 0; i < N; i++) { y[i] = %s(%s); }
+}
+int main() {
+  double x[M];
+  float xf[M];
+  double y[M];
+  for (int i = 0; i < M; i++) { x[i] = (double)(i - 2048) * 0.37; xf[i] = (float)x[i]; }
+  knl(x, xf, y);
+  return 0;
+}|}
+         i.Intrinsic.name args)
+  in
+  let words n =
+    let config = { Machine.default_config with Machine.overrides = [ ("N", Value.Vint n) ] } in
+    let s0 = planned () and w0 = Gc.minor_words () in
+    ignore (Machine.run ~config ~backend:`Vm p);
+    let w = Gc.minor_words () -. w0 in
+    check (i.Intrinsic.name ^ ": calls planned") true (planned () - s0 >= n);
+    w
+  in
+  ignore (words 16);
+  let lo = 256 and hi = 4096 in
+  let wlo = words lo in
+  (words hi -. wlo) /. float_of_int (hi - lo)
+
 let test_every_intrinsic () =
   let p = parse (every_intrinsic_src ()) in
   check "knl nest planned" true
     (match List.assoc_opt (knl_nest p).Ast.sloc (Ir_lower.plan_report p) with
      | Some (Ir_lower.Planned _) -> true
      | _ -> false);
-  check "every intrinsic (flow-profiled)" true (agree_planned ~config:(flow_config ()) p)
+  check "every intrinsic (flow-profiled)" true (agree_planned ~config:(flow_config ()) p);
+  List.iter
+    (fun (i : Intrinsic.t) ->
+      match i.Intrinsic.op with
+      | Intrinsic.F1 _ | Intrinsic.F2 _ ->
+        let w = words_per_call i in
+        if w >= 1.0 then
+          Alcotest.failf "%s: a planned call allocates %.2f minor words" i.Intrinsic.name w
+      | _ -> ())
+    Intrinsic.all
 
 let suite =
   [
@@ -2375,6 +2476,7 @@ let suite =
     Alcotest.test_case "profiled budget sweep" `Quick test_profiled_budget_sweep;
     Alcotest.test_case "clamped loop bounds" `Quick test_clamped_bounds;
     Alcotest.test_case "sp fused ops special values" `Quick test_sp_fused_special_values;
+    Alcotest.test_case "double loads into float locals" `Quick test_sp_of_dp_loads;
     Alcotest.test_case "dp fused ops special values" `Quick test_dp_fused_special_values;
     Alcotest.test_case "every intrinsic special values" `Quick test_every_intrinsic;
     Alcotest.test_case "cost walk re-entry" `Quick test_walk_reentry;

@@ -302,9 +302,23 @@ let test_counters_diff_add () =
   Counters.add_into b d;
   checki "add_into" 10 b.(Counters.loads)
 
+(* Known answers, with inputs and expectations built in double
+   arithmetic only: a process-wide float mode such as flush-to-zero
+   would move an Int32-round-trip oracle along with the result, but not
+   these *)
 let test_value_demote () =
-  check "demote rounds" true (Value.demote 0.1 <> 0.1);
-  check "demote idempotent" true (Value.demote (Value.demote 0.1) = Value.demote 0.1)
+  check "demote rounds" true (Intrinsic.demote 0.1 <> 0.1);
+  check "demote idempotent" true (Intrinsic.demote (Intrinsic.demote 0.1) = Intrinsic.demote 0.1);
+  let is x y = Int64.equal (Int64.bits_of_float (Intrinsic.demote x)) (Int64.bits_of_float y) in
+  let tiny = Float.ldexp 1.0 (-149) and flt_max = Float.ldexp (2.0 -. Float.ldexp 1.0 (-23)) 127 in
+  check "smallest float subnormal kept" true (is tiny tiny);
+  check "three quarters of it rounds up" true (is (0.75 *. tiny) tiny);
+  check "half of it ties to zero" true (is (0.5 *. tiny) 0.0);
+  check "tie to even, down" true (is (1.0 +. Float.ldexp 1.0 (-24)) 1.0);
+  check "tie to even, up" true
+    (is (1.0 +. (3.0 *. Float.ldexp 1.0 (-24))) (1.0 +. Float.ldexp 1.0 (-22)));
+  check "FLT_MAX kept" true (is (-.flt_max) (-.flt_max));
+  check "above the overflow threshold" true (is (flt_max +. Float.ldexp 1.0 103) infinity)
 
 let test_memory_distinct_bases () =
   let mem = Memory.create () in

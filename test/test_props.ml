@@ -539,9 +539,69 @@ let prop_openmp_design_equivalent =
               (Machine.run p).Machine.output
               = (Machine.run r.Openmp.omp_program).Machine.output)))
 
+(* [Intrinsic.demote] is the Int32 bit round trip, bit for bit, and
+   idempotent.  Inputs: random 64-bit patterns, NaNs with random payloads
+   (signalling ones included), signed zeros and infinities, subnormal
+   doubles, magnitudes across the float subnormal range, float halfway
+   ties (the exact midpoint of two adjacent floats, and one double ulp to
+   either side) and values around FLT_MAX and the overflow threshold. *)
+let prop_demote_bits =
+  let oracle x = Int32.float_of_bits (Int32.bits_of_float x) in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let open QCheck.Gen in
+  let bits64 = map Int64.float_of_bits ui64 in
+  let signed g = map2 (fun neg x -> if neg then -.x else x) bool g in
+  let nan =
+    map
+      (fun p ->
+        let m = Int64.logand p 0xF_FFFF_FFFF_FFFFL in
+        Int64.float_of_bits
+          (Int64.logor (Int64.logand p Int64.min_int)
+             (Int64.logor 0x7FF0_0000_0000_0000L (if m = 0L then 1L else m))))
+      ui64
+  in
+  let specials = oneofl [ 0.0; -0.0; infinity; neg_infinity; Float.nan; -.Float.nan ] in
+  let dp_subnormal =
+    map (fun p -> Int64.float_of_bits (Int64.logand p 0x800F_FFFF_FFFF_FFFFL)) ui64
+  in
+  let sp_range = signed (map2 Float.ldexp (float_range 0.5 1.0) (int_range (-160) (-120))) in
+  let nudge x n = if n < 0 then Float.pred x else if n > 0 then Float.succ x else x in
+  let rec nudges x n k = if k = 0 then x else nudges (nudge x n) n (k - 1) in
+  let tie =
+    map3
+      (fun b e n ->
+        (* a finite float, not the largest: its bits plus one is the next *)
+        let b = Int32.logand b 0x807F_FFFFl in
+        let b = Int32.logor b (Int32.shift_left (Int32.of_int e) 23) in
+        let f1 = Int32.float_of_bits b and f2 = Int32.float_of_bits (Int32.add b 1l) in
+        nudge ((f1 +. f2) /. 2.0) n)
+      ui32 (int_range 0 253) (int_range (-1) 1)
+  in
+  let flt_max = Int32.float_of_bits 0x7F7F_FFFFl in
+  let overflow = flt_max +. Float.ldexp 1.0 103 in
+  let near_max =
+    signed
+      (oneof
+         [
+           map3 nudges (oneofl [ flt_max; overflow ]) (int_range (-1) 1) (int_range 0 3);
+           float_range 3.0e38 3.5e38;
+         ])
+  in
+  let gen =
+    frequency
+      [ (4, bits64); (2, nan); (1, specials); (1, dp_subnormal); (2, sp_range); (3, tie);
+        (2, near_max) ]
+  in
+  QCheck.Test.make ~name:"demote is the Int32 round trip, bit for bit" ~count:200_000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%h (0x%016Lx)" x (Int64.bits_of_float x)) gen)
+    (fun x ->
+      let d = Intrinsic.demote x in
+      same d (oracle x) && same (Intrinsic.demote d) d)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_demote_bits;
       prop_roundtrip_stable;
       prop_typechecks;
       prop_deterministic;

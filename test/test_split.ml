@@ -289,6 +289,55 @@ let test_worker_crash () =
   check "crashed worker: the nest split" true (splits () > s0);
   check "crashed worker: faults fired" true (failures () > f0)
 
+(* With the other pool worker held on a blocking future, the committing
+   domain claims every chunk itself and then runs the chunk future
+   inline: the future finds nothing left to claim and returns without a
+   [vm-chunks] span *)
+let test_busy_worker () =
+  let p = parse (nest_src "y[i] = t + x[i + 1];") in
+  let walker = Test_compile.run_backend `Ast default p in
+  let m = Mutex.create () and c = Condition.create () in
+  let started = Atomic.make false and released = ref false in
+  let release () =
+    Mutex.lock m;
+    released := true;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  with_jobs 2 (fun () ->
+      let blocker =
+        Util.Pool.Fut.spawn (fun () ->
+            Mutex.lock m;
+            Atomic.set started true;
+            while not !released do Condition.wait c m done;
+            Mutex.unlock m)
+      in
+      let vm, split, spans =
+        Fun.protect
+          ~finally:(fun () ->
+            release ();
+            Util.Pool.Fut.await blocker)
+          (fun () ->
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            if not (Atomic.get started) then Alcotest.fail "the pool worker never started";
+            Obs.Trace.start ();
+            let s0 = splits () in
+            let vm =
+              Fun.protect ~finally:Obs.Trace.stop (fun () ->
+                  Test_compile.run_backend `Vm default p)
+            in
+            let spans =
+              List.filter (fun e -> e.Obs.Trace.ev_name = "vm-chunks") (Obs.Trace.events ())
+            in
+            (vm, splits () - s0, spans))
+      in
+      check "busy worker: matches the walker" true (Test_compile.outcomes_equal walker vm);
+      check "busy worker: the nest split" true (split > 0);
+      check "busy worker: no vm-chunks span" true (spans = []))
+
 (* ... and a whole flow prints the same report *)
 let test_worker_crash_flow () =
   Cache.set_dir None;
@@ -444,6 +493,7 @@ let suite =
     Alcotest.test_case "error in a chunk" `Quick test_error_in_chunk;
     Alcotest.test_case "worker crash in a split nest" `Quick test_worker_crash;
     Alcotest.test_case "worker crash in a split flow" `Quick test_worker_crash_flow;
+    Alcotest.test_case "chunk future after the last claim" `Quick test_busy_worker;
     Alcotest.test_case "random HIP launches" `Quick test_random_hip;
     Alcotest.test_case "unclamped HIP bodies stay serial" `Quick test_hip_unclamped;
     Alcotest.test_case "N-Body HIP design splits" `Quick test_nbody_hip_splits;
